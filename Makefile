@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet verify bench-quick bench-json bench-check lint-prints lint-metrics-docs trace-demo orchestra-demo fleet-demo load-demo verify-demo
+.PHONY: build test race vet verify fuzz-smoke bench-quick bench-json bench-check lint-prints lint-metrics-docs trace-demo orchestra-demo fleet-demo load-demo verify-demo
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,15 @@ vet:
 # race runs the suite under the race detector in -short mode (the
 # timing-sensitive tests skip themselves) — this is what exercises the
 # fuzz worker pool and the recovery data plane (dataserve cache /
-# singleflight, remote server, origin fetcher) for data races.
+# singleflight, chunk server, origin fetcher) for data races.
 race:
 	$(GO) test -race -short ./...
+
+# fuzz-smoke runs the chunk-frame decoder fuzzer (FuzzChunkFrame, the
+# one decoder of untrusted recovery-plane bytes) for 10 s from its
+# committed seed corpus; any panic or re-encoding mismatch fails it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s -parallel 2 ./internal/dataserve
 
 # lint-prints rejects unconditional printing from library packages:
 # everything under internal/ must route diagnostics through
@@ -50,8 +56,9 @@ lint-metrics-docs:
 
 # verify is the full tier-1 check: build, vet, the print lint, the
 # metrics-docs lint, plain tests, the race-detector pass over the
-# concurrent paths, and the bench regression gate.
-verify: build vet lint-prints lint-metrics-docs test race bench-check
+# concurrent paths, the chunk-frame fuzz smoke run, and the bench
+# regression gate.
+verify: build vet lint-prints lint-metrics-docs test race fuzz-smoke bench-check
 	@echo "verify: OK"
 
 bench-quick:
@@ -85,10 +92,6 @@ bench-check:
 	$(GO) run ./cmd/kondo-bench -exp orchestra -quick -check .
 	$(GO) run ./cmd/kondo-bench -exp serve -quick -check .
 
-# trace-demo runs a small debloat campaign with tracing on and
-# validates the emitted Chrome trace-event JSON with the kondo-viz
-# schema checker. Open the file in https://ui.perfetto.dev to see the
-# fuzz/carve/write phases and the per-worker lanes.
 # orchestra-demo runs the distributed campaign orchestrator end to end
 # over loopback: a kondo-coord coordinator plus two kondo-worker
 # evaluator processes (one crashing mid-lease to exercise re-issue),
@@ -125,6 +128,10 @@ load-demo:
 verify-demo:
 	./scripts/verify-demo.sh
 
+# trace-demo runs a small debloat campaign with tracing on and
+# validates the emitted Chrome trace-event JSON with the kondo-viz
+# schema checker. Open the file in https://ui.perfetto.dev to see the
+# fuzz/carve/write phases and the per-worker lanes.
 TRACE_DEMO_OUT ?= trace-demo.json
 trace-demo:
 	$(GO) run ./cmd/sdfgen -out trace-demo-data.sdf -dims 128x128 -dtype float64 -chunk 16x16

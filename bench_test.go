@@ -12,6 +12,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -29,7 +30,6 @@ import (
 	"repro/internal/kondo"
 	"repro/internal/metrics"
 	kobs "repro/internal/obs"
-	"repro/internal/remote"
 	"repro/internal/sdf"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -634,10 +634,11 @@ func BenchmarkExperimentHarness(b *testing.B) {
 
 // BenchmarkRecoveryThroughput measures the missing-data recovery path
 // end-to-end over loopback HTTP: a debloated ARD file whose accessed
-// region was carved away recovers it from the origin server, once with
-// the element-per-round-trip client and once with the chunk-granular
-// caching fetcher. Reported metrics: recovered elements per second,
-// HTTP round trips per run, and the fetcher's cache hit rate.
+// region was carved away recovers it from the origin server through
+// the chunk-granular caching fetcher. Reported metrics: recovered
+// elements per second, runtime misses per run (the round trips a
+// one-element-per-request protocol would make), HTTP round trips per
+// run, and the fetcher's cache hit rate.
 func BenchmarkRecoveryThroughput(b *testing.B) {
 	ard, err := workload.NewARD(48, 64, 32, 4, 16, 3, 8)
 	if err != nil {
@@ -694,38 +695,46 @@ func BenchmarkRecoveryThroughput(b *testing.B) {
 	}
 
 	const slabElems = 16 * 8 // the recovered region per iteration
-	readSlab := func(fetcher debloat.Fetcher) {
-		rt := debloat.NewRuntime(ds, fetcher)
-		vals, err := rt.ReadSlab([]int{0, 0, 20}, []int{16, 8, 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(vals) != slabElems || rt.Misses() == 0 {
-			b.Fatalf("run recovered %d values with %d misses", len(vals), rt.Misses())
-		}
+	of, err := sdf.Open(origin)
+	if err != nil {
+		b.Fatal(err)
 	}
-
-	b.Run("element", func(b *testing.B) {
-		client := remote.NewClient(ts.URL, nil)
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			readSlab(client)
-		}
-		elapsed := time.Since(start).Seconds()
-		b.ReportMetric(float64(slabElems*b.N)/elapsed, "elems/s")
-		b.ReportMetric(float64(client.Fetched())/float64(b.N), "round-trips/run")
-	})
+	defer of.Close()
+	ods, err := of.Dataset("data")
+	if err != nil {
+		b.Fatal(err)
+	}
+	want, err := ods.ReadHyperslab(sdf.Slab([]int{0, 0, 20}, []int{16, 8, 1}))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("cached", func(b *testing.B) {
 		fetcher := dataserve.NewFetcher(ts.URL, nil)
+		var misses int64
+		var vals []float64
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			readSlab(fetcher)
+			rt := debloat.NewRuntime(ds, fetcher)
+			got, err := rt.ReadSlab([]int{0, 0, 20}, []int{16, 8, 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got) != slabElems || rt.Misses() == 0 {
+				b.Fatalf("run recovered %d values with %d misses", len(got), rt.Misses())
+			}
+			misses += rt.Misses()
+			vals = got
 		}
 		elapsed := time.Since(start).Seconds()
+		for i := range want {
+			if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+				b.Fatalf("value %d: recovered %v, origin %v", i, vals[i], want[i])
+			}
+		}
 		st := fetcher.Stats()
 		b.ReportMetric(float64(slabElems*b.N)/elapsed, "elems/s")
+		b.ReportMetric(float64(misses)/float64(b.N), "misses/run")
 		b.ReportMetric(float64(st.RoundTrips)/float64(b.N), "round-trips/run")
 		b.ReportMetric(100*st.HitRate(), "%cache-hit")
 	})

@@ -1,23 +1,23 @@
 // Command kondo-serve is the recovery origin daemon of paper §VI: it
 // serves the original (un-debloated) data file to debloated-container
-// runtimes, chunk- and hyperslab-granular, so data-missing exceptions
-// resolve over single round trips.
+// runtimes chunk by chunk, so data-missing exceptions resolve over
+// single round trips.
 //
 //	kondo-serve -origin mnist.sdf                    # serve on :8080
 //	kondo-serve -origin mnist.sdf -addr 127.0.0.1:9090 -concurrency 64
 //	kondo-serve -origin mnist.sdf -addr 127.0.0.1:0 -addr-file serve.addr
-//	kondo-serve -origin mnist.sdf -slo-endpoints chunk,slab -slo-latency 50ms
+//	kondo-serve -origin mnist.sdf -slo-endpoints chunk -slo-latency 50ms
 //
-// Endpoints: /meta, /chunk, /slab (binary value frames), /element and
-// /datasets (internal/remote JSON compatibility), /metrics (request
-// counts, bytes served, latency histogram; ?format=prom for Prometheus
-// text exposition), /healthz (503 while draining), /buildz, /tracez
-// (with -trace-out or -trace: the live trace as an obs.WireTrace for
-// cross-process stitching), /sloz (with -slo-endpoints: the live SLO
-// report). With -debug-addr a second mux exposes /debug/pprof/* and
-// /debug/vars for runtime profiling. SIGINT/SIGTERM flip /healthz to
-// 503, wait -drain-delay for balancers to notice, drain in-flight
-// requests, print the metrics summary, and exit.
+// Endpoints: /meta (JSON geometry), /chunk (CRC-checked chunk frames,
+// with a Merkle inclusion proof when asked for proof=1), /metrics
+// (Prometheus text: request counts, bytes served, latency histograms),
+// /healthz (503 while draining), /buildz, /tracez (with -trace-out or
+// -trace: the live trace as an obs.WireTrace for cross-process
+// stitching), /sloz (with -slo-endpoints: the live SLO report). With
+// -debug-addr a second mux exposes /debug/pprof/* and /debug/vars for
+// runtime profiling. SIGINT/SIGTERM flip /healthz to 503, wait
+// -drain-delay for balancers to notice, drain in-flight requests,
+// write the /metrics exposition to stdout, and exit.
 package main
 
 import (
@@ -51,7 +51,7 @@ func main() {
 		grace       = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 		drainDelay  = flag.Duration("drain-delay", 0, "lame-duck window between flipping /healthz to 503 and starting shutdown")
 
-		sloEndpoints = flag.String("slo-endpoints", "", "comma-separated endpoints to put under SLO (e.g. chunk,slab); enables /sloz and kondo_slo_* metrics")
+		sloEndpoints = flag.String("slo-endpoints", "", "comma-separated endpoints to put under SLO (e.g. chunk,meta); enables /sloz and kondo_slo_* metrics")
 		sloLatency   = flag.Duration("slo-latency", 50*time.Millisecond, "per-request latency bound of the SLO objectives")
 		sloTarget    = flag.Float64("slo-target", 0.99, "good-event fraction the SLO objectives require (0,1)")
 		sloWindow    = flag.Duration("slo-window", 30*time.Second, "SLO sliding-window length")
@@ -203,5 +203,7 @@ func main() {
 			log.Info("trace written", "path", *traceOut, "events", tr.Len())
 		}
 	}
-	fmt.Println(srv.Metrics().String())
+	if err := srv.Registry().WritePrometheus(os.Stdout); err != nil {
+		log.Warn("writing metrics", "err", err)
+	}
 }

@@ -1,7 +1,6 @@
 package dataserve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,11 +23,12 @@ import (
 // ErrVerifyFailed marks a response that was well-formed on the wire
 // but failed integrity verification: a proof that does not connect to
 // the manifest root, tampered chunk bytes, a swapped identity, an
-// origin that cannot produce proofs at all, or a lying /meta. It is
-// TERMINAL — never retried and never degraded to sdf.ErrDataMissing —
-// because the origin is lying, not flaky: retrying a forged chunk
-// yields the same forged chunk, and masking it as missing data would
-// let a poisoned origin silently zero out a workload.
+// origin that answers a proof request without one, or a lying /meta.
+// It is TERMINAL — never retried and never degraded to
+// sdf.ErrDataMissing — because the origin is lying, not flaky:
+// retrying a forged chunk yields the same forged chunk, and masking it
+// as missing data would let a poisoned origin silently zero out a
+// workload.
 var ErrVerifyFailed = errors.New("dataserve: chunk verification failed")
 
 // FetcherConfig tunes the client's cache, timeout, and retry
@@ -85,8 +86,10 @@ type FetchStats struct {
 	CacheEntries int
 	CacheBytes   int64
 	// VerifyOK counts chunks that passed Merkle verification before
-	// entering the cache; VerifyFailed counts terminal verification
-	// rejections. Both stay zero unless SetVerify armed the dataset.
+	// entering the cache (zero unless SetVerify armed the dataset);
+	// VerifyFailed counts terminal rejections: failed proofs, lying
+	// /meta answers, and — verified or not — frames that answer a
+	// different chunk than the one requested.
 	VerifyOK, VerifyFailed int64
 }
 
@@ -288,34 +291,6 @@ func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Ind
 	return vals[off], nil
 }
 
-// FetchSlab recovers a dense block in a single round trip through the
-// /slab endpoint, bypassing the chunk cache — the bulk-restore path
-// for pre-warming or whole-region recovery.
-func (f *Fetcher) FetchSlab(ctx context.Context, dataset string, start, count []int) ([]float64, error) {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.FetchTimeout)
-	defer cancel()
-	ctx, tc, traced := obs.EnsureTraceContext(ctx)
-	sp := obs.Start(ctx, "dataserve.slab")
-	if sp != nil && traced {
-		sp.Arg("trace_id", tc.TraceID).Arg("span_id", tc.SpanID)
-	}
-	defer sp.End()
-	body, err := json.Marshal(slabRequest{Dataset: dataset, Start: start, Count: count})
-	if err != nil {
-		return nil, err
-	}
-	want := int64(1)
-	for _, c := range count {
-		want *= int64(c)
-	}
-	vals, err := f.frameRequest(ctx, http.MethodPost, f.baseURL+"/slab", body, want, nil)
-	if err != nil {
-		return nil, fmt.Errorf("dataserve: slab %v+%v of %q: %w", start, count, dataset, err)
-	}
-	f.elements.Add(int64(len(vals)))
-	return vals, nil
-}
-
 // geom resolves (and caches) a dataset's serving geometry. Concurrent
 // first-touch misses for one dataset collapse onto a single /meta
 // round trip through the same singleflight machinery chunk fetches
@@ -355,7 +330,7 @@ func (f *Fetcher) geom(ctx context.Context, dataset string) (*dsGeom, error) {
 // trusts it — a lying /meta would shift every chunk coordinate, so
 // the mismatch is a terminal verification failure, not a retry.
 func (f *Fetcher) fetchGeom(ctx context.Context, dataset string) (*dsGeom, error) {
-	data, err := f.jsonRequest(ctx, f.baseURL+"/meta?dataset="+dataset)
+	data, err := f.jsonRequest(ctx, f.baseURL+"/meta?"+url.Values{"dataset": {dataset}}.Encode())
 	if err != nil {
 		return nil, fmt.Errorf("dataserve: meta of %q: %w", dataset, err)
 	}
@@ -424,27 +399,12 @@ func (f *Fetcher) chunk(ctx context.Context, dataset string, g *dsGeom, cc array
 		if vals, ok := f.cache.get(key); ok {
 			return vals, nil
 		}
-		_, count := chunkSlab(g.space, g.chunk, cc)
-		want := int64(1)
-		for _, c := range count {
-			want *= int64(c)
-		}
-		url := f.baseURL + "/chunk?dataset=" + dataset + "&chunk=" + joinInts(cc)
-		var vals []float64
-		var err error
-		if spec := f.verifySpec(dataset); spec != nil {
-			vals, err = f.verifiedChunk(ctx, spec, dataset, cc, lin, url+"&proof=1", want)
-		} else {
-			vals, err = f.frameRequest(ctx, http.MethodGet, url, nil, want, f.identityCheck(dataset, cc))
-			if err != nil {
-				err = fmt.Errorf("dataserve: chunk %v of %q: %w", cc, dataset, err)
-			}
-		}
+		vals, err := f.fetchChunk(ctx, dataset, g, cc, lin)
 		if err != nil {
 			return nil, err
 		}
-		// Only verified (or at least identity-consistent) bytes enter
-		// the cache: a hit must never have to re-verify.
+		// Only checked (and, when armed, verified) bytes enter the
+		// cache: a hit must never have to re-verify.
 		f.cache.put(key, vals)
 		return vals, nil
 	})
@@ -454,20 +414,42 @@ func (f *Fetcher) chunk(ctx context.Context, dataset string, g *dsGeom, cc array
 	return vals, false, err
 }
 
-// verifiedChunk fetches one chunk with its inclusion proof and folds
-// the proof against the manifest root before returning the values. The
-// verify.chunk span lives here — on the miss path only, so the hit
-// path's cost stays zero.
-func (f *Fetcher) verifiedChunk(ctx context.Context, spec *sdf.MerkleSpec, dataset string, cc array.Index, leaf int64, url string, want int64) ([]float64, error) {
-	pf, err := f.proofRequest(ctx, url)
-	if err != nil {
-		if errors.Is(err, ErrVerifyFailed) {
-			f.verifyFailed.Add(1)
+// fetchChunk is the recovery plane's one request path: a retried GET
+// of one serving chunk, decoded straight from the response body and
+// checked against the fetcher's own geometry before its values are
+// returned. Transport trouble and truncated or corrupt frames retry; a
+// well-formed frame that answers a different request, or (when
+// SetVerify armed the dataset) whose proof does not fold onto the
+// manifest root, is a terminal ErrVerifyFailed. The verify.chunk span
+// lives here — on the miss path only, so the hit path's cost stays
+// zero.
+func (f *Fetcher) fetchChunk(ctx context.Context, dataset string, g *dsGeom, cc array.Index, leaf int64) ([]float64, error) {
+	spec := f.verifySpec(dataset)
+	q := url.Values{"dataset": {dataset}, "chunk": {joinInts(cc)}}
+	if spec != nil {
+		q.Set("proof", "1")
+	}
+	u := f.baseURL + "/chunk?" + q.Encode()
+	var cf chunkFrame
+	err := f.withRetries(ctx, func(actx context.Context) (retryable bool, err error) {
+		resp, retryable, err := f.get(actx, u)
+		if err != nil {
+			return retryable, err
 		}
+		defer resp.Body.Close()
+		// A truncated or corrupted body is worth retrying: the origin
+		// itself is healthy, the transfer was not.
+		cf, err = decodeChunkFrame(resp.Body)
+		return true, err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("dataserve: chunk %v of %q: %w", cc, dataset, err)
 	}
-	sp := obs.Start(ctx, "verify.chunk")
-	err = verifyProofFrame(spec, dataset, cc, leaf, want, pf)
+	var sp *obs.Span
+	if spec != nil {
+		sp = obs.Start(ctx, "verify.chunk")
+	}
+	err = checkFrame(spec, dataset, g, cc, leaf, cf)
 	if sp != nil {
 		sp.Arg("dataset", dataset).Arg("leaf", leaf).Arg("ok", err == nil)
 	}
@@ -476,57 +458,44 @@ func (f *Fetcher) verifiedChunk(ctx context.Context, spec *sdf.MerkleSpec, datas
 		f.verifyFailed.Add(1)
 		return nil, fmt.Errorf("%w: chunk %v of %q: %v", ErrVerifyFailed, cc, dataset, err)
 	}
-	f.verifyOK.Add(1)
-	return pf.Vals, nil
+	if spec != nil {
+		f.verifyOK.Add(1)
+	}
+	return cf.Vals, nil
 }
 
-// verifyProofFrame checks one proof frame against the request identity
-// and the trusted spec: the echoed identity must match what was asked,
-// the tree coordinates must match the spec, and the leaf hash of the
-// received values must fold through the proof onto the manifest root.
-// Every expected quantity (leaf index, leaf count, value count) comes
-// from the verifier's own geometry, never from the wire.
-func verifyProofFrame(spec *sdf.MerkleSpec, dataset string, cc array.Index, leaf, want int64, pf proofFrame) error {
-	if pf.Dataset != dataset {
-		return fmt.Errorf("response identifies dataset %q", pf.Dataset)
+// checkFrame holds a chunk frame to the request it answers. Every
+// expected quantity — dataset, chunk, leaf index, leaf count, value
+// count — comes from the fetcher's own geometry, never from the wire.
+// With a non-nil spec the leaf hash of the received values must also
+// fold through the proof onto the manifest root; an origin that drops
+// proof=1 fails here too, because an empty proof folds only a
+// one-leaf tree, and then only values that hash to the root itself.
+func checkFrame(spec *sdf.MerkleSpec, dataset string, g *dsGeom, cc array.Index, leaf int64, cf chunkFrame) error {
+	if cf.Dataset != dataset {
+		return fmt.Errorf("response identifies dataset %q", cf.Dataset)
 	}
-	if !sameInts(pf.Chunk, cc) {
-		return fmt.Errorf("response identifies chunk %v", pf.Chunk)
+	if !sameInts(cf.Chunk, cc) {
+		return fmt.Errorf("response identifies chunk %v", cf.Chunk)
 	}
-	if pf.Leaf != leaf {
-		return fmt.Errorf("response claims leaf %d, geometry says %d", pf.Leaf, leaf)
+	if cf.Leaf != leaf {
+		return fmt.Errorf("response claims leaf %d, geometry says %d", cf.Leaf, leaf)
 	}
-	if pf.Leaves != spec.Leaves {
-		return fmt.Errorf("response claims %d leaves, manifest pinned %d", pf.Leaves, spec.Leaves)
+	if leaves := g.grid.NumChunks(); cf.Leaves != leaves {
+		return fmt.Errorf("response claims %d leaves, geometry says %d", cf.Leaves, leaves)
 	}
-	if int64(len(pf.Vals)) != want {
-		return fmt.Errorf("response carries %d values, geometry says %d", len(pf.Vals), want)
+	_, count := chunkSlab(g.space, g.chunk, cc)
+	want := int64(1)
+	for _, c := range count {
+		want *= int64(c)
 	}
-	if !sdf.VerifyChunkProof(spec.Root, spec.Leaves, leaf, sdf.ChunkLeafHash(leaf, pf.Vals), pf.Proof) {
+	if int64(len(cf.Vals)) != want {
+		return fmt.Errorf("response carries %d values, geometry says %d", len(cf.Vals), want)
+	}
+	if spec != nil && !sdf.VerifyChunkProof(spec.Root, spec.Leaves, leaf, sdf.ChunkLeafHash(leaf, cf.Vals), cf.Proof) {
 		return fmt.Errorf("inclusion proof does not connect to the manifest root")
 	}
 	return nil
-}
-
-// identityCheck returns a response check rejecting a chunk response
-// whose echoed identity headers disagree with the request — the KDB1
-// substitution fix: even without proofs, a frame for chunk A can no
-// longer answer a request for chunk B when the origin echoes identity.
-// Old origins send no headers and skip the check. The mismatch is
-// terminal: a misrouted response means a lying or broken middlebox,
-// and retrying through it would re-accept the next swap.
-func (f *Fetcher) identityCheck(dataset string, cc array.Index) func(*http.Response) error {
-	return func(resp *http.Response) error {
-		if got := resp.Header.Get(headerDataset); got != "" && got != dataset {
-			f.verifyFailed.Add(1)
-			return fmt.Errorf("%w: origin echoed dataset %q for a request against %q", ErrVerifyFailed, got, dataset)
-		}
-		if got := resp.Header.Get(headerChunk); got != "" && got != joinInts(cc) {
-			f.verifyFailed.Add(1)
-			return fmt.Errorf("%w: origin echoed chunk %s for a request of %s", ErrVerifyFailed, got, joinInts(cc))
-		}
-		return nil
-	}
 }
 
 // sameInts compares a coordinate against an index.
@@ -543,103 +512,39 @@ func sameInts(a []int, b array.Index) bool {
 }
 
 // jsonRequest performs a retried GET expecting a JSON body.
-func (f *Fetcher) jsonRequest(ctx context.Context, url string) ([]byte, error) {
+func (f *Fetcher) jsonRequest(ctx context.Context, u string) ([]byte, error) {
 	var out []byte
 	err := f.withRetries(ctx, func(actx context.Context) (retryable bool, err error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
+		resp, retryable, err := f.get(actx, u)
 		if err != nil {
-			return false, err
-		}
-		f.stampTraceContext(actx, req)
-		resp, err := f.http.Do(req)
-		if err != nil {
-			return true, err
+			return retryable, err
 		}
 		defer resp.Body.Close()
-		f.roundTrips.Add(1)
-		if resp.StatusCode != http.StatusOK {
-			return retryStatus(resp.StatusCode), statusError(resp)
-		}
 		out, err = io.ReadAll(resp.Body)
 		return true, err
 	})
 	return out, err
 }
 
-// frameRequest performs a retried request expecting a binary value
-// frame of wantVals values. A non-nil check runs against the response
-// before the body is decoded; a check error wrapping ErrVerifyFailed
-// is terminal (not retried).
-func (f *Fetcher) frameRequest(ctx context.Context, method, url string, body []byte, wantVals int64, check func(*http.Response) error) ([]float64, error) {
-	var vals []float64
-	err := f.withRetries(ctx, func(actx context.Context) (retryable bool, err error) {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(actx, method, url, rd)
-		if err != nil {
-			return false, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		f.stampTraceContext(actx, req)
-		resp, err := f.http.Do(req)
-		if err != nil {
-			return true, err
-		}
+// get performs one GET attempt stamped with the fetch's trace context
+// and returns the 200 response, or an error and whether it is worth
+// retrying. Every response received counts as a round trip.
+func (f *Fetcher) get(ctx context.Context, u string) (_ *http.Response, retryable bool, _ error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, false, err
+	}
+	f.stampTraceContext(ctx, req)
+	resp, err := f.http.Do(req)
+	if err != nil {
+		return nil, true, err
+	}
+	f.roundTrips.Add(1)
+	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
-		f.roundTrips.Add(1)
-		if resp.StatusCode != http.StatusOK {
-			return retryStatus(resp.StatusCode), statusError(resp)
-		}
-		if check != nil {
-			if err := check(resp); err != nil {
-				return !errors.Is(err, ErrVerifyFailed), err
-			}
-		}
-		// A truncated or corrupted body is worth retrying: the origin
-		// itself is healthy, the transfer was not.
-		vals, err = decodeFrame(resp.Body, wantVals)
-		return true, err
-	})
-	return vals, err
-}
-
-// proofRequest performs a retried GET expecting a KDB2 proof frame.
-// Transport trouble and corruption retry as usual; an origin that
-// answers with a plain KDB1 value frame is terminal — an old peer
-// cannot serve verified chunks, and retrying will not make it grow
-// proofs.
-func (f *Fetcher) proofRequest(ctx context.Context, url string) (proofFrame, error) {
-	var pf proofFrame
-	err := f.withRetries(ctx, func(actx context.Context) (retryable bool, err error) {
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
-		if err != nil {
-			return false, err
-		}
-		f.stampTraceContext(actx, req)
-		resp, err := f.http.Do(req)
-		if err != nil {
-			return true, err
-		}
-		defer resp.Body.Close()
-		f.roundTrips.Add(1)
-		if resp.StatusCode != http.StatusOK {
-			return retryStatus(resp.StatusCode), statusError(resp)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return true, err
-		}
-		if len(raw) >= len(frameCodec.Magic) && string(raw[:len(frameCodec.Magic)]) == frameCodec.Magic {
-			return false, fmt.Errorf("%w: origin answered without a proof (%s peer)", ErrVerifyFailed, frameCodec.Magic)
-		}
-		pf, err = decodeProofFrame(bytes.NewReader(raw))
-		return true, err
-	})
-	return pf, err
+		return nil, retryStatus(resp.StatusCode), statusError(resp)
+	}
+	return resp, true, nil
 }
 
 // stampTraceContext propagates the fetch's trace context onto an

@@ -3,6 +3,7 @@ package dataserve
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -14,8 +15,8 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/debloat"
-	"repro/internal/remote"
 	"repro/internal/sdf"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -57,7 +58,7 @@ func TestFetcherValuesAndCache(t *testing.T) {
 		t.Errorf("hit rate = %v", hr)
 	}
 	// The server saw exactly one chunk request.
-	if got := srv.Metrics().Endpoint("chunk").Requests; got != 1 {
+	if got := chunkRequests(srv); got != 1 {
 		t.Errorf("server chunk requests = %d, want 1", got)
 	}
 }
@@ -238,33 +239,33 @@ func TestFetcherRejectsCorruptFrames(t *testing.T) {
 	defer srv.Close()
 	h := srv.Handler()
 
+	// frame renders chunk (0,0)'s answer carrying n values; the chunk
+	// holds 16.
+	frame := func(n int) []byte {
+		buf, err := encodeChunkFrame(chunkFrame{Dataset: "data", Chunk: []int{0, 0}, Leaf: 0, Leaves: 4, Vals: make([]float64, n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	good := frame(16)
+	badMagic := append([]byte("JUNK"), good[4:]...)
+	corrupt := append([]byte(nil), good...)
+	corrupt[wire.HeaderSize+3] ^= 0xFF
 	cases := []struct {
-		name  string
-		serve func(w http.ResponseWriter)
+		name string
+		body []byte
 	}{
-		{"truncated", func(w http.ResponseWriter) {
-			buf := encodeFrame([]float64{1, 2, 3, 4})
-			w.Write(buf[:len(buf)-4])
-		}},
-		{"bad magic", func(w http.ResponseWriter) {
-			buf := encodeFrame(make([]float64, 16))
-			copy(buf, "JUNK")
-			w.Write(buf)
-		}},
-		{"wrong count", func(w http.ResponseWriter) {
-			w.Write(encodeFrame([]float64{1, 2})) // chunk wants 16
-		}},
-		{"corrupt payload", func(w http.ResponseWriter) {
-			buf := encodeFrame(make([]float64, 16))
-			buf[frameHeaderSize+3] ^= 0xFF
-			w.Write(buf)
-		}},
+		{"truncated", good[:len(good)-4]},
+		{"bad magic", badMagic},
+		{"wrong count", frame(2)},
+		{"corrupt payload", corrupt},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/chunk" {
-					c.serve(w)
+					w.Write(c.body)
 					return
 				}
 				h.ServeHTTP(w, r)
@@ -428,9 +429,10 @@ func TestRuntimeRecoversThroughCachedFetcher(t *testing.T) {
 }
 
 // TestARDRecoveryRoundTripReduction is the acceptance scenario: on an
-// ARD-geometry chunked origin, the cached batch fetcher recovers the
-// same values as per-element fetching with >= 10x fewer HTTP round
-// trips.
+// ARD-geometry chunked origin, the cached chunk fetcher recovers the
+// origin's values with >= 10x fewer HTTP round trips than the runtime
+// has misses — the round trips a one-element-per-request protocol
+// would make.
 func TestARDRecoveryRoundTripReduction(t *testing.T) {
 	ard, err := workload.NewARD(48, 64, 32, 4, 16, 3, 8)
 	if err != nil {
@@ -461,75 +463,49 @@ func TestARDRecoveryRoundTripReduction(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	run := func(fetcher debloat.Fetcher) []float64 {
-		t.Helper()
-		f, err := sdf.Open(deb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		ds, _ := f.Dataset("data")
-		rt := debloat.NewRuntime(ds, fetcher)
-		// height=16, width=8 at time plane 20: fully carved away.
-		vals, err := rt.ReadSlab([]int{0, 0, 20}, []int{16, 8, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rt.Misses() == 0 {
-			t.Fatal("run hit no carved data; premise broken")
-		}
-		return vals
-	}
-
-	elemClient := remote.NewClient(ts.URL, nil)
-	elemVals := run(elemClient)
-	elemTrips := elemClient.Fetched()
-
-	cached := NewFetcher(ts.URL, nil)
-	cachedVals := run(cached)
-	cachedTrips := cached.Stats().RoundTrips
-
-	if len(elemVals) != len(cachedVals) {
-		t.Fatalf("value counts differ: %d vs %d", len(elemVals), len(cachedVals))
-	}
-	for i := range elemVals {
-		if elemVals[i] != cachedVals[i] {
-			t.Fatalf("value %d differs: element %v, cached %v", i, elemVals[i], cachedVals[i])
-		}
-	}
-	if cachedTrips*10 > elemTrips {
-		t.Errorf("cached fetcher used %d round trips vs %d element fetches (< 10x reduction)",
-			cachedTrips, elemTrips)
-	}
-	t.Logf("element fetches: %d, cached round trips: %d (%.0fx), %s",
-		elemTrips, cachedTrips, float64(elemTrips)/float64(cachedTrips), cached.Stats())
-}
-
-func TestFetchSlab(t *testing.T) {
-	space := array.MustSpace(16, 16)
-	_, ts := startServer(t, space, []int{4, 4})
-	f := NewFetcher(ts.URL, nil)
-
-	vals, err := f.FetchSlab(context.Background(), "data", []int{2, 3}, []int{4, 5})
+	f, err := sdf.Open(deb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 20 {
-		t.Fatalf("got %d values, want 20", len(vals))
+	defer f.Close()
+	ds, _ := f.Dataset("data")
+	cached := NewFetcher(ts.URL, nil)
+	rt := debloat.NewRuntime(ds, cached)
+	// height=16, width=8 at time plane 20: fully carved away.
+	start, count := []int{0, 0, 20}, []int{16, 8, 1}
+	vals, err := rt.ReadSlab(start, count)
+	if err != nil {
+		t.Fatal(err)
 	}
-	i := 0
-	for r := 2; r < 6; r++ {
-		for c := 3; c < 8; c++ {
-			if want := originValue(space, array.NewIndex(r, c)); vals[i] != want {
-				t.Fatalf("slab[%d] = %v, want %v", i, vals[i], want)
-			}
-			i++
+	misses := rt.Misses()
+	if misses == 0 {
+		t.Fatal("run hit no carved data; premise broken")
+	}
+
+	of, err := sdf.Open(origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer of.Close()
+	ods, _ := of.Dataset("data")
+	want, err := ods.ReadHyperslab(sdf.Slab(start, count))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != len(want) {
+		t.Fatalf("recovered %d values, origin holds %d", len(vals), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("value %d differs: recovered %v, origin %v", i, vals[i], want[i])
 		}
 	}
-	// Bad slab requests surface the server's message.
-	if _, err := f.FetchSlab(context.Background(), "data", []int{0, 0}, []int{99, 1}); err == nil {
-		t.Error("out-of-bounds slab accepted")
+	cachedTrips := cached.Stats().RoundTrips
+	if cachedTrips*10 > misses {
+		t.Errorf("cached fetcher used %d round trips for %d misses (< 10x reduction)", cachedTrips, misses)
 	}
+	t.Logf("misses: %d, cached round trips: %d (%.0fx), %s",
+		misses, cachedTrips, float64(misses)/float64(cachedTrips), cached.Stats())
 }
 
 // TestFetcherConcurrentMixed drives many goroutines over overlapping
@@ -571,5 +547,58 @@ func TestFetcherConcurrentMixed(t *testing.T) {
 	// or an in-flight fetch.
 	if st.RoundTrips > 17 { // 16 chunks + 1 meta
 		t.Errorf("round trips = %d, want <= 17", st.RoundTrips)
+	}
+}
+
+// TestDatasetNamesAreEscaped recovers from datasets whose names carry
+// query-string metacharacters, verified and unverified: every name must
+// reach the server intact, so each fetch returns its own dataset's
+// values.
+func TestDatasetNamesAreEscaped(t *testing.T) {
+	names := []string{"t+1", "a&b", "p#q", "x y"}
+	space := array.MustSpace(16, 16)
+	path := filepath.Join(t.TempDir(), "origin.sdf")
+	w := sdf.NewWriter(path)
+	for k, name := range names {
+		dw, err := w.CreateDataset(name, space, array.Float64, []int{8, 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dw.Fill(func(ix array.Index) float64 { return originValue(space, ix) + float64(1000*k) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, verified := range []bool{false, true} {
+		f := NewFetcherConfig(ts.URL, nil, fastRetry)
+		for k, name := range names {
+			if verified {
+				if err := f.SetVerify(name, originSpec(t, path, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, ix := range []array.Index{array.NewIndex(0, 0), array.NewIndex(9, 14)} {
+				v, err := f.Fetch(name, ix)
+				if err != nil {
+					t.Fatalf("verified=%v Fetch(%q, %v): %v", verified, name, ix, err)
+				}
+				if want := originValue(space, ix) + float64(1000*k); v != want {
+					t.Fatalf("verified=%v Fetch(%q, %v) = %v, want %v", verified, name, ix, v, want)
+				}
+			}
+		}
+		if st := f.Stats(); verified && st.VerifyOK != 2*int64(len(names)) {
+			t.Fatalf("VerifyOK = %d, want %d", st.VerifyOK, 2*len(names))
+		}
 	}
 }

@@ -66,11 +66,11 @@ func (sv *serving) merkle(built *atomic.Int64) (*sdf.MerkleTree, error) {
 	return sv.tree, sv.treeErr
 }
 
-// Server serves chunk- and hyperslab-granular reads from an origin
-// sdf file. Reads are lock-free with respect to each other: dataset
-// handles are immutable and the underlying file reads through ReadAt,
-// so the only synchronization is an RWMutex held shared for the
-// duration of a request to fence Close.
+// Server serves chunk-granular reads from an origin sdf file. Reads
+// are lock-free with respect to each other: dataset handles are
+// immutable and the underlying file reads through ReadAt, so the only
+// synchronization is an RWMutex held shared for the duration of a
+// request to fence Close.
 type Server struct {
 	mu   sync.RWMutex
 	file *sdf.File
@@ -88,9 +88,10 @@ type Server struct {
 	// traceRequests counts requests that arrived with a propagated
 	// trace context (whether or not local recording is on).
 	traceRequests atomic.Int64
-	// proofFrames counts proof-carrying (KDB2) chunk responses served;
-	// proofErrors counts proof=1 requests that failed to produce one;
-	// proofTrees counts Merkle trees built (at most one per dataset).
+	// proofFrames counts chunk responses served with an inclusion
+	// proof; proofErrors counts proof=1 requests that failed to produce
+	// one; proofTrees counts Merkle trees built (at most one per
+	// dataset).
 	proofFrames atomic.Int64
 	proofErrors atomic.Int64
 	proofTrees  atomic.Int64
@@ -103,23 +104,13 @@ type serverTrace struct {
 }
 
 // NewServer opens the origin file and precomputes serving geometry
-// for every dataset, recording metrics with the default latency
-// buckets.
+// for every dataset.
 func NewServer(originPath string) (*Server, error) {
-	return NewServerWithRecorder(originPath, nil)
-}
-
-// NewServerWithRecorder is NewServer with an explicit metrics
-// recorder (e.g. one with custom latency buckets); nil gets a fresh
-// default recorder.
-func NewServerWithRecorder(originPath string, rec *metrics.ServeRecorder) (*Server, error) {
 	f, err := sdf.Open(originPath)
 	if err != nil {
 		return nil, fmt.Errorf("dataserve: opening origin: %w", err)
 	}
-	if rec == nil {
-		rec = metrics.NewServeRecorder()
-	}
+	rec := metrics.NewServeRecorder()
 	obs.RegisterBuildInfo(rec.Registry())
 	s := &Server{file: f, sets: make(map[string]*serving), rec: rec}
 	reg := rec.Registry()
@@ -132,7 +123,7 @@ func NewServerWithRecorder(originPath string, rec *metrics.ServeRecorder) (*Serv
 		}
 		return 0
 	})
-	reg.SetHelp("kondo_serve_proof_frames_total", "Proof-carrying (KDB2) chunk responses served.")
+	reg.SetHelp("kondo_serve_proof_frames_total", "Chunk responses served with an inclusion proof (proof=1).")
 	reg.CounterFunc("kondo_serve_proof_frames_total", s.proofFrames.Load)
 	reg.SetHelp("kondo_serve_proof_errors_total", "proof=1 chunk requests that failed to produce a proof frame.")
 	reg.CounterFunc("kondo_serve_proof_errors_total", s.proofErrors.Load)
@@ -184,12 +175,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Metrics returns a snapshot of the server's request metrics.
-func (s *Server) Metrics() metrics.ServeStats { return s.rec.Snapshot() }
-
 // Registry exposes the server's instrument registry so a daemon can
-// register adjacent metrics into the same /metrics?format=prom
-// exposition.
+// register adjacent metrics into the same /metrics exposition.
 func (s *Server) Registry() *obs.Registry { return s.rec.Registry() }
 
 // Recorder exposes the server's metrics recorder, so a daemon can wire
@@ -222,11 +209,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Handler returns the HTTP handler exposing the wire protocol.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/datasets", s.instrument("datasets", s.handleDatasets))
 	mux.Handle("/meta", s.instrument("meta", s.handleMeta))
-	mux.Handle("/element", s.instrument("element", s.handleElement))
 	mux.Handle("/chunk", s.instrument("chunk", s.handleChunk))
-	mux.Handle("/slab", s.instrument("slab", s.handleSlab))
 	mux.Handle("/metrics", s.instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
@@ -371,16 +355,6 @@ func writeError(w http.ResponseWriter, fallback int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.file == nil {
-		writeError(w, http.StatusServiceUnavailable, errOriginClosed)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string][]string{"datasets": s.file.Names()})
-}
-
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	sv, release, err := s.lookup(r.URL.Query().Get("dataset"))
 	if err != nil {
@@ -391,45 +365,12 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sv.meta)
 }
 
+// handleMetrics serves the registry's Prometheus text exposition. The
+// format=prom query older scrapers send selects the same body.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		_ = s.rec.Registry().WritePrometheus(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.rec.Snapshot())
-}
-
-func (s *Server) handleElement(w http.ResponseWriter, r *http.Request) {
-	dataset := r.URL.Query().Get("dataset")
-	indexArg := r.URL.Query().Get("index")
-	if dataset == "" || indexArg == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("dataset and index query parameters required"))
-		return
-	}
-	ix, err := parseInts(indexArg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sv, release, err := s.lookup(dataset)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer release()
-	if !sv.space.Contains(array.Index(ix)) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("dataserve: index %v outside %v", ix, sv.space))
-		return
-	}
-	v, err := sv.ds.ReadElement(array.Index(ix))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]float64{"value": v})
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	_ = s.rec.Registry().WritePrometheus(w)
 }
 
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
@@ -461,105 +402,44 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Echo the request identity as additive headers so even KDB1
-	// clients can detect a swapped response (a frame for chunk A
-	// answering a request for chunk B); old clients ignore them.
-	w.Header().Set(headerDataset, dataset)
-	w.Header().Set(headerChunk, joinInts(cc))
-	if r.URL.Query().Get("proof") == "1" {
-		s.writeProofFrame(w, sv, dataset, cc, vals)
-		return
-	}
-	writeFrame(w, vals)
-}
-
-// writeProofFrame answers a proof=1 chunk request with a KDB2 frame:
-// identity, leaf position, values, and the inclusion proof against the
-// dataset's Merkle tree (built lazily on first use).
-func (s *Server) writeProofFrame(w http.ResponseWriter, sv *serving, dataset string, cc []int, vals []float64) {
-	tree, err := sv.merkle(&s.proofTrees)
-	if err != nil {
-		s.proofErrors.Add(1)
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("dataserve: building merkle tree of %q: %w", dataset, err))
-		return
-	}
 	leaf, err := sv.grid.ChunkLinear(array.Index(cc))
 	if err != nil {
-		s.proofErrors.Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	proof, err := tree.Proof(leaf)
+	cf := chunkFrame{Dataset: dataset, Chunk: cc, Leaf: leaf, Leaves: sv.grid.NumChunks(), Vals: vals}
+	withProof := r.URL.Query().Get("proof") == "1"
+	if withProof {
+		if cf.Proof, err = s.proof(sv, dataset, leaf); err != nil {
+			s.proofErrors.Add(1)
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+	}
+	buf, err := encodeChunkFrame(cf)
 	if err != nil {
-		s.proofErrors.Add(1)
+		if withProof {
+			s.proofErrors.Add(1)
+		}
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	buf, err := encodeProofFrame(proofFrame{
-		Dataset: dataset,
-		Chunk:   cc,
-		Leaf:    leaf,
-		Leaves:  tree.Leaves(),
-		Vals:    vals,
-		Proof:   proof,
-	})
-	if err != nil {
-		s.proofErrors.Add(1)
-		writeError(w, http.StatusInternalServerError, err)
-		return
+	if withProof {
+		s.proofFrames.Add(1)
 	}
-	s.proofFrames.Add(1)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	_, _ = w.Write(buf)
 }
 
-// slabRequest is the POST /slab body: one dense block.
-type slabRequest struct {
-	Dataset string `json:"dataset"`
-	Start   []int  `json:"start"`
-	Count   []int  `json:"count"`
-}
-
-func (s *Server) handleSlab(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("dataserve: /slab wants POST"))
-		return
-	}
-	var req slabRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("dataserve: bad slab request: %w", err))
-		return
-	}
-	sv, release, err := s.lookup(req.Dataset)
+// proof returns the inclusion proof of one leaf against the dataset's
+// Merkle tree, building the tree on first use.
+func (s *Server) proof(sv *serving, dataset string, leaf int64) ([][sdf.HashSize]byte, error) {
+	tree, err := sv.merkle(&s.proofTrees)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, fmt.Errorf("dataserve: building merkle tree of %q: %w", dataset, err)
 	}
-	defer release()
-	if len(req.Start) != sv.space.Rank() || len(req.Count) != sv.space.Rank() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("dataserve: slab rank mismatch (space rank %d)", sv.space.Rank()))
-		return
-	}
-	sel := sdf.Slab(req.Start, req.Count)
-	if err := sel.Validate(sv.space); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	vals, err := sv.ds.ReadHyperslab(sel)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeFrame(w, vals)
-}
-
-func writeFrame(w http.ResponseWriter, vals []float64) {
-	buf := encodeFrame(vals)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	_, _ = w.Write(buf)
+	return tree.Proof(leaf)
 }
 
 // chunkSlab returns the start/count of serving chunk cc clipped to the
@@ -569,15 +449,6 @@ func writeFrame(w http.ResponseWriter, vals []float64) {
 func chunkSlab(space array.Space, chunk []int, cc []int) (start, count []int) {
 	return sdf.ChunkSlab(space, chunk, cc)
 }
-
-// Identity echo headers: the server repeats the dataset and chunk
-// coordinate a chunk response answers, so clients can reject swapped
-// responses even on the proof-less KDB1 path. Additive — old peers on
-// either side ignore them.
-const (
-	headerDataset = "Kondo-Dataset"
-	headerChunk   = "Kondo-Chunk"
-)
 
 // joinInts renders coordinates in the wire's comma form (the inverse
 // of parseInts).

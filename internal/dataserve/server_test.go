@@ -10,11 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/debloat"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sdf"
 )
@@ -59,6 +57,12 @@ func startServer(t testing.TB, space array.Space, chunk []int) (*Server, *httpte
 	return srv, ts
 }
 
+// chunkRequests reads the server's /chunk request counter from its
+// registry.
+func chunkRequests(srv *Server) int64 {
+	return srv.Registry().Counter("kondo_serve_requests_total", obs.L("endpoint", "chunk")).Value()
+}
+
 func getMeta(t *testing.T, ts *httptest.Server, dataset string) DatasetMeta {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/meta?dataset=" + dataset)
@@ -94,37 +98,25 @@ func TestMetaChunkSlabRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("chunk status = %d", resp.StatusCode)
 	}
-	vals, err := decodeFrame(resp.Body, 6*4)
+	cf, err := decodeChunkFrame(resp.Body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The frame names what it answers: leaf 3*3+2 of the 4x3 grid. No
+	// proof was asked for, so none is carried.
+	if cf.Dataset != "data" || fmt.Sprint(cf.Chunk) != "[3 2]" || cf.Leaf != 11 || cf.Leaves != 12 || len(cf.Proof) != 0 {
+		t.Fatalf("frame identity = %q %v leaf %d/%d, %d proof siblings", cf.Dataset, cf.Chunk, cf.Leaf, cf.Leaves, len(cf.Proof))
+	}
+	if len(cf.Vals) != 6*4 {
+		t.Fatalf("edge chunk carries %d values, want 24", len(cf.Vals))
 	}
 	i := 0
 	for r := 24; r < 30; r++ {
 		for c := 16; c < 20; c++ {
-			if want := originValue(space, array.NewIndex(r, c)); vals[i] != want {
-				t.Fatalf("chunk value at (%d,%d) = %v, want %v", r, c, vals[i], want)
+			if want := originValue(space, array.NewIndex(r, c)); cf.Vals[i] != want {
+				t.Fatalf("chunk value at (%d,%d) = %v, want %v", r, c, cf.Vals[i], want)
 			}
 			i++
-		}
-	}
-
-	// Slab endpoint returns the same region.
-	body, _ := json.Marshal(slabRequest{Dataset: "data", Start: []int{24, 16}, Count: []int{6, 4}})
-	sresp, err := http.Post(ts.URL+"/slab", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("slab status = %d", sresp.StatusCode)
-	}
-	svals, err := decodeFrame(sresp.Body, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range vals {
-		if svals[k] != vals[k] {
-			t.Fatalf("slab[%d] = %v, chunk[%d] = %v", k, svals[k], k, vals[k])
 		}
 	}
 }
@@ -149,12 +141,15 @@ func TestContiguousOriginGetsServingChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	vals, err := decodeFrame(resp.Body, int64(meta.Chunk[0]*meta.Chunk[1]))
+	cf, err := decodeChunkFrame(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := originValue(space, array.NewIndex(0, 1)); vals[1] != want {
-		t.Errorf("vals[1] = %v, want %v", vals[1], want)
+	if len(cf.Vals) != meta.Chunk[0]*meta.Chunk[1] {
+		t.Fatalf("chunk carries %d values, want %d", len(cf.Vals), meta.Chunk[0]*meta.Chunk[1])
+	}
+	if want := originValue(space, array.NewIndex(0, 1)); cf.Vals[1] != want {
+		t.Errorf("vals[1] = %v, want %v", cf.Vals[1], want)
 	}
 }
 
@@ -219,41 +214,6 @@ func TestServerErrorPaths(t *testing.T) {
 	if got := status(t, "/chunk?dataset=data&chunk=0"); got != http.StatusBadRequest {
 		t.Errorf("rank-mismatched chunk = %d, want 400", got)
 	}
-	if got := status(t, "/element?dataset=data&index=-3,0"); got != http.StatusBadRequest {
-		t.Errorf("negative element index = %d, want 400", got)
-	}
-	if got := status(t, "/element?dataset=data&index=99,99"); got != http.StatusBadRequest {
-		t.Errorf("out-of-bounds element = %d, want 400", got)
-	}
-	if got := status(t, "/slab"); got != http.StatusMethodNotAllowed {
-		t.Errorf("GET /slab = %d, want 405", got)
-	}
-	resp, err := http.Post(ts.URL+"/slab", "application/json", strings.NewReader("{garbage"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad slab JSON = %d, want 400", resp.StatusCode)
-	}
-	body, _ := json.Marshal(slabRequest{Dataset: "data", Start: []int{0}, Count: []int{4}})
-	resp, err = http.Post(ts.URL+"/slab", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("rank-mismatched slab = %d, want 400", resp.StatusCode)
-	}
-	body, _ = json.Marshal(slabRequest{Dataset: "data", Start: []int{0, 0}, Count: []int{99, 1}})
-	resp, err = http.Post(ts.URL+"/slab", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("out-of-bounds slab = %d, want 400", resp.StatusCode)
-	}
 }
 
 func TestClosedServerReturns503(t *testing.T) {
@@ -265,7 +225,7 @@ func TestClosedServerReturns503(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	for _, url := range []string{"/datasets", "/meta?dataset=data", "/chunk?dataset=data&chunk=0,0"} {
+	for _, url := range []string{"/meta?dataset=data", "/chunk?dataset=data&chunk=0,0"} {
 		resp, err := http.Get(ts.URL + url)
 		if err != nil {
 			t.Fatal(err)
@@ -345,30 +305,39 @@ func TestMetricsAndHealthz(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	stats := srv.Metrics()
-	chunk := stats.Endpoint("chunk")
-	if chunk.Requests != 4 || chunk.Errors != 1 {
-		t.Errorf("chunk stats = %+v", chunk)
+	reg := srv.Registry()
+	chunk := obs.L("endpoint", "chunk")
+	if req, errs := reg.Counter("kondo_serve_requests_total", chunk).Value(),
+		reg.Counter("kondo_serve_errors_total", chunk).Value(); req != 4 || errs != 1 {
+		t.Errorf("chunk requests = %d, errors = %d, want 4/1", req, errs)
 	}
-	if chunk.Bytes <= 0 {
+	if reg.Counter("kondo_serve_response_bytes_total", chunk).Value() <= 0 {
 		t.Error("no bytes recorded")
 	}
 
-	// The /metrics endpoint serves the same snapshot as JSON.
-	mresp, err := http.Get(ts.URL + "/metrics")
+	// The /metrics endpoint serves the same counters.
+	if out := getMetrics(t, ts, "/metrics"); !strings.Contains(out, `kondo_serve_requests_total{endpoint="chunk"} 4`) {
+		t.Errorf("/metrics lacks the chunk request count:\n%s", out)
+	}
+}
+
+// getMetrics fetches a metrics exposition, requiring the Prometheus
+// text content type.
+func getMetrics(t *testing.T, ts *httptest.Server, path string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mresp.Body.Close()
-	var remote struct {
-		Requests int64 `json:"requests"`
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("%s content type = %q, want text/plain exposition", path, ct)
 	}
-	if err := json.NewDecoder(mresp.Body).Decode(&remote); err != nil {
+	body := new(bytes.Buffer)
+	if _, err := body.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	if remote.Requests < 4 {
-		t.Errorf("/metrics requests = %d, want >= 4", remote.Requests)
-	}
+	return body.String()
 }
 
 func TestMetricsPrometheusFormat(t *testing.T) {
@@ -382,19 +351,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type = %q, want text/plain exposition", ct)
-	}
-	body := new(bytes.Buffer)
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	out := body.String()
+	out := getMetrics(t, ts, "/metrics?format=prom")
 	for _, want := range []string{
 		"# TYPE kondo_serve_requests_total counter",
 		`kondo_serve_requests_total{endpoint="chunk"} 2`,
@@ -406,20 +363,9 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 		}
 	}
 
-	// JSON default stays backward compatible alongside the new format.
-	jresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jresp.Body.Close()
-	var js struct {
-		Requests int64 `json:"requests"`
-	}
-	if err := json.NewDecoder(jresp.Body).Decode(&js); err != nil {
-		t.Fatal(err)
-	}
-	if js.Requests < 2 {
-		t.Errorf("/metrics JSON requests = %d, want >= 2", js.Requests)
+	// Without format=prom the endpoint serves the same exposition.
+	if plain := getMetrics(t, ts, "/metrics"); !strings.Contains(plain, `kondo_serve_requests_total{endpoint="chunk"} 2`) {
+		t.Errorf("/metrics without format=prom lacks the chunk count:\n%s", plain)
 	}
 }
 
@@ -444,30 +390,5 @@ func TestServerRequestSpans(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"serve.chunk"`) {
 		t.Errorf("trace lacks serve.chunk span:\n%s", sb.String())
-	}
-}
-
-func TestServerCustomRecorderBuckets(t *testing.T) {
-	space := array.MustSpace(8, 8)
-	rec := metrics.NewServeRecorderWithBuckets([]time.Duration{time.Millisecond, time.Second})
-	srv, err := NewServerWithRecorder(writeOriginFile(t, space, nil), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	resp, err := http.Get(ts.URL + "/meta?dataset=data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	e := srv.Metrics().Endpoint("meta")
-	if len(e.Latency) != 3 {
-		t.Errorf("latency has %d buckets, want 3 (2 bounds + overflow)", len(e.Latency))
-	}
-	if srv.Registry() != rec.Registry() {
-		t.Error("server registry is not the recorder's registry")
 	}
 }

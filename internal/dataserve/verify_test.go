@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -38,7 +37,7 @@ func originSpec(t testing.TB, path, dataset string) sdf.MerkleSpec {
 }
 
 func TestProofFrameRoundTrip(t *testing.T) {
-	pf := proofFrame{
+	pf := chunkFrame{
 		Dataset: "data",
 		Chunk:   []int{3, 1},
 		Leaf:    7,
@@ -51,11 +50,11 @@ func TestProofFrameRoundTrip(t *testing.T) {
 			pf.Proof[i][j] = byte(i*31 + j)
 		}
 	}
-	buf, err := encodeProofFrame(pf)
+	buf, err := encodeChunkFrame(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeProofFrame(bytes.NewReader(buf))
+	got, err := decodeChunkFrame(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestProofFrameRoundTrip(t *testing.T) {
 }
 
 func TestProofFrameRejectsCorruption(t *testing.T) {
-	pf := proofFrame{
+	pf := chunkFrame{
 		Dataset: "data",
 		Chunk:   []int{0, 2},
 		Leaf:    2,
@@ -87,13 +86,13 @@ func TestProofFrameRejectsCorruption(t *testing.T) {
 		Vals:    []float64{1, 2, 3},
 		Proof:   make([][sdf.HashSize]byte, 2),
 	}
-	buf, err := encodeProofFrame(pf)
+	buf, err := encodeChunkFrame(pf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every truncation fails: nothing decodes from a partial frame.
 	for n := 0; n < len(buf); n++ {
-		if _, err := decodeProofFrame(bytes.NewReader(buf[:n])); err == nil {
+		if _, err := decodeChunkFrame(bytes.NewReader(buf[:n])); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded", n, len(buf))
 		}
 	}
@@ -102,17 +101,13 @@ func TestProofFrameRejectsCorruption(t *testing.T) {
 	for i := range buf {
 		mut := append([]byte(nil), buf...)
 		mut[i] ^= 0xff
-		if _, err := decodeProofFrame(bytes.NewReader(mut)); err == nil {
+		if _, err := decodeChunkFrame(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("byte %d flipped but frame decoded", i)
 		}
 	}
 	// Trailing bytes after a complete frame fail too.
-	if _, err := decodeProofFrame(bytes.NewReader(append(append([]byte(nil), buf...), 0))); err == nil {
+	if _, err := decodeChunkFrame(bytes.NewReader(append(append([]byte(nil), buf...), 0))); err == nil {
 		t.Fatal("trailing byte accepted")
-	}
-	// A KDB1 frame is not a proof frame.
-	if _, err := decodeProofFrame(bytes.NewReader(encodeFrame([]float64{1, 2}))); err == nil {
-		t.Fatal("KDB1 frame decoded as proof frame")
 	}
 }
 
@@ -159,8 +154,8 @@ func TestVerifiedFetchEndToEnd(t *testing.T) {
 	if st.VerifyOK != 16 || st.VerifyFailed != 0 {
 		t.Fatalf("verify stats ok=%d failed=%d, want 16/0", st.VerifyOK, st.VerifyFailed)
 	}
-	if srv.Metrics().Endpoint("chunk").Requests != 32 { // 16 verified + 16 plain
-		t.Fatalf("server chunk requests = %d", srv.Metrics().Endpoint("chunk").Requests)
+	if got := chunkRequests(srv); got != 32 { // 16 verified + 16 plain
+		t.Fatalf("server chunk requests = %d", got)
 	}
 }
 
@@ -219,12 +214,12 @@ func TestVerifiedFetchRejectsTamperedValues(t *testing.T) {
 	defer srv.Close()
 
 	ts := tamperProxy(t, srv.Handler(), nil, func(body []byte) []byte {
-		pf, err := decodeProofFrame(bytes.NewReader(body))
+		pf, err := decodeChunkFrame(bytes.NewReader(body))
 		if err != nil {
 			return body // /meta etc.
 		}
 		pf.Vals[0] += 1 // forge one value...
-		out, err := encodeProofFrame(pf)
+		out, err := encodeChunkFrame(pf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,16 +274,15 @@ func TestVerifiedFetchRejectsSubstitutedChunk(t *testing.T) {
 	}
 	_, err = f.Fetch("data", array.NewIndex(0, 0)) // chunk (0,0)
 	requireVerifyFailed(t, err)
-	if st := f.Stats(); st.VerifyFailed != 1 {
-		t.Fatalf("VerifyFailed = %d, want 1", st.VerifyFailed)
+	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
+		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries, nothing cached", st)
 	}
 }
 
-// TestUnverifiedClientRejectsSwappedResponse is the KDB1 satellite fix:
-// even without proofs, the origin's identity echo headers bind a
-// response to the request it answers, so a swapped (individually
-// valid) frame is rejected instead of silently recovered into the
-// wrong coordinates.
+// TestUnverifiedClientRejectsSwappedResponse pins the identity check
+// every client runs: even without proofs, the chunk frame names the
+// chunk it answers, so a swapped (individually valid) frame is
+// rejected instead of silently recovered into the wrong coordinates.
 func TestUnverifiedClientRejectsSwappedResponse(t *testing.T) {
 	space := array.MustSpace(16, 16)
 	path := writeOriginFile(t, space, []int{8, 8})
@@ -309,46 +303,16 @@ func TestUnverifiedClientRejectsSwappedResponse(t *testing.T) {
 	f := NewFetcherConfig(ts.URL, nil, fastRetry) // NO SetVerify
 	_, err = f.Fetch("data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
-	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 {
-		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries", st)
-	}
-
-	// Same swap against an origin that does NOT echo identity (an old
-	// server): the response passes undetected — exactly the bug this
-	// fixes — which pins that the check is additive, not a behavior
-	// change for old peers. The recovered values are chunk (1,1)'s.
-	oldTS := tamperProxy(t, srv.Handler(), func(r *http.Request) {
-		if r.URL.Path == "/chunk" {
-			q := r.URL.Query()
-			q.Set("chunk", "1,1")
-			r.URL.RawQuery = q.Encode()
-		}
-	}, nil)
-	strip := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		resp, err := http.Get(oldTS.URL + r.URL.Path + "?" + r.URL.RawQuery)
-		if err != nil {
-			w.WriteHeader(http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
-	}))
-	defer strip.Close()
-	old := NewFetcherConfig(strip.URL, nil, fastRetry)
-	v, err := old.Fetch("data", array.NewIndex(0, 0))
-	if err != nil {
-		t.Fatalf("old-peer swap unexpectedly detected: %v", err)
-	}
-	if want := originValue(space, array.NewIndex(8, 8)); v != want {
-		t.Fatalf("swapped fetch = %v, want chunk (1,1)'s %v", v, want)
+	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
+		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries, nothing cached", st)
 	}
 }
 
-// TestVerifiedFetchAgainstOldServer pins the negotiation failure mode:
-// a verifying client against an origin that ignores proof=1 (a KDB1
-// peer) fails terminally — it must not silently accept unproven bytes.
+// TestVerifiedFetchAgainstOldServer pins the downgrade failure mode: a
+// verifying client against an origin that ignores proof=1 fails
+// terminally — it must not silently accept unproven bytes. The frame
+// then carries an empty proof, which folds only a one-leaf tree, and
+// there only values that hash to the root itself.
 func TestVerifiedFetchAgainstOldServer(t *testing.T) {
 	space := array.MustSpace(16, 16)
 	path := writeOriginFile(t, space, []int{8, 8})
@@ -371,8 +335,49 @@ func TestVerifiedFetchAgainstOldServer(t *testing.T) {
 	}
 	_, err = f.Fetch("data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
-	if st := f.Stats(); st.Retries != 0 {
-		t.Fatalf("old-peer failure was retried %d times", st.Retries)
+	if st := f.Stats(); st.Retries != 0 || st.CacheEntries != 0 {
+		t.Fatalf("old-peer failure was retried %d times, cached %d chunks", st.Retries, st.CacheEntries)
+	}
+
+	// One leaf: the root is the leaf hash, so genuine values verify
+	// without siblings and forged ones still fail.
+	onePath := writeOriginFile(t, array.MustSpace(8, 8), []int{8, 8})
+	one, err := NewServer(onePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	var forge atomic.Bool
+	oneTS := tamperProxy(t, one.Handler(), func(r *http.Request) {
+		q := r.URL.Query()
+		q.Del("proof")
+		r.URL.RawQuery = q.Encode()
+	}, func(body []byte) []byte {
+		cf, err := decodeChunkFrame(bytes.NewReader(body))
+		if err != nil || !forge.Load() {
+			return body
+		}
+		cf.Vals[0] += 1
+		out, err := encodeChunkFrame(cf)
+		if err != nil {
+			t.Error(err)
+		}
+		return out
+	})
+	for _, forged := range []bool{false, true} {
+		forge.Store(forged)
+		g := NewFetcherConfig(oneTS.URL, nil, fastRetry)
+		if err := g.SetVerify("data", originSpec(t, onePath, "data")); err != nil {
+			t.Fatal(err)
+		}
+		v, err := g.Fetch("data", array.NewIndex(3, 5))
+		if forged {
+			requireVerifyFailed(t, err)
+			continue
+		}
+		if err != nil || v != originValue(array.MustSpace(8, 8), array.NewIndex(3, 5)) {
+			t.Fatalf("one-leaf proof-less fetch = %v, %v", v, err)
+		}
 	}
 }
 
@@ -392,6 +397,9 @@ func TestVerifiedFetchRejectsWrongRoot(t *testing.T) {
 	}
 	_, err := f.Fetch("data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
+	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
+		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries, nothing cached", st)
+	}
 }
 
 // TestVerifiedFetchRejectsLyingMeta pins the geometry cross-check: an
@@ -409,8 +417,8 @@ func TestVerifiedFetchRejectsLyingMeta(t *testing.T) {
 	}
 	_, err := f.Fetch("data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
-	if st := f.Stats(); st.VerifyFailed != 1 {
-		t.Fatalf("VerifyFailed = %d, want 1", st.VerifyFailed)
+	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
+		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries, nothing cached", st)
 	}
 }
 

@@ -1,25 +1,23 @@
-// Package dataserve is the production recovery data plane of paper
-// §VI: "a container runtime can use audited information to pull
-// missing data offsets from a remote server, when requested." It
-// supersedes internal/remote with chunk- and hyperslab-granular batch
-// transfer so one round trip recovers a whole region instead of one
-// element.
+// Package dataserve is the recovery data plane of paper §VI: "a
+// container runtime can use audited information to pull missing data
+// offsets from a remote server, when requested." One miss recovers the
+// whole serving chunk that holds it, so one round trip answers a
+// region instead of one element.
 //
 // Wire protocol (HTTP):
 //
-//	GET  /datasets                                → JSON {"datasets":[...]}
-//	GET  /meta?dataset=<name>                     → JSON dataset geometry + serving chunk shape
-//	GET  /element?dataset=<name>&index=i1,i2,...  → JSON {"value": v}   (internal/remote compat)
-//	GET  /chunk?dataset=<name>&chunk=c1,c2,...    → binary value frame of one serving chunk
-//	POST /slab    {"dataset","start":[],"count":[]} → binary value frame of a dense hyperslab
-//	GET  /metrics                                 → JSON metrics.ServeStats
-//	GET  /healthz                                 → 200 "ok"
+//	GET /meta?dataset=<name>                            → JSON dataset geometry + serving chunk shape
+//	GET /chunk?dataset=<name>&chunk=c1,c2,...[&proof=1] → chunk frame of one serving chunk
+//	GET /metrics                                        → Prometheus text exposition
+//	GET /healthz                                        → 200 "ok" (503 while draining)
 //
-// Binary frames carry element values as little-endian float64s behind
-// a fixed header (magic, count, CRC32), so a truncated or corrupted
-// body is detected before any value is trusted. JSON error bodies
-// carry {"error": ...}; carved-away data at the origin answers with
-// HTTP 410 Gone, which the client maps back onto sdf.ErrDataMissing.
+// Every /chunk answer is one chunk frame (KDB2): the request identity,
+// the chunk's Merkle leaf position, its values, and — with proof=1 —
+// the inclusion proof, all behind a fixed header (magic, byte count,
+// CRC32), so a truncated or corrupted body is detected before any value
+// is trusted. JSON error bodies carry {"error": ...}; carved-away data
+// at the origin answers with HTTP 410 Gone, which the client maps back
+// onto sdf.ErrDataMissing.
 package dataserve
 
 import (
@@ -32,119 +30,82 @@ import (
 	"repro/internal/wire"
 )
 
-// frameHeaderSize is the fixed frame prefix: magic (4) | count u32 |
-// crc32 u32 of the value payload.
-const frameHeaderSize = wire.HeaderSize
+// chunkCodec is the chunk-frame framing, shared with the other binary
+// protocols through internal/wire. The count field counts payload
+// bytes; the 1<<29-byte (512 MiB) limit is far above any serving chunk.
+var chunkCodec = wire.Codec{Magic: "KDB2", MaxCount: 1 << 29}
 
-// frameCodec is the value-frame framing, shared with the other binary
-// protocols through internal/wire. The magic is "KDB1"; the count
-// field counts float64 values; the 1<<26-value limit (512 MiB) bounds
-// what a corrupt or hostile count field can make the client allocate,
-// far above any serving chunk.
-var frameCodec = wire.Codec{Magic: "KDB1", UnitSize: 8, MaxCount: 1 << 26}
+// chunkFrameVersion versions the KDB2 payload layout.
+const chunkFrameVersion = 1
 
-// encodeFrame renders values as a binary frame.
-func encodeFrame(vals []float64) []byte {
-	payload := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(payload[8*i:], math.Float64bits(v))
-	}
-	return frameCodec.Encode(payload)
-}
-
-// decodeFrame reads one frame from r, expecting exactly wantVals
-// values (wantVals < 0 accepts any count within the codec limit). It
-// fails on short reads, bad magic, count mismatches, trailing bytes,
-// and checksum mismatches.
-func decodeFrame(r io.Reader, wantVals int64) ([]float64, error) {
-	payload, err := frameCodec.DecodeAll(r, wantVals)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]float64, len(payload)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-	}
-	return vals, nil
-}
-
-// proofCodec is the proof-carrying chunk framing (KDB2), additive next
-// to KDB1: only clients that ask with proof=1 receive it, so KDB1
-// peers never see the magic. The count field counts payload bytes
-// (UnitSize 1) because the payload is a structured record, not a flat
-// value array; 1<<29 bytes (512 MiB) bounds hostile counts.
-var proofCodec = wire.Codec{Magic: "KDB2", UnitSize: 1, MaxCount: 1 << 29}
-
-// proofFrameVersion versions the KDB2 payload layout.
-const proofFrameVersion = 1
-
-// proofFrame is one verified chunk response: the request identity
-// (dataset + chunk coordinate), the chunk's position in the Merkle
-// tree, its clipped values, and the inclusion proof connecting them to
-// the manifest root. Everything sits inside the CRC-verified payload,
-// so the identity binding the KDB1 satellite fix bolts on via headers
-// is structural here.
-type proofFrame struct {
+// chunkFrame is one /chunk response: the request identity (dataset +
+// chunk coordinate), the chunk's position in the Merkle tree over the
+// serving grid, its clipped values, and the inclusion proof connecting
+// them to the manifest root (empty unless the request asked for
+// proof=1). Everything sits inside the CRC-verified payload, so the
+// identity a client checks is bound to the values it caches.
+type chunkFrame struct {
 	Dataset string
 	Chunk   []int
 	Leaf    int64 // row-major chunk-grid index = Merkle leaf index
-	Leaves  int64 // total leaf count of the server's tree
+	Leaves  int64 // chunk count of the serving grid = Merkle leaf count
 	Vals    []float64
 	Proof   [][sdf.HashSize]byte
 }
 
-// encodeProofFrame renders a proof frame:
+// encodeChunkFrame renders a chunk frame:
 //
 //	version u8 | nameLen u16 | name | rank u8 | rank×coord i32 |
 //	leaf u64 | leaves u64 | valCount u32 | valCount×float64 bits |
 //	proofLen u16 | proofLen×32-byte sibling
 //
 // all little-endian, all inside the CRC32-covered payload.
-func encodeProofFrame(pf proofFrame) ([]byte, error) {
-	if len(pf.Dataset) > 0xffff {
-		return nil, fmt.Errorf("dataserve: dataset name too long for proof frame (%d bytes)", len(pf.Dataset))
+func encodeChunkFrame(cf chunkFrame) ([]byte, error) {
+	if len(cf.Dataset) > 0xffff {
+		return nil, fmt.Errorf("dataserve: dataset name too long for chunk frame (%d bytes)", len(cf.Dataset))
 	}
-	if len(pf.Chunk) > 0xff {
-		return nil, fmt.Errorf("dataserve: rank %d too large for proof frame", len(pf.Chunk))
+	if len(cf.Chunk) > 0xff {
+		return nil, fmt.Errorf("dataserve: rank %d too large for chunk frame", len(cf.Chunk))
 	}
-	if len(pf.Proof) > 0xffff {
-		return nil, fmt.Errorf("dataserve: proof too long (%d siblings)", len(pf.Proof))
+	if len(cf.Proof) > 0xffff {
+		return nil, fmt.Errorf("dataserve: proof too long (%d siblings)", len(cf.Proof))
 	}
-	size := 1 + 2 + len(pf.Dataset) + 1 + 4*len(pf.Chunk) + 8 + 8 + 4 + 8*len(pf.Vals) + 2 + sdf.HashSize*len(pf.Proof)
+	size := 1 + 2 + len(cf.Dataset) + 1 + 4*len(cf.Chunk) + 8 + 8 + 4 + 8*len(cf.Vals) + 2 + sdf.HashSize*len(cf.Proof)
 	payload := make([]byte, 0, size)
-	payload = append(payload, proofFrameVersion)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(pf.Dataset)))
-	payload = append(payload, pf.Dataset...)
-	payload = append(payload, byte(len(pf.Chunk)))
-	for _, c := range pf.Chunk {
+	payload = append(payload, chunkFrameVersion)
+	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(cf.Dataset)))
+	payload = append(payload, cf.Dataset...)
+	payload = append(payload, byte(len(cf.Chunk)))
+	for _, c := range cf.Chunk {
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(int32(c)))
 	}
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(pf.Leaf))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(pf.Leaves))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(pf.Vals)))
-	for _, v := range pf.Vals {
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(cf.Leaf))
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(cf.Leaves))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(cf.Vals)))
+	for _, v := range cf.Vals {
 		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
 	}
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(pf.Proof)))
-	for _, sib := range pf.Proof {
+	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(cf.Proof)))
+	for _, sib := range cf.Proof {
 		payload = append(payload, sib[:]...)
 	}
-	return proofCodec.Encode(payload), nil
+	return chunkCodec.Encode(payload), nil
 }
 
-// decodeProofFrame reads one KDB2 frame. It fails on short reads, bad
-// magic (including a KDB1 frame where a proof was required), checksum
-// mismatches, unknown versions, and any structural truncation.
-func decodeProofFrame(r io.Reader) (proofFrame, error) {
-	var pf proofFrame
-	payload, err := proofCodec.DecodeAll(r, -1)
+// decodeChunkFrame reads one chunk frame that must be the entirety of
+// r. It fails on short reads, bad magic, checksum mismatches, unknown
+// versions, any structural truncation, and trailing bytes; a frame
+// that decodes re-encodes to exactly the same bytes.
+func decodeChunkFrame(r io.Reader) (chunkFrame, error) {
+	var cf chunkFrame
+	payload, err := chunkCodec.DecodeAll(r)
 	if err != nil {
-		return pf, err
+		return cf, err
 	}
 	cur := payload
-	take := func(n int) ([]byte, error) {
-		if len(cur) < n {
-			return nil, fmt.Errorf("dataserve: truncated proof frame (need %d bytes, have %d)", n, len(cur))
+	take := func(n int64) ([]byte, error) {
+		if int64(len(cur)) < n {
+			return nil, fmt.Errorf("dataserve: truncated chunk frame (need %d bytes, have %d)", n, len(cur))
 		}
 		b := cur[:n]
 		cur = cur[n:]
@@ -152,65 +113,60 @@ func decodeProofFrame(r io.Reader) (proofFrame, error) {
 	}
 	b, err := take(1)
 	if err != nil {
-		return pf, err
+		return cf, err
 	}
-	if b[0] != proofFrameVersion {
-		return pf, fmt.Errorf("dataserve: proof frame version %d unsupported (want %d)", b[0], proofFrameVersion)
+	if b[0] != chunkFrameVersion {
+		return cf, fmt.Errorf("dataserve: chunk frame version %d unsupported (want %d)", b[0], chunkFrameVersion)
 	}
 	if b, err = take(2); err != nil {
-		return pf, err
+		return cf, err
 	}
-	nameLen := int(binary.LittleEndian.Uint16(b))
-	if b, err = take(nameLen); err != nil {
-		return pf, err
+	if b, err = take(int64(binary.LittleEndian.Uint16(b))); err != nil {
+		return cf, err
 	}
-	pf.Dataset = string(b)
+	cf.Dataset = string(b)
 	if b, err = take(1); err != nil {
-		return pf, err
+		return cf, err
 	}
-	rank := int(b[0])
-	pf.Chunk = make([]int, rank)
-	for k := range pf.Chunk {
+	cf.Chunk = make([]int, b[0])
+	for k := range cf.Chunk {
 		if b, err = take(4); err != nil {
-			return pf, err
+			return cf, err
 		}
-		pf.Chunk[k] = int(int32(binary.LittleEndian.Uint32(b)))
+		cf.Chunk[k] = int(int32(binary.LittleEndian.Uint32(b)))
 	}
 	if b, err = take(8); err != nil {
-		return pf, err
+		return cf, err
 	}
-	pf.Leaf = int64(binary.LittleEndian.Uint64(b))
+	cf.Leaf = int64(binary.LittleEndian.Uint64(b))
 	if b, err = take(8); err != nil {
-		return pf, err
+		return cf, err
 	}
-	pf.Leaves = int64(binary.LittleEndian.Uint64(b))
+	cf.Leaves = int64(binary.LittleEndian.Uint64(b))
 	if b, err = take(4); err != nil {
-		return pf, err
+		return cf, err
 	}
-	valCount := int64(binary.LittleEndian.Uint32(b))
-	if valCount > frameCodec.MaxCount {
-		return pf, fmt.Errorf("dataserve: proof frame claims %d values (limit %d)", valCount, frameCodec.MaxCount)
+	// The value bytes are taken before the slice is made, so a hostile
+	// count allocates nothing beyond the payload already read.
+	if b, err = take(8 * int64(binary.LittleEndian.Uint32(b))); err != nil {
+		return cf, err
 	}
-	if b, err = take(int(8 * valCount)); err != nil {
-		return pf, err
-	}
-	pf.Vals = make([]float64, valCount)
-	for i := range pf.Vals {
-		pf.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	cf.Vals = make([]float64, len(b)/8)
+	for i := range cf.Vals {
+		cf.Vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	if b, err = take(2); err != nil {
-		return pf, err
+		return cf, err
 	}
-	proofLen := int(binary.LittleEndian.Uint16(b))
-	pf.Proof = make([][sdf.HashSize]byte, proofLen)
-	for i := range pf.Proof {
-		if b, err = take(sdf.HashSize); err != nil {
-			return pf, err
-		}
-		copy(pf.Proof[i][:], b)
+	if b, err = take(sdf.HashSize * int64(binary.LittleEndian.Uint16(b))); err != nil {
+		return cf, err
+	}
+	cf.Proof = make([][sdf.HashSize]byte, len(b)/sdf.HashSize)
+	for i := range cf.Proof {
+		copy(cf.Proof[i][:], b[sdf.HashSize*i:])
 	}
 	if len(cur) != 0 {
-		return pf, fmt.Errorf("dataserve: proof frame has %d trailing bytes", len(cur))
+		return cf, fmt.Errorf("dataserve: chunk frame has %d trailing bytes", len(cur))
 	}
-	return pf, nil
+	return cf, nil
 }

@@ -2,6 +2,7 @@ package kondo
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/array"
@@ -75,9 +76,10 @@ func TestDebloatLDCSeparation(t *testing.T) {
 // approximation from what the evaluator reports.
 func TestDebloatWithEvaluator(t *testing.T) {
 	p := workload.MustCS(2, 64)
-	evals := 0
+	// The fuzz pool calls the evaluator from several goroutines.
+	var evals atomic.Int64
 	eval := func(v []float64) (*array.IndexSet, error) {
-		evals++
+		evals.Add(1)
 		return workload.RunOnVirtual(p, v)
 	}
 	cfg := DefaultConfig()
@@ -87,8 +89,8 @@ func TestDebloatWithEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evals == 0 || evals != res.Fuzz.Evaluations {
-		t.Errorf("evaluator called %d times, result reports %d", evals, res.Fuzz.Evaluations)
+	if n := evals.Load(); n == 0 || n != int64(res.Fuzz.Evaluations) {
+		t.Errorf("evaluator called %d times, result reports %d", n, res.Fuzz.Evaluations)
 	}
 	if res.Approx.Empty() {
 		t.Error("no approximation built")

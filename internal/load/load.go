@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"time"
 
 	"repro/internal/array"
@@ -228,7 +229,7 @@ type geometry struct {
 }
 
 func resolveGeometry(ctx context.Context, baseURL, dataset string) (geometry, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/meta?dataset="+dataset, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/meta?"+url.Values{"dataset": {dataset}}.Encode(), nil)
 	if err != nil {
 		return geometry{}, err
 	}

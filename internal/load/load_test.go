@@ -17,9 +17,15 @@ import (
 // startOrigin materializes a filled origin and serves it.
 func startOrigin(t testing.TB, space array.Space, chunk []int) (*dataserve.Server, *httptest.Server) {
 	t.Helper()
+	return startNamedOrigin(t, "data", space, chunk)
+}
+
+// startNamedOrigin is startOrigin with the dataset named name.
+func startNamedOrigin(t testing.TB, name string, space array.Space, chunk []int) (*dataserve.Server, *httptest.Server) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "origin.sdf")
 	w := sdf.NewWriter(path)
-	dw, err := w.CreateDataset("data", space, array.Float64, chunk)
+	dw, err := w.CreateDataset(name, space, array.Float64, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +239,28 @@ func TestRunEmitsInstrumentsAndTraces(t *testing.T) {
 	tr.MergeWire(2, serverTr.ExportWire("kondo-serve", 0))
 	if pids := tr.PIDs(); len(pids) < 2 {
 		t.Fatalf("stitched pids = %v", pids)
+	}
+}
+
+// TestRunEscapesDatasetName drives a dataset whose name carries
+// query-string metacharacters: the harness's /meta lookup and the
+// fetcher's chunk requests must both carry it intact.
+func TestRunEscapesDatasetName(t *testing.T) {
+	const name = "t+1&x"
+	_, ts := startNamedOrigin(t, name, array.MustSpace(16, 16), []int{8, 8})
+	res, err := Run(context.Background(), Config{
+		BaseURL:     ts.URL,
+		Dataset:     name,
+		Mode:        Closed,
+		Requests:    20,
+		Concurrency: 2,
+		Seed:        1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 20 || res.Errors != 0 {
+		t.Fatalf("requests = %d, errors = %d, want 20/0", res.Requests, res.Errors)
 	}
 }
 

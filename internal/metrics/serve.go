@@ -1,20 +1,15 @@
 package metrics
 
 import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// serveBuckets are the default latency histogram bucket upper bounds
-// of the recovery data plane, spanning in-memory cache-adjacent
-// handling (tens of microseconds) to a slow origin disk or network
-// (seconds).
+// serveBuckets are the latency histogram bucket upper bounds of the
+// recovery data plane, spanning in-memory cache-adjacent handling
+// (tens of microseconds) to a slow origin disk or network (seconds).
 var serveBuckets = []time.Duration{
 	50 * time.Microsecond,
 	100 * time.Microsecond,
@@ -29,69 +24,6 @@ var serveBuckets = []time.Duration{
 	time.Second,
 }
 
-// ServeBucketBounds returns the default histogram bucket upper bounds
-// used by NewServeRecorder (the last implicit bucket is +Inf).
-func ServeBucketBounds() []time.Duration {
-	return append([]time.Duration(nil), serveBuckets...)
-}
-
-// EndpointStats is the per-endpoint counter snapshot of a recovery
-// server: request and error counts, payload bytes served, and a
-// fixed-bucket latency histogram.
-type EndpointStats struct {
-	Endpoint string `json:"endpoint"`
-	Requests int64  `json:"requests"`
-	Errors   int64  `json:"errors"` // responses with status >= 400
-	Bytes    int64  `json:"bytes"`  // payload bytes written
-	// Latency[i] counts requests completed within the recorder's i-th
-	// bucket bound; the final entry counts everything slower than the
-	// last bound.
-	Latency []int64 `json:"latency_buckets"`
-	// TotalLatencyNS accumulates summed request latency, for mean
-	// latency without histogram interpolation.
-	TotalLatencyNS int64 `json:"total_latency_ns"`
-}
-
-// MeanLatency returns the average request latency of the endpoint.
-func (e EndpointStats) MeanLatency() time.Duration {
-	if e.Requests == 0 {
-		return 0
-	}
-	return time.Duration(e.TotalLatencyNS / e.Requests)
-}
-
-// ServeStats is a point-in-time snapshot of a ServeRecorder, ordered
-// by endpoint name. It is the JSON body of the /metrics endpoint.
-type ServeStats struct {
-	Endpoints []EndpointStats `json:"endpoints"`
-	// Requests, Errors and Bytes aggregate across endpoints.
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-	Bytes    int64 `json:"bytes"`
-}
-
-// Endpoint returns the stats of one endpoint (zero value if the
-// endpoint has not been hit).
-func (s ServeStats) Endpoint(name string) EndpointStats {
-	for _, e := range s.Endpoints {
-		if e.Endpoint == name {
-			return e
-		}
-	}
-	return EndpointStats{Endpoint: name}
-}
-
-// String renders a compact multi-line summary.
-func (s ServeStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d requests (%d errors), %d payload bytes", s.Requests, s.Errors, s.Bytes)
-	for _, e := range s.Endpoints {
-		fmt.Fprintf(&b, "\n  %-10s %8d req  %6d err  %12d B  mean %v",
-			e.Endpoint, e.Requests, e.Errors, e.Bytes, e.MeanLatency().Round(time.Microsecond))
-	}
-	return b.String()
-}
-
 // epInstruments caches one endpoint's registered instruments so the
 // request hot path is four atomic updates, not four registry lookups.
 type epInstruments struct {
@@ -102,44 +34,21 @@ type epInstruments struct {
 }
 
 // ServeRecorder collects per-endpoint request metrics for the recovery
-// data plane. It is safe for concurrent use by HTTP handlers.
-//
-// The instruments live in an obs.Registry, so the same counters back
-// the legacy JSON snapshot and Prometheus text exposition.
+// data plane into an obs.Registry, whose Prometheus text exposition is
+// the server's /metrics body. It is safe for concurrent use by HTTP
+// handlers.
 type ServeRecorder struct {
-	reg    *obs.Registry
-	bounds []time.Duration // histogram upper bounds, ascending
-	secs   []float64       // bounds in seconds, same order
+	reg  *obs.Registry
+	secs []float64 // latency bucket bounds in seconds, ascending
 
 	mu  sync.Mutex
 	per map[string]*epInstruments
 }
 
-// NewServeRecorder returns an empty recorder with the default latency
-// buckets.
+// NewServeRecorder returns an empty recorder.
 func NewServeRecorder() *ServeRecorder {
-	return NewServeRecorderWithBuckets(nil)
-}
-
-// NewServeRecorderWithBuckets returns an empty recorder whose latency
-// histogram uses the given ascending upper bounds (an implicit +Inf
-// bucket is always appended). A nil or empty slice selects the default
-// ServeBucketBounds. Unsorted bounds are sorted; duplicates removed.
-func NewServeRecorderWithBuckets(bounds []time.Duration) *ServeRecorder {
-	if len(bounds) == 0 {
-		bounds = serveBuckets
-	}
-	bs := append([]time.Duration(nil), bounds...)
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	dedup := bs[:0]
-	for i, b := range bs {
-		if i == 0 || b != bs[i-1] {
-			dedup = append(dedup, b)
-		}
-	}
-	bs = dedup
-	secs := make([]float64, len(bs))
-	for i, b := range bs {
+	secs := make([]float64, len(serveBuckets))
+	for i, b := range serveBuckets {
 		secs[i] = b.Seconds()
 	}
 	reg := obs.NewRegistry()
@@ -148,10 +57,9 @@ func NewServeRecorderWithBuckets(bounds []time.Duration) *ServeRecorder {
 	reg.SetHelp("kondo_serve_response_bytes_total", "Payload bytes written, by endpoint.")
 	reg.SetHelp("kondo_serve_request_seconds", "Request latency, by endpoint.")
 	return &ServeRecorder{
-		reg:    reg,
-		bounds: bs,
-		secs:   secs,
-		per:    make(map[string]*epInstruments),
+		reg:  reg,
+		secs: secs,
+		per:  make(map[string]*epInstruments),
 	}
 }
 
@@ -163,11 +71,6 @@ func (r *ServeRecorder) Registry() *obs.Registry {
 		return nil
 	}
 	return r.reg
-}
-
-// BucketBounds returns this recorder's latency bucket upper bounds.
-func (r *ServeRecorder) BucketBounds() []time.Duration {
-	return append([]time.Duration(nil), r.bounds...)
 }
 
 func (r *ServeRecorder) endpoint(name string) *epInstruments {
@@ -209,35 +112,4 @@ func (r *ServeRecorder) Record(endpoint string, status int, bytes int64, elapsed
 	}
 	e.bytes.Add(bytes)
 	e.latency.Observe(elapsed.Seconds())
-}
-
-// Snapshot returns a copy of the accumulated stats, reconstructed from
-// the registered instruments. Bucket counts are non-cumulative, one
-// per bound plus a final overflow entry, matching the /metrics JSON
-// contract.
-func (r *ServeRecorder) Snapshot() ServeStats {
-	r.mu.Lock()
-	eps := make(map[string]*epInstruments, len(r.per))
-	for name, e := range r.per {
-		eps[name] = e
-	}
-	r.mu.Unlock()
-
-	var s ServeStats
-	for name, e := range eps {
-		st := EndpointStats{
-			Endpoint:       name,
-			Requests:       e.requests.Value(),
-			Errors:         e.errors.Value(),
-			Bytes:          e.bytes.Value(),
-			Latency:        e.latency.BucketCounts(),
-			TotalLatencyNS: int64(math.Round(e.latency.Sum() * 1e9)),
-		}
-		s.Endpoints = append(s.Endpoints, st)
-		s.Requests += st.Requests
-		s.Errors += st.Errors
-		s.Bytes += st.Bytes
-	}
-	sort.Slice(s.Endpoints, func(i, j int) bool { return s.Endpoints[i].Endpoint < s.Endpoints[j].Endpoint })
-	return s
 }

@@ -1,130 +1,91 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// counter reads one endpoint's counter series back from the registry.
+func counter(r *ServeRecorder, name, endpoint string) int64 {
+	return r.Registry().Counter(name, obs.L("endpoint", endpoint)).Value()
+}
+
+// latency reads one endpoint's latency histogram back from the
+// registry (the bounds argument is ignored for an existing series).
+func latency(r *ServeRecorder, endpoint string) *obs.Histogram {
+	return r.Registry().Histogram("kondo_serve_request_seconds", nil, obs.L("endpoint", endpoint))
+}
 
 func TestServeRecorderCounts(t *testing.T) {
 	r := NewServeRecorder()
 	r.Record("chunk", 200, 1024, 80*time.Microsecond)
 	r.Record("chunk", 200, 2048, 300*time.Microsecond)
 	r.Record("chunk", 404, 32, 2*time.Second) // beyond the last bucket
-	r.Record("element", 200, 16, time.Millisecond)
+	r.Record("meta", 200, 16, time.Millisecond)
 
-	s := r.Snapshot()
-	if s.Requests != 4 || s.Errors != 1 || s.Bytes != 1024+2048+32+16 {
-		t.Errorf("aggregate = %d req, %d err, %d B", s.Requests, s.Errors, s.Bytes)
+	if req, errs, b := counter(r, "kondo_serve_requests_total", "chunk"),
+		counter(r, "kondo_serve_errors_total", "chunk"),
+		counter(r, "kondo_serve_response_bytes_total", "chunk"); req != 3 || errs != 1 || b != 1024+2048+32 {
+		t.Errorf("chunk = %d req, %d err, %d B", req, errs, b)
 	}
-	c := s.Endpoint("chunk")
-	if c.Requests != 3 || c.Errors != 1 || c.Bytes != 1024+2048+32 {
-		t.Errorf("chunk = %+v", c)
+	if req := counter(r, "kondo_serve_requests_total", "meta"); req != 1 {
+		t.Errorf("meta requests = %d, want 1", req)
 	}
 	// 80µs lands in the second bucket (≤100µs), 300µs in the fourth
 	// (≤500µs), 2s in the overflow bucket.
-	bounds := ServeBucketBounds()
-	if len(c.Latency) != len(bounds)+1 {
-		t.Fatalf("latency has %d buckets, want %d", len(c.Latency), len(bounds)+1)
+	h := latency(r, "chunk")
+	c := h.BucketCounts()
+	if len(c) != len(serveBuckets)+1 {
+		t.Fatalf("latency has %d buckets, want %d", len(c), len(serveBuckets)+1)
 	}
-	if c.Latency[1] != 1 || c.Latency[3] != 1 || c.Latency[len(bounds)] != 1 {
-		t.Errorf("latency buckets = %v", c.Latency)
+	if c[1] != 1 || c[3] != 1 || c[len(serveBuckets)] != 1 {
+		t.Errorf("latency buckets = %v", c)
 	}
-	var total int64
-	for _, n := range c.Latency {
-		total += n
-	}
-	if total != c.Requests {
-		t.Errorf("histogram total %d != requests %d", total, c.Requests)
-	}
-	if got := c.MeanLatency(); got <= 0 {
-		t.Errorf("mean latency = %v", got)
-	}
-	// Unknown endpoint yields the zero value.
-	if e := s.Endpoint("nope"); e.Requests != 0 || e.Endpoint != "nope" {
-		t.Errorf("unknown endpoint = %+v", e)
-	}
-}
-
-func TestServeStatsJSONAndString(t *testing.T) {
-	r := NewServeRecorder()
-	r.Record("slab", 200, 100, time.Millisecond)
-	data, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ServeStats
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Requests != 1 || back.Endpoint("slab").Bytes != 100 {
-		t.Errorf("round-tripped = %+v", back)
-	}
-	if s := back.String(); s == "" {
-		t.Error("empty String()")
+	if h.Count() != 3 || h.Sum() <= 2 {
+		t.Errorf("latency count %d sum %v, want 3 observations over 2s", h.Count(), h.Sum())
 	}
 }
 
 func TestServeRecorderConcurrent(t *testing.T) {
 	r := NewServeRecorder()
+	var sb strings.Builder
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				r.Record("chunk", 200, 8, time.Microsecond)
-				_ = r.Snapshot()
+				if i == 0 {
+					sb.Reset()
+					_ = r.Registry().WritePrometheus(&sb)
+				}
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
-	if got := r.Snapshot().Requests; got != 800 {
+	if got := counter(r, "kondo_serve_requests_total", "chunk"); got != 800 {
 		t.Errorf("requests = %d, want 800", got)
 	}
 }
 
-func TestServeRecorderCustomBuckets(t *testing.T) {
-	// Unsorted with a duplicate: recorder sorts and dedups.
-	r := NewServeRecorderWithBuckets([]time.Duration{
-		time.Second, time.Millisecond, time.Second,
-	})
-	got := r.BucketBounds()
-	want := []time.Duration{time.Millisecond, time.Second}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("bounds = %v, want %v", got, want)
-	}
-	r.Record("chunk", 200, 10, 500*time.Microsecond) // <= 1ms
-	r.Record("chunk", 200, 10, 100*time.Millisecond) // <= 1s
-	r.Record("chunk", 200, 10, 5*time.Second)        // overflow
-	e := r.Snapshot().Endpoint("chunk")
-	if len(e.Latency) != 3 {
-		t.Fatalf("latency has %d buckets, want 3 (2 bounds + overflow)", len(e.Latency))
-	}
-	for i, want := range []int64{1, 1, 1} {
-		if e.Latency[i] != want {
-			t.Errorf("bucket %d = %d, want %d", i, e.Latency[i], want)
-		}
-	}
-	if e.MeanLatency() <= 0 {
-		t.Error("mean latency not accumulated")
-	}
-}
-
 func TestServeRecorderDefaultBucketsUnchanged(t *testing.T) {
-	// The zero-arg constructor must keep the documented default bounds
-	// so existing /metrics consumers see identical bucket layout.
+	// The recorder must keep the documented bucket bounds so existing
+	// /metrics consumers see an identical bucket layout.
 	r := NewServeRecorder()
-	def := ServeBucketBounds()
-	got := r.BucketBounds()
-	if len(got) != len(def) {
-		t.Fatalf("default recorder has %d bounds, want %d", len(got), len(def))
+	r.Record("chunk", 200, 8, time.Microsecond)
+	want := []float64{50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 5e-3, 10e-3, 50e-3, 100e-3, 500e-3, 1}
+	got := latency(r, "chunk").Bounds()
+	if len(got) != len(want) {
+		t.Fatalf("recorder has %d bounds, want %d", len(got), len(want))
 	}
-	for i := range def {
-		if got[i] != def[i] {
-			t.Errorf("bound %d = %v, want %v", i, got[i], def[i])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("bound %d = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

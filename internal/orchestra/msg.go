@@ -32,7 +32,7 @@ import (
 // msgCodec frames every protocol message: magic "KDO1", byte-counted
 // payload, 16 MiB limit (a lease of tens of thousands of seeds or a
 // result carrying a dense index set stays far below it).
-var msgCodec = wire.Codec{Magic: "KDO1", UnitSize: 1, MaxCount: 16 << 20}
+var msgCodec = wire.Codec{Magic: "KDO1", MaxCount: 16 << 20}
 
 // Message types. The protocol is a worker-driven request/response
 // exchange over one TCP connection: the worker sends hello once, then
@@ -186,7 +186,7 @@ func writeMsg(w io.Writer, m *msg) error {
 
 // readMsg reads and decodes one message frame.
 func readMsg(r io.Reader) (*msg, error) {
-	payload, err := msgCodec.Decode(r, -1)
+	payload, err := msgCodec.Decode(r)
 	if err != nil {
 		return nil, err
 	}

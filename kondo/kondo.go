@@ -40,7 +40,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/prov"
-	"repro/internal/remote"
 	"repro/internal/sdf"
 	"repro/internal/workload"
 )
@@ -250,11 +249,11 @@ func OpenRuntimeContext(ctx context.Context, path, dataset string, fetcher Fetch
 // canceled run or a dead origin aborts recovery instead of hanging.
 type ContextFetcher = debloat.ContextFetcher
 
-// DataServer is the production recovery data plane (paper §VI): it
-// serves an origin file chunk- and hyperslab-granular over HTTP with
-// binary value frames, keeps the element/datasets endpoints of the
-// legacy protocol alive, and exposes request metrics on /metrics. The
-// kondo-serve daemon wraps it.
+// DataServer is the recovery data plane (paper §VI): it serves an
+// origin file chunk-granular over HTTP in CRC-checked chunk frames
+// (with Merkle inclusion proofs on request) and exposes request
+// metrics as Prometheus text on /metrics. The kondo-serve daemon wraps
+// it.
 type DataServer = dataserve.Server
 
 // NewDataServer opens the origin file and returns a data-plane server;
@@ -288,27 +287,6 @@ func NewCachedFetcher(baseURL string) *CachedFetcher {
 // configuration.
 func NewCachedFetcherConfig(baseURL string, cfg CachedFetcherConfig) *CachedFetcher {
 	return dataserve.NewFetcherConfig(baseURL, nil, cfg)
-}
-
-// RemoteServer serves an origin data file's elements over HTTP so
-// debloated-container runtimes can recover carved-away accesses
-// (paper §VI). It speaks the element-per-round-trip compatibility
-// protocol; prefer DataServer for production serving.
-type RemoteServer = remote.Server
-
-// NewRemoteServer opens the origin file and returns a server; mount
-// its Handler() on any net/http server.
-func NewRemoteServer(originPath string) (*RemoteServer, error) {
-	return remote.NewServer(originPath)
-}
-
-// RemoteClient is a Fetcher pulling missing elements from a
-// RemoteServer.
-type RemoteClient = remote.Client
-
-// NewRemoteClient returns a client against the server's base URL.
-func NewRemoteClient(baseURL string) *RemoteClient {
-	return remote.NewClient(baseURL, nil)
 }
 
 // ProvenanceGraph is a SPADE-style lineage graph built from audit

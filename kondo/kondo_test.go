@@ -142,14 +142,14 @@ func TestFacadeRemoteAndProvenance(t *testing.T) {
 	}
 
 	// Remote recovery through the facade.
-	srv, err := kondo.NewRemoteServer(origin)
+	srv, err := kondo.NewDataServer(origin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	client := kondo.NewRemoteClient(ts.URL)
+	client := kondo.NewCachedFetcher(ts.URL)
 	rt, closer, err := kondo.OpenRuntime(deb, "data", client)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestFacadeRemoteAndProvenance(t *testing.T) {
 	if v, err := rt.ReadElement(array.NewIndex(63, 0)); err != nil || v != 7 {
 		t.Errorf("remote recovery through facade = %v, %v", v, err)
 	}
-	if client.Fetched() == 0 {
+	if client.Stats().Elements == 0 {
 		t.Error("no elements fetched")
 	}
 

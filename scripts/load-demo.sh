@@ -7,8 +7,8 @@
 #      request, kondo-serve records child spans under it, and the
 #      harness pulls /tracez and writes ONE Chrome trace spanning both
 #      processes, which `kondo-viz -check-trace -min-pids 2` verifies;
-#   2. SLO — the origin runs an error-budget SLO over its chunk/slab
-#      endpoints and the load run soak-polls /sloz, failing if the
+#   2. SLO — the origin runs an error-budget SLO over its chunk
+#      endpoint and the load run soak-polls /sloz, failing if the
 #      budget is ever exhausted;
 #   3. drain — SIGTERM flips the origin's /healthz to 503 before it
 #      stops accepting work, so balancers drain it gracefully;
@@ -44,10 +44,10 @@ go build -o "$workdir/kondo-viz" ./cmd/kondo-viz
 echo "load-demo: materializing a 128x128 origin (16x16 chunks)"
 "$workdir/sdfgen" -out "$workdir/origin.sdf" -dims 128x128 -dtype float64 -chunk 16x16
 
-echo "load-demo: starting kondo-serve with tracing and a chunk/slab SLO"
+echo "load-demo: starting kondo-serve with tracing and a chunk SLO"
 "$workdir/kondo-serve" -origin "$workdir/origin.sdf" \
     -addr 127.0.0.1:0 -addr-file "$workdir/serve.addr" \
-    -trace -slo-endpoints chunk,slab -slo-latency 100ms -slo-target 0.99 \
+    -trace -slo-endpoints chunk -slo-latency 100ms -slo-target 0.99 \
     -drain-delay 100ms -log-level warn &
 serve_pid=$!
 
