@@ -14,9 +14,13 @@
 // decisions and observed identical data, which is how `make
 // orchestra-demo` asserts distributed/local bit-identity. With
 // -status-addr the first campaign's live coverage is served exactly
-// as `kondo -status-addr` does (/statusz, /statusz/stream, /metrics —
-// including the kondo_orchestra_* series). SIGINT drains gracefully:
-// campaigns stop within one batch and workers are sent bye.
+// as `kondo -status-addr` does (/statusz, /statusz/stream), with the
+// fleet views (/fleetz, /fleetz/stream) and the observability
+// endpoints every Kondo daemon shares: /metrics (including the
+// kondo_orchestra_* and kondo_fleet_* series), /healthz, /buildz,
+// /tracez (with -trace-out: the live merged fleet trace) and /sloz
+// (404: no SLO engine). SIGINT drains gracefully: campaigns stop
+// within one batch and workers are sent bye.
 package main
 
 import (
@@ -59,7 +63,7 @@ func main() {
 		span        = flag.Int("span", 0, "seeds per lease (0 = split each batch across connected workers)")
 		digestOut   = flag.String("digest-out", "", "optional: write '<campaign> <digest>' lines to this file")
 		coverageOut = flag.String("coverage-out", "", "optional: write the first campaign's coverage time series JSON (render with kondo-viz -coverage)")
-		statusAddr  = flag.String("status-addr", "", "optional: serve live campaign status on this address (/statusz JSON, /statusz/stream SSE, /metrics) while campaigns run")
+		statusAddr  = flag.String("status-addr", "", "optional: serve live campaign status on this address (/statusz JSON, /statusz/stream SSE, /fleetz, /metrics, /healthz, /buildz, /tracez, /sloz) while campaigns run")
 		traceOut    = flag.String("trace-out", "", "optional: write a Chrome trace-event JSON of the run")
 		logLevel    = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
@@ -122,7 +126,6 @@ func run(log logger, addr, addrFile string, local bool, program, dimsArg string,
 		// -trace-out file shows the whole fleet in Perfetto.
 		tr = obs.NewTrace()
 		ctx = obs.WithTrace(ctx, tr)
-		obs.RegisterTraceMetrics(reg, tr)
 	}
 
 	mkConfig := func(k int) fuzz.Config {
@@ -142,8 +145,10 @@ func run(log logger, addr, addrFile string, local bool, program, dimsArg string,
 			return fmt.Errorf("status endpoint: %w", lerr)
 		}
 		st = status.NewServer(status.Campaign{Program: spec.String()},
-			space.Dims(), space.Size(), reg)
-		srv := &http.Server{Handler: st.Handler()}
+			space.Dims(), space.Size())
+		ep := obs.NewEndpoints(reg)
+		ep.SetTrace(tr)
+		srv := &http.Server{Handler: ep.Handler(st.Handler())}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		log.Info("status endpoint", "url", fmt.Sprintf("http://%s/statusz", ln.Addr()))

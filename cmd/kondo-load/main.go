@@ -17,6 +17,15 @@
 // trace context onto the wire, then pulls the server's /tracez export
 // and stitches it in under pid 2 — one Chrome/Perfetto file covering
 // both processes, checkable with kondo-viz -check-trace -min-pids 2.
+// The pull is bounded in time, in events (what the client trace can
+// still hold) and in bytes; an origin that stalls or oversends costs a
+// warning and a single-pid trace, never a hung exit.
+//
+// With -status-addr the harness serves, while the run is in flight,
+// /statusz (with the live verify view under -manifest) beside the
+// observability endpoints every Kondo daemon shares: /metrics (the
+// kondo_load_* series), /healthz, /buildz, /tracez (with -trace-out:
+// the live client trace) and /sloz (404: no SLO engine).
 //
 // With -manifest pointing at a Merkle-rooted debloat manifest every
 // chunk miss is fetched with an inclusion proof and verified against
@@ -32,8 +41,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -67,7 +78,7 @@ func main() {
 		soakEvery   = flag.Duration("soak-interval", 0, "poll the origin's /sloz at this interval and fail if any error budget is exhausted")
 		manifest    = flag.String("manifest", "", "debloat manifest JSON; when it carries a merkle section, every miss is proof-verified against its root")
 		noVerify    = flag.Bool("no-verify", false, "escape hatch: skip chunk verification even when -manifest carries a merkle root")
-		statusAddr  = flag.String("status-addr", "", "optional: serve /statusz (with live verify counters) and /metrics on this address during the run")
+		statusAddr  = flag.String("status-addr", "", "optional: serve /statusz (with live verify counters), /metrics, /healthz, /buildz, /tracez and /sloz on this address during the run")
 		statusFile  = flag.String("status-addr-file", "", "optional: write the resolved -status-addr listen address to this file (for scripts using port 0)")
 		jsonOut     = flag.String("json", "", "optional: write the result JSON to this file")
 		traceOut    = flag.String("trace-out", "", "optional: write a stitched client+server Chrome trace to this file")
@@ -141,8 +152,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// With -trace-out every request records into tr (and stamps its
+	// trace context onto the wire for the server's child spans).
+	var tr *obs.Trace
+	if *traceOut != "" {
+		tr = obs.NewTrace()
+		tr.SetProcessName(obs.LocalPID, "kondo-load")
+		ctx = obs.WithTrace(ctx, tr)
+	}
+
 	// -status-addr exposes the run's own observability while it drives
-	// load: /statusz (with the live verify view), /metrics, /healthz.
+	// load: /statusz (with the live verify view) and the shared
+	// endpoints.
 	if *statusAddr != "" {
 		ln, err := net.Listen("tcp", *statusAddr)
 		if err != nil {
@@ -155,7 +176,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		sv := status.NewServer(status.Campaign{Program: "kondo-load", Dataset: *dataset}, nil, 0, reg)
+		sv := status.NewServer(status.Campaign{Program: "kondo-load", Dataset: *dataset}, nil, 0)
 		if spec != nil {
 			verifying := cfg.Verify != nil
 			root := spec.RootHex()
@@ -173,19 +194,12 @@ func main() {
 				})
 			}
 		}
-		hs := &http.Server{Handler: sv.Handler()}
+		ep := obs.NewEndpoints(reg)
+		ep.SetTrace(tr)
+		hs := &http.Server{Handler: ep.Handler(sv.Handler())}
 		go func() { _ = hs.Serve(ln) }()
 		defer hs.Close()
 		log.Info("status server listening", "addr", ln.Addr().String())
-	}
-
-	// With -trace-out every request records into tr (and stamps its
-	// trace context onto the wire for the server's child spans).
-	var tr *obs.Trace
-	if *traceOut != "" {
-		tr = obs.NewTrace()
-		tr.SetProcessName(obs.LocalPID, "kondo-load")
-		ctx = obs.WithTrace(ctx, tr)
 	}
 
 	log.Info("kondo-load starting", "url", cfg.BaseURL, "mode", *mode,
@@ -210,7 +224,9 @@ func main() {
 	}
 
 	if tr != nil {
-		stitchAndWrite(log, tr, cfg.BaseURL, *traceOut)
+		sctx, cancel := context.WithTimeout(ctx, stitchTimeout)
+		stitchAndWrite(sctx, log, tr, cfg.BaseURL, *traceOut)
+		cancel()
 	}
 	if *dumpMetrics {
 		_ = reg.WritePrometheus(os.Stdout)
@@ -227,31 +243,33 @@ func main() {
 	}
 }
 
-// stitchAndWrite pulls the origin's /tracez export, merges it into the
-// client trace under pid 2, and writes the combined Chrome trace. A
-// missing /tracez (server started without tracing) degrades to a
+// stitchTimeout bounds the /tracez pull at exit. The origin serves
+// its export from memory, so even a full trace crosses loopback well
+// within it; an origin that stops answering must not hang the exit.
+const stitchTimeout = 10 * time.Second
+
+// maxTracezBytes caps the /tracez body the harness will read: 256
+// bytes per event (a serve span with its propagated ids encodes to
+// about 170) for as many events as a client trace can hold.
+const maxTracezBytes = 256 * obs.DefaultTraceLimit
+
+// stitchAndWrite pulls the origin's /tracez export, at most as many
+// events as tr can still hold, merges it into the client trace under
+// pid 2, and writes the combined Chrome trace. An origin without a
+// trace, or one that stalls past ctx or oversends, degrades to a
 // single-pid trace with a warning rather than failing the run.
-func stitchAndWrite(log interface {
+func stitchAndWrite(ctx context.Context, log interface {
 	Info(string, ...any)
 	Warn(string, ...any)
 }, tr *obs.Trace, baseURL, path string) {
-	resp, err := http.Get(baseURL + "/tracez")
-	if err != nil {
-		log.Warn("fetching /tracez", "err", err)
+	if room := obs.DefaultTraceLimit - tr.Len(); room <= 0 {
+		log.Warn("client trace is full; not stitching the origin's trace")
+	} else if wt, err := fetchTrace(ctx, baseURL, room); err != nil {
+		log.Warn("origin trace not stitched", "err", err)
 	} else {
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			log.Warn("origin has no trace to stitch (start kondo-serve with -trace)", "status", resp.Status)
-		} else {
-			var wt obs.WireTrace
-			if err := json.NewDecoder(resp.Body).Decode(&wt); err != nil {
-				log.Warn("decoding /tracez", "err", err)
-			} else {
-				tr.MergeWire(2, wt)
-				if wt.Omitted > 0 || wt.Dropped > 0 {
-					log.Warn("server trace truncated", "omitted", wt.Omitted, "dropped", wt.Dropped)
-				}
-			}
+		tr.Merge(2, wt)
+		if wt.Omitted > 0 || wt.Dropped > 0 {
+			log.Warn("server trace truncated", "omitted", wt.Omitted, "dropped", wt.Dropped)
 		}
 	}
 	if err := tr.WriteFile(path); err != nil {
@@ -259,6 +277,42 @@ func stitchAndWrite(log interface {
 		return
 	}
 	log.Info("stitched trace written", "path", path, "events", tr.Len(), "pids", len(tr.PIDs()))
+}
+
+// fetchTrace GETs baseURL/tracez?max=max and decodes at most
+// maxTracezBytes of it.
+func fetchTrace(ctx context.Context, baseURL string, max int) (obs.WireTrace, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/tracez?max=%d", baseURL, max), nil)
+	if err != nil {
+		return obs.WireTrace{}, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return obs.WireTrace{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		return obs.WireTrace{}, errors.New("origin records no trace (start kondo-serve with -trace)")
+	}
+	if resp.StatusCode != http.StatusOK {
+		return obs.WireTrace{}, fmt.Errorf("/tracez answered %s", resp.Status)
+	}
+	return decodeTrace(resp.Body, maxTracezBytes)
+}
+
+// decodeTrace decodes one WireTrace from r, failing once more than
+// limit bytes have been read.
+func decodeTrace(r io.Reader, limit int64) (obs.WireTrace, error) {
+	var wt obs.WireTrace
+	lr := &io.LimitedReader{R: r, N: limit + 1}
+	err := json.NewDecoder(lr).Decode(&wt)
+	if lr.N == 0 {
+		return obs.WireTrace{}, fmt.Errorf("/tracez body exceeds %d bytes", limit)
+	}
+	if err != nil {
+		return obs.WireTrace{}, fmt.Errorf("decoding /tracez: %w", err)
+	}
+	return wt, nil
 }
 
 // parseStages decodes the -stages grammar: stages separated by commas,

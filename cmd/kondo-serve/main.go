@@ -8,16 +8,19 @@
 //	kondo-serve -origin mnist.sdf -addr 127.0.0.1:0 -addr-file serve.addr
 //	kondo-serve -origin mnist.sdf -slo-endpoints chunk -slo-latency 50ms
 //
-// Endpoints: /meta (JSON geometry), /chunk (CRC-checked chunk frames,
-// with a Merkle inclusion proof when asked for proof=1), /metrics
-// (Prometheus text: request counts, bytes served, latency histograms),
-// /healthz (503 while draining), /buildz, /tracez (with -trace-out or
-// -trace: the live trace as an obs.WireTrace for cross-process
-// stitching), /sloz (with -slo-endpoints: the live SLO report). With
-// -debug-addr a second mux exposes /debug/pprof/* and /debug/vars for
-// runtime profiling. SIGINT/SIGTERM flip /healthz to 503, wait
-// -drain-delay for balancers to notice, drain in-flight requests,
-// write the /metrics exposition to stdout, and exit.
+// One mux on -addr serves the data plane — /meta (JSON geometry) and
+// /chunk (CRC-checked chunk frames, with a Merkle inclusion proof when
+// asked for proof=1) — beside the observability endpoints every Kondo
+// daemon shares: /metrics (Prometheus text: request counts, bytes
+// served, latency histograms), /healthz (503 while draining), /buildz,
+// /tracez (with -trace-out or -trace: the live trace as an
+// obs.WireTrace for cross-process stitching) and /sloz (with
+// -slo-endpoints: the live SLO report). -concurrency bounds only the
+// data plane, so health checks and scrapes never queue behind slow
+// chunk reads. With -debug-addr a second mux exposes /debug/pprof/*
+// and /debug/vars for runtime profiling. SIGINT/SIGTERM flip /healthz
+// to 503, wait -drain-delay for balancers to notice, drain in-flight
+// requests, write the /metrics exposition to stdout, and exit.
 package main
 
 import (
@@ -80,6 +83,15 @@ func main() {
 		os.Exit(1)
 	}
 	defer srv.Close()
+	reg := srv.Registry()
+	ep := obs.NewEndpoints(reg)
+	reg.SetHelp("kondo_serve_draining", "1 while the server is draining (healthz returns 503).")
+	reg.GaugeFunc("kondo_serve_draining", func() float64 {
+		if ep.Draining() {
+			return 1
+		}
+		return 0
+	})
 
 	bi := obs.Build()
 	log.Info("kondo-serve starting",
@@ -92,8 +104,9 @@ func main() {
 	var tr *obs.Trace
 	if *traceFlag || *traceOut != "" {
 		tr = obs.NewTrace()
-		srv.EnableTracing(tr, "kondo-serve")
-		obs.RegisterTraceMetrics(srv.Registry(), tr)
+		tr.SetProcessName(obs.LocalPID, "kondo-serve")
+		srv.EnableTracing(tr)
+		ep.SetTrace(tr)
 	}
 
 	// SLO engine: one objective per listed endpoint, all sharing the
@@ -117,8 +130,8 @@ func main() {
 			})
 		}
 		slo := obs.NewSLO(*sloWindow, objectives...)
-		slo.Register(srv.Registry())
-		srv.SetSLO(slo)
+		slo.Register(reg)
+		ep.SetSLO(slo)
 		go slo.Run(ctx, 0)
 		log.Info("slo engine armed",
 			"endpoints", *sloEndpoints, "latency_bound", sloLatency.String(),
@@ -126,7 +139,7 @@ func main() {
 	}
 
 	httpSrv := &http.Server{
-		Handler:      dataserve.LimitConcurrency(srv.Handler(), *concurrency),
+		Handler:      handler(srv.Handler(), ep, *concurrency),
 		ReadTimeout:  *readTO,
 		WriteTimeout: *writeTO,
 	}
@@ -182,7 +195,7 @@ func main() {
 		stop()
 		// Drain: flip /healthz to 503 first so load balancers stop
 		// routing, give them the lame-duck window, then shut down.
-		srv.SetDraining(true)
+		ep.SetDraining(true)
 		log.Info("draining", "delay", drainDelay.String(), "grace", grace.String())
 		if *drainDelay > 0 {
 			time.Sleep(*drainDelay)
@@ -203,7 +216,17 @@ func main() {
 			log.Info("trace written", "path", *traceOut, "events", tr.Len())
 		}
 	}
-	if err := srv.Registry().WritePrometheus(os.Stdout); err != nil {
+	if err := reg.WritePrometheus(os.Stdout); err != nil {
 		log.Warn("writing metrics", "err", err)
 	}
+}
+
+// handler composes the serving address's one mux: the data plane
+// behind the -concurrency limiter, the observability endpoints outside
+// it, so /healthz and /metrics answer at once even while every data
+// slot is held (the first proof=1 request reads the whole dataset to
+// build its Merkle tree) — which is when the drain 503 and an overload
+// scrape are needed.
+func handler(data http.Handler, ep *obs.Endpoints, concurrency int) http.Handler {
+	return ep.Handler(dataserve.LimitConcurrency(data, concurrency))
 }

@@ -10,9 +10,11 @@
 //	kondo-worker -coord coord-host:9400 -name gpu-box -workers 8
 //	kondo-worker -coord 127.0.0.1:9400 -idle-exit 30s   # exit when drained
 //
-// With -status-addr the worker serves its kondo_orchestra_worker_*
-// metrics in Prometheus text form on /metrics. SIGINT sends the
-// coordinator an orderly bye and exits.
+// With -status-addr the worker serves the observability endpoints
+// every Kondo daemon shares: /metrics (its kondo_orchestra_worker_*
+// series in Prometheus text), /healthz, /buildz, /tracez (with
+// -trace-out: the live trace) and /sloz (404: no SLO engine). SIGINT
+// sends the coordinator an orderly bye and exits.
 package main
 
 import (
@@ -38,7 +40,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "evaluation pool size per lease (0 = 1, inline)")
 		idleExit   = flag.Duration("idle-exit", 0, "exit successfully after this long without a lease (0 = run until interrupted)")
 		maxLeases  = flag.Int("max-leases", 0, "crash while holding the next lease after completing this many (fault-injection hook; 0 = unlimited)")
-		statusAddr = flag.String("status-addr", "", "optional: serve worker /metrics (Prometheus text) on this address")
+		statusAddr = flag.String("status-addr", "", "optional: serve the worker's /metrics, /healthz, /buildz, /tracez and /sloz on this address")
 		traceOut   = flag.String("trace-out", "", "optional: write a Chrome trace-event JSON of evaluated leases")
 		logLevel   = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, error")
 		logFormat  = flag.String("log-format", "text", "diagnostic log format: text or json")
@@ -64,7 +66,6 @@ func main() {
 	if *traceOut != "" {
 		tr = obs.NewTrace()
 		ctx = obs.WithTrace(ctx, tr)
-		obs.RegisterTraceMetrics(reg, tr)
 	}
 
 	if *statusAddr != "" {
@@ -73,15 +74,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kondo-worker: status endpoint:", lerr)
 			os.Exit(1)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			_ = reg.WritePrometheus(w)
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
-		srv := &http.Server{Handler: mux}
+		ep := obs.NewEndpoints(reg)
+		ep.SetTrace(tr)
+		srv := &http.Server{Handler: ep.Handler(nil)}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		log.Info("metrics endpoint", "url", fmt.Sprintf("http://%s/metrics", ln.Addr()))

@@ -14,6 +14,11 @@
 //	kondo explain -prov index.json <file> <offset|i,j,k>
 //	    Attribute one kept position of a debloated file to the hull
 //	    and seed valuation that caused its inclusion (see -prov).
+//
+// With -status-addr a program-mode run serves its live campaign views
+// (/statusz, /statusz/stream) beside the observability endpoints every
+// Kondo daemon shares: /metrics, /healthz, /buildz, /tracez (with
+// -trace-out: the live trace) and /sloz (404: no SLO engine).
 package main
 
 import (
@@ -66,7 +71,7 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "optional: write a Chrome trace-event JSON of the run (open in chrome://tracing or Perfetto)")
 		logLevel    = flag.String("log-level", "warn", "diagnostic log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
-		statusAddr  = flag.String("status-addr", "", "optional: serve live campaign status on this address (/statusz JSON, /statusz/stream SSE, /metrics) while the run executes")
+		statusAddr  = flag.String("status-addr", "", "optional: serve live campaign status on this address (/statusz JSON, /statusz/stream SSE, /metrics, /healthz, /buildz, /tracez, /sloz) while the run executes")
 		coverageOut = flag.String("coverage-out", "", "optional: write the campaign's coverage time series JSON (render with kondo-viz -coverage)")
 		provOut     = flag.String("prov", "", "optional: write the inclusion-provenance index JSON (query with kondo explain)")
 	)
@@ -93,8 +98,8 @@ func main() {
 		ctx = obs.WithTrace(ctx, tr)
 	}
 	if *statusAddr != "" {
-		// The status endpoint's /metrics view needs a registry in the
-		// context for the pipeline to publish into.
+		// The status address's /metrics needs a registry in the context
+		// for the pipeline to publish into.
 		ctx = obs.WithRegistry(ctx, obs.NewRegistry())
 	}
 
@@ -161,9 +166,11 @@ func programMode(ctx context.Context, name, data, dataset, out string, budget in
 			Program: p.Name(),
 			Dataset: dataset,
 			Workers: workers,
-		}, p.Space().Dims(), p.Space().Size(), obs.RegistryOf(ctx))
+		}, p.Space().Dims(), p.Space().Size())
 		cfg.Fuzz.OnCoverage = st.Publish
-		srv := &http.Server{Handler: st.Handler()}
+		ep := obs.NewEndpoints(obs.RegistryOf(ctx))
+		ep.SetTrace(obs.TraceOf(ctx))
+		srv := &http.Server{Handler: ep.Handler(st.Handler())}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "kondo: status endpoint on http://%s/statusz\n", ln.Addr())

@@ -197,8 +197,11 @@ func Orchestra(ctx context.Context, opts Options) (*Report, error) {
 	var onBest time.Duration
 	var telEvals int
 	// measure times reps off/on pairs and returns the median per-pair
-	// ratio minus one. Digest bookkeeping accumulates across calls.
-	measure := func() (float64, error) {
+	// ratio minus one. Only the first round's telemetry-on runs are
+	// counted, so telemetry_digest_runs is the same on an idle and a
+	// loaded host; a confirmation round's digest mismatch fails the
+	// experiment outright.
+	measure := func(confirm bool) (float64, error) {
 		var ratios []float64
 		for i := 0; i < reps; i++ {
 			var offElapsed, onElapsed time.Duration
@@ -221,9 +224,14 @@ func Orchestra(ctx context.Context, opts Options) (*Report, error) {
 					telDigest = d
 				}
 				if telemetry {
-					telemetryRuns++
-					if d == telDigest {
-						telemetryMatches++
+					switch {
+					case !confirm:
+						telemetryRuns++
+						if d == telDigest {
+							telemetryMatches++
+						}
+					case d != telDigest:
+						return 0, fmt.Errorf("orchestra telemetry run (confirmation round): digest %s, want %s", d, telDigest)
 					}
 					onElapsed = elapsed
 					if onBest == 0 || elapsed < onBest {
@@ -238,14 +246,15 @@ func Orchestra(ctx context.Context, opts Options) (*Report, error) {
 		sort.Float64s(ratios)
 		return ratios[len(ratios)/2] - 1, nil
 	}
-	overhead, err := measure()
+	overhead, err := measure(false)
 	if err != nil {
 		return nil, err
 	}
 	// A loaded machine can poison a whole round of pairs; a real
 	// regression also fails the (at most two) confirmation rounds.
 	for tries := 0; overhead > telemetryOverheadFloor && tries < 2; tries++ {
-		confirm, cerr := measure()
+		obs.Log().Info("orchestra telemetry overhead over the floor; confirming", "round", tries+1, "overhead", overhead)
+		confirm, cerr := measure(true)
 		if cerr != nil {
 			return nil, cerr
 		}

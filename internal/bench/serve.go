@@ -128,7 +128,8 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 			tr.SetProcessName(obs.LocalPID, "kondo-load")
 			runCtx = obs.WithTrace(ctx, tr)
 			serverTr = obs.NewTrace()
-			srv.EnableTracing(serverTr, "kondo-serve")
+			serverTr.SetProcessName(obs.LocalPID, "kondo-serve")
+			srv.EnableTracing(serverTr)
 			slo = obs.NewSLO(30*time.Second, obs.SLOObjective{
 				Name:         "chunk",
 				Quantile:     0.99,
@@ -136,7 +137,6 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 				Target:       0.99,
 				Source:       srv.Recorder().SLOSource("chunk"),
 			})
-			srv.SetSLO(slo)
 			tickCtx, stopTick := context.WithCancel(ctx)
 			defer stopTick()
 			go slo.Run(tickCtx, 10*time.Millisecond)
@@ -172,7 +172,7 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 		}
 		var sloRep obs.SLOReport
 		if telemetry {
-			tr.MergeWire(2, serverTr.ExportWire("kondo-serve", 0))
+			tr.Merge(2, serverTr.Export(0))
 			sloRep = slo.Report(time.Now())
 		}
 		return res, tr, sloRep, nil

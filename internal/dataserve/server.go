@@ -77,14 +77,9 @@ type Server struct {
 	sets map[string]*serving
 	rec  *metrics.ServeRecorder
 
-	// draining flips /healthz to 503 during graceful shutdown so load
-	// balancers stop routing before in-flight requests finish.
-	draining atomic.Bool
 	// trace, when set via EnableTracing, records one serve.<endpoint>
-	// span per request and backs the /tracez export.
-	trace atomic.Pointer[serverTrace]
-	// slo, when set via SetSLO, backs the /sloz report.
-	slo atomic.Pointer[obs.SLO]
+	// span per request.
+	trace atomic.Pointer[obs.Trace]
 	// traceRequests counts requests that arrived with a propagated
 	// trace context (whether or not local recording is on).
 	traceRequests atomic.Int64
@@ -97,12 +92,6 @@ type Server struct {
 	proofTrees  atomic.Int64
 }
 
-// serverTrace pairs the server's trace with its exported lane name.
-type serverTrace struct {
-	tr   *obs.Trace
-	name string
-}
-
 // NewServer opens the origin file and precomputes serving geometry
 // for every dataset.
 func NewServer(originPath string) (*Server, error) {
@@ -111,18 +100,10 @@ func NewServer(originPath string) (*Server, error) {
 		return nil, fmt.Errorf("dataserve: opening origin: %w", err)
 	}
 	rec := metrics.NewServeRecorder()
-	obs.RegisterBuildInfo(rec.Registry())
 	s := &Server{file: f, sets: make(map[string]*serving), rec: rec}
 	reg := rec.Registry()
 	reg.SetHelp("kondo_serve_trace_requests_total", "Requests that arrived carrying a propagated trace context.")
 	reg.CounterFunc("kondo_serve_trace_requests_total", s.traceRequests.Load)
-	reg.SetHelp("kondo_serve_draining", "1 while the server is draining (healthz returns 503).")
-	reg.GaugeFunc("kondo_serve_draining", func() float64 {
-		if s.draining.Load() {
-			return 1
-		}
-		return 0
-	})
 	reg.SetHelp("kondo_serve_proof_frames_total", "Chunk responses served with an inclusion proof (proof=1).")
 	reg.CounterFunc("kondo_serve_proof_frames_total", s.proofFrames.Load)
 	reg.SetHelp("kondo_serve_proof_errors_total", "proof=1 chunk requests that failed to produce a proof frame.")
@@ -175,8 +156,8 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Registry exposes the server's instrument registry so a daemon can
-// register adjacent metrics into the same /metrics exposition.
+// Registry exposes the server's instrument registry, so a daemon can
+// serve it (obs.Endpoints) and register adjacent metrics into it.
 func (s *Server) Registry() *obs.Registry { return s.rec.Registry() }
 
 // Recorder exposes the server's metrics recorder, so a daemon can wire
@@ -184,81 +165,18 @@ func (s *Server) Registry() *obs.Registry { return s.rec.Registry() }
 func (s *Server) Recorder() *metrics.ServeRecorder { return s.rec }
 
 // EnableTracing starts recording one serve.<endpoint> span per request
-// into tr and exposes the result at /tracez under the given lane name.
-// A nil tr disables tracing again.
-func (s *Server) EnableTracing(tr *obs.Trace, name string) {
-	if tr == nil {
-		s.trace.Store(nil)
-		return
-	}
-	s.trace.Store(&serverTrace{tr: tr, name: name})
-}
+// into tr; a daemon exports it through obs.Endpoints.SetTrace. A nil
+// tr disables tracing again.
+func (s *Server) EnableTracing(tr *obs.Trace) { s.trace.Store(tr) }
 
-// SetSLO attaches an SLO engine; its live report becomes the /sloz
-// body. The caller owns ticking the engine (obs.SLO.Run).
-func (s *Server) SetSLO(slo *obs.SLO) { s.slo.Store(slo) }
-
-// SetDraining flips the drain flag: once true, /healthz answers 503 so
-// load balancers route away while in-flight requests complete. Flag it
-// before http.Server.Shutdown and give the balancer a beat to notice.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
-
-// Draining reports the drain flag.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Handler returns the HTTP handler exposing the wire protocol.
+// Handler returns the HTTP handler exposing the wire protocol: /meta
+// and /chunk. A daemon serves the observability endpoints beside it
+// (obs.Endpoints.Handler).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/meta", s.instrument("meta", s.handleMeta))
 	mux.Handle("/chunk", s.instrument("chunk", s.handleChunk))
-	mux.Handle("/metrics", s.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/buildz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, obs.Build())
-	})
-	mux.HandleFunc("/tracez", s.handleTracez)
-	mux.HandleFunc("/sloz", s.handleSloz)
 	return mux
-}
-
-// handleTracez exports the server's trace as a self-describing
-// obs.WireTrace, the server half of a stitched client+server trace: a
-// load client merges the body into its own trace under a second pid.
-// 404 until EnableTracing. ?max=N bounds the event count.
-func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	st := s.trace.Load()
-	if st == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "dataserve: tracing not enabled"})
-		return
-	}
-	max := 0
-	if arg := r.URL.Query().Get("max"); arg != "" {
-		v, err := strconv.Atoi(arg)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("dataserve: bad max %q", arg))
-			return
-		}
-		max = v
-	}
-	writeJSON(w, http.StatusOK, st.tr.ExportWire(st.name, max))
-}
-
-// handleSloz reports the attached SLO engine's live evaluation (404
-// until SetSLO).
-func (s *Server) handleSloz(w http.ResponseWriter, r *http.Request) {
-	slo := s.slo.Load()
-	if slo == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "dataserve: no SLO configured"})
-		return
-	}
-	writeJSON(w, http.StatusOK, slo.Report(time.Now()))
 }
 
 // countingWriter captures the status code and payload size of one
@@ -291,9 +209,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 		start := time.Now()
 		cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
 		ctx := r.Context()
-		if st := s.trace.Load(); st != nil {
-			ctx = obs.WithTrace(ctx, st.tr)
-		}
+		ctx = obs.WithTrace(ctx, s.trace.Load())
 		var sp *obs.Span
 		if parent, ok := obs.ExtractTraceContext(r.Header); ok {
 			s.traceRequests.Add(1)
@@ -363,14 +279,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	writeJSON(w, http.StatusOK, sv.meta)
-}
-
-// handleMetrics serves the registry's Prometheus text exposition. The
-// format=prom query older scrapers send selects the same body.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_ = s.rec.Registry().WritePrometheus(w)
 }
 
 func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {

@@ -57,6 +57,22 @@ func startServer(t testing.TB, space array.Space, chunk []int) (*Server, *httpte
 	return srv, ts
 }
 
+// startDaemon is startServer with the data plane served the way
+// kondo-serve serves it: behind the shared observability endpoints
+// over the server's own registry.
+func startDaemon(t testing.TB, space array.Space, chunk []int) (*Server, *obs.Endpoints, *httptest.Server) {
+	t.Helper()
+	srv, err := NewServer(writeOriginFile(t, space, chunk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ep := obs.NewEndpoints(srv.Registry())
+	ts := httptest.NewServer(ep.Handler(srv.Handler()))
+	t.Cleanup(ts.Close)
+	return srv, ep, ts
+}
+
 // chunkRequests reads the server's /chunk request counter from its
 // registry.
 func chunkRequests(srv *Server) int64 {
@@ -285,7 +301,7 @@ func TestDebloatedOriginAnswersGone(t *testing.T) {
 
 func TestMetricsAndHealthz(t *testing.T) {
 	space := array.MustSpace(16, 16)
-	srv, ts := startServer(t, space, []int{4, 4})
+	srv, _, ts := startDaemon(t, space, []int{4, 4})
 
 	if resp, err := http.Get(ts.URL + "/healthz"); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("healthz: %v %v", resp.StatusCode, err)
@@ -315,9 +331,13 @@ func TestMetricsAndHealthz(t *testing.T) {
 		t.Error("no bytes recorded")
 	}
 
-	// The /metrics endpoint serves the same counters.
+	// The /metrics endpoint serves the same counters. A scrape is not a
+	// recovery-plane request, so it counts under no endpoint.
 	if out := getMetrics(t, ts, "/metrics"); !strings.Contains(out, `kondo_serve_requests_total{endpoint="chunk"} 4`) {
 		t.Errorf("/metrics lacks the chunk request count:\n%s", out)
+	}
+	if out := getMetrics(t, ts, "/metrics"); strings.Contains(out, `endpoint="metrics"`) {
+		t.Errorf("a scrape was counted as a data-plane request:\n%s", out)
 	}
 }
 
@@ -342,7 +362,7 @@ func getMetrics(t *testing.T, ts *httptest.Server, path string) string {
 
 func TestMetricsPrometheusFormat(t *testing.T) {
 	space := array.MustSpace(16, 16)
-	_, ts := startServer(t, space, []int{4, 4})
+	_, _, ts := startDaemon(t, space, []int{4, 4})
 
 	for i := 0; i < 2; i++ {
 		resp, err := http.Get(ts.URL + "/chunk?dataset=data&chunk=0,0")

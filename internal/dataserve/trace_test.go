@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -48,12 +49,13 @@ func TestBackoffDelayJittered(t *testing.T) {
 	}
 }
 
-// TestHealthzDrain pins the drain window: /healthz answers 200 while
-// serving, 503 once draining begins, and 200 again if drain is
-// cancelled.
+// TestHealthzDrain pins the drain window on kondo-serve's mux:
+// /healthz answers 200 while serving, 503 once draining begins, and
+// 200 again if drain is cancelled, while the data endpoints keep
+// serving throughout.
 func TestHealthzDrain(t *testing.T) {
 	space := array.MustSpace(16, 16)
-	srv, ts := startServer(t, space, []int{8, 8})
+	_, ep, ts := startDaemon(t, space, []int{8, 8})
 
 	get := func() int {
 		resp, err := http.Get(ts.URL + "/healthz")
@@ -66,10 +68,7 @@ func TestHealthzDrain(t *testing.T) {
 	if got := get(); got != http.StatusOK {
 		t.Fatalf("healthz before drain = %d", got)
 	}
-	srv.SetDraining(true)
-	if !srv.Draining() {
-		t.Fatal("Draining() = false after SetDraining(true)")
-	}
+	ep.SetDraining(true)
 	if got := get(); got != http.StatusServiceUnavailable {
 		t.Fatalf("healthz during drain = %d, want 503", got)
 	}
@@ -83,7 +82,7 @@ func TestHealthzDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("meta during drain = %d, want 200", resp.StatusCode)
 	}
-	srv.SetDraining(false)
+	ep.SetDraining(false)
 	if got := get(); got != http.StatusOK {
 		t.Fatalf("healthz after undrain = %d", got)
 	}
@@ -96,10 +95,12 @@ func TestHealthzDrain(t *testing.T) {
 // server's /tracez export into the client trace yields a 2-pid trace.
 func TestTracePropagationStitches(t *testing.T) {
 	space := array.MustSpace(16, 16)
-	srv, ts := startServer(t, space, []int{8, 8})
+	srv, ep, ts := startDaemon(t, space, []int{8, 8})
 
 	serverTr := obs.NewTrace()
-	srv.EnableTracing(serverTr, "kondo-serve")
+	serverTr.SetProcessName(obs.LocalPID, "kondo-serve")
+	srv.EnableTracing(serverTr)
+	ep.SetTrace(serverTr)
 
 	clientTr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), clientTr)
@@ -140,7 +141,7 @@ func TestTracePropagationStitches(t *testing.T) {
 
 	// The ids must join up: client fetch span and server serve span
 	// share a trace id, and the server's parent is the client's span.
-	cevs, _ := clientTr.ExportEvents(0)
+	cevs := clientTr.Export(0).Events
 	var clientTID, clientSID string
 	for _, e := range cevs {
 		if e.Name == "dataserve.fetch" {
@@ -161,24 +162,28 @@ func TestTracePropagationStitches(t *testing.T) {
 		t.Fatalf("no server span joins trace %s / parent %s: %+v", clientTID, clientSID, wt.Events)
 	}
 
-	clientTr.MergeWire(2, wt)
+	clientTr.Merge(2, wt)
 	if pids := clientTr.PIDs(); len(pids) < 2 {
 		t.Fatalf("stitched trace has pids %v, want >= 2 lanes", pids)
 	}
 }
 
-// TestTracezSlozDisabled pins the 404-until-configured contract.
+// TestTracezSlozDisabled pins the 404-until-configured contract on
+// kondo-serve's mux, and that the data plane alone serves neither.
 func TestTracezSlozDisabled(t *testing.T) {
 	space := array.MustSpace(8, 8)
-	_, ts := startServer(t, space, []int{4, 4})
-	for _, ep := range []string{"/tracez", "/sloz"} {
-		resp, err := http.Get(ts.URL + ep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s without config = %d, want 404", ep, resp.StatusCode)
+	_, _, daemon := startDaemon(t, space, []int{4, 4})
+	_, bare := startServer(t, space, []int{4, 4})
+	for _, ts := range []*httptest.Server{daemon, bare} {
+		for _, ep := range []string{"/tracez", "/sloz"} {
+			resp, err := http.Get(ts.URL + ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s without config = %d, want 404", ep, resp.StatusCode)
+			}
 		}
 	}
 }
@@ -187,7 +192,7 @@ func TestTracezSlozDisabled(t *testing.T) {
 // endpoint and reads the report back through /sloz.
 func TestSlozEndpoint(t *testing.T) {
 	space := array.MustSpace(16, 16)
-	srv, ts := startServer(t, space, []int{8, 8})
+	srv, ep, ts := startDaemon(t, space, []int{8, 8})
 	slo := obs.NewSLO(time.Minute, obs.SLOObjective{
 		Name:         "chunk",
 		Quantile:     0.99,
@@ -195,7 +200,7 @@ func TestSlozEndpoint(t *testing.T) {
 		Target:       0.99,
 		Source:       srv.Recorder().SLOSource("chunk"),
 	})
-	srv.SetSLO(slo)
+	ep.SetSLO(slo)
 
 	f := NewFetcher(ts.URL, nil)
 	if _, err := f.Fetch("data", array.Index{1, 1}); err != nil {

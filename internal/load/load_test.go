@@ -165,14 +165,18 @@ func TestRunRampStages(t *testing.T) {
 }
 
 func TestRunSoakPollsSloz(t *testing.T) {
-	srv, ts := startOrigin(t, array.MustSpace(32, 32), []int{8, 8})
+	srv, _ := startOrigin(t, array.MustSpace(32, 32), []int{8, 8})
 	slo := obs.NewSLO(time.Minute, obs.SLOObjective{
 		Name:         "chunk",
 		LatencyBound: time.Second,
 		Target:       0.99,
 		Source:       srv.Recorder().SLOSource("chunk"),
 	})
-	srv.SetSLO(slo)
+	// Serve the origin as kondo-serve does, /sloz beside the data plane.
+	ep := obs.NewEndpoints(srv.Registry())
+	ep.SetSLO(slo)
+	ts := httptest.NewServer(ep.Handler(srv.Handler()))
+	defer ts.Close()
 	res, err := Run(context.Background(), Config{
 		BaseURL:      ts.URL,
 		Mode:         Closed,
@@ -195,7 +199,7 @@ func TestRunSoakPollsSloz(t *testing.T) {
 func TestRunEmitsInstrumentsAndTraces(t *testing.T) {
 	srv, ts := startOrigin(t, array.MustSpace(32, 32), []int{8, 8})
 	serverTr := obs.NewTrace()
-	srv.EnableTracing(serverTr, "kondo-serve")
+	srv.EnableTracing(serverTr)
 
 	reg := obs.NewRegistry()
 	tr := obs.NewTrace()
@@ -236,7 +240,7 @@ func TestRunEmitsInstrumentsAndTraces(t *testing.T) {
 	if tr.Len() == 0 {
 		t.Fatal("caller trace recorded nothing")
 	}
-	tr.MergeWire(2, serverTr.ExportWire("kondo-serve", 0))
+	tr.Merge(2, serverTr.Export(0))
 	if pids := tr.PIDs(); len(pids) < 2 {
 		t.Fatalf("stitched pids = %v", pids)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/fuzz"
-	"repro/internal/obs"
 )
 
 // CampaignStats summarizes the throughput side of a fuzz campaign —
@@ -74,24 +73,6 @@ func (s CampaignStats) WorkerUtilization() float64 {
 		u = 1
 	}
 	return u
-}
-
-// Publish exports the campaign summary into a registry as gauges
-// under the kondo_campaign_* family. Gauges (not counters) so that
-// re-publishing a later campaign overwrites rather than accumulates.
-// Nil-safe on the registry.
-func (s CampaignStats) Publish(reg *obs.Registry) {
-	reg.SetHelp("kondo_campaign_evals", "Successful debloat tests in the last campaign.")
-	reg.Gauge("kondo_campaign_evals").Set(float64(s.Evaluations))
-	reg.Gauge("kondo_campaign_failed_evals").Set(float64(s.FailedEvals))
-	reg.Gauge("kondo_campaign_dedup_skips").Set(float64(s.DedupSkips))
-	reg.Gauge("kondo_campaign_batches").Set(float64(s.Batches))
-	reg.Gauge("kondo_campaign_workers").Set(float64(s.Workers))
-	reg.Gauge("kondo_campaign_max_queue_depth").Set(float64(s.MaxQueueDepth))
-	reg.Gauge("kondo_campaign_elapsed_seconds").Set(s.Elapsed.Seconds())
-	reg.Gauge("kondo_campaign_eval_wall_seconds").Set(s.EvalWall.Seconds())
-	reg.Gauge("kondo_campaign_evals_per_sec").Set(s.EvalsPerSec())
-	reg.Gauge("kondo_campaign_worker_utilization").Set(s.WorkerUtilization())
 }
 
 // String renders the stats as a one-line summary.

@@ -34,10 +34,9 @@ func Build() BuildInfo {
 	return bi
 }
 
-// RegisterBuildInfo exports the Prometheus-conventional identity
-// gauge kondo_build_info{go_version=...,revision=...} 1, so a scrape
-// of any deployed daemon identifies the binary serving it. Nil-safe.
-func RegisterBuildInfo(r *Registry) {
+// registerBuildInfo exports the Prometheus-conventional identity
+// gauge kondo_build_info{go_version=...,revision=...} 1. Nil-safe.
+func registerBuildInfo(r *Registry) {
 	bi := Build()
 	r.SetHelp("kondo_build_info", "Build identity of the running binary (value is always 1).")
 	g := r.Gauge("kondo_build_info",

@@ -229,9 +229,11 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// TestRegisterBuildInfo: every daemon's endpoint set registers the
+// build identity gauge.
 func TestRegisterBuildInfo(t *testing.T) {
 	r := NewRegistry()
-	RegisterBuildInfo(r)
+	NewEndpoints(r)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

@@ -1,21 +1,19 @@
 package obs
 
-// Cross-process trace federation: a worker exports its (sub-)trace as
-// compact WireEvents relative to its own epoch; the coordinator
-// re-bases them onto its epoch with an estimated clock offset and
-// records them under a per-process pid, so one Chrome trace shows the
-// whole fleet (DESIGN.md §13).
+// Cross-process trace federation: a process exports its trace as a
+// self-describing WireTrace (events relative to its own epoch, plus
+// that epoch and its lane name); the receiver merges it under a
+// per-process pid, re-basing the events onto its own epoch, so one
+// Chrome trace shows the whole fleet (DESIGN.md §13, §14).
 
 import (
 	"sort"
 	"time"
 )
 
-// WireEvent is the compact serializable form of one trace event, for
-// shipping a sub-trace between processes (a worker piggybacking its
-// lease evaluation spans on a result message). Timestamps are
-// nanoseconds relative to the origin trace's epoch; the receiver
-// re-bases them via MergeRemote.
+// WireEvent is the compact serializable form of one trace event.
+// Timestamps are nanoseconds relative to the exporting trace's epoch;
+// the receiver re-bases them in Merge.
 type WireEvent struct {
 	Name string `json:"n"`
 	// Ph is the event phase: "" or "X" for a complete span, "i" for
@@ -32,30 +30,54 @@ type WireEvent struct {
 	Args map[string]any `json:"a,omitempty"`
 }
 
-// ExportEvents snapshots the trace's retained events in wire form, in
-// recorded order. max bounds the export (<= 0 means all retained
-// events); the second return value is how many retained events were
-// omitted by the bound — callers surface it so a truncated remote
-// sub-trace is visible, not silent.
-func (t *Trace) ExportEvents(max int) ([]WireEvent, int) {
+// WireTrace is a self-describing exported trace: the events plus the
+// epoch they are relative to and the process's display name, so a peer
+// can merge them without out-of-band clock agreement. It is the JSON
+// body of every daemon's /tracez endpoint; all fields are additive, so
+// old decoders that only know Events keep working.
+type WireTrace struct {
+	// ProcessName labels the exporting process's lane in the merged
+	// trace (e.g. "kondo-serve").
+	ProcessName string `json:"process_name,omitempty"`
+	// EpochUnixNS is the exporter's trace epoch as a Unix timestamp in
+	// nanoseconds; event TS values are relative to it.
+	EpochUnixNS int64 `json:"epoch_unix_ns"`
+	// Events are the retained events in recorded order.
+	Events []WireEvent `json:"events"`
+	// Omitted counts retained events cut by the export bound; Dropped
+	// counts events the exporter discarded over its buffer limit.
+	Omitted int   `json:"omitted,omitempty"`
+	Dropped int64 `json:"dropped,omitempty"`
+}
+
+// Export snapshots the trace as a WireTrace named after its LocalPID
+// lane (SetProcessName), with the retained events in recorded order.
+// max bounds the event count (<= 0 means all retained events); Omitted
+// reports how many the bound cut, so a truncated export is visible,
+// not silent. Nil-safe (returns a zero WireTrace).
+func (t *Trace) Export(max int) WireTrace {
 	if t == nil {
-		return nil, 0
+		return WireTrace{}
 	}
 	t.mu.Lock()
-	events := append([]event(nil), t.events...)
-	epoch := t.epoch
+	n := len(t.events)
+	if max > 0 && n > max {
+		n = max
+	}
+	events := append([]event(nil), t.events[:n]...)
+	wt := WireTrace{
+		ProcessName: t.procs[LocalPID],
+		EpochUnixNS: t.epoch.UnixNano(),
+		Omitted:     len(t.events) - n,
+		Dropped:     t.dropped,
+		Events:      make([]WireEvent, 0, n),
+	}
 	t.mu.Unlock()
 
-	omitted := 0
-	if max > 0 && len(events) > max {
-		omitted = len(events) - max
-		events = events[:max]
-	}
-	out := make([]WireEvent, 0, len(events))
 	for _, e := range events {
 		we := WireEvent{
 			Name: e.name,
-			TS:   int64(e.start.Sub(epoch)),
+			TS:   int64(e.start.Sub(t.epoch)),
 			TID:  e.tid,
 		}
 		if e.ph == 'i' {
@@ -69,31 +91,35 @@ func (t *Trace) ExportEvents(max int) ([]WireEvent, int) {
 				we.Args[a.Key] = a.Value
 			}
 		}
-		out = append(out, we)
+		wt.Events = append(wt.Events, we)
 	}
-	return out, omitted
+	return wt
 }
 
-// MergeRemote splices a remote process's exported events into t under
-// the given pid, labeling the lane name (empty keeps any existing
-// label). clockOffset re-bases the remote timeline onto t's epoch: a
-// remote event at TS nanoseconds past the remote epoch is recorded at
-// t.epoch + TS + clockOffset, so the caller's offset estimate is
-// "remote epoch-relative clock → local epoch-relative clock" (see
-// the NTP-style estimate in internal/orchestra). Events with unknown
-// phases are skipped; the trace limit applies as usual, counting
-// overflow in Dropped. Nil-safe.
-func (t *Trace) MergeRemote(pid int, name string, clockOffset time.Duration, events []WireEvent) {
+// Merge splices an exported trace into t under pid, labeling the lane
+// with wt.ProcessName (empty keeps any existing label). Each event is
+// re-based from the exporter's epoch onto t's: an event at TS past
+// wt.EpochUnixNS lands at that same wall-clock instant on t's
+// timeline. That is exact for traces sharing a clock (one machine, or
+// a sub-trace on t's own epoch) and within wall-clock skew across
+// machines; a caller holding a better clock-offset estimate shifts
+// EpochUnixNS by it (the orchestra's min-RTT estimate does). Events
+// with unknown phases are skipped; t's limit applies as usual,
+// counting overflow in Dropped. Nil-safe.
+func (t *Trace) Merge(pid int, wt WireTrace) {
 	if t == nil {
 		return
 	}
-	if name != "" {
-		t.SetProcessName(pid, name)
+	if wt.ProcessName != "" {
+		t.SetProcessName(pid, wt.ProcessName)
 	}
-	for _, we := range events {
+	// time.Unix carries no monotonic reading, so this is a wall-clock
+	// difference between the two epochs.
+	offset := time.Unix(0, wt.EpochUnixNS).Sub(t.epoch)
+	for _, we := range wt.Events {
 		e := event{
 			name:  we.Name,
-			start: t.epoch.Add(time.Duration(we.TS) + clockOffset),
+			start: t.epoch.Add(time.Duration(we.TS) + offset),
 			pid:   pid,
 			tid:   we.TID,
 		}
@@ -119,60 +145,4 @@ func (t *Trace) MergeRemote(pid int, name string, clockOffset time.Duration, eve
 		}
 		t.add(e)
 	}
-}
-
-// ImportEvents records exported events onto t's own process lane with
-// no clock adjustment — the same-process round-trip of ExportEvents.
-func (t *Trace) ImportEvents(events []WireEvent) {
-	t.MergeRemote(LocalPID, "", 0, events)
-}
-
-// WireTrace is a self-describing exported trace: the events plus the
-// epoch they are relative to and the process's display name, so a peer
-// can merge them without out-of-band clock agreement. It is the JSON
-// body of the recovery plane's /tracez endpoint; all fields are
-// additive, so old decoders that only know Events keep working.
-type WireTrace struct {
-	// ProcessName labels the exporting process's lane in the merged
-	// trace (e.g. "kondo-serve").
-	ProcessName string `json:"process_name,omitempty"`
-	// EpochUnixNS is the exporter's trace epoch as a Unix timestamp in
-	// nanoseconds; event TS values are relative to it.
-	EpochUnixNS int64 `json:"epoch_unix_ns"`
-	// Events are the retained events in recorded order.
-	Events []WireEvent `json:"events"`
-	// Omitted counts retained events cut by the export bound; Dropped
-	// counts events the exporter discarded over its buffer limit.
-	Omitted int   `json:"omitted,omitempty"`
-	Dropped int64 `json:"dropped,omitempty"`
-}
-
-// ExportWire snapshots the trace as a self-describing WireTrace named
-// name; max bounds the event count as in ExportEvents. Nil-safe
-// (returns a zero WireTrace).
-func (t *Trace) ExportWire(name string, max int) WireTrace {
-	if t == nil {
-		return WireTrace{ProcessName: name}
-	}
-	events, omitted := t.ExportEvents(max)
-	return WireTrace{
-		ProcessName: name,
-		EpochUnixNS: t.Epoch().UnixNano(),
-		Events:      events,
-		Omitted:     omitted,
-		Dropped:     t.Dropped(),
-	}
-}
-
-// MergeWire splices a self-describing exported trace into t under the
-// given pid, deriving the clock offset from the two epochs' wall
-// clocks — exact on one machine (the load-demo loopback case), and
-// within wall-clock skew across machines (peers needing better use the
-// orchestra's min-RTT estimate with MergeRemote directly). Nil-safe.
-func (t *Trace) MergeWire(pid int, wt WireTrace) {
-	if t == nil {
-		return
-	}
-	offset := time.Unix(0, wt.EpochUnixNS).Sub(t.Epoch())
-	t.MergeRemote(pid, wt.ProcessName, offset, wt.Events)
 }

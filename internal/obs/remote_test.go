@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +20,7 @@ func eventsNamed(evs []map[string]any, name string) []map[string]any {
 	return out
 }
 
-func TestExportEventsRoundTrip(t *testing.T) {
+func TestExportMergeRoundTrip(t *testing.T) {
 	epoch := time.Now()
 	tr := NewTraceAt(epoch)
 	ctx := WithTrace(context.Background(), tr)
@@ -26,16 +28,16 @@ func TestExportEventsRoundTrip(t *testing.T) {
 	sp := Start(ctx, "fuzz.round", A("seeds", 3)).SetTID(2)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	InstantTID(ctx, "fuzz.marker", 5, A("k", "v"))
+	tr.RecordInstant("fuzz.marker", 5, A("k", "v"))
 
-	events, omitted := tr.ExportEvents(0)
-	if omitted != 0 {
-		t.Fatalf("omitted = %d, want 0", omitted)
+	wt := tr.Export(0)
+	if wt.Omitted != 0 || wt.ProcessName != "" {
+		t.Fatalf("export header = %+v, want nothing omitted and no lane name", wt)
 	}
-	if len(events) != 2 {
-		t.Fatalf("exported %d events, want 2", len(events))
+	if len(wt.Events) != 2 {
+		t.Fatalf("exported %d events, want 2", len(wt.Events))
 	}
-	span := events[0]
+	span := wt.Events[0]
 	if span.Name != "fuzz.round" || span.Ph != "" || span.TID != 2 {
 		t.Errorf("span wire form = %+v", span)
 	}
@@ -48,27 +50,31 @@ func TestExportEventsRoundTrip(t *testing.T) {
 	if got := span.Args["seeds"]; got != 3 {
 		t.Errorf("span args = %v", span.Args)
 	}
-	inst := events[1]
+	inst := wt.Events[1]
 	if inst.Ph != "i" || inst.TID != 5 || inst.Dur != 0 {
 		t.Errorf("instant wire form = %+v", inst)
 	}
 
-	// Same-process round-trip: import back and check the Chrome export.
+	// A trace on the same epoch merges it back onto its own lane with
+	// zero offset: the Chrome timestamps match the source's exactly.
 	dst := NewTraceAt(epoch)
-	dst.ImportEvents(events)
+	dst.Merge(LocalPID, wt)
 	if dst.Len() != 2 {
-		t.Fatalf("imported trace has %d events, want 2", dst.Len())
+		t.Fatalf("merged trace has %d events, want 2", dst.Len())
 	}
-	evs := traceEvents(t, decodeChromeTrace(t, dst))
-	got := eventsNamed(evs, "fuzz.round")
-	if len(got) != 1 {
-		t.Fatalf("fuzz.round events = %d, want 1", len(got))
+	src := eventsNamed(traceEvents(t, decodeChromeTrace(t, tr)), "fuzz.round")
+	got := eventsNamed(traceEvents(t, decodeChromeTrace(t, dst)), "fuzz.round")
+	if len(got) != 1 || len(src) != 1 {
+		t.Fatalf("fuzz.round events = %d merged, %d source; want 1 each", len(got), len(src))
 	}
 	if got[0]["pid"].(float64) != LocalPID {
-		t.Errorf("imported event pid = %v, want LocalPID", got[0]["pid"])
+		t.Errorf("merged event pid = %v, want LocalPID", got[0]["pid"])
 	}
 	if got[0]["tid"].(float64) != 2 {
-		t.Errorf("imported event tid = %v, want 2", got[0]["tid"])
+		t.Errorf("merged event tid = %v, want 2", got[0]["tid"])
+	}
+	if got[0]["ts"] != src[0]["ts"] || got[0]["dur"] != src[0]["dur"] {
+		t.Errorf("merged ts/dur = %v/%v, want the source's %v/%v", got[0]["ts"], got[0]["dur"], src[0]["ts"], src[0]["dur"])
 	}
 }
 
@@ -77,39 +83,62 @@ func TestExportEventsBounded(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.RecordInstant("m", 0)
 	}
-	events, omitted := tr.ExportEvents(4)
-	if len(events) != 4 || omitted != 6 {
-		t.Fatalf("ExportEvents(4) = %d events, %d omitted; want 4, 6", len(events), omitted)
+	if wt := tr.Export(4); len(wt.Events) != 4 || wt.Omitted != 6 {
+		t.Fatalf("Export(4) = %d events, %d omitted; want 4, 6", len(wt.Events), wt.Omitted)
 	}
-	events, omitted = tr.ExportEvents(100)
-	if len(events) != 10 || omitted != 0 {
-		t.Fatalf("ExportEvents(100) = %d events, %d omitted; want 10, 0", len(events), omitted)
+	if wt := tr.Export(100); len(wt.Events) != 10 || wt.Omitted != 0 {
+		t.Fatalf("Export(100) = %d events, %d omitted; want 10, 0", len(wt.Events), wt.Omitted)
 	}
 }
 
-func TestExportEventsNilTrace(t *testing.T) {
+// TestExportWireNilAndBounds checks the wire form at its edges: a nil
+// trace exports nothing and ignores a merge, and a bounded export of a
+// named lane keeps the lane name while counting what it left out.
+func TestExportWireNilAndBounds(t *testing.T) {
+	var nilTrace *Trace
+	wt := nilTrace.Export(0)
+	if wt.ProcessName != "" || len(wt.Events) != 0 {
+		t.Fatalf("nil export: %+v", wt)
+	}
+	nilTrace.Merge(2, wt) // must not panic
+
+	tr := NewTrace()
+	tr.SetProcessName(LocalPID, "svc")
+	ctx := WithTrace(context.Background(), tr)
+	for i := 0; i < 5; i++ {
+		Start(ctx, "s").End()
+	}
+	wt = tr.Export(3)
+	if wt.ProcessName != "svc" || len(wt.Events) != 3 || wt.Omitted != 2 {
+		t.Fatalf("bounded export: name=%q events=%d omitted=%d", wt.ProcessName, len(wt.Events), wt.Omitted)
+	}
+}
+
+func TestExportMergeNilTrace(t *testing.T) {
 	var tr *Trace
-	events, omitted := tr.ExportEvents(10)
-	if events != nil || omitted != 0 {
-		t.Fatalf("nil trace export = %v, %d", events, omitted)
+	wt := tr.Export(10)
+	if wt.Events != nil || wt.Omitted != 0 || wt.ProcessName != "" || wt.EpochUnixNS != 0 {
+		t.Fatalf("nil trace export = %+v", wt)
 	}
-	tr.MergeRemote(2, "w", 0, []WireEvent{{Name: "x"}})
-	tr.ImportEvents(nil)
+	tr.Merge(2, WireTrace{ProcessName: "w", Events: []WireEvent{{Name: "x"}}}) // must not panic
 }
 
-func TestMergeRemoteRebasesOntoLocalEpoch(t *testing.T) {
+func TestMergeRebasesOntoLocalEpoch(t *testing.T) {
 	epoch := time.Now()
 	tr := NewTraceAt(epoch)
 
-	// A remote span that started 5ms past the remote epoch, with the
-	// remote clock estimated to run 2ms behind the local epoch-relative
-	// clock: it must land at 7ms on the local timeline.
-	remote := []WireEvent{
-		{Name: "orchestra.lease_eval", TS: int64(5 * time.Millisecond), Dur: int64(time.Millisecond), TID: 1},
-		{Name: "orchestra.lease_done", Ph: "i", TS: int64(6 * time.Millisecond)},
-		{Name: "future.phase", Ph: "q", TS: 0}, // unknown phase: skipped, not fatal
-	}
-	tr.MergeRemote(3, "worker:alice", 2*time.Millisecond, remote)
+	// A remote span that started 5ms past the remote epoch, whose epoch
+	// sits 2ms after the local one: it must land at 7ms on the local
+	// timeline.
+	tr.Merge(3, WireTrace{
+		ProcessName: "worker:alice",
+		EpochUnixNS: epoch.Add(2 * time.Millisecond).UnixNano(),
+		Events: []WireEvent{
+			{Name: "orchestra.lease_eval", TS: int64(5 * time.Millisecond), Dur: int64(time.Millisecond), TID: 1},
+			{Name: "orchestra.lease_done", Ph: "i", TS: int64(6 * time.Millisecond)},
+			{Name: "future.phase", Ph: "q", TS: 0}, // unknown phase: skipped, not fatal
+		},
+	})
 
 	if tr.Len() != 2 {
 		t.Fatalf("merged %d events, want 2 (unknown phase dropped)", tr.Len())
@@ -162,11 +191,11 @@ func jsonFloat(t *testing.T, e map[string]any, key string) *float64 {
 	return &f
 }
 
-func TestMergeRemoteArgsDeterministic(t *testing.T) {
+func TestMergeArgsDeterministic(t *testing.T) {
 	tr := NewTrace()
-	tr.MergeRemote(2, "w", 0, []WireEvent{
+	tr.Merge(2, WireTrace{Events: []WireEvent{
 		{Name: "x", Args: map[string]any{"b": 2, "a": 1, "c": 3}},
-	})
+	}})
 	tr.mu.Lock()
 	args := tr.events[0].args
 	tr.mu.Unlock()
@@ -175,14 +204,14 @@ func TestMergeRemoteArgsDeterministic(t *testing.T) {
 	}
 }
 
-func TestMergeRemoteRespectsLimit(t *testing.T) {
+func TestMergeRespectsLimit(t *testing.T) {
 	tr := NewTrace()
 	tr.SetLimit(3)
 	events := make([]WireEvent, 5)
 	for i := range events {
 		events[i] = WireEvent{Name: "e", TS: int64(i)}
 	}
-	tr.MergeRemote(2, "w", 0, events)
+	tr.Merge(2, WireTrace{ProcessName: "w", Events: events})
 	if tr.Len() != 3 {
 		t.Errorf("retained %d events, want 3", tr.Len())
 	}
@@ -191,51 +220,154 @@ func TestMergeRemoteRespectsLimit(t *testing.T) {
 	}
 }
 
-func TestInstantTIDLane(t *testing.T) {
+// TestExportMergeStitches is the /tracez round trip: a server trace
+// exported under its lane name, through JSON, merged into a client
+// trace whose epoch differs, re-based by the epoch delta.
+func TestExportMergeStitches(t *testing.T) {
+	base := time.Now()
+
+	// "Server" trace: its epoch lags the client's by 5ms of wall clock.
+	server := NewTraceAt(base.Add(5 * time.Millisecond))
+	server.SetProcessName(LocalPID, "kondo-serve")
+	sctx := WithTrace(context.Background(), server)
+	sp := Start(sctx, "serve.chunk", A("chunk", 7))
+	sp.End()
+	server.RecordInstant("serve.evict", 0)
+
+	wt := server.Export(0)
+	if wt.ProcessName != "kondo-serve" {
+		t.Fatalf("ProcessName = %q, want the LocalPID lane name", wt.ProcessName)
+	}
+	if wt.EpochUnixNS != server.Epoch().UnixNano() {
+		t.Fatalf("EpochUnixNS = %d want %d", wt.EpochUnixNS, server.Epoch().UnixNano())
+	}
+	if len(wt.Events) != 2 {
+		t.Fatalf("exported %d events, want 2", len(wt.Events))
+	}
+	// The server epoch sits ~5ms in the future of the span's actual
+	// start, so the exported epoch-relative TS is negative — exactly
+	// what Merge's epoch-delta offset must undo.
+	if wt.Events[0].TS > -4*int64(time.Millisecond) {
+		t.Fatalf("exported TS = %dns, want <= -4ms (epoch in the future)", wt.Events[0].TS)
+	}
+
+	// Round-trip through JSON as the /tracez endpoint would.
+	raw, err := json.Marshal(wt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back WireTrace
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+
+	// "Client" trace merges it under pid 2.
+	client := NewTraceAt(base)
+	cctx := WithTrace(context.Background(), client)
+	Start(cctx, "dataserve.fetch").End()
+	client.Merge(2, back)
+
+	if got := client.Len(); got != 3 {
+		t.Fatalf("merged trace has %d events, want 3", got)
+	}
+	pids := client.PIDs()
+	if len(pids) != 2 || pids[0] != LocalPID || pids[1] != 2 {
+		t.Fatalf("PIDs = %v, want [1 2]", pids)
+	}
+
+	// The merged export re-bases the remote events by the epoch delta
+	// and labels the lane.
+	var buf bytes.Buffer
+	if err := client.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			PID  int            `json:"pid"`
+			TS   float64        `json:"ts"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	foundName, foundServe := false, false
+	for _, e := range out.TraceEvents {
+		if e.Ph == "M" && e.Name == "process_name" && e.PID == 2 {
+			foundName = true
+			if e.Args["name"] != "kondo-serve" {
+				t.Fatalf("lane label = %v", e.Args["name"])
+			}
+		}
+		if e.Name == "serve.chunk" {
+			foundServe = true
+			if e.PID != 2 {
+				t.Fatalf("serve.chunk on pid %d, want 2", e.PID)
+			}
+			// The epoch-delta offset cancels the negative raw TS: the
+			// merged timestamp is the span's true wall time relative to
+			// the client epoch — near zero, not -5ms.
+			if e.TS < 0 || e.TS > 4000 {
+				t.Fatalf("serve.chunk ts = %vus, want re-based into [0, 4ms)", e.TS)
+			}
+		}
+	}
+	if !foundName || !foundServe {
+		t.Fatalf("missing merged lane (name=%v serve=%v)", foundName, foundServe)
+	}
+}
+
+func TestRecordInstantLane(t *testing.T) {
 	tr := NewTrace()
-	ctx := WithTrace(context.Background(), tr)
-	InstantTID(ctx, "lease.granted", 7)
-	Instant(ctx, "plain")
+	tr.RecordInstant("lease.granted", 7)
+	tr.RecordInstant("plain", 0)
 
 	evs := traceEvents(t, decodeChromeTrace(t, tr))
 	laned := eventsNamed(evs, "lease.granted")
 	if len(laned) != 1 || laned[0]["tid"].(float64) != 7 {
-		t.Fatalf("InstantTID event = %v, want tid 7", laned)
+		t.Fatalf("laned instant = %v, want tid 7", laned)
 	}
 	plain := eventsNamed(evs, "plain")
 	if len(plain) != 1 || plain[0]["tid"].(float64) != 0 {
-		t.Fatalf("Instant event = %v, want tid 0", plain)
+		t.Fatalf("plain instant = %v, want tid 0", plain)
 	}
 }
 
 func TestRecordInstantNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.RecordInstant("x", 1) // must not panic
-	InstantTID(context.Background(), "y", 2)
 }
 
+// TestRegisterTraceMetrics: attaching a trace to the endpoint set
+// exposes its drop accounting as kondo_trace_dropped_events.
 func TestRegisterTraceMetrics(t *testing.T) {
 	tr := NewTrace()
 	tr.SetLimit(1)
 	reg := NewRegistry()
-	RegisterTraceMetrics(reg, tr)
+	ep := NewEndpoints(reg)
+	ep.SetTrace(nil) // no trace: nothing registered, no panic
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "kondo_trace_dropped_events") {
+		t.Fatalf("dropped gauge registered without a trace:\n%s", sb.String())
+	}
 
+	ep.SetTrace(tr)
 	tr.RecordInstant("a", 0)
 	tr.RecordInstant("b", 0)
 	tr.RecordInstant("c", 0)
 
-	var sb strings.Builder
+	sb.Reset()
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "kondo_trace_dropped_events 2") {
 		t.Errorf("exposition missing dropped gauge:\n%s", sb.String())
 	}
-
-	// Nil combinations must not panic or register anything.
-	RegisterTraceMetrics(nil, tr)
-	RegisterTraceMetrics(reg, nil)
-	RegisterTraceMetrics(nil, nil)
 }
 
 func TestRegistrySnapshot(t *testing.T) {

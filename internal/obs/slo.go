@@ -119,9 +119,6 @@ func NewSLO(window time.Duration, objectives ...SLOObjective) *SLO {
 	return s
 }
 
-// Window returns the engine's sliding-window length.
-func (s *SLO) Window() time.Duration { return s.window }
-
 // Tick snapshots every objective's source and evicts snapshots that
 // fell out of the window (keeping one older snapshot as the window's
 // base). Safe for concurrent use with Report.

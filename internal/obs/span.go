@@ -34,8 +34,8 @@ func TraceOf(ctx context.Context) *Trace {
 const DefaultTraceLimit = 1 << 20
 
 // LocalPID is the process lane this trace's own events render under
-// in the Chrome trace export. Remote events merged in via MergeRemote
-// carry the pid the caller assigned them.
+// in the Chrome trace export. Events merged in via Merge carry the pid
+// the caller assigned them.
 const LocalPID = 1
 
 // Trace collects completed spans and instant events from any number
@@ -186,11 +186,6 @@ func Start(ctx context.Context, name string, args ...Arg) *Span {
 	return &Span{tr: tr, name: name, start: time.Now(), args: args}
 }
 
-// Enabled reports whether the span actually records (false on the
-// nil no-op span) — use it to guard argument construction that would
-// itself allocate.
-func (s *Span) Enabled() bool { return s != nil }
-
 // Arg appends one annotation. Nil-safe; returns s for chaining.
 func (s *Span) Arg(key string, value any) *Span {
 	if s == nil {
@@ -226,25 +221,10 @@ func (s *Span) End() {
 	})
 }
 
-// Instant records a zero-duration marker event if ctx carries a
-// trace. The marker lands on tid 0; use InstantTID to place it on a
-// display lane.
-func Instant(ctx context.Context, name string, args ...Arg) {
-	InstantTID(ctx, name, 0, args...)
-}
-
-// InstantTID records a zero-duration marker event on the given
-// display lane if ctx carries a trace — lease lifecycle markers pass
-// the worker's lane so the instant renders next to that worker's
-// spans instead of collapsing onto tid 0.
-func InstantTID(ctx context.Context, name string, tid int, args ...Arg) {
-	tr, _ := ctx.Value(traceKey{}).(*Trace)
-	tr.RecordInstant(name, tid, args...)
-}
-
 // RecordInstant records a zero-duration marker event on a display
-// lane directly on the trace, for callers holding a *Trace rather
-// than a context (the coordinator's lease lifecycle hooks). Nil-safe.
+// lane — the coordinator's lease lifecycle hooks pass the worker's
+// lane so the instant renders next to that worker's spans instead of
+// collapsing onto tid 0. Nil-safe.
 func (t *Trace) RecordInstant(name string, tid int, args ...Arg) {
 	if t == nil {
 		return
@@ -353,19 +333,6 @@ func (t *Trace) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// RegisterTraceMetrics exposes tr's drop accounting on reg:
-// kondo_trace_dropped_events mirrors Trace.Dropped at exposition
-// time, so a silently truncated trace shows up on /metrics instead of
-// only in the export's metadata. Nil-safe on both sides.
-func RegisterTraceMetrics(reg *Registry, tr *Trace) {
-	if reg == nil || tr == nil {
-		return
-	}
-	reg.GaugeFunc("kondo_trace_dropped_events", func() float64 {
-		return float64(tr.Dropped())
-	})
 }
 
 // category derives the Chrome "cat" field from a span name's leading

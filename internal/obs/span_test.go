@@ -47,12 +47,8 @@ func TestDisabledSpanIsNil(t *testing.T) {
 	if sp != nil {
 		t.Fatal("Start without a trace returned a non-nil span")
 	}
-	if sp.Enabled() {
-		t.Error("nil span reports enabled")
-	}
 	// All methods must be safe on nil.
 	sp.Arg("k", 1).SetTID(3).End()
-	Instant(ctx, "y")
 }
 
 func TestDisabledSpanZeroAlloc(t *testing.T) {
@@ -78,7 +74,7 @@ func TestSpanRoundTrip(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	sp.Arg("evals", 42).End()
 	Start(ctx, "fuzz.worker").SetTID(3).End()
-	Instant(ctx, "fuzz.restart")
+	tr.RecordInstant("fuzz.restart", 0)
 
 	if tr.Len() != 3 {
 		t.Fatalf("trace has %d events, want 3", tr.Len())

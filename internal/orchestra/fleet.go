@@ -306,7 +306,7 @@ func (f *fleet) touch(key string) {
 // clock-offset estimate.
 func (f *fleet) mergeTrace(key string, events []obs.WireEvent, omitted int) {
 	f.mu.Lock()
-	tr := f.tr
+	tr, epoch := f.tr, f.epoch
 	var pid int
 	var label string
 	var offset time.Duration
@@ -319,7 +319,13 @@ func (f *fleet) mergeTrace(key string, events []obs.WireEvent, omitted int) {
 	if tr == nil || pid == 0 {
 		return
 	}
-	tr.MergeRemote(pid, "worker:"+label, offset, events)
+	// epoch is tr's own, so shifting it by the offset estimate places
+	// the worker's epoch on tr's clock exactly.
+	tr.Merge(pid, obs.WireTrace{
+		ProcessName: "worker:" + label,
+		EpochUnixNS: epoch.Add(offset).UnixNano(),
+		Events:      events,
+	})
 	if omitted > 0 {
 		obs.Log().Debug("worker sub-trace truncated", "worker", label, "omitted", omitted)
 	}

@@ -250,12 +250,12 @@ func (w *Worker) serve(ctx context.Context, conn net.Conn, pullWait time.Duratio
 				mEvals.Add(int64(len(outs)))
 				res.Outs = encodeOuts(outs)
 				if ltr != nil {
-					events, omitted := ltr.ExportEvents(leaseTraceEvents)
-					res.Events = events
-					res.EventsOmitted = omitted + int(ltr.Dropped())
+					wt := ltr.Export(leaseTraceEvents)
+					res.Events = wt.Events
+					res.EventsOmitted = wt.Omitted + int(wt.Dropped)
 					// Keep the worker's own trace whole: the sub-trace
-					// shares its epoch, so a straight import aligns.
-					obs.TraceOf(ctx).ImportEvents(events)
+					// shares its epoch, so the merge is zero-offset.
+					obs.TraceOf(ctx).Merge(obs.LocalPID, wt)
 				}
 			}
 			if lastMetrics.IsZero() || time.Since(lastMetrics) >= metricsInterval {

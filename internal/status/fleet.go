@@ -10,7 +10,8 @@ import "net/http"
 // orchestra.FleetEvent), so no orchestra dependency leaks in here.
 
 // fleetBacklog is how many recent lease events a new /fleetz/stream
-// subscriber replays before going live.
+// subscriber replays before going live — a tail, not the full history
+// a coordinator accumulates over many campaigns.
 const fleetBacklog = 64
 
 // SetFleetSource installs the /fleetz snapshot provider. Until one is
@@ -26,48 +27,7 @@ func (s *Server) SetFleetSource(fn func() any) {
 // /fleetz/stream subscribers and into the replay backlog. Like
 // Publish, a subscriber that cannot keep up is dropped, never blocking
 // the coordinator's protocol goroutines.
-func (s *Server) PublishFleetEvent(ev any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return
-	}
-	s.fleetLog = append(s.fleetLog, ev)
-	if len(s.fleetLog) > fleetBacklog {
-		s.fleetLog = s.fleetLog[len(s.fleetLog)-fleetBacklog:]
-	}
-	for id, ch := range s.fleetSubs {
-		select {
-		case ch <- ev:
-		default:
-			close(ch)
-			delete(s.fleetSubs, id)
-		}
-	}
-}
-
-// subscribeFleet registers a stream subscriber: recent backlog, live
-// channel (nil if the campaign already finished), unsubscribe func.
-func (s *Server) subscribeFleet() ([]any, chan any, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	backlog := append([]any(nil), s.fleetLog...)
-	if s.done {
-		return backlog, nil, func() {}
-	}
-	id := s.nextSub
-	s.nextSub++
-	if s.fleetSubs == nil {
-		s.fleetSubs = make(map[int]chan any)
-	}
-	ch := make(chan any, subBuffer)
-	s.fleetSubs[id] = ch
-	return backlog, ch, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		delete(s.fleetSubs, id)
-	}
-}
+func (s *Server) PublishFleetEvent(ev any) { s.fleet.publish(ev) }
 
 // handleFleetz serves the fleet health snapshot.
 func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request) {
@@ -79,63 +39,4 @@ func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, src())
-}
-
-// handleFleetStream is the lease lifecycle SSE feed: each event is one
-// `event: lease` frame; the stream ends with `event: done` when the
-// server finishes. New subscribers first replay the recent backlog
-// (at most fleetBacklog events — unlike /statusz/stream this is a
-// tail, not the full history).
-func (s *Server) handleFleetStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, map[string]string{"error": "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	backlog, ch, cancel := s.subscribeFleet()
-	defer cancel()
-	for _, ev := range backlog {
-		writeEvent(w, "lease", ev)
-	}
-	flusher.Flush()
-	if ch == nil {
-		writeEvent(w, "done", nil)
-		flusher.Flush()
-		return
-	}
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				writeEvent(w, "done", nil)
-				flusher.Flush()
-				return
-			}
-			writeEvent(w, "lease", ev)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-s.doneCh:
-			for {
-				select {
-				case ev, open := <-ch:
-					if !open {
-						writeEvent(w, "done", nil)
-						flusher.Flush()
-						return
-					}
-					writeEvent(w, "lease", ev)
-				default:
-					writeEvent(w, "done", nil)
-					flusher.Flush()
-					return
-				}
-			}
-		}
-	}
 }

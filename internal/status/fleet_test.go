@@ -126,7 +126,7 @@ func TestFleetStreamBacklogIsBounded(t *testing.T) {
 	for i := 0; i < fleetBacklog*3; i++ {
 		s.PublishFleetEvent(testFleetEvent{Kind: "granted", LeaseID: uint64(i)})
 	}
-	backlog, _, cancel := s.subscribeFleet()
+	backlog, _, cancel := s.fleet.subscribe()
 	defer cancel()
 	if len(backlog) != fleetBacklog {
 		t.Fatalf("backlog holds %d events, want %d", len(backlog), fleetBacklog)
@@ -140,7 +140,7 @@ func TestFleetStreamBacklogIsBounded(t *testing.T) {
 
 func TestFleetSlowSubscriberIsDroppedNotBlocking(t *testing.T) {
 	s := newTestServer()
-	_, ch, cancel := s.subscribeFleet()
+	_, ch, cancel := s.fleet.subscribe()
 	defer cancel()
 	if ch == nil {
 		t.Fatal("expected live channel")

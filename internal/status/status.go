@@ -1,9 +1,11 @@
-// Package status serves a running fuzz campaign's live coverage
-// telemetry over HTTP: a /statusz JSON snapshot of the coverage
-// series, a /statusz/stream Server-Sent-Events feed of points as they
-// are recorded, the metrics registry in Prometheus text format, and a
-// health probe. `cmd/kondo -status-addr` mounts it next to a campaign
-// and feeds it through fuzz.Config.OnCoverage (DESIGN.md §9).
+// Package status serves a running fuzz campaign's live views over
+// HTTP: a /statusz JSON snapshot of the coverage series, a
+// /statusz/stream Server-Sent-Events feed of points as they are
+// recorded, and — on a coordinator — the /fleetz worker-health view
+// and its /fleetz/stream lease feed. `cmd/kondo -status-addr` mounts it
+// next to a campaign and feeds it through fuzz.Config.OnCoverage; the
+// daemon's shared observability endpoints (obs.Endpoints: /metrics,
+// /healthz, /buildz, /tracez, /sloz) serve beside it (DESIGN.md §9).
 package status
 
 import (
@@ -14,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/fuzz"
-	"repro/internal/obs"
 )
 
 // Campaign is the static metadata of the campaign being watched.
@@ -39,43 +40,32 @@ type Snapshot struct {
 	Verify any `json:"verify,omitempty"`
 }
 
-// Server accumulates coverage points and serves them. Publish is safe
-// to call from the campaign's merge goroutine while HTTP handlers
-// read concurrently; slow SSE subscribers are dropped rather than
-// allowed to block the campaign.
+// Server accumulates coverage points and lease events and serves
+// them. Publish and PublishFleetEvent are safe to call from campaign
+// goroutines while HTTP handlers read concurrently; slow SSE
+// subscribers are dropped rather than allowed to block the campaign.
 type Server struct {
-	meta Campaign
-	reg  *obs.Registry
+	meta      Campaign
+	dims      []int
+	spaceSize int64
 
-	mu      sync.Mutex
-	series  fuzz.CoverageSeries
-	done    bool
-	doneCh  chan struct{}
-	subs    map[int]chan fuzz.CoveragePoint
-	nextSub int
+	// coverage replays the full series to every new subscriber (a
+	// stream's frames always concatenate to the whole campaign);
+	// fleet replays only its last fleetBacklog lease events.
+	coverage *feed[fuzz.CoveragePoint]
+	fleet    *feed[any]
 
-	// Fleet view (see fleet.go); nil/empty unless the process is a
-	// coordinator and called SetFleetSource / PublishFleetEvent.
+	mu sync.Mutex
+	// fleetSource backs /fleetz (see fleet.go); nil unless the process
+	// is a coordinator and called SetFleetSource.
 	fleetSource func() any
-	fleetLog    []any
-	fleetSubs   map[int]chan any
-
-	// SLO view (see slo.go); nil unless the process runs an SLO engine
-	// and called SetSLOSource.
-	sloSource func() any
-
-	// Verify view (see verify.go); nil unless the process runs a
-	// verifying recovery client and called SetVerifySource.
+	// verifySource backs the /statusz verify view (see verify.go); nil
+	// unless the process runs a verifying recovery client.
 	verifySource func() any
 }
 
-// subBuffer is the per-subscriber point buffer; a subscriber that
-// falls further behind than this is disconnected.
-const subBuffer = 64
-
-// NewServer returns a status server for one campaign. The registry
-// (may be nil) backs the /metrics endpoint.
-func NewServer(meta Campaign, dims []int, spaceSize int64, reg *obs.Registry) *Server {
+// NewServer returns a status server for one campaign.
+func NewServer(meta Campaign, dims []int, spaceSize int64) *Server {
 	if meta.StartedAt == "" {
 		meta.StartedAt = time.Now().UTC().Format(time.RFC3339)
 	}
@@ -83,100 +73,43 @@ func NewServer(meta Campaign, dims []int, spaceSize int64, reg *obs.Registry) *S
 		meta.Dims = dims
 	}
 	return &Server{
-		meta:   meta,
-		reg:    reg,
-		series: fuzz.CoverageSeries{Dims: dims, SpaceSize: spaceSize},
-		doneCh: make(chan struct{}),
-		subs:   make(map[int]chan fuzz.CoveragePoint),
+		meta:      meta,
+		dims:      dims,
+		spaceSize: spaceSize,
+		coverage:  newFeed[fuzz.CoveragePoint]("coverage", 0),
+		fleet:     newFeed[any]("lease", fleetBacklog),
 	}
 }
 
 // Publish appends one coverage point and fans it out to stream
 // subscribers. It is the fuzz.Config.OnCoverage hook.
-func (s *Server) Publish(p fuzz.CoveragePoint) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.series.Points = append(s.series.Points, p)
-	for id, ch := range s.subs {
-		select {
-		case ch <- p:
-		default:
-			// The subscriber's buffer is full; drop it so the campaign
-			// never blocks on a stalled client.
-			close(ch)
-			delete(s.subs, id)
-		}
-	}
-}
+func (s *Server) Publish(p fuzz.CoveragePoint) { s.coverage.publish(p) }
 
 // Finish marks the campaign done and ends every open stream.
 func (s *Server) Finish() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return
-	}
-	s.done = true
-	close(s.doneCh)
-	for id, ch := range s.subs {
-		close(ch)
-		delete(s.subs, id)
-	}
-	for id, ch := range s.fleetSubs {
-		close(ch)
-		delete(s.fleetSubs, id)
-	}
+	s.coverage.close()
+	s.fleet.close()
 }
 
-// subscribe registers a stream subscriber, returning the backlog
-// recorded so far, the live channel (nil if already done), and an
-// unsubscribe func.
-func (s *Server) subscribe() ([]fuzz.CoveragePoint, chan fuzz.CoveragePoint, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	backlog := append([]fuzz.CoveragePoint(nil), s.series.Points...)
-	if s.done {
-		return backlog, nil, func() {}
-	}
-	id := s.nextSub
-	s.nextSub++
-	ch := make(chan fuzz.CoveragePoint, subBuffer)
-	s.subs[id] = ch
-	return backlog, ch, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-		}
-	}
-}
-
-// Handler returns the status mux.
+// Handler returns the campaign and fleet views; a daemon serves it
+// behind obs.Endpoints.Handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/statusz", s.handleStatusz)
-	mux.HandleFunc("/statusz/stream", s.handleStream)
+	mux.Handle("/statusz/stream", s.coverage)
 	mux.HandleFunc("/fleetz", s.handleFleetz)
-	mux.HandleFunc("/fleetz/stream", s.handleFleetStream)
-	mux.HandleFunc("/sloz", s.handleSloz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
+	mux.Handle("/fleetz/stream", s.fleet)
 	return mux
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
+	points, done := s.coverage.snapshot()
 	snap := Snapshot{
 		Campaign: s.meta,
-		Done:     s.done,
-		Coverage: &fuzz.CoverageSeries{
-			Dims:      s.series.Dims,
-			SpaceSize: s.series.SpaceSize,
-			Points:    append([]fuzz.CoveragePoint(nil), s.series.Points...),
-		},
+		Done:     done,
+		Coverage: &fuzz.CoverageSeries{Dims: s.dims, SpaceSize: s.spaceSize, Points: points},
 	}
+	s.mu.Lock()
 	verifySrc := s.verifySource
 	s.mu.Unlock()
 	if verifySrc != nil {
@@ -184,77 +117,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		snap.Verify = verifySrc()
 	}
 	writeJSON(w, http.StatusOK, snap)
-}
-
-// handleStream is the SSE feed: each recorded point is one
-// `event: coverage` frame whose data is the point's JSON; the stream
-// ends with an `event: done` frame when the campaign finishes. A new
-// subscriber first receives the full backlog, so the concatenation of
-// frames always replays the complete series.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusNotImplemented, map[string]string{"error": "streaming unsupported"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	backlog, ch, cancel := s.subscribe()
-	defer cancel()
-	for _, p := range backlog {
-		writeEvent(w, "coverage", p)
-	}
-	flusher.Flush()
-	if ch == nil {
-		writeEvent(w, "done", nil)
-		flusher.Flush()
-		return
-	}
-	for {
-		select {
-		case p, open := <-ch:
-			if !open {
-				// Campaign finished (or we lagged out): close the
-				// stream with a terminal frame either way.
-				writeEvent(w, "done", nil)
-				flusher.Flush()
-				return
-			}
-			writeEvent(w, "coverage", p)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-s.doneCh:
-			// Drain anything the publisher enqueued before finishing.
-			for {
-				select {
-				case p, open := <-ch:
-					if !open {
-						writeEvent(w, "done", nil)
-						flusher.Flush()
-						return
-					}
-					writeEvent(w, "coverage", p)
-				default:
-					writeEvent(w, "done", nil)
-					flusher.Flush()
-					return
-				}
-			}
-		}
-	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no metrics registry"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
 }
 
 // writeEvent writes one SSE frame. A nil payload writes an empty data

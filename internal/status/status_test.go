@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fuzz"
 	"repro/internal/obs"
@@ -25,7 +26,17 @@ func point(round, covered, added int) fuzz.CoveragePoint {
 }
 
 func newTestServer() *Server {
-	return NewServer(Campaign{Program: "ARD", Workers: 2}, []int{16, 16}, 256, obs.NewRegistry())
+	return NewServer(Campaign{Program: "ARD", Workers: 2}, []int{16, 16}, 256)
+}
+
+// daemonSurface serves s the way every campaign daemon does: its
+// views behind the shared observability endpoints.
+func daemonSurface(t *testing.T, s *Server, reg *obs.Registry) (*obs.Endpoints, *httptest.Server) {
+	t.Helper()
+	ep := obs.NewEndpoints(reg)
+	ts := httptest.NewServer(ep.Handler(s.Handler()))
+	t.Cleanup(ts.Close)
+	return ep, ts
 }
 
 func getSnapshot(t *testing.T, ts *httptest.Server) Snapshot {
@@ -182,7 +193,7 @@ func TestStreamAfterFinishSendsBacklogThenDone(t *testing.T) {
 // drains must not block Publish.
 func TestSlowSubscriberIsDroppedNotBlocking(t *testing.T) {
 	s := newTestServer()
-	_, ch, cancel := s.subscribe()
+	_, ch, cancel := s.coverage.subscribe()
 	defer cancel()
 	if ch == nil {
 		t.Fatal("expected live channel")
@@ -192,20 +203,21 @@ func TestSlowSubscriberIsDroppedNotBlocking(t *testing.T) {
 	for i := 0; i < subBuffer*2; i++ {
 		s.Publish(point(i+1, i+1, 1))
 	}
-	s.mu.Lock()
-	n := len(s.subs)
-	s.mu.Unlock()
+	s.coverage.mu.Lock()
+	n := len(s.coverage.subs)
+	s.coverage.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("lagging subscriber not dropped (%d live subs)", n)
 	}
 }
 
+// TestMetricsAndHealthz: a campaign daemon's one mux serves the
+// campaign views and the shared /healthz and /metrics side by side.
 func TestMetricsAndHealthz(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Gauge("kondo_fuzz_saturation").Set(0.25)
-	s := NewServer(Campaign{Program: "ARD"}, []int{4}, 4, reg)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s := NewServer(Campaign{Program: "ARD"}, []int{4}, 4)
+	_, ts := daemonSurface(t, s, reg)
 
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -229,5 +241,66 @@ func TestMetricsAndHealthz(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "kondo_fuzz_saturation 0.25") {
 		t.Fatalf("/metrics missing gauge:\n%s", buf.String())
+	}
+	if snap := getSnapshot(t, ts); snap.Campaign.Program != "ARD" {
+		t.Fatalf("/statusz behind the shared endpoints = %+v", snap.Campaign)
+	}
+}
+
+// TestSlozWithoutSourceIs404: no campaign daemon runs an SLO engine,
+// so its /sloz answers 404.
+func TestSlozWithoutSourceIs404(t *testing.T) {
+	_, ts := daemonSurface(t, newTestServer(), obs.NewRegistry())
+
+	resp, err := http.Get(ts.URL + "/sloz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/sloz without a source = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestSlozServesLiveReport: an engine attached to the shared endpoints
+// answers on the campaign daemon's mux.
+func TestSlozServesLiveReport(t *testing.T) {
+	reg := obs.NewRegistry()
+	requests := reg.Counter("test_requests_total")
+	latency := reg.Histogram("test_latency_seconds", []float64{0.01, 0.1, 1})
+	slo := obs.NewSLO(time.Minute, obs.SLOObjective{
+		Name:         "chunk",
+		LatencyBound: time.Second,
+		Target:       0.99,
+		Source: obs.SLOSource{
+			Requests: requests.Value,
+			Errors:   func() int64 { return 0 },
+			Latency:  latency,
+		},
+	})
+	ep, ts := daemonSurface(t, newTestServer(), reg)
+	ep.SetSLO(slo)
+
+	requests.Inc()
+	latency.Observe(0.001)
+
+	resp, err := http.Get(ts.URL + "/sloz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/sloz = %d, want 200", resp.StatusCode)
+	}
+	var rep obs.SLOReport
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	obj := rep.Objective("chunk")
+	if obj.Requests != 1 {
+		t.Fatalf("window requests = %d, want the live count 1", obj.Requests)
+	}
+	if rep.Exhausted() {
+		t.Fatalf("healthy report exhausted: %+v", rep)
 	}
 }

@@ -5,7 +5,7 @@ package status
 // armed CachedFetcher.SetVerify), /statusz embeds the live
 // verification state so an operator — or the verify-demo gate — can
 // see tamper rejections without scraping Prometheus text. Like the
-// fleet and SLO views, the status layer stays generic: the state is an
+// fleet view, the status layer stays generic: the state is an
 // opaque JSON-marshalable value supplied by the host, and processes
 // without a verifying client pay nothing (the key is omitted).
 

@@ -10,9 +10,13 @@
 #   2. SLO — the origin runs an error-budget SLO over its chunk
 #      endpoint and the load run soak-polls /sloz, failing if the
 #      budget is ever exhausted;
-#   3. drain — SIGTERM flips the origin's /healthz to 503 before it
-#      stops accepting work, so balancers drain it gracefully;
-#   4. gate — the committed BENCH_serve.json baseline still passes
+#   3. surface — the origin answers the shared observability
+#      endpoints: /healthz ok, /buildz JSON, /metrics with
+#      kondo_build_info;
+#   4. drain — SIGTERM flips the origin's /healthz to 503 before it
+#      stops accepting work (polled during the -drain-delay window), so
+#      balancers drain it gracefully;
+#   5. gate — the committed BENCH_serve.json baseline still passes
 #      `kondo-bench -exp serve -check`.
 #
 # Open the trace in https://ui.perfetto.dev: the kondo-load lane shows
@@ -48,7 +52,7 @@ echo "load-demo: starting kondo-serve with tracing and a chunk SLO"
 "$workdir/kondo-serve" -origin "$workdir/origin.sdf" \
     -addr 127.0.0.1:0 -addr-file "$workdir/serve.addr" \
     -trace -slo-endpoints chunk -slo-latency 100ms -slo-target 0.99 \
-    -drain-delay 100ms -log-level warn &
+    -drain-delay 1s -log-level warn &
 serve_pid=$!
 
 # Wait for the origin to publish its ephemeral address.
@@ -63,6 +67,24 @@ while [ ! -s "$workdir/serve.addr" ]; do
 done
 addr=$(cat "$workdir/serve.addr")
 
+# check_surface BASE NAME: the shared observability endpoints answer.
+check_surface() {
+    [ "$(curl -fsS "$1/healthz")" = ok ] || {
+        echo "load-demo: $2 /healthz is not ok" >&2
+        exit 1
+    }
+    curl -fsS "$1/buildz" | grep -q '"go_version"' || {
+        echo "load-demo: $2 /buildz lacks go_version" >&2
+        exit 1
+    }
+    curl -fsS "$1/metrics" | grep -q '^kondo_build_info{' || {
+        echo "load-demo: $2 /metrics lacks kondo_build_info" >&2
+        exit 1
+    }
+}
+echo "load-demo: scraping kondo-serve's /healthz, /buildz and /metrics"
+check_surface "http://$addr" kondo-serve
+
 echo "load-demo: closed-loop run, $REQUESTS requests x $CONCURRENCY workers, soak-polling /sloz"
 "$workdir/kondo-load" -url "http://$addr" \
     -requests "$REQUESTS" -concurrency "$CONCURRENCY" -seed "$SEED" \
@@ -75,6 +97,18 @@ echo "load-demo: validating the stitched client+server trace (>= 2 process lanes
 
 echo "load-demo: draining the origin (SIGTERM; /healthz must go 503 before exit)"
 kill -TERM "$serve_pid"
+healthz=""
+i=0
+while [ "$i" -lt 40 ]; do
+    i=$((i + 1))
+    healthz=$(curl -sS -o /dev/null -w '%{http_code}' "http://$addr/healthz" 2>/dev/null || true)
+    [ "$healthz" = 503 ] && break
+    sleep 0.02
+done
+[ "$healthz" = 503 ] || {
+    echo "load-demo: /healthz never answered 503 while draining (last: $healthz)" >&2
+    exit 1
+}
 if ! wait "$serve_pid"; then
     echo "load-demo: kondo-serve exited non-zero on drain" >&2
     exit 1

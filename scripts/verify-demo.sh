@@ -13,6 +13,10 @@
 #   4. rejection — a second verified run must fail terminally (exit 1,
 #      "chunk verification FAILED"), count the rejection in its JSON
 #      result, and report it live on its own /statusz verify view.
+#
+# Both daemons must also answer the shared observability endpoints:
+# /healthz ok, /buildz JSON and /metrics with kondo_build_info, on
+# kondo-serve's -addr and on kondo-load's -status-addr.
 set -eu
 
 SEED="${SEED:-1}"
@@ -62,6 +66,24 @@ while [ ! -s "$workdir/serve.addr" ]; do
 done
 addr=$(cat "$workdir/serve.addr")
 
+# check_surface BASE NAME: the shared observability endpoints answer.
+check_surface() {
+    [ "$(curl -fsS "$1/healthz")" = ok ] || {
+        echo "verify-demo: $2 /healthz is not ok" >&2
+        exit 1
+    }
+    curl -fsS "$1/buildz" | grep -q '"go_version"' || {
+        echo "verify-demo: $2 /buildz lacks go_version" >&2
+        exit 1
+    }
+    curl -fsS "$1/metrics" | grep -q '^kondo_build_info{' || {
+        echo "verify-demo: $2 /metrics lacks kondo_build_info" >&2
+        exit 1
+    }
+}
+echo "verify-demo: scraping kondo-serve's /healthz, /buildz and /metrics"
+check_surface "http://$addr" kondo-serve
+
 echo "verify-demo: verified soak against the pristine origin (must pass)"
 "$workdir/kondo-load" -url "http://$addr" -manifest "$workdir/manifest.json" \
     -requests 2000 -concurrency 8 -popularity uniform -seed "$SEED" \
@@ -96,10 +118,16 @@ load_pid=$!
 # Scrape the harness's live /statusz verify view mid-run: the tampered
 # chunk's rejection must show up there, not only in the final result.
 statusz=""
+surfaced=""
 i=0
 while [ "$i" -lt 200 ]; do
     i=$((i + 1))
     if [ -s "$workdir/status.addr" ]; then
+        if [ -z "$surfaced" ]; then
+            echo "verify-demo: scraping kondo-load's /healthz, /buildz and /metrics"
+            check_surface "http://$(cat "$workdir/status.addr")" kondo-load
+            surfaced=1
+        fi
         statusz=$(curl -fsS "http://$(cat "$workdir/status.addr")/statusz" 2>/dev/null || true)
         case "$statusz" in
         *'"verify_failed":'[1-9]*) break ;;
@@ -131,5 +159,9 @@ case "$statusz" in
     exit 1
     ;;
 esac
+[ -n "$surfaced" ] || {
+    echo "verify-demo: kondo-load's -status-addr was never scraped" >&2
+    exit 1
+}
 
 echo "verify-demo: OK — one flipped byte rejected end to end (exit 1, JSON counters, live /statusz)"
