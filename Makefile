@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet verify fuzz-smoke bench-quick bench-json bench-check lint-prints lint-metrics-docs trace-demo orchestra-demo fleet-demo load-demo verify-demo
+.PHONY: build test race vet verify fuzz-smoke bench-quick bench-json bench-check lint-prints lint-metrics-docs lint-fmt trace-demo orchestra-demo fleet-demo load-demo verify-demo
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,8 @@ vet:
 # race runs the suite under the race detector in -short mode (the
 # timing-sensitive tests skip themselves) — this is what exercises the
 # fuzz worker pool and the recovery data plane (dataserve cache /
-# singleflight, chunk server, origin fetcher) for data races.
+# singleflight, chunk server, the fetcher over a local origin) for
+# data races.
 race:
 	$(GO) test -race -short ./...
 
@@ -54,11 +55,22 @@ lint-metrics-docs:
 	fi
 	@echo "lint-metrics-docs: OK"
 
+# lint-fmt fails when any Go file in the tree is not gofmt-formatted,
+# listing the files.
+lint-fmt:
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "lint-fmt: files not gofmt-formatted (run gofmt -w):"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi
+	@echo "lint-fmt: OK"
+
 # verify is the full tier-1 check: build, vet, the print lint, the
-# metrics-docs lint, plain tests, the race-detector pass over the
-# concurrent paths, the chunk-frame fuzz smoke run, and the bench
-# regression gate.
-verify: build vet lint-prints lint-metrics-docs test race fuzz-smoke bench-check
+# metrics-docs lint, the format lint, plain tests, the race-detector
+# pass over the concurrent paths, the chunk-frame fuzz smoke run, and
+# the bench regression gate.
+verify: build vet lint-prints lint-metrics-docs lint-fmt test race fuzz-smoke bench-check
 	@echo "verify: OK"
 
 bench-quick:

@@ -116,7 +116,10 @@ func main() {
 	}
 
 	// --- ... and recovers when a remote fetcher is attached (§VI) ---
-	fetcher := kondo.NewOriginFetcher(filepath.Join(srcDir, "mnist.sdf"))
+	fetcher, err := kondo.NewOriginFetcher(filepath.Join(srcDir, "mnist.sdf"))
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer fetcher.Close()
 	rep, err := small.Run([]float64{1, 1}, "data", fetcher)
 	if err != nil {

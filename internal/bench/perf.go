@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"repro/internal/array"
+	"repro/internal/dataserve"
 	"repro/internal/debloat"
 	"repro/internal/sdf"
 	"repro/internal/workload"
 )
 
 // perfRecoverySample bounds the number of missing elements the perf
-// experiment recovers through the origin fetcher.
+// experiment recovers through the fetcher over the origin file.
 const perfRecoverySample = 200
 
 // Perf is the machine-readable performance experiment: one end-to-end
@@ -73,8 +74,8 @@ func Perf(ctx context.Context, opts Options) (*Report, error) {
 	}
 	writeTime := time.Since(writeStart)
 
-	// Recovery round-trips: read a sample of carved-away elements back
-	// through the origin fetcher.
+	// Recovery: read a sample of carved-away elements back through a
+	// fetcher over the origin file.
 	roundTrips, err := perfRecovery(deb, orig, res.Approx)
 	if err != nil {
 		return nil, err
@@ -119,9 +120,10 @@ func Perf(ctx context.Context, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// perfRecovery opens the debloated file with an origin fetcher and
-// reads up to perfRecoverySample carved-away elements, returning the
-// number of recovery round-trips performed.
+// perfRecovery opens the debloated file with a fetcher over the origin
+// file and reads up to perfRecoverySample carved-away elements,
+// returning how many of them the runtime recovered
+// (Runtime.Recovered).
 func perfRecovery(debPath, origPath string, approx *array.IndexSet) (int, error) {
 	f, err := sdf.Open(debPath)
 	if err != nil {
@@ -132,7 +134,10 @@ func perfRecovery(debPath, origPath string, approx *array.IndexSet) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	fetcher := debloat.NewOriginFetcher(origPath)
+	fetcher, err := dataserve.NewLocalFetcher(origPath)
+	if err != nil {
+		return 0, err
+	}
 	defer fetcher.Close()
 	rt := debloat.NewRuntime(ds, fetcher)
 	space := ds.Space()

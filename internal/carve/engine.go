@@ -50,8 +50,8 @@ func (h pairHeap) Less(i, j int) bool {
 	}
 	return h[i].kb < h[j].kb
 }
-func (h pairHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x any)        { *h = append(*h, x.(pairItem)) }
+func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *pairHeap) Push(x any)   { *h = append(*h, x.(pairItem)) }
 func (h *pairHeap) Pop() any {
 	old := *h
 	n := len(old)

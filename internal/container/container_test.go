@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/array"
+	"repro/internal/dataserve"
 	"repro/internal/debloat"
 	"repro/internal/sdf"
 	"repro/internal/workload"
@@ -198,7 +199,10 @@ func TestDebloatedImageEndToEnd(t *testing.T) {
 	} else if !errors.Is(err, debloat.ErrDataMissing) {
 		t.Errorf("error = %v, want data missing", err)
 	}
-	fetcher := debloat.NewOriginFetcher(filepath.Join(srcDir, "mnist.sdf"))
+	fetcher, err := dataserve.NewLocalFetcher(filepath.Join(srcDir, "mnist.sdf"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer fetcher.Close()
 	rep, err := deb2.Run([]float64{1, 1}, "data", fetcher)
 	if err != nil {

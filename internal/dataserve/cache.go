@@ -10,6 +10,11 @@ import (
 // neighboring misses of a stencil or slab walk hit memory instead of
 // the network (the locality the paper's chunk-granular debloating
 // already relies on, §VI).
+//
+// Chunk values are written once, by decodeChunkFrame, and only read
+// after that: the cache keeps the decoder's slice and hands it out
+// without copying, and no caller ever receives one (FetchContext reads
+// a single element out of it). A hit therefore allocates nothing.
 type chunkCache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -30,10 +35,7 @@ func newChunkCache(maxBytes int64) *chunkCache {
 	return &chunkCache{maxBytes: maxBytes, order: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-// get returns a copy of the cached values for key, promoting the
-// entry. Returning a copy (not the resident slice) means a caller
-// mutating the recovered values cannot corrupt the cache for every
-// future hit of the same chunk.
+// get returns the resident values for key, promoting the entry.
 func (c *chunkCache) get(key string) ([]float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -42,15 +44,12 @@ func (c *chunkCache) get(key string) ([]float64, bool) {
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	return append([]float64(nil), el.Value.(*cacheEntry).vals...), true
+	return el.Value.(*cacheEntry).vals, true
 }
 
-// put inserts (or refreshes) an entry, evicting least-recently-used
-// entries until the cache fits its byte bound. An entry larger than
-// the whole bound is not cached at all. The cache stores its own copy
-// of vals, so the caller keeping (and mutating) its slice — the miss
-// path hands the fetched slice to both the cache and the caller —
-// cannot corrupt future hits.
+// put inserts (or refreshes) an entry, keeping vals itself, and evicts
+// least-recently-used entries until the cache fits its byte bound. An
+// entry larger than the whole bound is not cached at all.
 func (c *chunkCache) put(key string, vals []float64) {
 	size := entryBytes(vals)
 	c.mu.Lock()
@@ -67,14 +66,13 @@ func (c *chunkCache) put(key string, vals []float64) {
 		}
 		return
 	}
-	owned := append([]float64(nil), vals...)
 	if el, ok := c.byKey[key]; ok {
 		old := el.Value.(*cacheEntry)
 		c.curBytes += size - entryBytes(old.vals)
-		old.vals = owned
+		old.vals = vals
 		c.order.MoveToFront(el)
 	} else {
-		c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, vals: owned})
+		c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, vals: vals})
 		c.curBytes += size
 	}
 	for c.curBytes > c.maxBytes {

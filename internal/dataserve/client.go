@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
@@ -38,9 +39,11 @@ type FetcherConfig struct {
 	MaxCacheBytes int64
 	// RequestTimeout bounds one HTTP attempt (default 2s).
 	RequestTimeout time.Duration
-	// FetchTimeout bounds one logical fetch including all retries
-	// (default 10s): a dead origin fails within this deadline instead
-	// of hanging the debloated runtime.
+	// FetchTimeout bounds each trip to the origin including its retries
+	// (default 10s): the geometry lookup on a dataset's first touch, and
+	// each chunk miss. A dead origin fails within this deadline instead
+	// of hanging the debloated runtime; a cache hit does no I/O and is
+	// not timed.
 	FetchTimeout time.Duration
 	// MaxAttempts is the total number of HTTP attempts per fetch
 	// (default 4: one try plus three retries).
@@ -115,16 +118,19 @@ type dsGeom struct {
 	chunk []int
 }
 
-// Fetcher recovers carved-away elements from a dataserve origin. It
-// implements debloat.Fetcher (and debloat.ContextFetcher): one miss
-// pulls the whole containing serving chunk over a single round trip,
-// caches it in a byte-bounded LRU, and serves neighboring misses from
-// memory. Concurrent misses on one chunk collapse onto a single HTTP
-// request. It is safe for concurrent use.
+// Fetcher recovers carved-away elements from a dataserve origin,
+// remote (NewFetcher) or a local file (NewLocalFetcher). It implements
+// debloat.Fetcher: one miss pulls the whole containing serving chunk
+// over a single round trip, caches it in a byte-bounded LRU, and
+// serves neighboring misses from memory. Concurrent misses on one
+// chunk collapse onto a single HTTP request. It is safe for concurrent
+// use.
 type Fetcher struct {
 	baseURL string
 	http    *http.Client
 	cfg     FetcherConfig
+	local   *Server // the in-process origin of a local fetcher, else nil
+	closed  atomic.Bool
 
 	mu     sync.Mutex
 	geoms  map[string]*dsGeom
@@ -171,6 +177,50 @@ func NewFetcherConfig(baseURL string, httpClient *http.Client, cfg FetcherConfig
 		geomFlight: newFlightGroup[*dsGeom](),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+}
+
+// NewLocalFetcher returns a fetcher over the origin file at
+// originPath, with default configuration. It opens a Server on the
+// file and answers the fetcher's requests by calling the server's
+// handler in process, so a local miss takes the same chunk frame,
+// identity checks, cache, single flight and (after SetVerify) Merkle
+// proof as a remote one. Close releases the file.
+func NewLocalFetcher(originPath string) (*Fetcher, error) {
+	srv, err := NewServer(originPath)
+	if err != nil {
+		return nil, err
+	}
+	f := NewFetcher("http://origin", &http.Client{Transport: inProcess{srv.Handler()}})
+	f.local = srv
+	return f, nil
+}
+
+// inProcess is an http.RoundTripper that serves every request from a
+// handler in the same process.
+type inProcess struct{ h http.Handler }
+
+func (t inProcess) RoundTrip(req *http.Request) (*http.Response, error) {
+	if err := req.Context().Err(); err != nil {
+		return nil, err
+	}
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// errFetcherClosed fails every fetch after Close. It deliberately does
+// not wrap sdf.ErrDataMissing: the caller shut recovery down, the data
+// is not missing.
+var errFetcherClosed = errors.New("dataserve: fetcher closed")
+
+// Close stops the fetcher: every later fetch fails at once with an
+// error that is not sdf.ErrDataMissing. A local fetcher also closes
+// its origin file. Closing twice is harmless.
+func (f *Fetcher) Close() error {
+	if f.closed.Swap(true) || f.local == nil {
+		return nil
+	}
+	return f.local.Close()
 }
 
 // SetVerify arms Merkle verification for one dataset: every chunk miss
@@ -232,18 +282,10 @@ func (f *Fetcher) Register(reg *obs.Registry) {
 	reg.CounterFunc("kondo_verify_failed_total", f.verifyFailed.Load)
 }
 
-// Fetch implements debloat.Fetcher.
-func (f *Fetcher) Fetch(dataset string, ix array.Index) (float64, error) {
-	return f.FetchContext(context.Background(), dataset, ix)
-}
-
-// FetchContext implements debloat.ContextFetcher: it recovers one
-// element under the caller's context, additionally bounded by the
-// configured FetchTimeout.
+// FetchContext implements debloat.Fetcher: it recovers one element
+// under the caller's context. Each trip to the origin is additionally
+// bounded by FetchTimeout; a cache hit makes none.
 func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Index) (float64, error) {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.FetchTimeout)
-	defer cancel()
-
 	g, err := f.geom(ctx, dataset)
 	if err != nil {
 		return 0, err
@@ -291,12 +333,27 @@ func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Ind
 	return vals[off], nil
 }
 
-// geom resolves (and caches) a dataset's serving geometry. Concurrent
-// first-touch misses for one dataset collapse onto a single /meta
-// round trip through the same singleflight machinery chunk fetches
-// use; misses for different datasets proceed independently (the old
-// metaMu serialized them head-of-line).
+// Geometry returns a dataset's dims and serving chunk shape, of equal
+// rank and positive extents, through the same cached, retried and
+// FetchTimeout-bounded lookup the fetches use (and, after SetVerify,
+// checked against the manifest).
+func (f *Fetcher) Geometry(ctx context.Context, dataset string) (dims, chunk []int, err error) {
+	g, err := f.geom(ctx, dataset)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g.space.Dims(), append([]int(nil), g.chunk...), nil
+}
+
+// geom resolves (and caches) a dataset's serving geometry; it is where
+// a closed fetcher stops every fetch. Concurrent first-touch misses
+// for one dataset collapse onto a single /meta round trip, bounded by
+// FetchTimeout, through the same singleflight machinery chunk fetches
+// use; misses for different datasets proceed independently.
 func (f *Fetcher) geom(ctx context.Context, dataset string) (*dsGeom, error) {
+	if f.closed.Load() {
+		return nil, errFetcherClosed
+	}
 	f.mu.Lock()
 	g, ok := f.geoms[dataset]
 	f.mu.Unlock()
@@ -312,6 +369,8 @@ func (f *Fetcher) geom(ctx context.Context, dataset string) (*dsGeom, error) {
 		if ok {
 			return g, nil
 		}
+		ctx, cancel := context.WithTimeout(ctx, f.cfg.FetchTimeout)
+		defer cancel()
 		g, err := f.fetchGeom(ctx, dataset)
 		if err != nil {
 			return nil, err
@@ -381,7 +440,8 @@ func (f *Fetcher) cachedChunk(dataset string, g *dsGeom, cc array.Index) ([]floa
 
 // chunk returns the values of one serving chunk, from cache when
 // possible (hit reports a cache hit), collapsing concurrent misses
-// onto one request.
+// onto one request; FetchTimeout bounds that request's trip to the
+// origin.
 func (f *Fetcher) chunk(ctx context.Context, dataset string, g *dsGeom, cc array.Index) (_ []float64, hit bool, _ error) {
 	lin, err := g.grid.ChunkLinear(cc)
 	if err != nil {
@@ -399,6 +459,8 @@ func (f *Fetcher) chunk(ctx context.Context, dataset string, g *dsGeom, cc array
 		if vals, ok := f.cache.get(key); ok {
 			return vals, nil
 		}
+		ctx, cancel := context.WithTimeout(ctx, f.cfg.FetchTimeout)
+		defer cancel()
 		vals, err := f.fetchChunk(ctx, dataset, g, cc, lin)
 		if err != nil {
 			return nil, err

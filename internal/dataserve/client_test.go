@@ -37,7 +37,7 @@ func TestFetcherValuesAndCache(t *testing.T) {
 	for r := 8; r < 16; r++ {
 		for c := 16; c < 24; c++ {
 			ix := array.NewIndex(r, c)
-			v, err := f.Fetch("data", ix)
+			v, err := f.FetchContext(context.Background(), "data", ix)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestFetcherSingleflight(t *testing.T) {
 
 	f := NewFetcher(ts.URL, nil)
 	// Warm the meta so the measured round trips are chunk-only.
-	if _, err := f.Fetch("data", array.NewIndex(15, 15)); err != nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(15, 15)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,7 +98,7 @@ func TestFetcherSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ix := array.NewIndex(i%8, i%8) // all inside chunk (0,0)
-			v, err := f.Fetch("data", ix)
+			v, err := f.FetchContext(context.Background(), "data", ix)
 			if err == nil && v != originValue(space, ix) {
 				err = errors.New("wrong value")
 			}
@@ -139,7 +139,7 @@ func TestFetcherRetriesFlakyServer(t *testing.T) {
 	defer ts.Close()
 
 	f := NewFetcherConfig(ts.URL, nil, fastRetry)
-	v, err := f.Fetch("data", array.NewIndex(3, 3))
+	v, err := f.FetchContext(context.Background(), "data", array.NewIndex(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestFetcherDeadServerFailsFast(t *testing.T) {
 
 	f := NewFetcherConfig(url, nil, fastRetry)
 	start := time.Now()
-	_, err := f.Fetch("data", array.NewIndex(0, 0))
+	_, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("fetch against dead server succeeded")
@@ -190,7 +190,7 @@ func TestFetcherHungServerHonorsTimeout(t *testing.T) {
 		RetryBase:      10 * time.Millisecond,
 	})
 	start := time.Now()
-	_, err := f.Fetch("data", array.NewIndex(0, 0))
+	_, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("fetch against hung server succeeded")
@@ -272,7 +272,7 @@ func TestFetcherRejectsCorruptFrames(t *testing.T) {
 			}))
 			defer ts.Close()
 			f := NewFetcherConfig(ts.URL, nil, fastRetry)
-			if _, err := f.Fetch("data", array.NewIndex(0, 0)); err == nil {
+			if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0)); err == nil {
 				t.Error("corrupt frame accepted")
 			}
 		})
@@ -284,20 +284,20 @@ func TestFetcherClientSideErrors(t *testing.T) {
 	_, ts := startServer(t, space, []int{4, 4})
 	f := NewFetcherConfig(ts.URL, nil, fastRetry)
 
-	if _, err := f.Fetch("nope", array.NewIndex(0, 0)); err == nil || !strings.Contains(err.Error(), "404") {
+	if _, err := f.FetchContext(context.Background(), "nope", array.NewIndex(0, 0)); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown dataset err = %v, want 404", err)
 	}
-	if _, err := f.Fetch("data", array.NewIndex(0, 0)); err != nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	before := f.Stats().RoundTrips
-	if _, err := f.Fetch("data", array.NewIndex(-1, 0)); err == nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(-1, 0)); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := f.Fetch("data", array.NewIndex(99, 99)); err == nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(99, 99)); err == nil {
 		t.Error("out-of-bounds index accepted")
 	}
-	if _, err := f.Fetch("data", array.NewIndex(1)); err == nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(1)); err == nil {
 		t.Error("rank-mismatched index accepted")
 	}
 	// Index validation is client-side: no extra round trips burned.
@@ -317,7 +317,7 @@ func TestFetcherLRUEviction(t *testing.T) {
 	for r := 0; r < 32; r += 8 {
 		for c := 0; c < 32; c += 8 {
 			ix := array.NewIndex(r, c)
-			v, err := f.Fetch("data", ix)
+			v, err := f.FetchContext(context.Background(), "data", ix)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +334,7 @@ func TestFetcherLRUEviction(t *testing.T) {
 		t.Errorf("cache bytes = %d over bound", st.CacheBytes)
 	}
 	trips := st.RoundTrips
-	if _, err := f.Fetch("data", array.NewIndex(0, 0)); err != nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Stats().RoundTrips; got != trips+1 {
@@ -525,7 +525,7 @@ func TestFetcherConcurrentMixed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				ix := array.NewIndex((g*7+i)%64, (g*13+i*3)%64)
-				v, err := f.Fetch("data", ix)
+				v, err := f.FetchContext(context.Background(), "data", ix)
 				if err != nil {
 					errCh <- err
 					return
@@ -588,7 +588,7 @@ func TestDatasetNamesAreEscaped(t *testing.T) {
 				}
 			}
 			for _, ix := range []array.Index{array.NewIndex(0, 0), array.NewIndex(9, 14)} {
-				v, err := f.Fetch(name, ix)
+				v, err := f.FetchContext(context.Background(), name, ix)
 				if err != nil {
 					t.Fatalf("verified=%v Fetch(%q, %v): %v", verified, name, ix, err)
 				}

@@ -2,6 +2,7 @@ package dataserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -290,11 +291,11 @@ func TestDebloatedOriginAnswersGone(t *testing.T) {
 	}
 
 	f := NewFetcher(ts.URL, nil)
-	_, err = f.Fetch("data", array.NewIndex(15, 15))
+	_, err = f.FetchContext(context.Background(), "data", array.NewIndex(15, 15))
 	if !errors.Is(err, sdf.ErrDataMissing) {
 		t.Errorf("carved fetch error = %v, want ErrDataMissing", err)
 	}
-	if _, err := f.Fetch("data", array.NewIndex(1, 1)); err != nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(1, 1)); err != nil {
 		t.Errorf("kept fetch: %v", err)
 	}
 }

@@ -203,7 +203,7 @@ func TestSlozEndpoint(t *testing.T) {
 	ep.SetSLO(slo)
 
 	f := NewFetcher(ts.URL, nil)
-	if _, err := f.Fetch("data", array.Index{1, 1}); err != nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.Index{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -134,11 +134,11 @@ func TestVerifiedFetchEndToEnd(t *testing.T) {
 	for r := 0; r < 32; r++ {
 		for c := 0; c < 32; c++ {
 			ix := array.NewIndex(r, c)
-			v, err := verified.Fetch("data", ix)
+			v, err := verified.FetchContext(context.Background(), "data", ix)
 			if err != nil {
 				t.Fatalf("verified Fetch(%v): %v", ix, err)
 			}
-			u, err := plain.Fetch("data", ix)
+			u, err := plain.FetchContext(context.Background(), "data", ix)
 			if err != nil {
 				t.Fatalf("plain Fetch(%v): %v", ix, err)
 			}
@@ -230,7 +230,7 @@ func TestVerifiedFetchRejectsTamperedValues(t *testing.T) {
 	if err := f.SetVerify("data", originSpec(t, path, "data")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = f.Fetch("data", array.NewIndex(0, 0))
+	_, err = f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
 	st := f.Stats()
 	if st.VerifyFailed != 1 || st.VerifyOK != 0 {
@@ -243,7 +243,7 @@ func TestVerifiedFetchRejectsTamperedValues(t *testing.T) {
 		t.Fatal("forged chunk entered the cache")
 	}
 	// The failure repeats (nothing cached, origin still lying).
-	_, err = f.Fetch("data", array.NewIndex(0, 0))
+	_, err = f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
 }
 
@@ -272,7 +272,7 @@ func TestVerifiedFetchRejectsSubstitutedChunk(t *testing.T) {
 	if err := f.SetVerify("data", originSpec(t, path, "data")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = f.Fetch("data", array.NewIndex(0, 0)) // chunk (0,0)
+	_, err = f.FetchContext(context.Background(), "data", array.NewIndex(0, 0)) // chunk (0,0)
 	requireVerifyFailed(t, err)
 	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
 		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries, nothing cached", st)
@@ -301,7 +301,7 @@ func TestUnverifiedClientRejectsSwappedResponse(t *testing.T) {
 	}, nil)
 
 	f := NewFetcherConfig(ts.URL, nil, fastRetry) // NO SetVerify
-	_, err = f.Fetch("data", array.NewIndex(0, 0))
+	_, err = f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
 	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
 		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries, nothing cached", st)
@@ -333,7 +333,7 @@ func TestVerifiedFetchAgainstOldServer(t *testing.T) {
 	if err := f.SetVerify("data", originSpec(t, path, "data")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = f.Fetch("data", array.NewIndex(0, 0))
+	_, err = f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
 	if st := f.Stats(); st.Retries != 0 || st.CacheEntries != 0 {
 		t.Fatalf("old-peer failure was retried %d times, cached %d chunks", st.Retries, st.CacheEntries)
@@ -370,7 +370,7 @@ func TestVerifiedFetchAgainstOldServer(t *testing.T) {
 		if err := g.SetVerify("data", originSpec(t, onePath, "data")); err != nil {
 			t.Fatal(err)
 		}
-		v, err := g.Fetch("data", array.NewIndex(3, 5))
+		v, err := g.FetchContext(context.Background(), "data", array.NewIndex(3, 5))
 		if forged {
 			requireVerifyFailed(t, err)
 			continue
@@ -395,7 +395,7 @@ func TestVerifiedFetchRejectsWrongRoot(t *testing.T) {
 	if err := f.SetVerify("data", spec); err != nil {
 		t.Fatal(err)
 	}
-	_, err := f.Fetch("data", array.NewIndex(0, 0))
+	_, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
 	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
 		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries, nothing cached", st)
@@ -415,7 +415,7 @@ func TestVerifiedFetchRejectsLyingMeta(t *testing.T) {
 	if err := f.SetVerify("data", originSpec(t, other, "data")); err != nil {
 		t.Fatal(err)
 	}
-	_, err := f.Fetch("data", array.NewIndex(0, 0))
+	_, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
 	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
 		t.Fatalf("stats = %+v, want 1 terminal rejection, 0 retries, nothing cached", st)
@@ -444,7 +444,7 @@ func TestVerifiedFetchDetectsTamperAfterTreeBuild(t *testing.T) {
 	if err := f.SetVerify("data", spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Fetch("data", array.NewIndex(0, 0)); err != nil {
+	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -481,7 +481,7 @@ func TestVerifiedFetchDetectsTamperAfterTreeBuild(t *testing.T) {
 	var failed int
 	for r := 0; r < 16; r += 8 {
 		for c := 0; c < 16; c += 8 {
-			if _, err := cold.Fetch("data", array.NewIndex(r, c)); err != nil {
+			if _, err := cold.FetchContext(context.Background(), "data", array.NewIndex(r, c)); err != nil {
 				requireVerifyFailed(t, err)
 				failed++
 			}

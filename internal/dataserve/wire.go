@@ -2,14 +2,16 @@
 // container runtime can use audited information to pull missing data
 // offsets from a remote server, when requested." One miss recovers the
 // whole serving chunk that holds it, so one round trip answers a
-// region instead of one element.
+// region instead of one element. The same client serves a remote
+// origin and a local file (NewLocalFetcher).
 //
-// Wire protocol (HTTP):
+// Wire protocol (HTTP), served by Server.Handler:
 //
 //	GET /meta?dataset=<name>                            → JSON dataset geometry + serving chunk shape
 //	GET /chunk?dataset=<name>&chunk=c1,c2,...[&proof=1] → chunk frame of one serving chunk
-//	GET /metrics                                        → Prometheus text exposition
-//	GET /healthz                                        → 200 "ok" (503 while draining)
+//
+// A daemon serves the shared observability endpoints (/metrics,
+// /healthz, …) beside them through obs.Endpoints.
 //
 // Every /chunk answer is one chunk frame (KDB2): the request identity,
 // the chunk's Merkle leaf position, its values, and — with proof=1 —

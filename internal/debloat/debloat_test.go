@@ -177,9 +177,7 @@ func TestRuntimeFetcherRecovers(t *testing.T) {
 	}
 	defer f.Close()
 	ds, _ := f.Dataset("data")
-	fetcher := NewOriginFetcher(orig)
-	defer fetcher.Close()
-	rt := NewRuntime(ds, fetcher)
+	rt := NewRuntime(ds, localFetcher(t, orig))
 
 	// A carved-away element is recovered with the right value.
 	v, err := rt.ReadElement(array.NewIndex(0, 63))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/array"
@@ -19,103 +18,12 @@ var ErrDataMissing = sdf.ErrDataMissing
 // Fetcher recovers element values that were carved away. It models the
 // remote-server recovery path of paper §VI: "a container runtime can
 // use audited information to pull missing data offsets from a remote
-// server, when requested."
+// server, when requested." dataserve.Fetcher implements it, over a
+// remote origin or a local file.
 type Fetcher interface {
-	// Fetch returns the value of one missing element.
-	Fetch(dataset string, ix array.Index) (float64, error)
-}
-
-// ContextFetcher is a Fetcher whose fetches honor a context: network
-// fetchers implement it so a canceled run or a dead origin server
-// stops a recovery instead of hanging the debloated runtime.
-type ContextFetcher interface {
-	Fetcher
+	// FetchContext returns the value of one missing element. A canceled
+	// ctx stops the recovery instead of hanging the debloated runtime.
 	FetchContext(ctx context.Context, dataset string, ix array.Index) (float64, error)
-}
-
-// OriginFetcher serves misses from the original (un-debloated) file —
-// the repository copy the container was built from. It is safe for
-// concurrent use: the origin is opened once and reads go through the
-// stateless ReadAt path, so concurrent misses proceed in parallel
-// under a shared read lock instead of convoying behind one mutex.
-type OriginFetcher struct {
-	path string
-
-	mu     sync.RWMutex
-	file   *sdf.File
-	closed bool
-}
-
-// NewOriginFetcher returns a fetcher reading from the original file at
-// path. The file is opened lazily on first miss.
-func NewOriginFetcher(path string) *OriginFetcher {
-	return &OriginFetcher{path: path}
-}
-
-// open returns the origin file, opening it on first use.
-func (f *OriginFetcher) open() (*sdf.File, error) {
-	f.mu.RLock()
-	file := f.file
-	f.mu.RUnlock()
-	if file != nil {
-		return file, nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, fmt.Errorf("debloat: origin fetcher closed")
-	}
-	if f.file == nil {
-		file, err := sdf.Open(f.path)
-		if err != nil {
-			return nil, fmt.Errorf("debloat: opening origin: %w", err)
-		}
-		f.file = file
-	}
-	return f.file, nil
-}
-
-// Fetch implements Fetcher.
-func (f *OriginFetcher) Fetch(dataset string, ix array.Index) (float64, error) {
-	return f.FetchContext(context.Background(), dataset, ix)
-}
-
-// FetchContext implements ContextFetcher. The read itself is local
-// disk I/O; the context is only consulted before issuing it.
-func (f *OriginFetcher) FetchContext(ctx context.Context, dataset string, ix array.Index) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	file, err := f.open()
-	if err != nil {
-		return 0, err
-	}
-	// Hold the read lock across the read so a concurrent Close cannot
-	// yank the descriptor mid-I/O; readers do not block each other.
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.file == nil {
-		return 0, fmt.Errorf("debloat: origin fetcher closed")
-	}
-	ds, err := file.Dataset(dataset)
-	if err != nil {
-		return 0, err
-	}
-	return ds.ReadElement(ix)
-}
-
-// Close releases the origin file if it was opened. Fetches after
-// Close fail rather than silently reopening the file.
-func (f *OriginFetcher) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.closed = true
-	if f.file == nil {
-		return nil
-	}
-	err := f.file.Close()
-	f.file = nil
-	return err
 }
 
 // Runtime serves a program's reads from a debloated file. Reads of
@@ -145,8 +53,7 @@ func NewRuntime(ds *sdf.Dataset, fetcher Fetcher) *Runtime {
 }
 
 // NewRuntimeContext returns a runtime whose recoveries run under ctx:
-// when the fetcher is a ContextFetcher, canceling ctx aborts in-flight
-// and future fetches.
+// canceling ctx aborts in-flight and future fetches.
 func NewRuntimeContext(ctx context.Context, ds *sdf.Dataset, fetcher Fetcher) *Runtime {
 	if ctx == nil {
 		ctx = context.Background()
@@ -188,11 +95,7 @@ func (rt *Runtime) ReadElement(ix array.Index) (float64, error) {
 	if sp != nil {
 		sp.Arg("dataset", rt.name)
 	}
-	if cf, ok := rt.fetcher.(ContextFetcher); ok {
-		v, err = cf.FetchContext(rt.ctx, rt.name, ix)
-	} else {
-		v, err = rt.fetcher.Fetch(rt.name, ix)
-	}
+	v, err = rt.fetcher.FetchContext(rt.ctx, rt.name, ix)
 	sp.End()
 	if err != nil {
 		return 0, err

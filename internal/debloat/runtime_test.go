@@ -8,18 +8,27 @@ import (
 	"testing"
 
 	"repro/internal/array"
+	"repro/internal/dataserve"
 	"repro/internal/sdf"
 )
 
-// ctxFetcher records the context each FetchContext call received.
-type ctxFetcher struct {
-	inner *OriginFetcher
-	mu    sync.Mutex
-	ctxs  []context.Context
+// localFetcher returns a fetcher over the origin file, closed when the
+// test ends.
+func localFetcher(t *testing.T, origin string) *dataserve.Fetcher {
+	t.Helper()
+	f, err := dataserve.NewLocalFetcher(origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }
 
-func (c *ctxFetcher) Fetch(dataset string, ix array.Index) (float64, error) {
-	return c.FetchContext(context.Background(), dataset, ix)
+// ctxFetcher records the context each FetchContext call received.
+type ctxFetcher struct {
+	inner *dataserve.Fetcher
+	mu    sync.Mutex
+	ctxs  []context.Context
 }
 
 func (c *ctxFetcher) FetchContext(ctx context.Context, dataset string, ix array.Index) (float64, error) {
@@ -52,9 +61,7 @@ func debloatedDataset(t *testing.T) (ds *sdf.Dataset, origin string, space array
 func TestRuntimeRecoveredCounter(t *testing.T) {
 	ds, origin, _, cleanup := debloatedDataset(t)
 	defer cleanup()
-	fetcher := NewOriginFetcher(origin)
-	defer fetcher.Close()
-	rt := NewRuntime(ds, fetcher)
+	rt := NewRuntime(ds, localFetcher(t, origin))
 
 	// Present element: no miss, no recovery.
 	if _, err := rt.ReadElement(array.NewIndex(10, 5)); err != nil {
@@ -78,8 +85,7 @@ func TestRuntimeContextReachesFetcher(t *testing.T) {
 
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "marker")
-	cf := &ctxFetcher{inner: NewOriginFetcher(origin)}
-	defer cf.inner.Close()
+	cf := &ctxFetcher{inner: localFetcher(t, origin)}
 	rt := NewRuntimeContext(ctx, ds, cf)
 
 	v, err := rt.ReadElement(array.NewIndex(0, 63))
@@ -101,12 +107,9 @@ func TestRuntimeContextReachesFetcher(t *testing.T) {
 func TestRuntimeCanceledContextAbortsRecovery(t *testing.T) {
 	ds, origin, _, cleanup := debloatedDataset(t)
 	defer cleanup()
-	fetcher := NewOriginFetcher(origin)
-	defer fetcher.Close()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rt := NewRuntimeContext(ctx, ds, fetcher)
+	rt := NewRuntimeContext(ctx, ds, localFetcher(t, origin))
 
 	// Present data still reads locally.
 	if _, err := rt.ReadElement(array.NewIndex(10, 5)); err != nil {
@@ -122,15 +125,14 @@ func TestRuntimeCanceledContextAbortsRecovery(t *testing.T) {
 	}
 }
 
-// TestOriginFetcherConcurrent drives the lazily-opened origin fetcher
-// from many goroutines at once; under -race this checks the
-// double-checked open and the shared read lock.
+// TestOriginFetcherConcurrent drives the fetcher over a local origin
+// file from many goroutines at once; under -race this checks the
+// geometry and chunk single flights, the cache and the in-process
+// server.
 func TestOriginFetcherConcurrent(t *testing.T) {
 	ds, origin, space, cleanup := debloatedDataset(t)
 	defer cleanup()
-	fetcher := NewOriginFetcher(origin)
-	defer fetcher.Close()
-	rt := NewRuntime(ds, fetcher)
+	rt := NewRuntime(ds, localFetcher(t, origin))
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -165,14 +167,33 @@ func TestOriginFetcherConcurrent(t *testing.T) {
 	}
 }
 
+// TestOriginFetcherClosedErrors checks that a closed fetcher fails at
+// once, before any trip to the origin, and not as missing data: the
+// caller shut recovery down.
 func TestOriginFetcherClosedErrors(t *testing.T) {
 	ds, origin, _, cleanup := debloatedDataset(t)
 	defer cleanup()
-	fetcher := NewOriginFetcher(origin)
-	fetcher.Close()
+	fetcher := localFetcher(t, origin)
 	rt := NewRuntime(ds, fetcher)
-	if _, err := rt.ReadElement(array.NewIndex(0, 63)); err == nil {
-		t.Error("closed fetcher recovered data")
+	// Warm the cache: a closed fetcher must refuse hits too.
+	if _, err := rt.ReadElement(array.NewIndex(0, 63)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fetcher.Close(); err != nil {
+		t.Fatal(err)
+	}
+	trips := fetcher.Stats().RoundTrips
+	for _, ix := range []array.Index{array.NewIndex(0, 63), array.NewIndex(0, 62), array.NewIndex(0, 9)} {
+		_, err := rt.ReadElement(ix)
+		if err == nil {
+			t.Fatalf("closed fetcher recovered %v", ix)
+		}
+		if errors.Is(err, ErrDataMissing) {
+			t.Errorf("closed fetcher reported %v as missing data: %v", ix, err)
+		}
+	}
+	if got := fetcher.Stats().RoundTrips; got != trips {
+		t.Errorf("closed fetcher made %d round trips", got-trips)
 	}
 	if err := fetcher.Close(); err != nil {
 		t.Errorf("double close: %v", err)

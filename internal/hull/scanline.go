@@ -56,7 +56,7 @@ func (h *Hull) buildClipper() *scanClipper {
 		c.rhs = make([]float64, 0, n)
 		for i := 0; i < n; i++ {
 			a, b := h.verts[i], h.verts[(i+1)%n]
-			c.coef = append(c.coef, b[1]-a[1], -(b[0]-a[0]))
+			c.coef = append(c.coef, b[1]-a[1], -(b[0] - a[0]))
 			c.rhs = append(c.rhs, (b[1]-a[1])*a[0]-(b[0]-a[0])*a[1])
 		}
 		c.ok = true

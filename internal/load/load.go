@@ -8,12 +8,9 @@ package load
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/url"
 	"time"
 
 	"repro/internal/array"
@@ -228,34 +225,19 @@ type geometry struct {
 	chunks      int64 // total chunk count
 }
 
-func resolveGeometry(ctx context.Context, baseURL, dataset string) (geometry, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/meta?"+url.Values{"dataset": {dataset}}.Encode(), nil)
-	if err != nil {
-		return geometry{}, err
-	}
-	resp, err := http.DefaultClient.Do(req)
+// fetchGeometry takes the dataset's dims and serving chunk shape from
+// the fetcher's own geometry lookup (cached, retried, bounded by
+// FetchTimeout, and checked against the manifest once verification is
+// armed) and lays out the chunk grid.
+func fetchGeometry(ctx context.Context, f *dataserve.Fetcher, dataset string) (geometry, error) {
+	dims, chunk, err := f.Geometry(ctx, dataset)
 	if err != nil {
 		return geometry{}, fmt.Errorf("load: resolving %q geometry: %w", dataset, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return geometry{}, fmt.Errorf("load: meta of %q: status %s", dataset, resp.Status)
-	}
-	var meta dataserve.DatasetMeta
-	if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
-		return geometry{}, fmt.Errorf("load: decoding meta of %q: %w", dataset, err)
-	}
-	g := geometry{dims: meta.Dims, chunk: meta.Chunk, chunks: 1}
-	g.grid = make([]int, len(meta.Dims))
-	for k, d := range meta.Dims {
-		if k >= len(meta.Chunk) || meta.Chunk[k] <= 0 {
-			return geometry{}, fmt.Errorf("load: meta of %q: bad chunk shape %v", dataset, meta.Chunk)
-		}
-		g.grid[k] = (d + meta.Chunk[k] - 1) / meta.Chunk[k]
+	g := geometry{dims: dims, chunk: chunk, grid: make([]int, len(dims)), chunks: 1}
+	for k, d := range dims {
+		g.grid[k] = (d + chunk[k] - 1) / chunk[k]
 		g.chunks *= int64(g.grid[k])
-	}
-	if g.chunks <= 0 {
-		return geometry{}, fmt.Errorf("load: meta of %q: empty chunk grid", dataset)
 	}
 	return g, nil
 }

@@ -2,6 +2,7 @@ package load
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -265,6 +266,43 @@ func TestRunEscapesDatasetName(t *testing.T) {
 	}
 	if res.Requests != 20 || res.Errors != 0 {
 		t.Fatalf("requests = %d, errors = %d, want 20/0", res.Requests, res.Errors)
+	}
+}
+
+// TestRunHungMetaHonorsFetchTimeout pins that the harness resolves
+// geometry through its fetcher: an origin whose /meta never answers
+// fails Run within the fetcher's FetchTimeout, even under a context
+// with no deadline (kondo-load's).
+func TestRunHungMetaHonorsFetchTimeout(t *testing.T) {
+	block := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-block:
+		case <-r.Context().Done():
+		}
+	}))
+	defer ts.Close()
+	defer close(block) // release handlers before ts.Close waits on them
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), Config{
+			BaseURL:  ts.URL,
+			Requests: 10,
+			Fetcher: dataserve.FetcherConfig{
+				FetchTimeout:   200 * time.Millisecond,
+				RequestTimeout: 100 * time.Millisecond,
+			},
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Run against a hung /meta succeeded")
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Run still blocked on a hung /meta after 3s")
 	}
 }
 

@@ -119,14 +119,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	geom, err := resolveGeometry(ctx, cfg.BaseURL, cfg.Dataset)
-	if err != nil {
-		return nil, err
-	}
 	r := &runner{
 		cfg:     cfg,
 		fetcher: dataserve.NewFetcherConfig(cfg.BaseURL, nil, cfg.Fetcher),
-		geom:    geom,
 		inst:    newInstruments(cfg.Registry),
 		samples: &sampler{},
 	}
@@ -134,6 +129,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if err := r.fetcher.SetVerify(cfg.Dataset, *cfg.Verify); err != nil {
 			return nil, fmt.Errorf("load: arming verification: %w", err)
 		}
+	}
+	if r.geom, err = fetchGeometry(ctx, r.fetcher, cfg.Dataset); err != nil {
+		return nil, err
 	}
 	if cfg.Registry != nil {
 		r.fetcher.Register(cfg.Registry)

@@ -111,12 +111,3 @@ func (pi *packedIndex) regions() []Region {
 	}
 	return out
 }
-
-// storedBytes returns the packed data size.
-func (pi *packedIndex) storedBytes() int64 {
-	var total int64
-	for _, r := range pi.runs {
-		total += r.count * pi.elem
-	}
-	return total
-}

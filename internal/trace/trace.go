@@ -36,9 +36,6 @@ func NewTracer(store *ioevent.Store) *Tracer {
 	return &Tracer{store: store}
 }
 
-// Store returns the event store the tracer records into.
-func (t *Tracer) Store() *ioevent.Store { return t.store }
-
 // TeeLog additionally appends every recorded event to the given
 // persistent event log (paper §V Implementation: system-call arguments
 // are recorded in a data store). Pass nil to stop teeing.

@@ -212,10 +212,11 @@ var ErrVerifyFailed = dataserve.ErrVerifyFailed
 // (paper §VI's remote-fetch path).
 type Fetcher = debloat.Fetcher
 
-// NewOriginFetcher returns a Fetcher serving misses from the original
-// (un-debloated) file.
-func NewOriginFetcher(path string) *debloat.OriginFetcher {
-	return debloat.NewOriginFetcher(path)
+// NewOriginFetcher returns the CachedFetcher over the original
+// (un-debloated) file at path: the same chunk fetcher a remote origin
+// gets, with the server called in process. Close releases the file.
+func NewOriginFetcher(path string) (*CachedFetcher, error) {
+	return dataserve.NewLocalFetcher(path)
 }
 
 // Runtime serves a program's reads from a debloated file, raising
@@ -230,8 +231,7 @@ func OpenRuntime(path, dataset string, fetcher Fetcher) (*Runtime, io.Closer, er
 }
 
 // OpenRuntimeContext is OpenRuntime with recoveries bound to ctx:
-// when fetcher is a ContextFetcher, canceling ctx aborts in-flight
-// and future fetches.
+// canceling ctx aborts in-flight and future fetches.
 func OpenRuntimeContext(ctx context.Context, path, dataset string, fetcher Fetcher) (*Runtime, io.Closer, error) {
 	f, err := sdf.Open(path)
 	if err != nil {
@@ -244,10 +244,6 @@ func OpenRuntimeContext(ctx context.Context, path, dataset string, fetcher Fetch
 	}
 	return debloat.NewRuntimeContext(ctx, ds, fetcher), f, nil
 }
-
-// ContextFetcher is a Fetcher whose fetches honor a context, so a
-// canceled run or a dead origin aborts recovery instead of hanging.
-type ContextFetcher = debloat.ContextFetcher
 
 // DataServer is the recovery data plane (paper §VI): it serves an
 // origin file chunk-granular over HTTP in CRC-checked chunk frames

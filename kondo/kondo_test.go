@@ -77,7 +77,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// And with recovery.
-	fetcher := kondo.NewOriginFetcher(orig)
+	fetcher, err := kondo.NewOriginFetcher(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer fetcher.Close()
 	rt2, closer2, err := kondo.OpenRuntime(deb, "data", fetcher)
 	if err != nil {
