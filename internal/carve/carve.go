@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -207,7 +208,11 @@ func CarveStats(ctx context.Context, points *array.IndexSet, cfg Config) ([]*hul
 	}
 	st.InitialHulls = len(hulls)
 	if sp != nil {
-		sp.Arg("hulls", len(hulls)).Arg("workers", cfg.workers())
+		hullPoints := 0
+		for _, c := range cells {
+			hullPoints += len(c)
+		}
+		sp.Arg("hulls", len(hulls)).Arg("workers", cfg.workers()).Arg("hull_points", hullPoints)
 	}
 	sp.End()
 
@@ -304,79 +309,174 @@ func SimpleConvex(points *array.IndexSet) (*hull.Hull, error) {
 }
 
 // split partitions the points into fixed-size grid cells (Alg. 2's
-// SPLIT), returned in deterministic cell order with each cell's points
-// in row-major order. The within-cell ordering matters: in three and
-// more dimensions the extreme-vertex reduction is insertion-order
-// dependent, so an unordered (map-iteration) split would make the
-// whole carve nondeterministic call-to-call.
+// SPLIT) and returns, per cell, the points its hull is built from:
+// only those that can be hull vertices (lineFilter), in row-major
+// order. Cells come in the order of their "[a b c]" cell-coordinate
+// strings, which fixes the merge engine's order keys and so the merge
+// sequence. The hull's vertex list does not depend on the order of a
+// cell's points.
 func split(points *array.IndexSet, cellSize int) [][]geom.Point {
-	type cellKey string
-	byCell := make(map[cellKey][]int64)
-	var order []cellKey
 	space := points.Space()
-	points.Each(func(ix array.Index) bool {
-		key := make(array.Index, len(ix))
-		for k, v := range ix {
-			key[k] = v / cellSize
-		}
-		ck := cellKey(key.String())
-		if _, ok := byCell[ck]; !ok {
-			order = append(order, ck)
-		}
-		lin, err := space.Linear(ix)
-		if err != nil {
-			return true // unreachable: ix came from the set itself
-		}
-		byCell[ck] = append(byCell[ck], lin)
-		return true
-	})
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := make([][]geom.Point, len(order))
-	for i, ck := range order {
-		lins := byCell[ck]
-		sort.Slice(lins, func(a, b int) bool { return lins[a] < lins[b] })
-		pts := make([]geom.Point, len(lins))
-		for j, lin := range lins {
-			ix, err := space.Unlinear(lin)
-			if err != nil {
-				continue // unreachable by construction
-			}
-			pts[j] = indexToPoint(ix)
-		}
-		out[i] = pts
+	f := newLineFilter(space)
+	cells := splitLinear(points, cellSize)
+	out := make([][]geom.Point, len(cells))
+	for i, lins := range cells {
+		out[i] = toPoints(space, f.extremes(lins))
 	}
 	return out
 }
 
-// indexToPoint converts an array index to a geometric point.
-func indexToPoint(ix array.Index) geom.Point {
-	p := make(geom.Point, len(ix))
-	for k, v := range ix {
-		p[k] = float64(v)
+// splitLinear groups the points' linear indices by SPLIT cell, cells
+// ordered as in split; within a cell they come in the set's iteration
+// order. Points are grouped by integer cell id, and each cell's key
+// string is formatted once, not once per point.
+func splitLinear(points *array.IndexSet, cellSize int) [][]int64 {
+	space := points.Space()
+	rank := space.Rank()
+	grid := make([]int64, rank) // cells per axis
+	for k := range grid {
+		grid[k] = int64((space.Dim(k) + cellSize - 1) / cellSize)
 	}
-	return p
+	type cell struct {
+		id   int64
+		key  string
+		lins []int64
+	}
+	byID := make(map[int64]*cell)
+	var cells []*cell
+	var c *cell // the previous point's cell, usually this point's too
+	points.EachLinear(func(lin int64) bool {
+		var id, mul int64 = 0, 1
+		for k, rest := rank-1, lin; k >= 0; k-- {
+			d := int64(space.Dim(k))
+			id += (rest % d) / int64(cellSize) * mul
+			rest /= d
+			mul *= grid[k]
+		}
+		if c == nil || c.id != id {
+			if c = byID[id]; c == nil {
+				c = &cell{id: id}
+				byID[id] = c
+				cells = append(cells, c)
+			}
+		}
+		c.lins = append(c.lins, lin)
+		return true
+	})
+	coord := make(array.Index, rank)
+	for _, c := range cells {
+		id := c.id
+		for k := rank - 1; k >= 0; k-- {
+			coord[k] = int(id % grid[k])
+			id /= grid[k]
+		}
+		c.key = coord.String()
+	}
+	sort.Slice(cells, func(i, j int) bool { return cells[i].key < cells[j].key })
+	out := make([][]int64, len(cells))
+	for i, c := range cells {
+		out[i] = c.lins
+	}
+	return out
 }
 
-// collectPoints materializes an index set as geometric points in
-// row-major order, so hulls built from them are deterministic even
-// where the vertex reduction is insertion-order dependent (3D+).
+// lineFilter keeps the points that can be hull vertices. Take p
+// strictly between q and r on an axis-parallel line: p = λq + (1−λ)r
+// with 0 < λ < 1, so p is not a vertex. A point that is the minimum
+// or maximum of its line along every axis may be one, so the filter
+// keeps exactly those. It never drops a vertex, so the kept points
+// have the same hull as all of them, while the hull's input shrinks
+// from a cell's volume toward its surface.
+type lineFilter struct {
+	dims, strides []int64
+	ends          []map[int64]lineEnds // per axis: line → its first and last point
+}
+
+// lineEnds are the smallest and largest linear index on one line.
+type lineEnds struct{ lo, hi int64 }
+
+func newLineFilter(space array.Space) *lineFilter {
+	rank := space.Rank()
+	f := &lineFilter{
+		dims:    make([]int64, rank),
+		strides: make([]int64, rank),
+		ends:    make([]map[int64]lineEnds, rank),
+	}
+	stride := int64(1)
+	for k := rank - 1; k >= 0; k-- {
+		f.dims[k] = int64(space.Dim(k))
+		f.strides[k] = stride
+		stride *= f.dims[k]
+		f.ends[k] = make(map[int64]lineEnds)
+	}
+	return f
+}
+
+// line identifies the axis-k line through lin: lin with its axis-k
+// coordinate set to zero. Along the line, lin grows with that
+// coordinate, so the line's ends are its smallest and largest lin.
+func (f *lineFilter) line(lin int64, k int) int64 {
+	return lin - (lin/f.strides[k])%f.dims[k]*f.strides[k]
+}
+
+// extremes filters distinct linear indices, in any order, in place and
+// returns the kept ones in ascending order.
+func (f *lineFilter) extremes(lins []int64) []int64 {
+	for k, m := range f.ends {
+		clear(m)
+		for _, lin := range lins {
+			key := f.line(lin, k)
+			if e, ok := m[key]; !ok {
+				m[key] = lineEnds{lin, lin}
+			} else if lin < e.lo {
+				m[key] = lineEnds{lin, e.hi}
+			} else if lin > e.hi {
+				m[key] = lineEnds{e.lo, lin}
+			}
+		}
+	}
+	kept := lins[:0]
+next:
+	for _, lin := range lins {
+		for k, m := range f.ends {
+			if e := m[f.line(lin, k)]; lin != e.lo && lin != e.hi {
+				continue next
+			}
+		}
+		kept = append(kept, lin)
+	}
+	slices.Sort(kept)
+	return kept
+}
+
+// toPoints converts linear indices to geometric points.
+func toPoints(space array.Space, lins []int64) []geom.Point {
+	rank := space.Rank()
+	coords := make([]float64, len(lins)*rank)
+	out := make([]geom.Point, len(lins))
+	for i, lin := range lins {
+		p := geom.Point(coords[i*rank : (i+1)*rank : (i+1)*rank])
+		for k := rank - 1; k >= 0; k-- {
+			d := int64(space.Dim(k))
+			p[k] = float64(lin % d)
+			lin /= d
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// collectPoints materializes an index set as the points the SC
+// baseline's single hull is built from: every point that can be a
+// vertex (lineFilter), in row-major order.
 func collectPoints(points *array.IndexSet) []geom.Point {
 	lins := make([]int64, 0, points.Len())
 	points.EachLinear(func(lin int64) bool {
 		lins = append(lins, lin)
 		return true
 	})
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
 	space := points.Space()
-	out := make([]geom.Point, 0, len(lins))
-	for _, lin := range lins {
-		ix, err := space.Unlinear(lin)
-		if err != nil {
-			continue // unreachable by construction
-		}
-		out = append(out, indexToPoint(ix))
-	}
-	return out
+	return toPoints(space, newLineFilter(space).extremes(lins))
 }
 
 // Rasterize converts a hull set into the approximated index subset

@@ -32,9 +32,8 @@ type mergeStats struct {
 // pairItem is one CLOSE pair in the engine's worklist. Pairs order
 // lexicographically by the hulls' surviving-order keys, so draining
 // the heap replays the naive algorithm's merge sequence (lowest
-// surviving index wins) exactly. ida is always the id of the lower-key
-// hull: hull.Merge's argument order — and with it the vertex layout of
-// degenerate merges — matches the reference implementation.
+// surviving index wins) exactly. ida is always the id of the
+// lower-key hull, the hull the merged one inherits its key from.
 type pairItem struct {
 	ka, kb   int // order keys, ka < kb
 	ida, idb int // immutable hull ids; a dead id makes the pair stale

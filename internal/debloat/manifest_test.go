@@ -65,6 +65,59 @@ func TestManifestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestRebuildsExactVertexLists carves a 3-D set and requires
+// the manifest round trip (NewManifest, Save, LoadManifest,
+// RebuildHulls) to reproduce every hull's vertex list exactly, order
+// included: hull.New lists 3-D vertices in lexicographic order, so a
+// rebuilt hull does not reorder the saved list.
+func TestManifestRebuildsExactVertexLists(t *testing.T) {
+	space := array.MustSpace(40, 40, 40)
+	set := array.NewIndexSet(space)
+	for _, c := range [][3]int{{8, 9, 10}, {30, 28, 7}} {
+		space.Each(func(ix array.Index) bool {
+			d2 := 0
+			for k, v := range ix {
+				d2 += (v - c[k]) * (v - c[k])
+			}
+			if d2 <= 36 {
+				set.Add(ix.Clone())
+			}
+			return true
+		})
+	}
+	hulls, err := carve.Carve(set, carve.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManifest("p", "d", space.Dims(), "chunk", []int{8, 8, 8}, hulls, Stats{}, 0)
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := back.RebuildHulls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rebuilt) != len(hulls) {
+		t.Fatalf("rebuilt %d hulls, carved %d", len(rebuilt), len(hulls))
+	}
+	for i, h := range rebuilt {
+		got, want := h.Vertices(), hulls[i].Vertices()
+		if len(got) != len(want) {
+			t.Fatalf("hull %d: rebuilt %d vertices, carved %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if !got[j].Equal(want[j]) {
+				t.Fatalf("hull %d vertex %d: rebuilt %v, carved %v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
 func TestManifestCovers(t *testing.T) {
 	m := NewManifest("p", "d", []int{64, 64}, "element", nil, twoHulls(t), Stats{}, 0)
 	cases := []struct {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -63,19 +64,21 @@ func New(points []geom.Point) (*Hull, error) {
 	return h, nil
 }
 
-// extremeVertices reduces points to (a superset-free approximation of)
-// the extreme points of their convex hull using incremental LP
+// extremeVertices returns exactly the extreme points of the points'
+// convex hull, in lexicographic order. It uses incremental LP
 // membership: a point already inside the hull of the kept set is
 // dropped, and the kept set is re-pruned at the end so points absorbed
-// by later arrivals are removed too.
+// by later arrivals are removed too. Sorting the result makes the
+// vertex list a function of the point set alone: neither the input
+// order nor the visiting permutation shows in it.
 func extremeVertices(points []geom.Point) []geom.Point {
 	// Visit points in a fixed pseudo-random permutation. The
 	// incremental reduction is only fast when arrivals are scattered —
 	// then the kept set stays near the true extreme set — and degrades
 	// catastrophically on sorted lattice input, where nearly every
 	// point is extreme for the prefix slab seen so far (a 16³ cell in
-	// row-major order keeps thousands of candidates). The constant
-	// seed keeps the result a pure function of the input ordering.
+	// row-major order keeps thousands of candidates). The permutation
+	// is a speed device only; the result does not depend on it.
 	perm := rand.New(rand.NewSource(1)).Perm(len(points))
 	kept := make([]geom.Point, 0, 16)
 	for _, pi := range perm {
@@ -86,9 +89,9 @@ func extremeVertices(points []geom.Point) []geom.Point {
 		kept = append(kept, p.Clone())
 	}
 	// Final prune: drop any kept vertex inside the hull of the others.
+	others := make([]geom.Point, 0, len(kept))
 	for i := 0; i < len(kept); {
-		others := make([]geom.Point, 0, len(kept)-1)
-		others = append(others, kept[:i]...)
+		others = append(others[:0], kept[:i]...)
 		others = append(others, kept[i+1:]...)
 		if len(others) > 0 && InConvexCombination(kept[i], others) {
 			kept = append(kept[:i], kept[i+1:]...)
@@ -96,6 +99,7 @@ func extremeVertices(points []geom.Point) []geom.Point {
 		}
 		i++
 	}
+	sort.Slice(kept, func(i, j int) bool { return kept[i].Less(kept[j]) })
 	return kept
 }
 
@@ -114,7 +118,9 @@ func Merge(a, b *Hull) (*Hull, error) {
 // Dim returns the dimension of the hull's ambient space.
 func (h *Hull) Dim() int { return h.dim }
 
-// Vertices returns the hull's extreme vertices (CCW order in 2D).
+// Vertices returns the hull's extreme vertices: counter-clockwise from
+// the lexicographically smallest in 2-D, lexicographic otherwise. In
+// every dimension the list depends only on the hull's point set.
 func (h *Hull) Vertices() []geom.Point { return h.verts }
 
 // NumVertices returns the number of extreme vertices.
@@ -180,17 +186,20 @@ func (h *Hull) BBoxGap(o *Hull) float64 {
 }
 
 // BoundaryDist returns the minimum distance between the two hulls'
-// vertex sets — the paper's hull-boundary distance.
+// vertex sets — the paper's hull-boundary distance. It compares
+// squared distances and takes one square root at the end; sqrt is
+// monotone and correctly rounded, so the result is bit-identical to
+// the minimum of the per-pair distances.
 func (h *Hull) BoundaryDist(o *Hull) float64 {
 	best := math.Inf(1)
 	for _, u := range h.verts {
 		for _, v := range o.verts {
-			if d := u.Dist(v); d < best {
+			if d := u.Dist2(v); d < best {
 				best = d
 			}
 		}
 	}
-	return best
+	return math.Sqrt(best)
 }
 
 // RasterStats counts the work one rasterization performed. All fields

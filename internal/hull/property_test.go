@@ -40,7 +40,8 @@ func TestHullContainsInputs(t *testing.T) {
 	}
 }
 
-// Property: hulling a hull's vertices is idempotent (same vertex set).
+// Property: hulling a hull's vertices is idempotent (same vertex
+// list, in the same order).
 func TestHullIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, dim := range []int{2, 3} {
@@ -54,12 +55,57 @@ func TestHullIdempotent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h2.NumVertices() != h1.NumVertices() {
-				t.Fatalf("dim %d: re-hull has %d vertices, original %d",
-					dim, h2.NumVertices(), h1.NumVertices())
+			if !sameVertexList(h1.Vertices(), h2.Vertices()) {
+				t.Fatalf("dim %d: re-hull vertices %v, original %v", dim, h2.Vertices(), h1.Vertices())
 			}
 		}
 	}
+}
+
+// Property (3-D and 4-D): the vertex list is a function of the point
+// set alone — shuffled input gives the identical list, in
+// lexicographic order.
+func TestHullPermutationInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, dim := range []int{3, 4} {
+		for trial := 0; trial < 15; trial++ {
+			pts := randomPoints(rng, 5+rng.Intn(40), dim, 10)
+			h1, err := New(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shuffled := append([]geom.Point(nil), pts...)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			h2, err := New(shuffled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameVertexList(h1.Vertices(), h2.Vertices()) {
+				t.Fatalf("dim %d trial %d: shuffled input gave vertices %v, want %v",
+					dim, trial, h2.Vertices(), h1.Vertices())
+			}
+			vs := h1.Vertices()
+			for i := 1; i < len(vs); i++ {
+				if !vs[i-1].Less(vs[i]) {
+					t.Fatalf("dim %d trial %d: vertices not in lexicographic order: %v", dim, trial, vs)
+				}
+			}
+		}
+	}
+}
+
+// sameVertexList reports whether two vertex lists hold the same
+// coordinates in the same order.
+func sameVertexList(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Property: the merged hull contains every point of both hulls, and
