@@ -30,7 +30,7 @@ func TestStitchSurvivesStalledTracez(t *testing.T) {
 
 	tr := obs.NewTrace()
 	tr.SetProcessName(obs.LocalPID, "kondo-load")
-	tr.RecordInstant("load.mark", 0)
+	obs.Start(obs.WithTrace(context.Background(), tr), "load.mark").End()
 	path := filepath.Join(t.TempDir(), "trace.json")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)

@@ -18,8 +18,9 @@
 // spans carry non-negative durations, instants carry no duration, and
 // process_name metadata events name their process. With -min-pids N
 // it additionally requires the trace to span at least N distinct
-// process lanes — `make fleet-demo` uses this to assert a stitched
-// fleet trace really contains the coordinator plus every worker.
+// process lanes — `make load-demo` uses this to assert a stitched
+// trace really contains both the kondo-load client and the
+// kondo-serve origin.
 // On success it prints a per-category summary and exits 0; malformed
 // input exits 1.
 //
@@ -104,7 +105,7 @@ func coverageMode(w *os.File, seriesPath, svgPath string) error {
 
 // traceEvent mirrors the subset of the Chrome trace-event format that
 // internal/obs emits: complete spans (ph "X"), instants (ph "i"), and
-// process metadata (ph "M", e.g. process_name for fleet lanes).
+// process metadata (ph "M", e.g. process_name for stitched lanes).
 type traceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`

@@ -69,26 +69,26 @@ func TestCheckTraceRejectsNonGzipWithGzSuffix(t *testing.T) {
 	}
 }
 
-// fleetTrace is a stitched multi-process trace as the coordinator
-// writes after merging worker sub-traces: process_name metadata per
-// lane plus spans under distinct pids.
-const fleetTrace = `{"traceEvents":[` +
-	`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"coordinator"}},` +
-	`{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"worker:alice"}},` +
-	`{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"worker:bob"}},` +
-	`{"name":"orchestra.campaign","cat":"kondo","ph":"X","ts":0,"dur":9000,"pid":1,"tid":0},` +
-	`{"name":"orchestra.lease","cat":"kondo","ph":"X","ts":100,"dur":400,"pid":2,"tid":0},` +
-	`{"name":"orchestra.lease","cat":"kondo","ph":"X","ts":150,"dur":380,"pid":3,"tid":0},` +
-	`{"name":"orchestra.lease_completed","cat":"kondo","ph":"i","ts":520,"pid":1,"tid":0,"args":{"worker":"alice"}}` +
+// stitchedTrace is a multi-process trace as a client writes after
+// merging the /tracez exports of two origins: process_name metadata
+// per lane plus spans and an instant under distinct pids.
+const stitchedTrace = `{"traceEvents":[` +
+	`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"kondo-load"}},` +
+	`{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"kondo-serve:a"}},` +
+	`{"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"kondo-serve:b"}},` +
+	`{"name":"dataserve.fetch","cat":"dataserve","ph":"X","ts":0,"dur":9000,"pid":1,"tid":0},` +
+	`{"name":"serve.chunk","cat":"serve","ph":"X","ts":100,"dur":400,"pid":2,"tid":0},` +
+	`{"name":"serve.chunk","cat":"serve","ph":"X","ts":150,"dur":380,"pid":3,"tid":0},` +
+	`{"name":"serve.evict","cat":"serve","ph":"i","ts":520,"pid":2,"tid":0,"args":{"chunk":"0,1"}}` +
 	`],"metadata":{}}`
 
 func TestCheckTraceMultiPID(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fleet.json")
-	if err := os.WriteFile(path, []byte(fleetTrace), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "stitched.json")
+	if err := os.WriteFile(path, []byte(stitchedTrace), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := checkTraceFile(outFile(t), path, 3); err != nil {
-		t.Fatalf("stitched fleet trace rejected: %v", err)
+		t.Fatalf("stitched trace rejected: %v", err)
 	}
 }
 

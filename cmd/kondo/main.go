@@ -250,7 +250,7 @@ func programMode(ctx context.Context, name, data, dataset, out string, budget in
 			m := kondo.NewManifest(p.Name(), dataset, p.Space().Dims(), gran, chunk, res, stats)
 			// Root the manifest over the ORIGINAL data file — the bytes
 			// an origin will serve during recovery — so clients can
-			// verify every recovered chunk (DESIGN.md §15).
+			// verify every recovered chunk (DESIGN.md §13).
 			if err := m.EmbedMerkle(data); err != nil {
 				return fmt.Errorf("embedding merkle root: %w", err)
 			}

@@ -178,25 +178,24 @@ var registry = map[string]struct {
 	title string
 	run   Runner
 }{
-	"tableI":    {"Types of stencils (micro-benchmark access patterns)", TableI},
-	"tableII":   {"Benchmark programs, parameter spaces, ground-truth subsets", TableII},
-	"tableIII":  {"Programs derived from real applications (ARD, MSI)", TableIII},
-	"fig4":      {"EE vs boundary-based EE fuzz campaigns", Fig4},
-	"fig6":      {"Bottom-up hull merging vs single convex hull", Fig6},
-	"fig7":      {"Average recall for a fixed budget (Kondo vs BF vs AFL)", Fig7},
-	"fig8":      {"Precision per program (Kondo vs BF vs AFL vs SC)", Fig8},
-	"fig9":      {"Fraction of data bloat identified vs ground truth", Fig9},
-	"fig10":     {"Budget needed to reach Kondo's recall", Fig10},
-	"fig11a":    {"Precision/recall with growing data file size (CS3)", Fig11a},
-	"fig11bc":   {"Precision/recall sensitivity to center_d_thresh", Fig11bc},
-	"missed":    {"Fraction of valuations with at least one missed access (§V-D1)", Missed},
-	"audit":     {"I/O event audit overhead (§V-D6)", Audit},
-	"curve":     {"Recall vs number of debloat tests (Kondo vs BF vs AFL)", Curve},
-	"hybrid":    {"Hybrid schedule: Kondo + AFL havoc phase (§VI extension)", Hybrid},
-	"perf":      {"End-to-end pipeline performance (machine-readable trajectory)", Perf},
-	"carve":     {"Carve merge engine vs naive reference (output sensitivity)", Carve},
-	"orchestra": {"Distributed campaign orchestrator (throughput, re-issue, bit-identity)", Orchestra},
-	"serve":     {"Recovery plane under load (throughput, tail latency, SLO, tracing overhead)", Serve},
+	"tableI":   {"Types of stencils (micro-benchmark access patterns)", TableI},
+	"tableII":  {"Benchmark programs, parameter spaces, ground-truth subsets", TableII},
+	"tableIII": {"Programs derived from real applications (ARD, MSI)", TableIII},
+	"fig4":     {"EE vs boundary-based EE fuzz campaigns", Fig4},
+	"fig6":     {"Bottom-up hull merging vs single convex hull", Fig6},
+	"fig7":     {"Average recall for a fixed budget (Kondo vs BF vs AFL)", Fig7},
+	"fig8":     {"Precision per program (Kondo vs BF vs AFL vs SC)", Fig8},
+	"fig9":     {"Fraction of data bloat identified vs ground truth", Fig9},
+	"fig10":    {"Budget needed to reach Kondo's recall", Fig10},
+	"fig11a":   {"Precision/recall with growing data file size (CS3)", Fig11a},
+	"fig11bc":  {"Precision/recall sensitivity to center_d_thresh", Fig11bc},
+	"missed":   {"Fraction of valuations with at least one missed access (§V-D1)", Missed},
+	"audit":    {"I/O event audit overhead (§V-D6)", Audit},
+	"curve":    {"Recall vs number of debloat tests (Kondo vs BF vs AFL)", Curve},
+	"hybrid":   {"Hybrid schedule: Kondo + AFL havoc phase (§VI extension)", Hybrid},
+	"perf":     {"End-to-end pipeline performance (machine-readable trajectory)", Perf},
+	"carve":    {"Carve merge engine vs naive reference (output sensitivity)", Carve},
+	"serve":    {"Recovery plane under load (throughput, tail latency, SLO, tracing overhead)", Serve},
 }
 
 // Experiments returns the available experiment ids, sorted.

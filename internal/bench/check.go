@@ -84,27 +84,6 @@ var checkedExperiments = map[string]map[string]metricClass{
 		"carve_seconds":        classExempt,
 		"write_seconds":        classExempt,
 	},
-	"orchestra": {
-		"evaluations":    classExact,
-		"indices":        classExact,
-		"digest_matches": classExact,
-		"digest_runs":    classExact,
-		// Telemetry-laden runs must stay bit-identical too: the whole
-		// observability path is off the deterministic merge path.
-		"telemetry_digest_matches": classExact,
-		"telemetry_digest_runs":    classExact,
-		// The raw overhead ratio is wall clock (exempt); the gated copy
-		// is floored at the telemetry budget so it fails exactly when
-		// fleet telemetry costs more than that, never on sub-floor noise.
-		"telemetry_overhead":       classExempt,
-		"telemetry_overhead_gated": classLowerBetter,
-		"reissued_leases":          classExact,
-		"late_results":             classExempt,
-		"evals_per_sec_1":          classExempt,
-		"evals_per_sec_2":          classExempt,
-		"evals_per_sec_4":          classExempt,
-		"reissue_evals_per_sec":    classExempt,
-	},
 	"serve": {
 		// Closed-loop runs are count-bounded, so request/error totals and
 		// the stitched client+server trace geometry are exact.

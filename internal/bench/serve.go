@@ -32,8 +32,8 @@ const serveOverheadFloor = 0.05
 // rate and SLO attainment — and, the gated headline, the wall-clock
 // overhead of the full serving observability path (client+server
 // request tracing with wire-propagated trace contexts, plus a ticking
-// SLO engine) measured in off/on pairs exactly like the orchestra
-// telemetry gate. The stitched client+server trace must span 2 pids.
+// SLO engine) measured in off/on pairs. The stitched client+server
+// trace must span 2 pids.
 func Serve(ctx context.Context, opts Options) (*Report, error) {
 	dir, err := os.MkdirTemp("", "kondo-bench-serve-")
 	if err != nil {
@@ -190,10 +190,10 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 		})
 	}
 
-	// Overhead in off/on pairs (PR-8 orchestra style): adjacent in
-	// time, heap leveled by a GC, first side alternating; the estimate
-	// is the median per-pair ratio, so process-wide drift cancels
-	// within a pair and one stalled run cannot swing it.
+	// Overhead in off/on pairs: adjacent in time, heap leveled by a
+	// GC, first side alternating; the estimate is the median per-pair
+	// ratio, so process-wide drift cancels within a pair and one
+	// stalled run cannot swing it.
 	const reps = 5
 	var bestOff, lastOn, lastVerified *load.Result
 	var lastTrace *obs.Trace

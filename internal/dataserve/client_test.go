@@ -16,7 +16,6 @@ import (
 	"repro/internal/array"
 	"repro/internal/debloat"
 	"repro/internal/sdf"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -251,7 +250,7 @@ func TestFetcherRejectsCorruptFrames(t *testing.T) {
 	good := frame(16)
 	badMagic := append([]byte("JUNK"), good[4:]...)
 	corrupt := append([]byte(nil), good...)
-	corrupt[wire.HeaderSize+3] ^= 0xFF
+	corrupt[frameHeaderSize+3] ^= 0xFF
 	cases := []struct {
 		name string
 		body []byte

@@ -25,17 +25,83 @@ package dataserve
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/sdf"
-	"repro/internal/wire"
 )
 
-// chunkCodec is the chunk-frame framing, shared with the other binary
-// protocols through internal/wire. The count field counts payload
-// bytes; the 1<<29-byte (512 MiB) limit is far above any serving chunk.
-var chunkCodec = wire.Codec{Magic: "KDB2", MaxCount: 1 << 29}
+// The chunk frame's fixed 12-byte header precedes the payload:
+//
+//	magic "KDB2" | count uint32 LE | crc32(payload) uint32 LE | payload
+//
+// count is the payload length in bytes. The checksum covers the
+// payload, so a truncated or corrupted frame is detected before any
+// content is trusted.
+const (
+	frameMagic      = "KDB2"
+	frameHeaderSize = 12
+	// frameMaxCount bounds the payload bytes a frame may claim: 512
+	// MiB, far above any serving chunk, so an absurd header is rejected
+	// outright.
+	frameMaxCount = 1 << 29
+	// frameReadAhead is the most payload memory decodeFrame commits
+	// before the bytes arrive; the buffer then grows by doubling as
+	// they do, so a hostile count cannot force a large allocation.
+	frameReadAhead = 64 << 10
+)
+
+// encodeFrame renders the payload behind the frame header.
+func encodeFrame(payload []byte) []byte {
+	buf := make([]byte, frameHeaderSize+len(payload))
+	copy(buf, frameMagic)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(payload))
+	copy(buf[frameHeaderSize:], payload)
+	return buf
+}
+
+// decodeFrame reads one frame that must be the entirety of r — one
+// frame per HTTP body — and returns its payload. It fails on short
+// reads, bad magic, counts above frameMaxCount, checksum mismatches,
+// and trailing bytes after the frame.
+func decodeFrame(r io.Reader) ([]byte, error) {
+	header := make([]byte, frameHeaderSize)
+	if _, err := io.ReadFull(r, header); err != nil {
+		return nil, fmt.Errorf("dataserve: truncated frame header: %w", err)
+	}
+	if string(header[:4]) != frameMagic {
+		return nil, fmt.Errorf("dataserve: bad frame magic %q", header[:4])
+	}
+	claimed := int64(binary.LittleEndian.Uint32(header[4:]))
+	wantCRC := binary.LittleEndian.Uint32(header[8:])
+	if claimed > frameMaxCount {
+		return nil, fmt.Errorf("dataserve: frame claims %d bytes (limit %d)", claimed, frameMaxCount)
+	}
+	count := int(claimed)
+	payload := make([]byte, min(count, frameReadAhead))
+	for filled := 0; ; {
+		n, err := io.ReadFull(r, payload[filled:])
+		filled += n
+		if err != nil {
+			return nil, fmt.Errorf("dataserve: truncated frame payload: %w", err)
+		}
+		if filled == count {
+			break
+		}
+		payload = slices.Grow(payload, min(filled, count-filled))
+		payload = payload[:min(2*filled, count)]
+	}
+	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
+		return nil, fmt.Errorf("dataserve: frame checksum mismatch (got %08x, want %08x)", got, wantCRC)
+	}
+	if extra, _ := io.Copy(io.Discard, io.LimitReader(r, 1)); extra != 0 {
+		return nil, fmt.Errorf("dataserve: trailing bytes after %d-byte frame", len(payload))
+	}
+	return payload, nil
+}
 
 // chunkFrameVersion versions the KDB2 payload layout.
 const chunkFrameVersion = 1
@@ -91,7 +157,7 @@ func encodeChunkFrame(cf chunkFrame) ([]byte, error) {
 	for _, sib := range cf.Proof {
 		payload = append(payload, sib[:]...)
 	}
-	return chunkCodec.Encode(payload), nil
+	return encodeFrame(payload), nil
 }
 
 // decodeChunkFrame reads one chunk frame that must be the entirety of
@@ -100,7 +166,7 @@ func encodeChunkFrame(cf chunkFrame) ([]byte, error) {
 // that decodes re-encodes to exactly the same bytes.
 func decodeChunkFrame(r io.Reader) (chunkFrame, error) {
 	var cf chunkFrame
-	payload, err := chunkCodec.DecodeAll(r)
+	payload, err := decodeFrame(r)
 	if err != nil {
 		return cf, err
 	}

@@ -3,12 +3,13 @@ package dataserve
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/sdf"
-	"repro/internal/wire"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -45,12 +46,12 @@ func TestFrameDecodeErrors(t *testing.T) {
 	// A value count that claims more values than the payload carries,
 	// behind a valid checksum: version(1) name(2+4) rank(1) coords(8)
 	// leaf(8) leaves(8) put the count at payload offset 32.
-	payload, err := chunkCodec.DecodeAll(bytes.NewReader(good))
+	payload, err := decodeFrame(bytes.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(payload[32:], 4)
-	overcount := chunkCodec.Encode(payload)
+	overcount := encodeFrame(payload)
 
 	cases := []struct {
 		name string
@@ -75,7 +76,7 @@ func TestFrameDecodeErrors(t *testing.T) {
 
 	// Flipped payload bit fails the checksum.
 	corrupt := append([]byte(nil), good...)
-	corrupt[wire.HeaderSize] ^= 0x01
+	corrupt[frameHeaderSize] ^= 0x01
 	if _, err := decodeChunkFrame(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corrupted payload err = %v, want checksum mismatch", err)
 	}
@@ -85,6 +86,103 @@ func TestFrameDecodeErrors(t *testing.T) {
 	binary.LittleEndian.PutUint32(huge[4:], 1<<30)
 	if _, err := decodeChunkFrame(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Errorf("huge count err = %v, want limit error", err)
+	}
+}
+
+// TestFramePayloadRoundTrip: raw payloads survive the frame, and a
+// reader that hands out a few bytes at a time assembles the same
+// payload. 200000 bytes outgrows the read-ahead buffer, so that
+// payload is assembled over several growth steps.
+func TestFramePayloadRoundTrip(t *testing.T) {
+	for _, payload := range [][]byte{nil, {0x42}, []byte("hello frame"), make([]byte, 4096), bytes.Repeat([]byte{1, 2, 3}, 200000/3)} {
+		buf := encodeFrame(payload)
+		got, err := decodeFrame(bytes.NewReader(buf))
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("payload round-trip mismatch: %d vs %d bytes", len(got), len(payload))
+		}
+		got, err = decodeFrame(&trickle{r: bytes.NewReader(buf), n: 7})
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("trickled decode of %d bytes: %v", len(payload), err)
+		}
+	}
+}
+
+// trickle returns at most n bytes per Read.
+type trickle struct {
+	r io.Reader
+	n int
+}
+
+func (t *trickle) Read(p []byte) (int, error) {
+	if len(p) > t.n {
+		p = p[:t.n]
+	}
+	return t.r.Read(p)
+}
+
+// TestDecodeErrors checks every framing rejection on a raw payload.
+func TestDecodeErrors(t *testing.T) {
+	good := encodeFrame([]byte{1, 2, 3})
+	// A header whose count disagrees with the payload it fronts: the
+	// decoder reads two bytes, whose checksum is not the frame's.
+	short := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(short[4:], 2)
+
+	cases := []struct {
+		name string
+		buf  []byte
+		msg  string
+	}{
+		{"empty", nil, "truncated frame header"},
+		{"short header", good[:6], "truncated frame header"},
+		{"bad magic", append([]byte("XXXX"), good[4:]...), "bad frame magic"},
+		{"truncated payload", good[:len(good)-2], "truncated frame payload"},
+		{"count mismatch", short, "checksum mismatch"},
+		{"trailing bytes", append(append([]byte(nil), good...), 0xFF), "trailing bytes"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := decodeFrame(bytes.NewReader(c.buf))
+			if err == nil || !strings.Contains(err.Error(), c.msg) {
+				t.Errorf("err = %v, want substring %q", err, c.msg)
+			}
+		})
+	}
+
+	corrupt := append([]byte(nil), good...)
+	corrupt[frameHeaderSize] ^= 0x01
+	if _, err := decodeFrame(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Errorf("corrupted payload err = %v, want checksum mismatch", err)
+	}
+
+	huge := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(huge[4:], frameMaxCount+1)
+	if _, err := decodeFrame(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Errorf("over-limit count err = %v, want limit error", err)
+	}
+}
+
+// TestHostileCountAllocatesLittle sends a bare header claiming the
+// largest payload the limit allows (512 MiB) followed by EOF: the
+// decode must fail having allocated only its small read-ahead buffer,
+// not the claimed size.
+func TestHostileCountAllocatesLittle(t *testing.T) {
+	header := make([]byte, frameHeaderSize)
+	copy(header, frameMagic)
+	binary.LittleEndian.PutUint32(header[4:], frameMaxCount)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeFrame(bytes.NewReader(header))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated frame payload") {
+		t.Fatalf("err = %v, want truncated frame payload", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("hostile header grew TotalAlloc by %d bytes, want < 1 MiB", grew)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"repro/internal/array"
+	"repro/internal/atomicfile"
 	"repro/internal/geom"
 	"repro/internal/hull"
 	"repro/internal/sdf"
@@ -43,7 +44,7 @@ type Manifest struct {
 	// Merkle, when present, anchors verified recovery: the root of a
 	// SHA-256 Merkle tree over the ORIGINAL dataset's serving chunks,
 	// plus the tree parameters a client needs to verify inclusion
-	// proofs (DESIGN.md §15). The section is additive — old readers
+	// proofs (DESIGN.md §13). The section is additive — old readers
 	// skip the unknown key, and manifests written before it decode
 	// with a nil pointer — so manifest compatibility is unchanged in
 	// both directions.
@@ -149,13 +150,18 @@ func NewManifest(program, dataset string, dims []int, granularity string, chunk 
 	return m
 }
 
-// Save writes the manifest as JSON.
+// Save writes the manifest as JSON, replacing any file at path all at
+// once.
 func (m *Manifest) Save(path string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("debloat: encoding manifest: %w", err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	err = atomicfile.Write(path, 0o644, func(f *os.File) error {
+		_, err := f.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("debloat: writing manifest: %w", err)
 	}
 	return nil

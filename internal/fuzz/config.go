@@ -94,14 +94,6 @@ type Config struct {
 	// deterministic and does not perturb the campaign at any worker
 	// count; it costs one map entry per covered index.
 	Witnesses bool
-	// Runner, when non-nil, replaces the in-process worker pool as the
-	// batch evaluation engine — the distribution seam. The schedule
-	// (batch composition, RNG stream) and the sequential seed-order
-	// merge stay in Run, so any runner returning the same per-seed
-	// outcomes a local evaluation would (e.g. an orchestra coordinator
-	// leasing batch spans to remote workers) yields a bit-identical
-	// campaign. With a Runner set the Evaluator may be nil.
-	Runner BatchRunner
 	// OnCoverage, when non-nil, is called with each round's coverage
 	// snapshot as it is recorded — the live-telemetry hook the
 	// `kondo -status-addr` endpoint subscribes through. It runs on the

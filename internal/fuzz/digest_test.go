@@ -1,26 +1,23 @@
-package orchestra
+package fuzz
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-
-	"repro/internal/fuzz"
 )
 
-// Digest hashes every schedule-determined field of a campaign result
+// digest hashes every schedule-determined field of a campaign result
 // into a stable hex string: the covered index set (as maximal runs),
 // the evaluated seeds in order with their verdicts, the coverage
-// curve, the counters, and the stop reason. Two campaigns with equal
-// digests made the same decisions and observed the same data —
-// the bit-identity oracle the distributed determinism tests, `make
-// orchestra-demo`, and the orchestra benchmark all assert with.
+// curve, the counters, the failure count, and the stop reason. Two
+// campaigns with equal digests made the same decisions and observed
+// the same data — the bit-identity oracle of a campaign.
 //
 // Wall-clock fields (Elapsed, EvalWall), worker counts, and queue
 // high-water marks are deliberately excluded: they vary run to run
 // without affecting what the campaign computed.
-func Digest(res *fuzz.Result) string {
+func digest(res *Result) string {
 	h := sha256.New()
 	var buf [8]byte
 	u64 := func(v uint64) {

@@ -131,10 +131,7 @@ func New(params workload.ParamSpace, space array.Space, eval Evaluator, cfg Conf
 	if len(params) == 0 {
 		return nil, fmt.Errorf("fuzz: empty parameter space")
 	}
-	// A campaign with an external batch runner (e.g. an orchestra
-	// coordinator leasing batches to remote workers) never calls a
-	// local evaluator; one is required otherwise.
-	if eval == nil && cfg.Runner == nil {
+	if eval == nil {
 		return nil, fmt.Errorf("fuzz: nil evaluator")
 	}
 	return &Fuzzer{cfg: cfg, params: params, space: space, eval: eval}, nil
@@ -172,10 +169,6 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	runner := cfg.Runner
-	if runner == nil {
-		runner = &PoolRunner{Eval: f.eval, Workers: workers}
 	}
 	batchSize := cfg.BatchSize
 	if batchSize <= 0 {
@@ -317,49 +310,39 @@ loop:
 		if roundSpan != nil {
 			roundSpan.Arg("batch", res.Batches).Arg("seeds", len(batch))
 		}
-		outs, rerr := runner.RunBatch(ctx, batch)
+		outs := f.evalBatch(ctx, batch, workers)
 		roundSpan.End()
-		if rerr == nil && len(outs) != len(batch) {
-			rerr = fmt.Errorf("fuzz: runner returned %d outcomes for a %d-seed batch", len(outs), len(batch))
-		}
-		if rerr != nil {
-			// A runner error is infrastructure-level (a dead transport,
-			// no workers to lease to), not a failing debloat test: the
-			// campaign cannot make progress, so surface it.
-			return nil, fmt.Errorf("fuzz: batch %d failed: %w", res.Batches, rerr)
-		}
 
 		// Merge in seed order. Only this sequential phase touches the
 		// RNG, the clusters, and the accumulated state, so the outcome
-		// is independent of how the runner interleaved (or distributed)
-		// the evaluations.
+		// is independent of how the pool interleaved the evaluations.
 		for i, v := range batch {
 			out := outs[i]
-			if out.Skipped {
+			if out.skipped {
 				stop = StopCanceled
 				break loop
 			}
 			itr++
 			res.Iterations = itr
-			res.EvalWall += out.Dur
-			if out.Err != nil {
+			res.EvalWall += out.dur
+			if out.err != nil {
 				res.Failures = append(res.Failures, EvalFailure{
 					V:   append([]float64(nil), v...),
-					Err: out.Err,
+					Err: out.err,
 				})
 				idleIters++
 				mFailed.Inc()
 			} else {
 				res.Evaluations++
 				mEvals.Inc()
-				useful := !out.Indices.Empty()
+				useful := !out.indices.Empty()
 
 				// Fold the eval's indices in one at a time so newly
 				// covered indices can feed the coverage tracker and the
 				// witness map. Each index is added at most once, so the
 				// result is independent of the set's iteration order.
 				added := 0
-				out.Indices.Each(func(ix array.Index) bool {
+				out.indices.Each(func(ix array.Index) bool {
 					ok, err := res.Indices.Add(ix)
 					if err != nil || !ok {
 						return true

@@ -30,13 +30,15 @@ func sameIndexSet(a, b *array.IndexSet) bool {
 }
 
 // TestDeterministicAcrossWorkerCounts is the tentpole contract: a fixed
-// Config.Seed yields bit-identical campaigns at any worker count.
+// Config.Seed yields bit-identical campaigns at any worker count. The
+// field checks name what diverged; the digest also covers the dedup,
+// verdict and failure counters.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	space := array.MustSpace(64, 64)
 	params := workload.ParamSpace{{Lo: 0, Hi: 63}, {Lo: 0, Hi: 63}}
-	run := func(workers int) *Result {
+	runSeed := func(seed int64, workers int) *Result {
 		cfg := DefaultConfig()
-		cfg.Seed = 42
+		cfg.Seed = seed
 		cfg.MaxIter = 600
 		cfg.Workers = workers
 		f, err := New(params, space, rectEvaluator(space, 10, 30, 10, 30), cfg)
@@ -49,6 +51,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		return res
 	}
+	run := func(workers int) *Result { return runSeed(42, workers) }
 	ref := run(1)
 	for _, workers := range []int{4, 8} {
 		got := run(workers)
@@ -93,6 +96,13 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got.StopReason != ref.StopReason {
 			t.Errorf("Workers=%d: stop reason %q, want %q", workers, got.StopReason, ref.StopReason)
 		}
+		if dr, dg := digest(ref), digest(got); dr != dg {
+			t.Errorf("Workers=%d: digest %s, want %s", workers, dg, dr)
+		}
+	}
+	// The oracle must tell campaigns apart: another seed, another digest.
+	if digest(runSeed(7, 1)) == digest(ref) {
+		t.Error("different seeds produced identical digests")
 	}
 }
 

@@ -3,7 +3,7 @@
 // open-loop (fixed arrival rate) or closed-loop (fixed concurrency)
 // mode, with Zipfian or uniform chunk popularity, cold/warm cache
 // mixes, ramp schedules, and a soak mode that asserts the origin's
-// error budget is not exhausted mid-run (DESIGN.md §14).
+// error budget is not exhausted mid-run (DESIGN.md §12).
 package load
 
 import (

@@ -90,7 +90,7 @@ func TestEndpointsTracez(t *testing.T) {
 	tr := NewTrace()
 	tr.SetProcessName(LocalPID, "kondo-serve")
 	for i := 0; i < 3; i++ {
-		tr.RecordInstant("serve.mark", 0)
+		instant(tr, "serve.mark", 0)
 	}
 	ep.SetTrace(tr)
 
@@ -99,7 +99,7 @@ func TestEndpointsTracez(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &wt); err != nil || code != http.StatusOK {
 		t.Fatalf("/tracez = %d %q (%v)", code, body, err)
 	}
-	if wt.ProcessName != "kondo-serve" || len(wt.Events) != 2 || wt.Omitted != 1 || wt.EpochUnixNS != tr.Epoch().UnixNano() {
+	if wt.ProcessName != "kondo-serve" || len(wt.Events) != 2 || wt.Omitted != 1 || wt.EpochUnixNS != tr.epoch.UnixNano() {
 		t.Fatalf("/tracez?max=2 = %+v, want lane kondo-serve, 2 events, 1 omitted", wt)
 	}
 	for _, bad := range []string{"-1", "x"} {

@@ -54,12 +54,10 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Label is one name=value dimension of a metric series. The compact
-// JSON tags keep piggybacked metric snapshots (orchestra result
-// messages) small on the wire.
+// Label is one name=value dimension of a metric series.
 type Label struct {
-	Key   string `json:"k"`
-	Value string `json:"v"`
+	Key   string
+	Value string
 }
 
 // L builds a Label; it reads well at call sites:
@@ -104,7 +102,7 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a float value that can go up and down. A nil *Gauge is a
 // valid no-op. A Gauge may instead be backed by a callback
-// (GaugeFunc), in which case Set/Add are no-ops.
+// (GaugeFunc), in which case Set is a no-op.
 type Gauge struct {
 	bits atomic.Uint64
 	fn   func() float64
@@ -114,20 +112,6 @@ type Gauge struct {
 func (g *Gauge) Set(v float64) {
 	if g != nil && g.fn == nil {
 		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add adds delta. Nil-safe.
-func (g *Gauge) Add(delta float64) {
-	if g == nil || g.fn != nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 
@@ -427,47 +411,6 @@ func formatFloat(v float64) string {
 		return "-Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// MetricPoint is one counter or gauge sample in serializable form,
-// for shipping a registry snapshot between processes (a worker
-// piggybacking its metrics on a result message so the coordinator can
-// federate them).
-type MetricPoint struct {
-	Name   string  `json:"n"`
-	Kind   string  `json:"kind"` // "counter" or "gauge"
-	Labels []Label `json:"l,omitempty"`
-	Value  float64 `json:"val"`
-}
-
-// Snapshot returns every counter and gauge series (function-backed
-// ones included, evaluated now) sorted by name then label set.
-// Histograms are skipped — the federation consumers only aggregate
-// scalar series. Nil-safe (returns nil).
-func (r *Registry) Snapshot() []MetricPoint {
-	if r == nil {
-		return nil
-	}
-	var out []MetricPoint
-	for _, s := range r.snapshotSeries() {
-		p := MetricPoint{
-			Name: s.name,
-			Kind: s.kind.String(),
-		}
-		if len(s.labels) > 0 {
-			p.Labels = append([]Label(nil), s.labels...)
-		}
-		switch s.kind {
-		case KindCounter:
-			p.Value = float64(s.c.Value())
-		case KindGauge:
-			p.Value = s.g.Value()
-		default:
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // WritePrometheus writes every registered series in the Prometheus

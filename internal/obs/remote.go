@@ -1,10 +1,10 @@
 package obs
 
-// Cross-process trace federation: a process exports its trace as a
+// Cross-process trace stitching: a process exports its trace as a
 // self-describing WireTrace (events relative to its own epoch, plus
 // that epoch and its lane name); the receiver merges it under a
 // per-process pid, re-basing the events onto its own epoch, so one
-// Chrome trace shows the whole fleet (DESIGN.md §13, §14).
+// Chrome trace shows client and server side by side (DESIGN.md §12).
 
 import (
 	"sort"
@@ -103,9 +103,9 @@ func (t *Trace) Export(max int) WireTrace {
 // timeline. That is exact for traces sharing a clock (one machine, or
 // a sub-trace on t's own epoch) and within wall-clock skew across
 // machines; a caller holding a better clock-offset estimate shifts
-// EpochUnixNS by it (the orchestra's min-RTT estimate does). Events
-// with unknown phases are skipped; t's limit applies as usual,
-// counting overflow in Dropped. Nil-safe.
+// EpochUnixNS by it. The peer's instant events (ph "i") are kept as
+// instants. Events with unknown phases are skipped; t's limit applies
+// as usual, counting overflow in Dropped. Nil-safe.
 func (t *Trace) Merge(pid int, wt WireTrace) {
 	if t == nil {
 		return

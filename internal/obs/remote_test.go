@@ -9,6 +9,20 @@ import (
 	"time"
 )
 
+// newTraceAt returns an empty trace whose timestamps are relative to
+// epoch, so a test controls the offset Merge has to undo.
+func newTraceAt(epoch time.Time) *Trace {
+	tr := NewTrace()
+	tr.epoch = epoch
+	return tr
+}
+
+// instant records a zero-duration marker on lane tid, the event a
+// merged peer's instant becomes.
+func instant(tr *Trace, name string, tid int, args ...Arg) {
+	tr.add(event{name: name, ph: 'i', start: time.Now(), tid: int64(tid), args: args})
+}
+
 // eventsNamed filters exported chrome events by name.
 func eventsNamed(evs []map[string]any, name string) []map[string]any {
 	var out []map[string]any
@@ -22,13 +36,13 @@ func eventsNamed(evs []map[string]any, name string) []map[string]any {
 
 func TestExportMergeRoundTrip(t *testing.T) {
 	epoch := time.Now()
-	tr := NewTraceAt(epoch)
+	tr := newTraceAt(epoch)
 	ctx := WithTrace(context.Background(), tr)
 
 	sp := Start(ctx, "fuzz.round", A("seeds", 3)).SetTID(2)
 	time.Sleep(time.Millisecond)
 	sp.End()
-	tr.RecordInstant("fuzz.marker", 5, A("k", "v"))
+	instant(tr, "fuzz.marker", 5, A("k", "v"))
 
 	wt := tr.Export(0)
 	if wt.Omitted != 0 || wt.ProcessName != "" {
@@ -57,7 +71,7 @@ func TestExportMergeRoundTrip(t *testing.T) {
 
 	// A trace on the same epoch merges it back onto its own lane with
 	// zero offset: the Chrome timestamps match the source's exactly.
-	dst := NewTraceAt(epoch)
+	dst := newTraceAt(epoch)
 	dst.Merge(LocalPID, wt)
 	if dst.Len() != 2 {
 		t.Fatalf("merged trace has %d events, want 2", dst.Len())
@@ -81,7 +95,7 @@ func TestExportMergeRoundTrip(t *testing.T) {
 func TestExportEventsBounded(t *testing.T) {
 	tr := NewTrace()
 	for i := 0; i < 10; i++ {
-		tr.RecordInstant("m", 0)
+		instant(tr, "m", 0)
 	}
 	if wt := tr.Export(4); len(wt.Events) != 4 || wt.Omitted != 6 {
 		t.Fatalf("Export(4) = %d events, %d omitted; want 4, 6", len(wt.Events), wt.Omitted)
@@ -125,17 +139,17 @@ func TestExportMergeNilTrace(t *testing.T) {
 
 func TestMergeRebasesOntoLocalEpoch(t *testing.T) {
 	epoch := time.Now()
-	tr := NewTraceAt(epoch)
+	tr := newTraceAt(epoch)
 
 	// A remote span that started 5ms past the remote epoch, whose epoch
 	// sits 2ms after the local one: it must land at 7ms on the local
 	// timeline.
 	tr.Merge(3, WireTrace{
-		ProcessName: "worker:alice",
+		ProcessName: "kondo-serve",
 		EpochUnixNS: epoch.Add(2 * time.Millisecond).UnixNano(),
 		Events: []WireEvent{
-			{Name: "orchestra.lease_eval", TS: int64(5 * time.Millisecond), Dur: int64(time.Millisecond), TID: 1},
-			{Name: "orchestra.lease_done", Ph: "i", TS: int64(6 * time.Millisecond)},
+			{Name: "serve.chunk", TS: int64(5 * time.Millisecond), Dur: int64(time.Millisecond), TID: 1},
+			{Name: "serve.evict", Ph: "i", TS: int64(6 * time.Millisecond)},
 			{Name: "future.phase", Ph: "q", TS: 0}, // unknown phase: skipped, not fatal
 		},
 	})
@@ -152,11 +166,11 @@ func TestMergeRebasesOntoLocalEpoch(t *testing.T) {
 	if meta[0]["ph"] != "M" || meta[0]["pid"].(float64) != 3 {
 		t.Errorf("metadata event = %v", meta[0])
 	}
-	if name := meta[0]["args"].(map[string]any)["name"]; name != "worker:alice" {
-		t.Errorf("process name = %v, want worker:alice", name)
+	if name := meta[0]["args"].(map[string]any)["name"]; name != "kondo-serve" {
+		t.Errorf("process name = %v, want kondo-serve", name)
 	}
 
-	span := eventsNamed(evs, "orchestra.lease_eval")
+	span := eventsNamed(evs, "serve.chunk")
 	if len(span) != 1 {
 		t.Fatalf("merged span missing: %v", evs)
 	}
@@ -171,7 +185,7 @@ func TestMergeRebasesOntoLocalEpoch(t *testing.T) {
 		t.Errorf("merged dur = %v µs, want 1000", dur)
 	}
 
-	inst := eventsNamed(evs, "orchestra.lease_done")
+	inst := eventsNamed(evs, "serve.evict")
 	if len(inst) != 1 || inst[0]["ph"] != "i" {
 		t.Fatalf("merged instant = %v", inst)
 	}
@@ -206,7 +220,7 @@ func TestMergeArgsDeterministic(t *testing.T) {
 
 func TestMergeRespectsLimit(t *testing.T) {
 	tr := NewTrace()
-	tr.SetLimit(3)
+	tr.limit = 3
 	events := make([]WireEvent, 5)
 	for i := range events {
 		events[i] = WireEvent{Name: "e", TS: int64(i)}
@@ -227,19 +241,19 @@ func TestExportMergeStitches(t *testing.T) {
 	base := time.Now()
 
 	// "Server" trace: its epoch lags the client's by 5ms of wall clock.
-	server := NewTraceAt(base.Add(5 * time.Millisecond))
+	server := newTraceAt(base.Add(5 * time.Millisecond))
 	server.SetProcessName(LocalPID, "kondo-serve")
 	sctx := WithTrace(context.Background(), server)
 	sp := Start(sctx, "serve.chunk", A("chunk", 7))
 	sp.End()
-	server.RecordInstant("serve.evict", 0)
+	instant(server, "serve.evict", 0)
 
 	wt := server.Export(0)
 	if wt.ProcessName != "kondo-serve" {
 		t.Fatalf("ProcessName = %q, want the LocalPID lane name", wt.ProcessName)
 	}
-	if wt.EpochUnixNS != server.Epoch().UnixNano() {
-		t.Fatalf("EpochUnixNS = %d want %d", wt.EpochUnixNS, server.Epoch().UnixNano())
+	if wt.EpochUnixNS != server.epoch.UnixNano() {
+		t.Fatalf("EpochUnixNS = %d want %d", wt.EpochUnixNS, server.epoch.UnixNano())
 	}
 	if len(wt.Events) != 2 {
 		t.Fatalf("exported %d events, want 2", len(wt.Events))
@@ -262,7 +276,7 @@ func TestExportMergeStitches(t *testing.T) {
 	}
 
 	// "Client" trace merges it under pid 2.
-	client := NewTraceAt(base)
+	client := newTraceAt(base)
 	cctx := WithTrace(context.Background(), client)
 	Start(cctx, "dataserve.fetch").End()
 	client.Merge(2, back)
@@ -319,15 +333,23 @@ func TestExportMergeStitches(t *testing.T) {
 	}
 }
 
-func TestRecordInstantLane(t *testing.T) {
+// TestMergedInstantKeepsLane: a peer's instants render on the lane
+// they were recorded on, not collapsed onto tid 0.
+func TestMergedInstantKeepsLane(t *testing.T) {
 	tr := NewTrace()
-	tr.RecordInstant("lease.granted", 7)
-	tr.RecordInstant("plain", 0)
+	tr.Merge(2, WireTrace{
+		ProcessName: "kondo-serve",
+		EpochUnixNS: tr.epoch.UnixNano(),
+		Events: []WireEvent{
+			{Name: "serve.evict", Ph: "i", TID: 7},
+			{Name: "plain", Ph: "i"},
+		},
+	})
 
 	evs := traceEvents(t, decodeChromeTrace(t, tr))
-	laned := eventsNamed(evs, "lease.granted")
-	if len(laned) != 1 || laned[0]["tid"].(float64) != 7 {
-		t.Fatalf("laned instant = %v, want tid 7", laned)
+	laned := eventsNamed(evs, "serve.evict")
+	if len(laned) != 1 || laned[0]["tid"].(float64) != 7 || laned[0]["ph"] != "i" {
+		t.Fatalf("laned instant = %v, want an instant on tid 7", laned)
 	}
 	plain := eventsNamed(evs, "plain")
 	if len(plain) != 1 || plain[0]["tid"].(float64) != 0 {
@@ -335,16 +357,11 @@ func TestRecordInstantLane(t *testing.T) {
 	}
 }
 
-func TestRecordInstantNilSafe(t *testing.T) {
-	var tr *Trace
-	tr.RecordInstant("x", 1) // must not panic
-}
-
 // TestRegisterTraceMetrics: attaching a trace to the endpoint set
 // exposes its drop accounting as kondo_trace_dropped_events.
 func TestRegisterTraceMetrics(t *testing.T) {
 	tr := NewTrace()
-	tr.SetLimit(1)
+	tr.limit = 1
 	reg := NewRegistry()
 	ep := NewEndpoints(reg)
 	ep.SetTrace(nil) // no trace: nothing registered, no panic
@@ -357,9 +374,9 @@ func TestRegisterTraceMetrics(t *testing.T) {
 	}
 
 	ep.SetTrace(tr)
-	tr.RecordInstant("a", 0)
-	tr.RecordInstant("b", 0)
-	tr.RecordInstant("c", 0)
+	for _, name := range []string{"a", "b", "c"} {
+		instant(tr, name, 0)
+	}
 
 	sb.Reset()
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -370,43 +387,12 @@ func TestRegisterTraceMetrics(t *testing.T) {
 	}
 }
 
-func TestRegistrySnapshot(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("kondo_evals_total", L("worker", "alice")).Add(7)
-	reg.Gauge("kondo_inflight").Set(2.5)
-	reg.GaugeFunc("kondo_fn", func() float64 { return 9 })
-	reg.Histogram("kondo_lat", []float64{1, 2}).Observe(1.5) // skipped
-
-	points := reg.Snapshot()
-	if len(points) != 3 {
-		t.Fatalf("snapshot has %d points, want 3 (histogram skipped): %+v", len(points), points)
-	}
-	// snapshotSeries sorts by name: evals, fn, inflight.
-	if points[0].Name != "kondo_evals_total" || points[0].Kind != "counter" || points[0].Value != 7 {
-		t.Errorf("point 0 = %+v", points[0])
-	}
-	if len(points[0].Labels) != 1 || points[0].Labels[0] != (Label{Key: "worker", Value: "alice"}) {
-		t.Errorf("point 0 labels = %+v", points[0].Labels)
-	}
-	if points[1].Name != "kondo_fn" || points[1].Value != 9 {
-		t.Errorf("point 1 = %+v", points[1])
-	}
-	if points[2].Name != "kondo_inflight" || points[2].Kind != "gauge" || points[2].Value != 2.5 {
-		t.Errorf("point 2 = %+v", points[2])
-	}
-
-	var nilReg *Registry
-	if nilReg.Snapshot() != nil {
-		t.Error("nil registry snapshot is not nil")
-	}
-}
-
 func TestSetProcessNameOrdering(t *testing.T) {
 	tr := NewTrace()
-	tr.SetProcessName(3, "worker:bob")
-	tr.SetProcessName(1, "coordinator")
-	tr.SetProcessName(2, "worker:alice")
-	tr.RecordInstant("x", 0)
+	tr.SetProcessName(3, "kondo-serve:b")
+	tr.SetProcessName(1, "kondo-load")
+	tr.SetProcessName(2, "kondo-serve:a")
+	instant(tr, "x", 0)
 
 	evs := traceEvents(t, decodeChromeTrace(t, tr))
 	meta := eventsNamed(evs, "process_name")

@@ -6,7 +6,7 @@ package obs
 // burn accounting. The engine never touches the request hot path — it
 // snapshots cumulative instrument values on a tick, and windowed
 // deltas between snapshots yield the recent distribution (DESIGN.md
-// §14). Exposed as kondo_slo_* instruments and the /sloz JSON body.
+// §12). Exposed as kondo_slo_* instruments and the /sloz JSON body.
 
 import (
 	"context"

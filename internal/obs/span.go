@@ -38,8 +38,9 @@ const DefaultTraceLimit = 1 << 20
 // the caller assigned them.
 const LocalPID = 1
 
-// Trace collects completed spans and instant events from any number
-// of goroutines. It is safe for concurrent use.
+// Trace collects completed spans from any number of goroutines, plus
+// the spans and instant events of peer traces spliced in by Merge. It
+// is safe for concurrent use.
 type Trace struct {
 	mu      sync.Mutex
 	epoch   time.Time
@@ -73,40 +74,18 @@ func A(key string, value any) Arg { return Arg{Key: key, Value: value} }
 // NewTrace returns an empty trace whose timestamps are relative to
 // now, capped at DefaultTraceLimit events.
 func NewTrace() *Trace {
-	return NewTraceAt(time.Now())
+	return &Trace{epoch: time.Now(), limit: DefaultTraceLimit}
 }
-
-// NewTraceAt returns an empty trace whose timestamps are relative to
-// epoch — a worker that exports many per-lease sub-traces creates them
-// all against one session epoch so their events share a timeline. A
-// zero epoch means now.
-func NewTraceAt(epoch time.Time) *Trace {
-	if epoch.IsZero() {
-		epoch = time.Now()
-	}
-	return &Trace{epoch: epoch, limit: DefaultTraceLimit}
-}
-
-// Epoch returns the instant the trace's timestamps are relative to.
-func (t *Trace) Epoch() time.Time { return t.epoch }
 
 // SetProcessName labels a process lane: the Chrome export carries one
 // process_name metadata event per named pid, so Perfetto renders the
-// lane as e.g. "coordinator" or "worker:alice" instead of a number.
+// lane as e.g. "kondo-load" or "kondo-serve" instead of a number.
 func (t *Trace) SetProcessName(pid int, name string) {
 	t.mu.Lock()
 	if t.procs == nil {
 		t.procs = make(map[int]string)
 	}
 	t.procs[pid] = name
-	t.mu.Unlock()
-}
-
-// SetLimit changes the maximum retained event count (n <= 0 means
-// unlimited). Events arriving past the limit are dropped and counted.
-func (t *Trace) SetLimit(n int) {
-	t.mu.Lock()
-	t.limit = n
 	t.mu.Unlock()
 }
 
@@ -219,17 +198,6 @@ func (s *Span) End() {
 		tid:   s.tid,
 		args:  s.args,
 	})
-}
-
-// RecordInstant records a zero-duration marker event on a display
-// lane — the coordinator's lease lifecycle hooks pass the worker's
-// lane so the instant renders next to that worker's spans instead of
-// collapsing onto tid 0. Nil-safe.
-func (t *Trace) RecordInstant(name string, tid int, args ...Arg) {
-	if t == nil {
-		return
-	}
-	t.add(event{name: name, ph: 'i', start: time.Now(), tid: int64(tid), args: args})
 }
 
 // chromeEvent is the trace_event JSON shape understood by

@@ -74,7 +74,7 @@ func TestSpanRoundTrip(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	sp.Arg("evals", 42).End()
 	Start(ctx, "fuzz.worker").SetTID(3).End()
-	tr.RecordInstant("fuzz.restart", 0)
+	instant(tr, "fuzz.restart", 0)
 
 	if tr.Len() != 3 {
 		t.Fatalf("trace has %d events, want 3", tr.Len())
@@ -144,7 +144,7 @@ func TestTraceConcurrentEmission(t *testing.T) {
 
 func TestTraceLimit(t *testing.T) {
 	tr := NewTrace()
-	tr.SetLimit(3)
+	tr.limit = 3
 	ctx := WithTrace(context.Background(), tr)
 	for i := 0; i < 10; i++ {
 		Start(ctx, "x").End()
@@ -191,7 +191,7 @@ func BenchmarkStartDisabled(b *testing.B) {
 
 func BenchmarkStartEnabled(b *testing.B) {
 	tr := NewTrace()
-	tr.SetLimit(1024) // bound memory; drops still exercise the path
+	tr.limit = 1024 // bound memory; drops still exercise the path
 	ctx := WithTrace(context.Background(), tr)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -6,9 +6,8 @@ package obs
 // it onto outgoing HTTP requests as additive headers; the server opens
 // a child context under the caller's ids, so its serve spans carry the
 // same trace id as the client's fetch span and a stitched multi-pid
-// trace (see WireTrace) shows the full causal chain. Old peers ignore
-// the headers — the same forward-compat contract as the additive JSON
-// fields of the orchestra protocol (DESIGN.md §13, §14).
+// trace (see WireTrace) shows the full causal chain. The headers are
+// additive: old peers ignore them (DESIGN.md §12).
 
 import (
 	"context"
@@ -35,12 +34,10 @@ const (
 
 // TraceContext identifies one request within a distributed trace: the
 // trace id names the end-to-end request, the span id the current hop.
-// The zero value is "no context". The JSON tags keep the type usable
-// as an additive field on wire messages (omitted when empty, ignored
-// by old decoders).
+// The zero value is "no context".
 type TraceContext struct {
-	TraceID string `json:"trace_id,omitempty"`
-	SpanID  string `json:"span_id,omitempty"`
+	TraceID string
+	SpanID  string
 }
 
 // Valid reports whether both ids are present.

@@ -1,6 +1,6 @@
 package sdf
 
-// Verified recovery (DESIGN.md §15): a SHA-256 Merkle tree over a
+// Verified recovery (DESIGN.md §13): a SHA-256 Merkle tree over a
 // dataset's serving chunks turns every chunk the recovery plane ships
 // into a content-addressed, position-bound object. The tree is built
 // at debloat time over the ORIGINAL dataset — the bytes an origin

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/array"
+	"repro/internal/atomicfile"
 )
 
 // Writer builds an sdf file. Datasets are staged in memory and the
@@ -178,35 +179,30 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("sdf: metadata grew between layout passes")
 	}
 
-	f, err := os.Create(w.path)
-	if err != nil {
-		return fmt.Errorf("sdf: create %s: %w", w.path, err)
-	}
-	defer f.Close()
-
-	header := make([]byte, headerSize)
-	copy(header, Magic)
-	binary.LittleEndian.PutUint16(header[4:], Version)
-	binary.LittleEndian.PutUint32(header[8:], uint32(len(metaBytes)))
-	binary.LittleEndian.PutUint32(header[12:], metaCRC(metaBytes))
-	if _, err := f.Write(header); err != nil {
-		return fmt.Errorf("sdf: write header: %w", err)
-	}
-	if _, err := f.Write(metaBytes); err != nil {
-		return fmt.Errorf("sdf: write metadata: %w", err)
-	}
-	for _, sd := range w.datasets {
-		if _, err := f.Seek(sd.meta.DataOff, 0); err != nil {
-			return fmt.Errorf("sdf: seek to data region: %w", err)
+	// The file replaces any previous one at the path all at once, so a
+	// failed write never leaves a torn file where a good one was.
+	return atomicfile.Write(w.path, 0o666, func(f *os.File) error {
+		header := make([]byte, headerSize)
+		copy(header, Magic)
+		binary.LittleEndian.PutUint16(header[4:], Version)
+		binary.LittleEndian.PutUint32(header[8:], uint32(len(metaBytes)))
+		binary.LittleEndian.PutUint32(header[12:], metaCRC(metaBytes))
+		if _, err := f.Write(header); err != nil {
+			return fmt.Errorf("sdf: write header: %w", err)
 		}
-		if err := sd.writeData(f); err != nil {
-			return err
+		if _, err := f.Write(metaBytes); err != nil {
+			return fmt.Errorf("sdf: write metadata: %w", err)
 		}
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("sdf: sync %s: %w", w.path, err)
-	}
-	return nil
+		for _, sd := range w.datasets {
+			if _, err := f.Seek(sd.meta.DataOff, 0); err != nil {
+				return fmt.Errorf("sdf: seek to data region: %w", err)
+			}
+			if err := sd.writeData(f); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // buildChunkTable fills in DataOff, DataLen and, for chunked layouts,

@@ -3,48 +3,45 @@ package status
 import (
 	"net/http"
 	"sync"
+
+	"repro/internal/fuzz"
 )
 
-// subBuffer is the per-subscriber event buffer; a subscriber that
+// subBuffer is the per-subscriber point buffer; a subscriber that
 // falls further behind than this is disconnected.
 const subBuffer = 64
 
-// feed is one Server-Sent-Events broadcaster: published events are
-// kept in a replay backlog and fanned out to live subscribers, a
-// subscriber that falls subBuffer events behind is dropped rather than
-// allowed to block the publisher, and every stream ends with an
-// `event: done` frame once the feed closes. Each frame is
-// `event: <name>` plus one `data:` line of the event's JSON.
-type feed[T any] struct {
-	name string // SSE event name of every data frame
-	keep int    // backlog length replayed to new subscribers; 0 keeps all
-
+// feed is the coverage Server-Sent-Events broadcaster: every published
+// point is kept in a backlog replayed to new subscribers (a stream's
+// frames always concatenate to the whole campaign) and fanned out to
+// live subscribers, a subscriber that falls subBuffer points behind is
+// dropped rather than allowed to block the campaign, and every stream
+// ends with an `event: done` frame once the feed closes. Each frame is
+// `event: coverage` plus one `data:` line of the point's JSON.
+type feed struct {
 	mu     sync.Mutex
-	log    []T
-	subs   map[int]chan T
+	log    []fuzz.CoveragePoint
+	subs   map[int]chan fuzz.CoveragePoint
 	next   int
 	closed bool
 }
 
-func newFeed[T any](name string, keep int) *feed[T] {
-	return &feed[T]{name: name, keep: keep, subs: make(map[int]chan T)}
+func newFeed() *feed {
+	return &feed{subs: make(map[int]chan fuzz.CoveragePoint)}
 }
 
-// publish appends v to the backlog and sends it to every subscriber.
+// publish appends p to the backlog and sends it to every subscriber.
 // A no-op once the feed is closed.
-func (f *feed[T]) publish(v T) {
+func (f *feed) publish(p fuzz.CoveragePoint) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return
 	}
-	f.log = append(f.log, v)
-	if f.keep > 0 && len(f.log) > f.keep {
-		f.log = f.log[len(f.log)-f.keep:]
-	}
+	f.log = append(f.log, p)
 	for id, ch := range f.subs {
 		select {
-		case ch <- v:
+		case ch <- p:
 		default:
 			// The subscriber's buffer is full; drop it so the publisher
 			// never blocks on a stalled client.
@@ -55,7 +52,7 @@ func (f *feed[T]) publish(v T) {
 }
 
 // close marks the feed done and ends every open stream.
-func (f *feed[T]) close() {
+func (f *feed) close() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
@@ -69,27 +66,27 @@ func (f *feed[T]) close() {
 }
 
 // snapshot returns a copy of the backlog and whether the feed closed.
-func (f *feed[T]) snapshot() ([]T, bool) {
+func (f *feed) snapshot() ([]fuzz.CoveragePoint, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append([]T(nil), f.log...), f.closed
+	return append([]fuzz.CoveragePoint(nil), f.log...), f.closed
 }
 
 // subscribe registers a stream subscriber, returning the backlog so
 // far, the live channel (already closed once the feed is), and an
 // unsubscribe func.
-func (f *feed[T]) subscribe() ([]T, chan T, func()) {
+func (f *feed) subscribe() ([]fuzz.CoveragePoint, chan fuzz.CoveragePoint, func()) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	backlog := append([]T(nil), f.log...)
+	backlog := append([]fuzz.CoveragePoint(nil), f.log...)
 	if f.closed {
-		ch := make(chan T)
+		ch := make(chan fuzz.CoveragePoint)
 		close(ch)
 		return backlog, ch, func() {}
 	}
 	id := f.next
 	f.next++
-	ch := make(chan T, subBuffer)
+	ch := make(chan fuzz.CoveragePoint, subBuffer)
 	f.subs[id] = ch
 	return backlog, ch, func() {
 		f.mu.Lock()
@@ -98,10 +95,10 @@ func (f *feed[T]) subscribe() ([]T, chan T, func()) {
 	}
 }
 
-// ServeHTTP streams the feed: the backlog first, then live events,
+// ServeHTTP streams the feed: the backlog first, then live points,
 // then `event: done` when the feed closes or the subscriber is dropped
 // for lagging.
-func (f *feed[T]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (f *feed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusNotImplemented, map[string]string{"error": "streaming unsupported"})
@@ -114,13 +111,13 @@ func (f *feed[T]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	backlog, ch, cancel := f.subscribe()
 	defer cancel()
-	for _, v := range backlog {
-		writeEvent(w, f.name, v)
+	for _, p := range backlog {
+		writeEvent(w, "coverage", p)
 	}
 	flusher.Flush()
 	for {
 		select {
-		case v, open := <-ch:
+		case p, open := <-ch:
 			if !open {
 				// The feed finished or dropped us for lagging; a closed
 				// channel yields everything buffered first.
@@ -128,7 +125,7 @@ func (f *feed[T]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 				return
 			}
-			writeEvent(w, f.name, v)
+			writeEvent(w, "coverage", p)
 			flusher.Flush()
 		case <-r.Context().Done():
 			return

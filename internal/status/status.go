@@ -1,8 +1,7 @@
 // Package status serves a running fuzz campaign's live views over
-// HTTP: a /statusz JSON snapshot of the coverage series, a
+// HTTP: a /statusz JSON snapshot of the coverage series and a
 // /statusz/stream Server-Sent-Events feed of points as they are
-// recorded, and — on a coordinator — the /fleetz worker-health view
-// and its /fleetz/stream lease feed. `cmd/kondo -status-addr` mounts it
+// recorded. `cmd/kondo -status-addr` mounts it
 // next to a campaign and feeds it through fuzz.Config.OnCoverage; the
 // daemon's shared observability endpoints (obs.Endpoints: /metrics,
 // /healthz, /buildz, /tracez, /sloz) serve beside it (DESIGN.md §9).
@@ -40,25 +39,18 @@ type Snapshot struct {
 	Verify any `json:"verify,omitempty"`
 }
 
-// Server accumulates coverage points and lease events and serves
-// them. Publish and PublishFleetEvent are safe to call from campaign
-// goroutines while HTTP handlers read concurrently; slow SSE
-// subscribers are dropped rather than allowed to block the campaign.
+// Server accumulates coverage points and serves them. Publish is safe
+// to call from the campaign goroutine while HTTP handlers read
+// concurrently; slow SSE subscribers are dropped rather than allowed
+// to block the campaign.
 type Server struct {
 	meta      Campaign
 	dims      []int
 	spaceSize int64
 
-	// coverage replays the full series to every new subscriber (a
-	// stream's frames always concatenate to the whole campaign);
-	// fleet replays only its last fleetBacklog lease events.
-	coverage *feed[fuzz.CoveragePoint]
-	fleet    *feed[any]
+	coverage *feed
 
 	mu sync.Mutex
-	// fleetSource backs /fleetz (see fleet.go); nil unless the process
-	// is a coordinator and called SetFleetSource.
-	fleetSource func() any
 	// verifySource backs the /statusz verify view (see verify.go); nil
 	// unless the process runs a verifying recovery client.
 	verifySource func() any
@@ -76,8 +68,7 @@ func NewServer(meta Campaign, dims []int, spaceSize int64) *Server {
 		meta:      meta,
 		dims:      dims,
 		spaceSize: spaceSize,
-		coverage:  newFeed[fuzz.CoveragePoint]("coverage", 0),
-		fleet:     newFeed[any]("lease", fleetBacklog),
+		coverage:  newFeed(),
 	}
 }
 
@@ -86,19 +77,14 @@ func NewServer(meta Campaign, dims []int, spaceSize int64) *Server {
 func (s *Server) Publish(p fuzz.CoveragePoint) { s.coverage.publish(p) }
 
 // Finish marks the campaign done and ends every open stream.
-func (s *Server) Finish() {
-	s.coverage.close()
-	s.fleet.close()
-}
+func (s *Server) Finish() { s.coverage.close() }
 
-// Handler returns the campaign and fleet views; a daemon serves it
-// behind obs.Endpoints.Handler.
+// Handler returns the campaign views; a daemon serves it behind
+// obs.Endpoints.Handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.Handle("/statusz/stream", s.coverage)
-	mux.HandleFunc("/fleetz", s.handleFleetz)
-	mux.Handle("/fleetz/stream", s.fleet)
 	return mux
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # load-demo: drive a kondo-serve recovery origin with the kondo-load
 # heavy-traffic harness over loopback and assert the serving
-# observability layer end to end (DESIGN.md §14):
+# observability layer end to end (DESIGN.md §12):
 #
 #   1. stitching — kondo-load stamps a trace context onto every
 #      request, kondo-serve records child spans under it, and the

@@ -1,5 +1,5 @@
 #!/bin/sh
-# verify-demo: end-to-end verified recovery (DESIGN.md §15):
+# verify-demo: end-to-end verified recovery (DESIGN.md §13):
 #
 #   1. debloat — `kondo` carves a subset and writes a manifest whose
 #      merkle section roots the ORIGINAL dataset's serving chunks;
