@@ -21,11 +21,13 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-# fuzz-smoke runs the chunk-frame decoder fuzzer (FuzzChunkFrame, the
-# one decoder of untrusted recovery-plane bytes) for 10 s from its
-# committed seed corpus; any panic or re-encoding mismatch fails it.
+# fuzz-smoke runs each decoder fuzzer for 10 s from its committed seed
+# corpus: FuzzChunkFrame (recovery-plane chunk frames; a panic or a
+# re-encoding mismatch fails it) and FuzzOpen (sdf header, metadata and
+# chunk table; a panic fails it). go test fuzzes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s -parallel 2 ./internal/dataserve
+	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -parallel 2 ./internal/sdf
 
 # lint-prints rejects unconditional printing from library packages:
 # everything under internal/ must route diagnostics through
@@ -75,7 +77,7 @@ lint-fmt:
 
 # verify is the full tier-1 check: build, vet, the print lint, the
 # metrics-docs lint, the format lint, plain tests, the race-detector
-# pass over the concurrent paths, the chunk-frame fuzz smoke run, and
+# pass over the concurrent paths, the decoder fuzz smoke runs, and
 # the bench regression gate.
 verify: build vet lint-prints lint-metrics-docs lint-fmt test race fuzz-smoke bench-check
 	@echo "verify: OK"

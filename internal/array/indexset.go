@@ -11,37 +11,26 @@ import (
 // truth), and I'_Θ (the carved approximation). Indices are stored by
 // their row-major linear position.
 //
-// The set is backed by one of two representations and migrates
-// between them based on how it is populated:
-//
-//   - a hash map (the historical backend), optimal for the fuzzer's
-//     scattered point inserts, where membership and insertion are O(1);
-//   - sorted run-length intervals, optimal for the scanline
-//     rasterizer, which emits whole rows at a time: a run of any
-//     length inserts in O(log r) (amortized O(1) when runs arrive in
-//     ascending order), and union/intersection walk run-at-a-time
-//     instead of element-at-a-time.
-//
-// A set starts on the map backend; the first AddRun (or a union with
-// a run-backed set) converts it to runs. The migration is a
-// deterministic function of the operation sequence, and every public
-// operation is representation-independent, so two sets holding the
-// same indices are Equal regardless of backend.
+// The set is a sorted list of maximal inclusive [Lo, Hi] runs of
+// linear positions. Producers that emit in ascending order (a slab's
+// rows, the scanline rasterizer, an enumeration of the space) extend
+// or append the last run in O(1); any other insert binary-searches
+// its run. Union galloping-searches the receiver for each run of the
+// other set, copies the untouched stretches between them in bulk, and
+// reports the ranges it newly covers, so folding a small I_v into a
+// large IS costs O(|I_v| log |IS|) searches plus one block copy.
+// Every walk is in ascending row-major order.
 //
 // IndexSet is not safe for concurrent mutation.
 type IndexSet struct {
 	space Space
-	// m is the hash backend; nil when the set is run-backed.
-	m map[int64]struct{}
-	// runs is the interval backend: sorted, pairwise disjoint,
-	// non-adjacent (maximal) inclusive [Lo, Hi] spans.
+	// runs are sorted, pairwise disjoint, non-adjacent (maximal)
+	// inclusive [Lo, Hi] spans.
 	runs []Run
-	// n is the run-backend cardinality (maintained incrementally so
-	// Len stays O(1)).
+	// n is the cardinality, maintained incrementally so Len is O(1).
 	n int64
-	// scratch is a reusable buffer for run-at-a-time unions, retained
-	// across calls so the steady-state union inner loop does not
-	// allocate.
+	// scratch is a reusable buffer for unions, retained across calls so
+	// the steady-state union does not allocate.
 	scratch []Run
 }
 
@@ -52,40 +41,11 @@ type Run struct {
 
 // NewIndexSet returns an empty set over the given space.
 func NewIndexSet(space Space) *IndexSet {
-	return &IndexSet{space: space, m: make(map[int64]struct{})}
+	return &IndexSet{space: space}
 }
 
 // Space returns the index space the set ranges over.
 func (s *IndexSet) Space() Space { return s.space }
-
-// runBacked reports whether the set currently uses the interval
-// backend.
-func (s *IndexSet) runBacked() bool { return s.m == nil }
-
-// toRuns migrates the set from the hash backend to the interval
-// backend: sort the keys, coalesce adjacent positions into runs. The
-// result is canonical, so the migration is deterministic regardless
-// of map iteration order.
-func (s *IndexSet) toRuns() {
-	if s.m == nil {
-		return
-	}
-	lins := make([]int64, 0, len(s.m))
-	for lin := range s.m {
-		lins = append(lins, lin)
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	s.runs = s.runs[:0]
-	for _, lin := range lins {
-		if k := len(s.runs); k > 0 && s.runs[k-1].Hi+1 == lin {
-			s.runs[k-1].Hi = lin
-		} else {
-			s.runs = append(s.runs, Run{lin, lin})
-		}
-	}
-	s.n = int64(len(lins))
-	s.m = nil
-}
 
 // Add inserts ix into the set. It reports whether the index was newly
 // added (false if already present) and returns an error for indices
@@ -105,36 +65,23 @@ func (s *IndexSet) AddLinear(lin int64) bool {
 	if lin < 0 || lin >= s.space.Size() {
 		return false
 	}
-	if s.m != nil {
-		if _, ok := s.m[lin]; ok {
-			return false
-		}
-		s.m[lin] = struct{}{}
-		return true
-	}
 	return s.addRun(lin, lin) > 0
 }
 
 // AddRun inserts the inclusive span [lo, hi] of linear positions and
 // returns the number of newly added indices. This is the scanline
 // rasterizer's emission primitive: a whole lattice row costs one
-// ordered-interval insertion instead of one hash insert per index.
-// The span must lie inside the space.
-//
-// AddRun migrates a map-backed set to the interval backend first (a
-// deterministic conversion), so sets that interleave point adds and
-// run adds stay consistent.
+// ordered-interval insertion. The span must lie inside the space.
 func (s *IndexSet) AddRun(lo, hi int64) (int64, error) {
 	if lo > hi || lo < 0 || hi >= s.space.Size() {
 		return 0, fmt.Errorf("array: run [%d, %d] out of range for space of size %d", lo, hi, s.space.Size())
 	}
-	s.toRuns()
 	return s.addRun(lo, hi), nil
 }
 
-// addRun inserts [lo, hi] into the run backend and returns the count
-// of newly covered positions. Appending at or beyond the tail — the
-// scanline emission order — is O(1) amortized.
+// addRun inserts [lo, hi] and returns the count of newly covered
+// positions. Appending at or beyond the tail — the scanline emission
+// order — is O(1) amortized.
 func (s *IndexSet) addRun(lo, hi int64) int64 {
 	rs := s.runs
 	if k := len(rs); k == 0 || lo > rs[k-1].Hi+1 {
@@ -157,7 +104,7 @@ func (s *IndexSet) addRun(lo, hi int64) int64 {
 	// General case: binary search for the first run that overlaps or
 	// touches [lo, hi], merge the covered range, splice.
 	i := sort.Search(len(rs), func(i int) bool { return rs[i].Hi >= lo-1 })
-	if i == len(rs) || rs[i].Lo > hi+1 {
+	if rs[i].Lo > hi+1 {
 		// Fully disjoint: insert at i.
 		rs = append(rs, Run{})
 		copy(rs[i+1:], rs[i:])
@@ -170,13 +117,9 @@ func (s *IndexSet) addRun(lo, hi int64) int64 {
 	var covered int64
 	j := i
 	for j < len(rs) && rs[j].Lo <= hi+1 {
-		if rs[j].Lo < nlo {
-			nlo = rs[j].Lo
-		}
-		if rs[j].Hi > nhi {
-			nhi = rs[j].Hi
-		}
-		if olo, ohi := max64(rs[j].Lo, lo), min64(rs[j].Hi, hi); olo <= ohi {
+		nlo = min(nlo, rs[j].Lo)
+		nhi = max(nhi, rs[j].Hi)
+		if olo, ohi := max(rs[j].Lo, lo), min(rs[j].Hi, hi); olo <= ohi {
 			covered += ohi - olo + 1
 		}
 		j++
@@ -203,157 +146,161 @@ func (s *IndexSet) Contains(ix Index) bool {
 
 // ContainsLinear reports whether the linear position is in the set.
 func (s *IndexSet) ContainsLinear(lin int64) bool {
-	if s.m != nil {
-		_, ok := s.m[lin]
-		return ok
-	}
 	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].Hi >= lin })
 	return i < len(s.runs) && s.runs[i].Lo <= lin
 }
 
 // Len returns the number of indices in the set.
-func (s *IndexSet) Len() int {
-	if s.m != nil {
-		return len(s.m)
-	}
-	return int(s.n)
-}
+func (s *IndexSet) Len() int { return int(s.n) }
 
 // Empty reports whether the set has no elements. A fuzz seed whose
 // debloat test yields an empty set is a "not useful" parameter value
 // (paper §IV).
-func (s *IndexSet) Empty() bool { return s.Len() == 0 }
+func (s *IndexSet) Empty() bool { return s.n == 0 }
 
-// Reset empties the set while retaining the backend's allocated
-// capacity (map buckets, run and scratch buffers), so refilling it
-// does not re-allocate. The current backend is kept.
+// Reset empties the set while retaining its run and scratch buffers,
+// so refilling it does not re-allocate.
 func (s *IndexSet) Reset() {
-	if s.m != nil {
-		clear(s.m)
-	}
 	s.runs = s.runs[:0]
 	s.n = 0
 }
 
 // UnionWith adds every element of o into s. The two sets must range
-// over the same space. When both sets are run-backed the union is a
-// single run-at-a-time merge sweep; a run-backed o migrates a
-// map-backed s to runs first.
-func (s *IndexSet) UnionWith(o *IndexSet) {
-	switch {
-	case s.m != nil && o.m != nil:
-		for lin := range o.m {
-			s.m[lin] = struct{}{}
-		}
-	case o.m != nil: // s run-backed
-		for lin := range o.m {
-			s.addRun(lin, lin)
-		}
-	default: // o run-backed
-		s.toRuns()
-		s.unionRuns(o.runs, o.n)
-	}
+// over the same space.
+func (s *IndexSet) UnionWith(o *IndexSet) { s.union(o.runs, nil) }
+
+// UnionWithNew adds every element of o into s, like UnionWith, and
+// calls fn (if non-nil) once for each maximal range [lo, hi] of o's
+// positions that s did not already hold — exactly o \ s before the
+// call — in ascending order. It returns how many positions were added,
+// which is also the growth of Len. The two sets must range over the
+// same space.
+func (s *IndexSet) UnionWithNew(o *IndexSet, fn func(lo, hi int64)) int64 {
+	return s.union(o.runs, fn)
 }
 
-// unionRuns merges the sorted run list other into s's runs with one
-// linear sweep through both lists. The output is built in the
-// retained scratch buffer and the two buffers are swapped, so the
-// steady-state sweep performs no allocations.
-func (s *IndexSet) unionRuns(other []Run, otherN int64) {
-	if len(other) == 0 {
-		return
+// union merges the sorted run list b into s. Runs of s that no run of
+// b reaches are found by galloping search and copied in bulk; a b run
+// already inside one run of s changes nothing and copies nothing. The
+// output is built in the retained scratch buffer and the two buffers
+// are swapped, so the steady-state union performs no allocations.
+func (s *IndexSet) union(b []Run, fn func(lo, hi int64)) int64 {
+	if len(b) == 0 {
+		return 0
 	}
-	if len(s.runs) == 0 {
-		s.runs = append(s.runs[:0], other...)
-		s.n = otherN
-		return
-	}
-	a, b := s.runs, other
-	out := s.scratch[:0]
-	var n int64
-	i, j := 0, 0
-	take := func() Run {
-		if j >= len(b) || (i < len(a) && a[i].Lo <= b[j].Lo) {
-			r := a[i]
-			i++
-			return r
-		}
-		r := b[j]
-		j++
-		return r
-	}
-	cur := take()
-	for i < len(a) || j < len(b) {
-		r := take()
-		if r.Lo <= cur.Hi+1 {
-			if r.Hi > cur.Hi {
-				cur.Hi = r.Hi
+	a := s.runs
+	if k := len(a); k == 0 || b[0].Lo > a[k-1].Hi+1 {
+		// b lies wholly past s's tail: append in place.
+		var added int64
+		for _, r := range b {
+			if fn != nil {
+				fn(r.Lo, r.Hi)
 			}
+			added += r.Hi - r.Lo + 1
+		}
+		s.runs = append(a, b...)
+		s.n += added
+		return added
+	}
+	var (
+		out   []Run // nil until the first change
+		added int64
+		i     int // a[:i] is already accounted for in out
+	)
+	for _, r := range b {
+		// j: the first run of a that reaches r (overlaps or touches).
+		j := i + gallop(a[i:], r.Lo-1)
+		if out == nil && j < len(a) && a[j].Lo <= r.Lo && a[j].Hi >= r.Hi {
+			continue // r is already covered and nothing has changed yet
+		}
+		if out == nil {
+			out = s.scratch[:0]
+		}
+		out = append(out, a[i:j]...)
+		i = j
+		cur := r
+		pos := r.Lo // the first position of r not known to be covered
+		if k := len(out); k > 0 && out[k-1].Hi >= r.Lo-1 {
+			// The previous merged run already reaches r.
+			prev := out[k-1]
+			out = out[:k-1]
+			cur = Run{prev.Lo, max(prev.Hi, r.Hi)}
+			pos = max(pos, prev.Hi+1)
+		}
+		for ; i < len(a) && a[i].Lo <= r.Hi+1; i++ {
+			if a[i].Lo > pos {
+				added += a[i].Lo - pos
+				if fn != nil {
+					fn(pos, a[i].Lo-1)
+				}
+			}
+			pos = max(pos, a[i].Hi+1)
+			cur.Lo = min(cur.Lo, a[i].Lo)
+			cur.Hi = max(cur.Hi, a[i].Hi)
+		}
+		if pos <= r.Hi {
+			added += r.Hi - pos + 1
+			if fn != nil {
+				fn(pos, r.Hi)
+			}
+		}
+		out = append(out, cur)
+	}
+	if out == nil {
+		return 0
+	}
+	out = append(out, a[i:]...)
+	s.scratch = a[:0]
+	s.runs = out
+	s.n += added
+	return added
+}
+
+// gallop returns the first k with rs[k].Hi >= target, or len(rs),
+// probing exponentially from the front before a binary search, so a
+// target near the start costs O(log k) rather than O(log len(rs)).
+func gallop(rs []Run, target int64) int {
+	hi := 1
+	for hi < len(rs) && rs[hi-1].Hi < target {
+		hi *= 2
+	}
+	lo := hi / 2
+	hi = min(hi, len(rs))
+	// Invariant: rs[:lo] end before target; the answer is in [lo, hi].
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if rs[m].Hi < target {
+			lo = m + 1
 		} else {
-			out = append(out, cur)
-			n += cur.Hi - cur.Lo + 1
-			cur = r
+			hi = m
 		}
 	}
-	out = append(out, cur)
-	n += cur.Hi - cur.Lo + 1
-	s.scratch = s.runs[:0]
-	s.runs = out
-	s.n = n
+	return lo
 }
 
 // IntersectLen returns |s ∩ o| without materializing the
-// intersection. Precision and recall only need this cardinality.
-// Run-backed pairs overlap run-at-a-time with a two-pointer walk;
-// mixed pairs probe the hash side's elements against the run side.
+// intersection, overlapping the two run lists with a two-pointer walk.
+// Precision and recall only need this cardinality.
 func (s *IndexSet) IntersectLen(o *IndexSet) int {
-	switch {
-	case s.m != nil && o.m != nil:
-		small, big := s, o
-		if big.Len() < small.Len() {
-			small, big = big, small
+	var n int64
+	a, b := s.runs, o.runs
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if lo, hi := max(a[i].Lo, b[j].Lo), min(a[i].Hi, b[j].Hi); lo <= hi {
+			n += hi - lo + 1
 		}
-		n := 0
-		for lin := range small.m {
-			if _, ok := big.m[lin]; ok {
-				n++
-			}
+		if a[i].Hi < b[j].Hi {
+			i++
+		} else {
+			j++
 		}
-		return n
-	case s.m == nil && o.m == nil:
-		var n int64
-		a, b := s.runs, o.runs
-		i, j := 0, 0
-		for i < len(a) && j < len(b) {
-			if lo, hi := max64(a[i].Lo, b[j].Lo), min64(a[i].Hi, b[j].Hi); lo <= hi {
-				n += hi - lo + 1
-			}
-			if a[i].Hi < b[j].Hi {
-				i++
-			} else {
-				j++
-			}
-		}
-		return int(n)
-	default:
-		mapped, runned := s, o
-		if mapped.m == nil {
-			mapped, runned = o, s
-		}
-		n := 0
-		for lin := range mapped.m {
-			if runned.ContainsLinear(lin) {
-				n++
-			}
-		}
-		return n
 	}
+	return int(n)
 }
 
-// Each calls fn for every index in the set, stopping early if fn
-// returns false. A run-backed set is visited in ascending row-major
-// order; a map-backed set in unspecified order. The Index passed to
-// fn is fresh per call and may be retained.
+// Each calls fn for every index in the set in ascending row-major
+// order, stopping early if fn returns false. The Index passed to fn is
+// fresh per call and may be retained.
 func (s *IndexSet) Each(fn func(Index) bool) {
 	s.EachLinear(func(lin int64) bool {
 		ix, err := s.space.Unlinear(lin)
@@ -364,17 +311,9 @@ func (s *IndexSet) Each(fn func(Index) bool) {
 	})
 }
 
-// EachLinear calls fn for every linear position in the set, stopping
-// early if fn returns false. Visit order matches Each.
+// EachLinear calls fn for every linear position in the set in
+// ascending order, stopping early if fn returns false.
 func (s *IndexSet) EachLinear(fn func(int64) bool) {
-	if s.m != nil {
-		for lin := range s.m {
-			if !fn(lin) {
-				return
-			}
-		}
-		return
-	}
 	for _, r := range s.runs {
 		for lin := r.Lo; lin <= r.Hi; lin++ {
 			if !fn(lin) {
@@ -386,106 +325,34 @@ func (s *IndexSet) EachLinear(fn func(int64) bool) {
 
 // EachRun calls fn for every maximal run of consecutive linear
 // positions in ascending order, stopping early if fn returns false.
-// On a run-backed set this is a direct O(r) walk; a map-backed set
-// sorts a copy of its elements first (allocating).
 func (s *IndexSet) EachRun(fn func(lo, hi int64) bool) {
-	if s.m == nil {
-		for _, r := range s.runs {
-			if !fn(r.Lo, r.Hi) {
-				return
-			}
-		}
-		return
-	}
-	lins := make([]int64, 0, len(s.m))
-	for lin := range s.m {
-		lins = append(lins, lin)
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	for i := 0; i < len(lins); {
-		j := i + 1
-		for j < len(lins) && lins[j] == lins[j-1]+1 {
-			j++
-		}
-		if !fn(lins[i], lins[j-1]) {
+	for _, r := range s.runs {
+		if !fn(r.Lo, r.Hi) {
 			return
 		}
-		i = j
 	}
 }
 
-// RunCount returns the number of maximal runs the set stores: the
-// interval count for a run-backed set, or the element count for a
-// map-backed one (each element its own run in the worst case). It is
-// a fragmentation measure, not part of the set semantics.
-func (s *IndexSet) RunCount() int {
-	if s.m != nil {
-		return len(s.m)
-	}
-	return len(s.runs)
-}
+// RunCount returns the number of maximal runs the set stores. It is a
+// fragmentation measure, not part of the set semantics.
+func (s *IndexSet) RunCount() int { return len(s.runs) }
 
-// Clone returns a deep copy of the set (on the same backend).
+// Clone returns a deep copy of the set.
 func (s *IndexSet) Clone() *IndexSet {
-	c := &IndexSet{space: s.space}
-	if s.m != nil {
-		c.m = make(map[int64]struct{}, len(s.m))
-		for lin := range s.m {
-			c.m[lin] = struct{}{}
-		}
-		return c
-	}
-	c.runs = append([]Run(nil), s.runs...)
-	c.n = s.n
-	return c
+	return &IndexSet{space: s.space, runs: append([]Run(nil), s.runs...), n: s.n}
 }
 
 // Equal reports whether two sets over the same space hold exactly the
-// same indices, regardless of backend.
+// same indices. Run lists are canonical, so equal sets have equal
+// runs.
 func (s *IndexSet) Equal(o *IndexSet) bool {
-	if s.Len() != o.Len() {
+	if s.n != o.n || len(s.runs) != len(o.runs) {
 		return false
 	}
-	switch {
-	case s.m != nil && o.m != nil:
-		for lin := range s.m {
-			if _, ok := o.m[lin]; !ok {
-				return false
-			}
+	for i, r := range s.runs {
+		if o.runs[i] != r {
+			return false
 		}
-		return true
-	case s.m == nil && o.m == nil:
-		// Both canonical run lists: equal sets iff equal runs.
-		for i, r := range s.runs {
-			if o.runs[i] != r {
-				return false
-			}
-		}
-		return true
-	default:
-		mapped, runned := s, o
-		if mapped.m == nil {
-			mapped, runned = o, s
-		}
-		for lin := range mapped.m {
-			if !runned.ContainsLinear(lin) {
-				return false
-			}
-		}
-		return true
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return true
 }

@@ -11,9 +11,6 @@ func TestAddRunBasics(t *testing.T) {
 	if err != nil || added != 5 {
 		t.Fatalf("AddRun(5,9) = %d, %v; want 5, nil", added, err)
 	}
-	if !s.runBacked() {
-		t.Fatal("AddRun should migrate the set to the run backend")
-	}
 	if s.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", s.Len())
 	}
@@ -94,143 +91,227 @@ func TestAddLinearOnRunBackend(t *testing.T) {
 	}
 }
 
-func TestMapToRunMigrationKeepsContent(t *testing.T) {
-	s := NewIndexSet(MustSpace(8, 8))
-	for _, lin := range []int64{3, 4, 5, 17, 40, 41} {
+// model is the reference an IndexSet is checked against: a plain map
+// of linear positions.
+type model map[int64]struct{}
+
+func (m model) addRange(lo, hi int64) {
+	for lin := lo; lin <= hi; lin++ {
+		m[lin] = struct{}{}
+	}
+}
+
+// randomSet fills a set over sp with a few scattered points and, now
+// and then, one run.
+func randomSet(rng *rand.Rand, sp Space) (*IndexSet, model) {
+	s, m := NewIndexSet(sp), model{}
+	size := sp.Size()
+	for k, n := 0, rng.Intn(6); k < n; k++ {
+		lin := rng.Int63n(size)
 		s.AddLinear(lin)
+		m.addRange(lin, lin)
 	}
-	if s.runBacked() {
-		t.Fatal("point adds should stay on the map backend")
+	if rng.Intn(3) == 0 {
+		lo := rng.Int63n(size)
+		hi := lo + rng.Int63n(min(size-lo, 40))
+		s.AddRun(lo, hi)
+		m.addRange(lo, hi)
 	}
-	before := s.Clone()
-	if _, err := s.AddRun(20, 25); err != nil {
-		t.Fatal(err)
+	return s, m
+}
+
+// checkModel compares every observable of s with the reference m.
+func checkModel(t *testing.T, trial int, s *IndexSet, m model) {
+	t.Helper()
+	size := s.Space().Size()
+	if s.Len() != len(m) || s.Empty() != (len(m) == 0) {
+		t.Fatalf("trial %d: Len %d, model %d", trial, s.Len(), len(m))
 	}
-	if !s.runBacked() {
-		t.Fatal("AddRun should migrate")
-	}
-	if s.Len() != before.Len()+6 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	before.EachLinear(func(lin int64) bool {
-		if !s.ContainsLinear(lin) {
-			t.Fatalf("migration lost %d", lin)
+	for lin := int64(0); lin < size; lin++ {
+		if _, ok := m[lin]; s.ContainsLinear(lin) != ok {
+			t.Fatalf("trial %d: ContainsLinear(%d) = %v, model %v", trial, lin, !ok, ok)
 		}
+	}
+	prev := int64(-1)
+	visited := 0
+	s.EachLinear(func(lin int64) bool {
+		if lin <= prev {
+			t.Fatalf("trial %d: EachLinear not ascending: %d after %d", trial, lin, prev)
+		}
+		prev = lin
+		visited++
 		return true
 	})
+	if visited != len(m) {
+		t.Fatalf("trial %d: EachLinear visited %d of %d", trial, visited, len(m))
+	}
+	count := 0
+	s.Each(func(ix Index) bool {
+		if !s.Contains(ix) {
+			t.Fatalf("trial %d: Each yielded non-member %v", trial, ix)
+		}
+		count++
+		return true
+	})
+	if count != len(m) {
+		t.Fatalf("trial %d: Each visited %d of %d", trial, count, len(m))
+	}
+	// EachRun yields maximal runs: ascending, separated by at least
+	// one absent position, covering the set exactly.
+	var covered int
+	prevHi := int64(-2)
+	s.EachRun(func(lo, hi int64) bool {
+		if lo > hi || lo <= prevHi+1 {
+			t.Fatalf("trial %d: run [%d, %d] after %d is not maximal and ascending", trial, lo, hi, prevHi)
+		}
+		covered += int(hi - lo + 1)
+		prevHi = hi
+		return true
+	})
+	if covered != len(m) {
+		t.Fatalf("trial %d: runs cover %d of %d", trial, covered, len(m))
+	}
+	c := s.Clone()
+	if !c.Equal(s) || !s.Equal(c) || c.Len() != s.Len() {
+		t.Fatalf("trial %d: Clone not Equal", trial)
+	}
+	if c.AddLinear(firstAbsent(size, m)) && c.Equal(s) {
+		t.Fatalf("trial %d: Equal after growing the clone", trial)
+	}
+	if s.Len() != len(m) {
+		t.Fatalf("trial %d: growing the clone changed the original", trial)
+	}
 }
 
-// applyOps drives the same random operation sequence into a set,
-// returning it. forceRuns front-loads an empty AddRun-migration so
-// the set takes the interval backend from the start.
-func applyOps(sp Space, ops []func(*IndexSet), forceRuns bool) *IndexSet {
-	s := NewIndexSet(sp)
-	if forceRuns {
-		s.toRuns()
+// firstAbsent returns the smallest position absent from m, or -1 if m is
+// full.
+func firstAbsent(size int64, m model) int64 {
+	for lin := int64(0); lin < size; lin++ {
+		if _, ok := m[lin]; !ok {
+			return lin
+		}
 	}
-	for _, op := range ops {
-		op(s)
-	}
-	return s
+	return -1
 }
 
-// TestBackendEquivalence cross-checks the interval backend against the
-// map backend: the same sequence of Add/AddLinear/AddRun/UnionWith/
-// Reset operations must yield sets that are Equal (both directions),
-// agree on Len/Contains/IntersectLen, enumerate the same elements,
-// and Clone into equal sets.
-func TestBackendEquivalence(t *testing.T) {
+// TestIndexSetMatchesMapModel drives random Add/AddLinear/AddRun/
+// UnionWith/Reset sequences into an IndexSet and a map reference and
+// checks Len, ContainsLinear over the whole space, ascending
+// EachLinear, maximal EachRun, IntersectLen, Equal and Clone after
+// every step.
+func TestIndexSetMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	sp := MustSpace(16, 16)
 	size := sp.Size()
-	for trial := 0; trial < 200; trial++ {
-		var ops []func(*IndexSet)
-		for n := 0; n < 2+rng.Intn(12); n++ {
-			switch rng.Intn(4) {
+	for trial := 0; trial < 300; trial++ {
+		s, m := NewIndexSet(sp), model{}
+		for step := 0; step < 2+rng.Intn(14); step++ {
+			switch rng.Intn(6) {
 			case 0:
 				lin := rng.Int63n(size)
-				ops = append(ops, func(s *IndexSet) { s.AddLinear(lin) })
+				_, had := m[lin]
+				if got := s.AddLinear(lin); got == had {
+					t.Fatalf("trial %d: AddLinear(%d) = %v with member %v", trial, lin, got, had)
+				}
+				m.addRange(lin, lin)
 			case 1:
 				ix := NewIndex(rng.Intn(16), rng.Intn(16))
-				ops = append(ops, func(s *IndexSet) { s.Add(ix) })
+				lin, _ := sp.Linear(ix)
+				_, had := m[lin]
+				if got, err := s.Add(ix); err != nil || got == had {
+					t.Fatalf("trial %d: Add(%v) = %v, %v with member %v", trial, ix, got, err, had)
+				}
+				m.addRange(lin, lin)
 			case 2:
 				lo := rng.Int63n(size)
 				hi := lo + rng.Int63n(size-lo)
-				ops = append(ops, func(s *IndexSet) { s.AddRun(lo, hi) })
-			case 3:
-				// Union with a small set on a random backend.
-				other := NewIndexSet(sp)
-				if rng.Intn(2) == 0 {
-					other.toRuns()
+				before := len(m)
+				m.addRange(lo, hi)
+				if got, err := s.AddRun(lo, hi); err != nil || got != int64(len(m)-before) {
+					t.Fatalf("trial %d: AddRun(%d, %d) = %d, %v; model grew %d", trial, lo, hi, got, err, len(m)-before)
 				}
-				for k := 0; k < rng.Intn(5); k++ {
-					other.AddLinear(rng.Int63n(size))
+			case 3, 4:
+				o, om := randomSet(rng, sp)
+				inter := 0
+				for lin := range om {
+					if _, ok := m[lin]; ok {
+						inter++
+					}
 				}
-				if rng.Intn(3) == 0 {
-					lo := rng.Int63n(size)
-					other.AddRun(lo, lo+rng.Int63n(size-lo))
+				if got := s.IntersectLen(o); got != inter || o.IntersectLen(s) != inter {
+					t.Fatalf("trial %d: IntersectLen = %d, model %d", trial, got, inter)
 				}
-				ops = append(ops, func(s *IndexSet) { s.UnionWith(other) })
+				s.UnionWith(o)
+				for lin := range om {
+					m[lin] = struct{}{}
+				}
+				checkModel(t, trial, o, om)
+			case 5:
+				s.Reset()
+				m = model{}
 			}
+			checkModel(t, trial, s, m)
 		}
-		runs := applyOps(sp, ops, true)
-		maps := applyOps(sp, ops, false)
+	}
+}
 
-		if runs.Len() != maps.Len() {
-			t.Fatalf("trial %d: Len %d (runs) vs %d (map)", trial, runs.Len(), maps.Len())
+// TestUnionWithNewReportsDifference checks the fuzz merge's primitive:
+// the ranges UnionWithNew reports are exactly I_v \ IS, ascending and
+// maximal, and their lengths sum to the growth of Len. IS is large
+// and scattered so the galloping search and the bulk copies between
+// touched runs are exercised.
+func TestUnionWithNewReportsDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sp := MustSpace(64, 64)
+	size := sp.Size()
+	for trial := 0; trial < 300; trial++ {
+		is, ism := NewIndexSet(sp), model{}
+		for k, n := 0, rng.Intn(400); k < n; k++ {
+			lo := rng.Int63n(size)
+			hi := min(size-1, lo+rng.Int63n(3))
+			is.AddRun(lo, hi)
+			ism.addRange(lo, hi)
 		}
-		if !runs.Equal(maps) || !maps.Equal(runs) {
-			t.Fatalf("trial %d: backends disagree on Equal", trial)
+		iv, ivm := NewIndexSet(sp), model{}
+		for k, n := 0, 1+rng.Intn(30); k < n; k++ {
+			lo := rng.Int63n(size)
+			hi := min(size-1, lo+rng.Int63n(12))
+			iv.AddRun(lo, hi)
+			ivm.addRange(lo, hi)
 		}
-		for lin := int64(0); lin < size; lin++ {
-			if runs.ContainsLinear(lin) != maps.ContainsLinear(lin) {
-				t.Fatalf("trial %d: ContainsLinear(%d) disagrees", trial, lin)
+		want := model{}
+		for lin := range ivm {
+			if _, ok := ism[lin]; !ok {
+				want[lin] = struct{}{}
 			}
 		}
-		// Enumeration parity (Each order is unspecified; compare sets).
-		got := map[int64]bool{}
-		runs.EachLinear(func(lin int64) bool { got[lin] = true; return true })
-		maps.EachLinear(func(lin int64) bool {
-			if !got[lin] {
-				t.Fatalf("trial %d: runs enumeration missed %d", trial, lin)
+		before := is.Len()
+		var sum int64
+		prevHi := int64(-2)
+		got := model{}
+		added := is.UnionWithNew(iv, func(lo, hi int64) {
+			if lo > hi || lo <= prevHi+1 {
+				t.Fatalf("trial %d: range [%d, %d] after %d is not ascending and maximal", trial, lo, hi, prevHi)
 			}
-			delete(got, lin)
-			return true
+			prevHi = hi
+			sum += hi - lo + 1
+			got.addRange(lo, hi)
 		})
-		if len(got) != 0 {
-			t.Fatalf("trial %d: runs enumerated %d extra elements", trial, len(got))
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: reported %d new positions, want %d", trial, len(got), len(want))
 		}
-		// Each yields valid tuples matching EachLinear.
-		count := 0
-		runs.Each(func(ix Index) bool {
-			if !runs.Contains(ix) {
-				t.Fatalf("trial %d: Each yielded non-member %v", trial, ix)
-			}
-			count++
-			return true
-		})
-		if count != runs.Len() {
-			t.Fatalf("trial %d: Each visited %d of %d", trial, count, runs.Len())
-		}
-		// Cross-backend set algebra.
-		if n := runs.IntersectLen(maps); n != runs.Len() {
-			t.Fatalf("trial %d: self-intersection via mixed backends = %d, want %d", trial, n, runs.Len())
-		}
-		if !runs.Clone().Equal(maps) || !maps.Clone().Equal(runs) {
-			t.Fatalf("trial %d: Clone broke equivalence", trial)
-		}
-		// EachRun parity: coalesced spans must agree.
-		var rr, mr [][2]int64
-		runs.EachRun(func(lo, hi int64) bool { rr = append(rr, [2]int64{lo, hi}); return true })
-		maps.EachRun(func(lo, hi int64) bool { mr = append(mr, [2]int64{lo, hi}); return true })
-		if len(rr) != len(mr) {
-			t.Fatalf("trial %d: EachRun %d vs %d spans", trial, len(rr), len(mr))
-		}
-		for i := range rr {
-			if rr[i] != mr[i] {
-				t.Fatalf("trial %d: EachRun span %d: %v vs %v", trial, i, rr[i], mr[i])
+		for lin := range want {
+			if _, ok := got[lin]; !ok {
+				t.Fatalf("trial %d: new position %d not reported", trial, lin)
 			}
 		}
+		if sum != added || int64(is.Len()-before) != added {
+			t.Fatalf("trial %d: reported %d, returned %d, Len grew %d", trial, sum, added, is.Len()-before)
+		}
+		for lin := range ivm {
+			ism[lin] = struct{}{}
+		}
+		checkModel(t, trial, is, ism)
 	}
 }
 
@@ -262,17 +343,14 @@ func TestResetRetainsBackendAndCapacity(t *testing.T) {
 	s.AddRun(0, 10)
 	s.AddRun(50, 60)
 	s.Reset()
-	if !s.Empty() || s.Len() != 0 || !s.runBacked() {
-		t.Fatal("Reset should empty the set and keep the backend")
+	if !s.Empty() || s.Len() != 0 || s.RunCount() != 0 {
+		t.Fatal("Reset should empty the set")
+	}
+	if cap(s.runs) < 2 {
+		t.Fatalf("Reset dropped the run buffer (cap %d)", cap(s.runs))
 	}
 	if s.ContainsLinear(5) {
 		t.Fatal("Reset left stale membership")
-	}
-	m := NewIndexSet(MustSpace(100))
-	m.AddLinear(3)
-	m.Reset()
-	if !m.Empty() || m.runBacked() {
-		t.Fatal("map-backed Reset should stay map-backed and empty")
 	}
 }
 
@@ -294,8 +372,8 @@ func TestAddRunEmissionZeroAlloc(t *testing.T) {
 	}
 }
 
-// Run-backed union must reach a zero-allocation steady state: the
-// sweep reuses the set's retained scratch buffer.
+// Union must reach a zero-allocation steady state: the galloping merge
+// reuses the set's retained scratch buffer.
 func TestUnionRunsZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is skipped in -short (race) runs")
@@ -306,7 +384,6 @@ func TestUnionRunsZeroAlloc(t *testing.T) {
 		o.AddRun(i*1000, i*1000+400)
 	}
 	s := NewIndexSet(sp)
-	s.toRuns()
 	seed := NewIndexSet(sp)
 	for i := int64(0); i < 256; i++ {
 		seed.AddRun(i*1000+500, i*1000+600)
@@ -332,17 +409,6 @@ func BenchmarkAddRunAscending(b *testing.B) {
 	}
 }
 
-func BenchmarkAddLinearMap(b *testing.B) {
-	s := NewIndexSet(MustSpace(1 << 30))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Reset()
-		for r := int64(0); r < 1024; r++ {
-			s.AddLinear(r * 7919)
-		}
-	}
-}
-
 func BenchmarkUnionRuns(b *testing.B) {
 	sp := MustSpace(1 << 30)
 	o := NewIndexSet(sp)
@@ -350,7 +416,6 @@ func BenchmarkUnionRuns(b *testing.B) {
 		o.AddRun(i*1000, i*1000+400)
 	}
 	s := NewIndexSet(sp)
-	s.toRuns()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -131,21 +131,28 @@ func (l *ChunkedLayout) ChunkLinear(chunk Index) (int64, error) {
 	return l.chunkGrid.Linear(chunk)
 }
 
+// Locate returns the row-major linear id of the chunk holding ix and
+// ix's row-major position within that chunk, in one pass over the
+// coordinates and without allocating.
+func (l *ChunkedLayout) Locate(ix Index) (chunk, within int64, err error) {
+	if !l.space.Contains(ix) {
+		return 0, 0, fmt.Errorf("array: index %v out of bounds", ix)
+	}
+	for k, v := range ix {
+		c := l.chunk[k]
+		chunk = chunk*int64(l.chunkGrid.dims[k]) + int64(v/c)
+		within = within*int64(c) + int64(v%c)
+	}
+	return chunk, within, nil
+}
+
 // Offset implements Layout.
 func (l *ChunkedLayout) Offset(ix Index) (int64, error) {
-	chunk, within, err := l.ChunkCoord(ix)
+	chunk, within, err := l.Locate(ix)
 	if err != nil {
 		return 0, err
 	}
-	chunkLin, err := l.chunkGrid.Linear(chunk)
-	if err != nil {
-		return 0, err
-	}
-	var withinLin int64
-	for k, v := range within {
-		withinLin = withinLin*int64(l.chunk[k]) + int64(v)
-	}
-	return (chunkLin*l.chunkVol + withinLin) * l.elem, nil
+	return (chunk*l.chunkVol + within) * l.elem, nil
 }
 
 // IndexAt implements Layout.

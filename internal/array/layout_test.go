@@ -194,3 +194,33 @@ func TestChunkedBijectionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Locate agrees with ChunkCoord and ChunkLinear on every index of an
+// edge-padded 3-D layout.
+func TestLocateMatchesChunkCoord(t *testing.T) {
+	s := MustSpace(7, 5, 9)
+	shape := []int{3, 2, 4}
+	l, err := NewChunkedLayout(s, Float64, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Each(func(ix Index) bool {
+		chunk, within, err := l.Locate(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, wc, _ := l.ChunkCoord(ix)
+		wantChunk, _ := l.ChunkLinear(cc)
+		var wantWithin int64
+		for k, v := range wc {
+			wantWithin = wantWithin*int64(shape[k]) + int64(v)
+		}
+		if chunk != wantChunk || within != wantWithin {
+			t.Fatalf("Locate(%v) = %d, %d; want %d, %d", ix, chunk, within, wantChunk, wantWithin)
+		}
+		return true
+	})
+	if _, _, err := l.Locate(NewIndex(7, 0, 0)); err == nil {
+		t.Error("out-of-bounds Locate should error")
+	}
+}

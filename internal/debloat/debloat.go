@@ -63,26 +63,25 @@ func WriteSubset(srcPath, dstPath, dataset string, approx *array.IndexSet, chunk
 		return stats, err
 	}
 
-	// Which chunks hold approved indices?
+	// Which chunks hold approved indices? Each run is walked one
+	// chunk-wide stretch of a row at a time, through one reused index.
 	keep := make(map[int64]bool)
-	var keepErr error
-	approx.Each(func(ix array.Index) bool {
-		cc, _, err := cl.ChunkCoord(ix)
-		if err != nil {
-			keepErr = err
-			return false
+	ix := make(array.Index, space.Rank())
+	last := len(ix) - 1
+	approx.EachRun(func(lo, hi int64) bool {
+		for lin := lo; lin <= hi; {
+			rem := lin
+			for k := last; k >= 0; k-- {
+				d := int64(space.Dim(k))
+				ix[k] = int(rem % d)
+				rem /= d
+			}
+			chunkLin, _, _ := cl.Locate(ix) // ix lies in space by construction
+			keep[chunkLin] = true
+			lin += int64(min(chunk[last]-ix[last]%chunk[last], space.Dim(last)-ix[last]))
 		}
-		lin, err := cl.ChunkLinear(cc)
-		if err != nil {
-			keepErr = err
-			return false
-		}
-		keep[lin] = true
 		return true
 	})
-	if keepErr != nil {
-		return stats, keepErr
-	}
 
 	w := sdf.NewWriter(dstPath)
 	dw, err := w.CreateDataset(dataset, space, ds.DType(), chunk)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/array"
+	"repro/internal/atomicfile"
 )
 
 // CoveragePoint is one per-round snapshot of a campaign's progress
@@ -86,12 +87,17 @@ func newCovTracker(space array.Space, start time.Time) *covTracker {
 	}
 }
 
-// observe marks one newly covered index.
-func (t *covTracker) observe(ix array.Index) {
-	for k, c := range ix {
-		if !t.seen[k][c] {
-			t.seen[k][c] = true
-			t.dimCount[k]++
+// observeRun marks the newly covered linear positions [lo, hi].
+func (t *covTracker) observeRun(lo, hi int64) {
+	for lin := lo; lin <= hi; lin++ {
+		r := lin
+		for k := len(t.seen) - 1; k >= 0; k-- {
+			d := int64(len(t.seen[k]))
+			if c := r % d; !t.seen[k][c] {
+				t.seen[k][c] = true
+				t.dimCount[k]++
+			}
+			r /= d
 		}
 	}
 }
@@ -181,17 +187,10 @@ func (s *CoverageSeries) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// WriteFile writes the series as JSON to path.
+// WriteFile writes the series as JSON to path, replacing any file at
+// path all at once.
 func (s *CoverageSeries) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, 0o666, func(f *os.File) error { return s.WriteJSON(f) })
 }
 
 // LoadCoverageSeries reads a series written by WriteFile (the

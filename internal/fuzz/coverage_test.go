@@ -1,8 +1,11 @@
 package fuzz
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -226,5 +229,44 @@ func TestCoverageGaugesPublished(t *testing.T) {
 		if got := g.Value(); got != final.DimCoverage[k] {
 			t.Errorf("kondo_fuzz_dim_coverage{dim=%d} = %v, want %v", k, got, final.DimCoverage[k])
 		}
+	}
+}
+
+// A series that fails to encode (NaN is not JSON) leaves the file it
+// would have replaced as it was and no temporary file beside it.
+func TestCoverageWriteFileFailureKeepsOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "coverage.json")
+	good := &CoverageSeries{Dims: []int{4}, SpaceSize: 4,
+		Points: []CoveragePoint{{Round: 1, Covered: 2, New: 2, DimCoverage: []float64{0.5}}}}
+	if err := good.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &CoverageSeries{Dims: []int{4}, SpaceSize: 4,
+		Points: []CoveragePoint{{Round: 1, Covered: 3, DimCoverage: []float64{0.75}, Saturation: math.NaN()}}}
+	if err := bad.WriteFile(path); err == nil {
+		t.Fatal("a NaN coverage point encoded without error")
+	}
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(now, old) {
+		t.Fatalf("failed write changed the file:\n%s\nwant:\n%s", now, old)
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(des) != 1 {
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		t.Fatalf("directory holds %v, want only coverage.json", names)
 	}
 }

@@ -337,27 +337,19 @@ loop:
 				mEvals.Inc()
 				useful := !out.indices.Empty()
 
-				// Fold the eval's indices in one at a time so newly
-				// covered indices can feed the coverage tracker and the
-				// witness map. Each index is added at most once, so the
-				// result is independent of the set's iteration order.
-				added := 0
-				out.indices.Each(func(ix array.Index) bool {
-					ok, err := res.Indices.Add(ix)
-					if err != nil || !ok {
-						return true
-					}
-					added++
-					cov.observe(ix)
+				// Fold I_v into IS as one run union. The ranges it
+				// reports are exactly I_v \ IS, in ascending order, so
+				// the coverage tracker and the witness map see each
+				// newly covered index once.
+				ord := len(res.Seeds) // the SeedRecord appended below
+				added := int(res.Indices.UnionWithNew(out.indices, func(lo, hi int64) {
+					cov.observeRun(lo, hi)
 					if res.Witnesses != nil {
-						if lin, lerr := f.space.Linear(ix); lerr == nil {
-							// The SeedRecord for this eval is appended
-							// below, so its ordinal is len(res.Seeds).
-							res.Witnesses[lin] = len(res.Seeds)
+						for lin := lo; lin <= hi; lin++ {
+							res.Witnesses[lin] = ord
 						}
 					}
-					return true
-				})
+				}))
 				roundNew += added
 				if added > 0 {
 					idleIters = 0

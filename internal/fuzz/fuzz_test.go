@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -376,5 +377,28 @@ func TestBoundaryScheduleConcentratesNearBoundary(t *testing.T) {
 	t.Logf("near-boundary fraction: plain=%.3f boundary=%.3f", plain, bb)
 	if bb < plain*0.8 {
 		t.Errorf("boundary schedule less boundary-focused than plain EE: %.3f vs %.3f", bb, plain)
+	}
+}
+
+// An evaluator whose set ranges over another space fails its test
+// instead of merging: the merge unions linear positions, which only
+// line up within one space.
+func TestEvaluatorSpaceMismatchFails(t *testing.T) {
+	params := workload.ParamSpace{{Name: "x", Lo: 0, Hi: 10}}
+	space := array.MustSpace(8, 8)
+	eval := func(v []float64) (*array.IndexSet, error) {
+		s := array.NewIndexSet(array.MustSpace(4, 16))
+		s.AddLinear(3)
+		return s, nil
+	}
+	cfg := DefaultConfig()
+	cfg.MaxEvals = 5
+	f, err := New(params, space, eval, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "evaluator returned indices over 4×16, want 8×8") {
+		t.Fatalf("Run = %v, %v; want every test failed on the space mismatch", res, err)
 	}
 }

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,6 +41,11 @@ func (f *Fuzzer) evalBatch(ctx context.Context, batch [][]float64, workers int) 
 		}
 		t0 := time.Now()
 		iv, err := f.eval(batch[i])
+		if err == nil && !sameSpace(iv.Space(), f.space) {
+			// The merge unions linear positions, which only line up
+			// within one space.
+			iv, err = nil, fmt.Errorf("fuzz: evaluator returned indices over %v, want %v", iv.Space(), f.space)
+		}
 		outs[i] = outcome{indices: iv, err: err, dur: time.Since(t0)}
 	}
 	if workers <= 1 {
@@ -73,4 +79,17 @@ func (f *Fuzzer) evalBatch(ctx context.Context, batch [][]float64, workers int) 
 	}
 	wg.Wait()
 	return outs
+}
+
+// sameSpace reports whether two spaces have the same extents.
+func sameSpace(a, b array.Space) bool {
+	if a.Rank() != b.Rank() {
+		return false
+	}
+	for k := 0; k < a.Rank(); k++ {
+		if a.Dim(k) != b.Dim(k) {
+			return false
+		}
+	}
+	return true
 }

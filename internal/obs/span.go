@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // traceKey carries a *Trace through a context.
@@ -290,17 +292,10 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// WriteFile exports the trace to a file (see WriteJSON).
+// WriteFile exports the trace to a file (see WriteJSON), replacing any
+// file at path all at once.
 func (t *Trace) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, 0o666, func(f *os.File) error { return t.WriteJSON(f) })
 }
 
 // category derives the Chrome "cat" field from a span name's leading

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/array"
+	"repro/internal/atomicfile"
 	"repro/internal/fuzz"
 	"repro/internal/geom"
 	"repro/internal/hull"
@@ -99,7 +100,11 @@ func (x *InclusionIndex) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("prov: encoding index: %w", err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	err = atomicfile.Write(path, 0o644, func(f *os.File) error {
+		_, err := f.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("prov: writing index: %w", err)
 	}
 	return nil

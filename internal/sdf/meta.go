@@ -131,6 +131,14 @@ func encodeMeta(ds []*datasetMeta) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// The smallest encodings decodeMeta accepts: a rank-1 dataset with an
+// empty name and no chunk table, pack table or attributes, and an
+// attribute with an empty key and value.
+const (
+	minDatasetMetaLen = 2 + 4 + 8 + 16 + 4
+	minAttrLen        = 2 + 2
+)
+
 // decodeMeta parses a metadata block produced by encodeMeta.
 func decodeMeta(b []byte) ([]*datasetMeta, error) {
 	r := bytes.NewReader(b)
@@ -139,7 +147,9 @@ func decodeMeta(b []byte) ([]*datasetMeta, error) {
 	if err := rd(&count); err != nil {
 		return nil, fmt.Errorf("sdf: truncated metadata: %w", err)
 	}
-	if count > 1<<20 {
+	// Counts are bounded by the bytes left to hold them, so a hostile
+	// claim fails before it sizes an allocation.
+	if uint64(count) > uint64(r.Len())/minDatasetMetaLen {
 		return nil, fmt.Errorf("sdf: implausible dataset count %d", count)
 	}
 	ds := make([]*datasetMeta, 0, count)
@@ -231,7 +241,7 @@ func decodeMeta(b []byte) ([]*datasetMeta, error) {
 		if err := rd(&attrCount); err != nil {
 			return nil, fmt.Errorf("sdf: truncated attributes for %q: %w", m.Name, err)
 		}
-		if attrCount > 1<<20 {
+		if uint64(attrCount) > uint64(r.Len())/minAttrLen {
 			return nil, fmt.Errorf("sdf: implausible attribute count %d for %q", attrCount, m.Name)
 		}
 		if attrCount > 0 {

@@ -27,23 +27,14 @@ type packRun struct {
 	off      int64 // absolute file offset of the run's data
 }
 
-// packRunsFromSet converts a kept-index set into sorted, coalesced
+// packRunsFromSet converts a kept-index set into its sorted, maximal
 // runs (offsets unassigned).
 func packRunsFromSet(keep *array.IndexSet) []packRun {
-	lins := make([]int64, 0, keep.Len())
-	keep.EachLinear(func(lin int64) bool {
-		lins = append(lins, lin)
+	runs := make([]packRun, 0, keep.RunCount())
+	keep.EachRun(func(lo, hi int64) bool {
+		runs = append(runs, packRun{startLin: lo, count: hi - lo + 1})
 		return true
 	})
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	var runs []packRun
-	for _, lin := range lins {
-		if n := len(runs); n > 0 && runs[n-1].startLin+runs[n-1].count == lin {
-			runs[n-1].count++
-			continue
-		}
-		runs = append(runs, packRun{startLin: lin, count: 1})
-	}
 	return runs
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/array"
@@ -57,8 +58,8 @@ func OpenFrom(src ByteSource) (*File, error) {
 	}
 	metaLen := binary.LittleEndian.Uint32(header[8:])
 	wantCRC := binary.LittleEndian.Uint32(header[12:])
-	metaBytes := make([]byte, metaLen)
-	if _, err := src.ReadAt(metaBytes, headerSize); err != nil {
+	metaBytes, err := readMeta(src, int(metaLen))
+	if err != nil {
 		return nil, fmt.Errorf("sdf: read metadata: %w", err)
 	}
 	if got := metaCRC(metaBytes); got != wantCRC {
@@ -79,6 +80,28 @@ func OpenFrom(src ByteSource) (*File, error) {
 	}
 	sort.Strings(file.names)
 	return file, nil
+}
+
+// metaReadAhead is the largest metadata block OpenFrom reads with one
+// ReadAt. A larger claimed length is read in doubling steps, so a
+// header claiming more bytes than the file holds fails having
+// allocated about what the file does hold.
+const metaReadAhead = 64 << 10
+
+// readMeta reads the n-byte metadata block that follows the header.
+func readMeta(src io.ReaderAt, n int) ([]byte, error) {
+	buf := make([]byte, min(n, metaReadAhead))
+	for filled := 0; ; {
+		if _, err := src.ReadAt(buf[filled:], headerSize+int64(filled)); err != nil {
+			return nil, err
+		}
+		filled = len(buf)
+		if filled == n {
+			return buf, nil
+		}
+		buf = slices.Grow(buf, min(filled, n-filled))
+		buf = buf[:min(2*filled, n)]
+	}
 }
 
 // Names returns the dataset names in the file, sorted.
@@ -242,11 +265,7 @@ func (d *Dataset) FileOffset(ix array.Index) (int64, error) {
 		}
 		return d.meta.DataOff + rel, nil
 	}
-	chunk, within, err := d.chunked.ChunkCoord(ix)
-	if err != nil {
-		return 0, err
-	}
-	chunkLin, err := d.chunked.ChunkLinear(chunk)
+	chunkLin, within, err := d.chunked.Locate(ix)
 	if err != nil {
 		return 0, err
 	}
@@ -254,12 +273,7 @@ func (d *Dataset) FileOffset(ix array.Index) (int64, error) {
 	if base == missingChunk {
 		return 0, fmt.Errorf("%w: index %v of %q", ErrDataMissing, ix, d.meta.Name)
 	}
-	shape := d.chunked.ChunkShape()
-	var withinLin int64
-	for k, v := range within {
-		withinLin = withinLin*int64(shape[k]) + int64(v)
-	}
-	return base + withinLin*d.elem, nil
+	return base + within*d.elem, nil
 }
 
 // ResolveOffset is the inverse of FileOffset: it maps an absolute file

@@ -349,3 +349,34 @@ func TestLongDoubleRoundTripsFloat64Payload(t *testing.T) {
 		t.Errorf("long double payload = %v, %v", v, err)
 	}
 }
+
+// FileOffset on a stored chunk allocates nothing: the Merkle build and
+// the debloated write call it once per element.
+func TestFileOffsetStoredChunkAllocatesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is skipped in -short (race) runs")
+	}
+	space := array.MustSpace(8, 8)
+	path := writeTestFile(t, "d", space, array.Float64, []int{4, 4}, linValue(space))
+	f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ds, err := f.Dataset("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := array.NewIndex(5, 6)
+	var off int64
+	allocs := testing.AllocsPerRun(100, func() { off, err = ds.FileOffset(ix) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := ds.ReadElement(ix); err != nil || v != 5*8+6 {
+		t.Fatalf("element at offset %d reads %v, %v", off, v, err)
+	}
+	if allocs != 0 {
+		t.Fatalf("FileOffset allocates %.1f per call, want 0", allocs)
+	}
+}
