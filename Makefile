@@ -23,11 +23,14 @@ race:
 
 # fuzz-smoke runs each decoder fuzzer for 10 s from its committed seed
 # corpus: FuzzChunkFrame (recovery-plane chunk frames; a panic or a
-# re-encoding mismatch fails it) and FuzzOpen (sdf header, metadata and
-# chunk table; a panic fails it). go test fuzzes one target per run.
+# re-encoding mismatch fails it), FuzzOpen (sdf header, metadata and
+# chunk table; a panic fails it) and FuzzReadLog (audit event logs; a
+# panic, a replayed range that is empty or negative, or a re-encoding
+# mismatch fails it). go test fuzzes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s -parallel 2 ./internal/dataserve
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -parallel 2 ./internal/sdf
+	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 10s -parallel 2 ./internal/ioevent
 
 # lint-prints rejects unconditional printing from library packages:
 # everything under internal/ must route diagnostics through

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/ioevent"
 	"repro/internal/obs"
 	"repro/internal/prov"
@@ -156,15 +158,12 @@ func run(ctx context.Context, data, dataset, program, paramArg string, printRang
 	// Audited run.
 	store := ioevent.NewStore()
 	tr := trace.NewTracer(store)
-	var logFile *os.File
+	// The log is built in memory (about 30 bytes per event) and written
+	// once the run succeeds, so a failed run leaves any old log whole.
+	var logBuf bytes.Buffer
 	var logWriter *ioevent.LogWriter
 	if logPath != "" {
-		logFile, err = os.Create(logPath)
-		if err != nil {
-			return err
-		}
-		defer logFile.Close()
-		logWriter = ioevent.NewLogWriter(logFile)
+		logWriter = ioevent.NewLogWriter(&logBuf)
 		tr.TeeLog(logWriter)
 	}
 	tf, err := tr.Open(tr.NewProcess(), data)
@@ -221,23 +220,17 @@ func run(ctx context.Context, data, dataset, program, paramArg string, printRang
 		if err := logWriter.Flush(); err != nil {
 			return err
 		}
-		info, err := logFile.Stat()
-		if err != nil {
+		if err := atomicfile.Write(logPath, 0o666, func(f *os.File) error {
+			_, err := f.Write(logBuf.Bytes())
+			return err
+		}); err != nil {
 			return err
 		}
-		fmt.Printf("event log:     %s (%d bytes)\n", logPath, info.Size())
+		fmt.Printf("event log:     %s (%d bytes)\n", logPath, logBuf.Len())
 	}
 	if dotPath != "" {
 		g := prov.FromStore(store)
-		df, err := os.Create(dotPath)
-		if err != nil {
-			return err
-		}
-		if err := g.DOT(df); err != nil {
-			df.Close()
-			return err
-		}
-		if err := df.Close(); err != nil {
+		if err := atomicfile.Write(dotPath, 0o666, func(f *os.File) error { return g.DOT(f) }); err != nil {
 			return err
 		}
 		fmt.Printf("provenance:    %s (%d vertices)\n", dotPath, len(g.Vertices()))

@@ -125,6 +125,20 @@ func TestExplainEndToEnd(t *testing.T) {
 		t.Fatalf("attributed to hull %d of %d", att.Hull, len(res.Hulls))
 	}
 
+	// A byte inside the element, not its first, names the same index.
+	stdout.Reset()
+	args = []string{"-prov", provPath, "-dataset", "data", "-json", deb, fmt.Sprint(offset + 5)}
+	if err := explainMode(&stdout, &stderr, args); err != nil {
+		t.Fatalf("mid-element explain failed: %v\nstderr: %s", err, stderr.String())
+	}
+	var mid prov.Attribution
+	if err := json.Unmarshal(stdout.Bytes(), &mid); err != nil {
+		t.Fatalf("bad explain JSON: %v\n%s", err, stdout.String())
+	}
+	if !reflect.DeepEqual(mid.Index, witnessIx) {
+		t.Fatalf("offset %d attributed to index %v, want %v", offset+5, mid.Index, witnessIx)
+	}
+
 	// Index-form query, prose output, against the same position.
 	stdout.Reset()
 	q := fmt.Sprintf("%d,%d,%d", witnessIx[0], witnessIx[1], witnessIx[2])

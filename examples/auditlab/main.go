@@ -6,7 +6,7 @@
 //
 // The example replays the paper's worked event-merging example, then
 // audits a real program run end-to-end: traced file handle → syscall
-// events → interval B-tree merging → byte ranges → resolved array
+// events → merged byte ranges (sorted runs) → resolved array
 // indices, and shows the audit overhead on the same reads.
 package main
 

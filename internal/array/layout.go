@@ -5,16 +5,15 @@ import (
 )
 
 // Layout maps index tuples to byte offsets within a dataset's data
-// region. Kondo's audit needs this mapping in both directions: fuzzing
+// region. Kondo's audit needs the mapping in both directions: fuzzing
 // and carving happen in index space, while system-call events carry
-// byte offsets (paper §IV-C).
+// byte offsets (paper §IV-C). The way back is a walk over runs of
+// elements: sdf.Dataset.IndexRuns, which uses ChunkedLayout.ChunkRows
+// for a chunked dataset.
 type Layout interface {
 	// Offset returns the byte offset (relative to the start of the
 	// dataset's data region) of the element at ix.
 	Offset(ix Index) (int64, error)
-	// IndexAt is the inverse of Offset. The offset must be
-	// element-aligned.
-	IndexAt(off int64) (Index, error)
 	// DataSize returns the total size in bytes of the data region.
 	DataSize() int64
 }
@@ -38,14 +37,6 @@ func (l *ContiguousLayout) Offset(ix Index) (int64, error) {
 		return 0, err
 	}
 	return lin * l.elem, nil
-}
-
-// IndexAt implements Layout.
-func (l *ContiguousLayout) IndexAt(off int64) (Index, error) {
-	if off%l.elem != 0 {
-		return nil, fmt.Errorf("array: offset %d not aligned to %d-byte elements", off, l.elem)
-	}
-	return l.space.Unlinear(off / l.elem)
 }
 
 // DataSize implements Layout.
@@ -146,6 +137,53 @@ func (l *ChunkedLayout) Locate(ix Index) (chunk, within int64, err error) {
 	return chunk, within, nil
 }
 
+// ChunkRows calls fn once for each row of the chunk with linear id
+// chunk that the within-chunk element positions [from, to) reach, in
+// ascending order, with the inclusive run [lo, hi] of the space's
+// row-major linear positions those elements hold. A row is a stretch
+// of the chunk along the last dimension, so its elements are
+// consecutive in the space too. Rows are clipped to the space: edge
+// padding yields nothing, and from and to are clamped to the chunk.
+// It is the inverse of Locate for a run of elements, and allocates
+// nothing.
+func (l *ChunkedLayout) ChunkRows(chunk, from, to int64, fn func(lo, hi int64)) {
+	from, to = max(from, 0), min(to, l.chunkVol)
+	if chunk < 0 || chunk >= l.chunkGrid.Size() || from >= to {
+		return
+	}
+	last := len(l.chunk) - 1
+	width := int64(l.chunk[last])
+	dims := l.space.dims
+	gridDims := l.chunkGrid.dims
+	// The chunk's first column along the last dimension.
+	col0 := chunk % int64(gridDims[last]) * width
+	chunk /= int64(gridDims[last])
+	for row := from / width; row*width < to; row++ {
+		// Place the row in the space: its coordinate along every
+		// dimension but the last, and the linear position of its
+		// column 0.
+		lin, stride := int64(0), int64(dims[last])
+		r, c := row, chunk
+		inside := true
+		for k := last - 1; k >= 0; k-- {
+			ext := int64(l.chunk[k])
+			v := c%int64(gridDims[k])*ext + r%ext
+			r, c = r/ext, c/int64(gridDims[k])
+			if v >= int64(dims[k]) {
+				inside = false
+				break
+			}
+			lin += v * stride
+			stride *= int64(dims[k])
+		}
+		first := col0 + max(from-row*width, 0)
+		end := min(col0+min(to-row*width, width), int64(dims[last]))
+		if inside && first < end {
+			fn(lin+first, lin+end-1)
+		}
+	}
+}
+
 // Offset implements Layout.
 func (l *ChunkedLayout) Offset(ix Index) (int64, error) {
 	chunk, within, err := l.Locate(ix)
@@ -153,32 +191,6 @@ func (l *ChunkedLayout) Offset(ix Index) (int64, error) {
 		return 0, err
 	}
 	return (chunk*l.chunkVol + within) * l.elem, nil
-}
-
-// IndexAt implements Layout.
-func (l *ChunkedLayout) IndexAt(off int64) (Index, error) {
-	if off%l.elem != 0 {
-		return nil, fmt.Errorf("array: offset %d not aligned to %d-byte elements", off, l.elem)
-	}
-	lin := off / l.elem
-	chunkLin := lin / l.chunkVol
-	withinLin := lin % l.chunkVol
-	chunk, err := l.chunkGrid.Unlinear(chunkLin)
-	if err != nil {
-		return nil, fmt.Errorf("array: offset %d beyond data region: %w", off, err)
-	}
-	ix := make(Index, len(l.chunk))
-	for k := len(l.chunk) - 1; k >= 0; k-- {
-		c := int64(l.chunk[k])
-		ix[k] = chunk[k]*l.chunk[k] + int(withinLin%c)
-		withinLin /= c
-	}
-	if !l.space.Contains(ix) {
-		// Offset lands in the padding of an edge chunk: a real byte
-		// position but not a logical element.
-		return nil, fmt.Errorf("array: offset %d falls in edge-chunk padding", off)
-	}
-	return ix, nil
 }
 
 // DataSize implements Layout. Edge chunks are padded to full size.

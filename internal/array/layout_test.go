@@ -53,16 +53,6 @@ func TestContiguousLayout(t *testing.T) {
 	if off != (8+3)*16 {
 		t.Errorf("Offset = %d, want %d", off, (8+3)*16)
 	}
-	ix, err := l.IndexAt(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ix.Equal(NewIndex(1, 3)) {
-		t.Errorf("IndexAt = %v", ix)
-	}
-	if _, err := l.IndexAt(off + 1); err == nil {
-		t.Error("unaligned offset should error")
-	}
 	if _, err := l.Offset(NewIndex(4, 0)); err == nil {
 		t.Error("out-of-bounds Offset should error")
 	}
@@ -102,6 +92,15 @@ func TestChunkedLayoutExact(t *testing.T) {
 	}
 }
 
+// chunkRuns collects what ChunkRows yields.
+func chunkRuns(l *ChunkedLayout, chunk, from, to int64) [][2]int64 {
+	var out [][2]int64
+	l.ChunkRows(chunk, from, to, func(lo, hi int64) { out = append(out, [2]int64{lo, hi}) })
+	return out
+}
+
+// Every element's one-element walk, from its Locate position, yields
+// exactly its own linear position, and Offset never repeats.
 func TestChunkedRoundTripAllIndices(t *testing.T) {
 	s := MustSpace(5, 7) // deliberately not divisible by chunk shape
 	l, err := NewChunkedLayout(s, Float32, []int{2, 3})
@@ -118,12 +117,13 @@ func TestChunkedRoundTripAllIndices(t *testing.T) {
 			t.Fatalf("offset %d assigned twice", off)
 		}
 		seen[off] = true
-		back, err := l.IndexAt(off)
+		chunk, within, err := l.Locate(ix)
 		if err != nil {
-			t.Fatalf("IndexAt(%d): %v", off, err)
+			t.Fatal(err)
 		}
-		if !back.Equal(ix) {
-			t.Fatalf("round trip %v -> %d -> %v", ix, off, back)
+		lin, _ := s.Linear(ix)
+		if got := chunkRuns(l, chunk, within, within+1); len(got) != 1 || got[0] != [2]int64{lin, lin} {
+			t.Fatalf("ChunkRows(%d, %d, %d) = %v, want [[%d %d]] for %v", chunk, within, within+1, got, lin, lin, ix)
 		}
 		return true
 	})
@@ -143,10 +143,24 @@ func TestChunkedEdgePadding(t *testing.T) {
 		t.Errorf("DataSize = %d, want %d", l.DataSize(), 4*4*8)
 	}
 	// Element (0,1) of chunk (0,1) covers logical column 3, which does
-	// not exist; its offset must map to a padding error.
-	padOff := int64((1*4 + 1) * 8) // chunk 1, within (0,1)
-	if _, err := l.IndexAt(padOff); err == nil {
-		t.Error("padding offset should not resolve to an index")
+	// not exist: it yields nothing.
+	if got := chunkRuns(l, 1, 1, 2); got != nil {
+		t.Errorf("padding element yields %v", got)
+	}
+	// Chunk (0,1) whole: column 2 of rows 0 and 1.
+	if got := chunkRuns(l, 1, 0, 4); len(got) != 2 || got[0] != [2]int64{2, 2} || got[1] != [2]int64{5, 5} {
+		t.Errorf("chunk (0,1) yields %v, want [[2 2] [5 5]]", got)
+	}
+	// Chunk (1,1) whole: only (2,2); its second row is all padding.
+	if got := chunkRuns(l, 3, 0, 4); len(got) != 1 || got[0] != [2]int64{8, 8} {
+		t.Errorf("chunk (1,1) yields %v, want [[8 8]]", got)
+	}
+	// Positions past the chunk and ids past the grid yield nothing.
+	if got := chunkRuns(l, 0, 4, 9); got != nil {
+		t.Errorf("positions past the chunk yield %v", got)
+	}
+	if got := chunkRuns(l, 4, 0, 4); got != nil {
+		t.Errorf("chunk id past the grid yields %v", got)
 	}
 }
 
@@ -172,26 +186,86 @@ func TestChunkCoord(t *testing.T) {
 	}
 }
 
-// Property: chunked Offset is injective and round-trips for random
-// valid indices under random chunk shapes.
+// Property: for random edge-padded layouts of rank 1 to 4, the walk of
+// a random stretch [from, to) of a random chunk yields ascending,
+// disjoint runs that hold exactly the elements Locate places in that
+// stretch, each run inside one chunk row.
 func TestChunkedBijectionProperty(t *testing.T) {
-	f := func(d1, d2, c1, c2, pick uint8) bool {
-		s := MustSpace(int(d1%16)+1, int(d2%16)+1)
-		l, err := NewChunkedLayout(s, Int64, []int{int(c1%5) + 1, int(c2%5) + 1})
+	f := func(rank uint8, ext, shape [4]uint8, pick uint16, from, span uint8) bool {
+		r := int(rank%4) + 1
+		dims, chunk := make([]int, r), make([]int, r)
+		for k := range dims {
+			dims[k] = int(ext[k]%6) + 1
+			chunk[k] = int(shape[k]%4) + 1
+		}
+		s := MustSpace(dims...)
+		l, err := NewChunkedLayout(s, Int64, chunk)
 		if err != nil {
 			return false
 		}
-		lin := int64(pick) % s.Size()
-		ix, _ := s.Unlinear(lin)
-		off, err := l.Offset(ix)
-		if err != nil {
-			return false
+		c := int64(pick) % l.NumChunks()
+		lo := int64(from) % (l.chunkVol + 1)
+		hi := lo + int64(span)%(l.chunkVol+2)
+		want := map[int64]bool{}
+		s.Each(func(ix Index) bool {
+			ch, w, _ := l.Locate(ix)
+			if ch == c && lo <= w && w < hi {
+				lin, _ := s.Linear(ix)
+				want[lin] = true
+			}
+			return true
+		})
+		var n int
+		prev := int64(-1)
+		for _, run := range chunkRuns(l, c, lo, hi) {
+			if run[0] <= prev || run[1] < run[0] {
+				return false
+			}
+			first, _ := s.Unlinear(run[0])
+			last, _ := s.Unlinear(run[1])
+			for k := 0; k < r-1; k++ {
+				if first[k] != last[k] {
+					return false // the run spans two rows
+				}
+			}
+			for lin := run[0]; lin <= run[1]; lin++ {
+				if !want[lin] {
+					return false
+				}
+				n++
+			}
+			prev = run[1]
 		}
-		back, err := l.IndexAt(off)
-		return err == nil && back.Equal(ix)
+		return n == len(want)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Walking every chunk whole visits each position of the space once:
+// the walk is the inverse of Locate over the whole layout.
+func TestChunkRowsCoverSpaceOnce(t *testing.T) {
+	s := MustSpace(7, 5, 9)
+	l, err := NewChunkedLayout(s, Float64, []int{3, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make([]int, s.Size())
+	for c := int64(0); c < l.NumChunks(); c++ {
+		l.ChunkRows(c, 0, l.chunkVol, func(lo, hi int64) {
+			for lin := lo; lin <= hi; lin++ {
+				seen[lin]++
+			}
+		})
+	}
+	for lin, n := range seen {
+		if n != 1 {
+			t.Fatalf("position %d visited %d times", lin, n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.ChunkRows(5, 0, l.chunkVol, func(int64, int64) {}) }); allocs != 0 {
+		t.Errorf("ChunkRows allocates %.1f per walk, want 0", allocs)
 	}
 }
 

@@ -1,3 +1,8 @@
+// Package ioevent implements Kondo's fine-grained I/O event audit
+// model (paper §IV-C): system-call events as ⟨id, c, l, sz⟩ four
+// tuples, the merged byte ranges those events touch kept as sorted
+// maximal runs, per-process range lookup, and cross-process merging of
+// overlapping ranges.
 package ioevent
 
 import (
@@ -67,8 +72,8 @@ func (e Event) String() string {
 	return fmt.Sprintf("e(P%d:%s, %s, %d, %d)", e.ID.PID, e.ID.File, e.Op, e.Offset, e.Size)
 }
 
-// Store accumulates audit events and indexes the byte ranges they
-// access in per-(process, file) interval B-trees. It answers the two
+// Store accumulates audit events and merges the byte ranges they
+// access into one IntervalSet per (process, file). It answers the two
 // queries Kondo needs: per-process offset-range lookup, and the merged
 // accessed ranges of a file across all processes.
 //
@@ -107,7 +112,7 @@ func (s *Store) Record(e Event) error {
 		s.perID[e.ID] = set
 		s.perIDIDs = append(s.perIDIDs, e.ID)
 	}
-	if err := set.Add(e.Offset, e.Size); err != nil {
+	if err := set.AddRun(e.Offset, e.Size); err != nil {
 		return fmt.Errorf("ioevent: record %s: %w", e, err)
 	}
 	return nil
@@ -152,7 +157,7 @@ func (s *Store) FileRanges(file string) []Interval {
 		if id.File != file {
 			continue
 		}
-		merged.MergeFrom(s.perID[id])
+		merged.UnionWith(s.perID[id])
 	}
 	return merged.Ranges()
 }

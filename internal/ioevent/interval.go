@@ -1,108 +1,72 @@
 package ioevent
 
-import "fmt"
+import (
+	"fmt"
+	"math"
 
-// IntervalSet maintains a set of disjoint, merged byte ranges indexed
-// by an interval B-tree. Inserting a range that overlaps or touches
-// existing ranges coalesces them, exactly as Kondo "merges events that
-// overlap in accessed offset ranges" (paper §IV-C).
+	"repro/internal/array"
+)
+
+// Interval is a half-open byte range [Start, End). The ranges a set
+// returns are non-empty and pairwise disjoint (merging happens on
+// insert).
+type Interval struct {
+	Start, End int64
+}
+
+// Len returns the number of bytes the interval covers.
+func (iv Interval) Len() int64 { return iv.End - iv.Start }
+
+// byteSpace is the one-dimensional space of file byte offsets an
+// IntervalSet ranges over.
+var byteSpace = array.MustSpace(math.MaxInt)
+
+// IntervalSet is a set of byte offsets kept as sorted maximal runs, an
+// array.IndexSet over byte positions. Inserting a range that overlaps
+// or touches stored ranges coalesces them, exactly as Kondo "merges
+// events that overlap in accessed offset ranges" (paper §IV-C): the
+// paper's example merges (0,110) with (90,120) and keeps (130,150)
+// separate.
 type IntervalSet struct {
-	tree    *btree
-	covered int64 // total bytes covered, maintained incrementally
+	runs *array.IndexSet
 }
 
 // NewIntervalSet returns an empty set.
 func NewIntervalSet() *IntervalSet {
-	return &IntervalSet{tree: newBTree()}
+	return &IntervalSet{runs: array.NewIndexSet(byteSpace)}
 }
 
-// Add inserts the half-open range [start, start+size), merging with
-// any overlapping or adjacent stored ranges. Empty or negative ranges
-// are rejected.
-func (s *IntervalSet) Add(start, size int64) error {
-	if size <= 0 {
+// AddRun inserts the half-open range [start, start+size), merging with
+// any overlapping or adjacent stored ranges. Empty, negative and
+// overflowing ranges are rejected.
+func (s *IntervalSet) AddRun(start, size int64) error {
+	switch {
+	case size <= 0:
 		return fmt.Errorf("ioevent: invalid range size %d", size)
-	}
-	if start < 0 {
+	case start < 0:
 		return fmt.Errorf("ioevent: negative range start %d", start)
+	case start > math.MaxInt64-size:
+		return fmt.Errorf("ioevent: range at %d of %d bytes ends past the largest offset", start, size)
 	}
-	iv := Interval{Start: start, End: start + size}
-
-	// The only interval starting before iv that can merge with it is
-	// the floor of iv.Start.
-	if fl, ok := s.tree.floor(iv.Start); ok && fl.overlapsOrTouches(iv) {
-		s.tree.delete(fl.Start)
-		s.covered -= fl.Len()
-		if fl.Start < iv.Start {
-			iv.Start = fl.Start
-		}
-		if fl.End > iv.End {
-			iv.End = fl.End
-		}
-	}
-	// Absorb every following interval that overlaps or touches.
-	for {
-		var next Interval
-		found := false
-		s.tree.ascend(iv.Start, func(x Interval) bool {
-			next = x
-			found = true
-			return false
-		})
-		if !found || !next.overlapsOrTouches(iv) {
-			break
-		}
-		s.tree.delete(next.Start)
-		s.covered -= next.Len()
-		if next.End > iv.End {
-			iv.End = next.End
-		}
-	}
-	s.tree.insert(iv)
-	s.covered += iv.Len()
-	return nil
+	_, err := s.runs.AddRun(start, start+size-1)
+	return err
 }
 
-// Contains reports whether the byte at offset off is covered.
-func (s *IntervalSet) Contains(off int64) bool {
-	fl, ok := s.tree.floor(off)
-	return ok && off < fl.End
-}
+// Len returns the total number of bytes covered.
+func (s *IntervalSet) Len() int64 { return int64(s.runs.Len()) }
 
-// ContainsRange reports whether the whole range [start, start+size)
-// is covered by a single stored interval.
-func (s *IntervalSet) ContainsRange(start, size int64) bool {
-	fl, ok := s.tree.floor(start)
-	return ok && start+size <= fl.End
-}
-
-// Covered returns the total number of bytes covered.
-func (s *IntervalSet) Covered() int64 { return s.covered }
-
-// Len returns the number of disjoint ranges stored.
-func (s *IntervalSet) Len() int { return s.tree.Len() }
+// RunCount returns the number of disjoint ranges stored.
+func (s *IntervalSet) RunCount() int { return s.runs.RunCount() }
 
 // Ranges returns the stored ranges in ascending order.
 func (s *IntervalSet) Ranges() []Interval {
-	out := make([]Interval, 0, s.tree.Len())
-	s.tree.each(func(iv Interval) bool {
-		out = append(out, iv)
+	out := make([]Interval, 0, s.runs.RunCount())
+	s.runs.EachRun(func(lo, hi int64) bool {
+		out = append(out, Interval{Start: lo, End: hi + 1})
 		return true
 	})
 	return out
 }
 
-// Each visits the stored ranges in ascending order, stopping early if
-// fn returns false.
-func (s *IntervalSet) Each(fn func(Interval) bool) {
-	s.tree.each(fn)
-}
-
-// MergeFrom inserts every range of o into s.
-func (s *IntervalSet) MergeFrom(o *IntervalSet) {
-	o.Each(func(iv Interval) bool {
-		// Ranges from another set are already validated.
-		_ = s.Add(iv.Start, iv.Len())
-		return true
-	})
-}
+// UnionWith inserts every range of o into s.
+func (s *IntervalSet) UnionWith(o *IntervalSet) { s.runs.UnionWith(o.runs) }

@@ -1,6 +1,7 @@
 package ioevent
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -10,24 +11,24 @@ func TestIntervalSetMergeSemantics(t *testing.T) {
 	s := NewIntervalSet()
 	mustAdd := func(start, size int64) {
 		t.Helper()
-		if err := s.Add(start, size); err != nil {
+		if err := s.AddRun(start, size); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mustAdd(0, 10)
 	mustAdd(20, 10)
-	if s.Len() != 2 || s.Covered() != 20 {
-		t.Fatalf("Len=%d Covered=%d", s.Len(), s.Covered())
+	if s.RunCount() != 2 || s.Len() != 20 {
+		t.Fatalf("RunCount=%d Len=%d", s.RunCount(), s.Len())
 	}
 	// Overlap the first.
 	mustAdd(5, 10)
-	if s.Len() != 2 || s.Covered() != 25 {
-		t.Fatalf("after overlap: Len=%d Covered=%d, ranges %v", s.Len(), s.Covered(), s.Ranges())
+	if s.RunCount() != 2 || s.Len() != 25 {
+		t.Fatalf("after overlap: RunCount=%d Len=%d, ranges %v", s.RunCount(), s.Len(), s.Ranges())
 	}
 	// Bridge the gap (touching both).
 	mustAdd(15, 5)
-	if s.Len() != 1 || s.Covered() != 30 {
-		t.Fatalf("after bridge: Len=%d Covered=%d, ranges %v", s.Len(), s.Covered(), s.Ranges())
+	if s.RunCount() != 1 || s.Len() != 30 {
+		t.Fatalf("after bridge: RunCount=%d Len=%d, ranges %v", s.RunCount(), s.Len(), s.Ranges())
 	}
 	r := s.Ranges()
 	if r[0].Start != 0 || r[0].End != 30 {
@@ -37,29 +38,49 @@ func TestIntervalSetMergeSemantics(t *testing.T) {
 
 func TestIntervalSetAdjacencyMerges(t *testing.T) {
 	s := NewIntervalSet()
-	s.Add(0, 10)
-	s.Add(10, 5) // exactly adjacent
-	if s.Len() != 1 {
+	s.AddRun(0, 10)
+	s.AddRun(10, 5) // exactly adjacent
+	if s.RunCount() != 1 {
 		t.Fatalf("adjacent ranges not merged: %v", s.Ranges())
 	}
 }
 
 func TestIntervalSetValidation(t *testing.T) {
 	s := NewIntervalSet()
-	if err := s.Add(0, 0); err == nil {
+	if err := s.AddRun(0, 0); err == nil {
 		t.Error("zero size should error")
 	}
-	if err := s.Add(0, -5); err == nil {
+	if err := s.AddRun(0, -5); err == nil {
 		t.Error("negative size should error")
 	}
-	if err := s.Add(-1, 5); err == nil {
+	if err := s.AddRun(-1, 5); err == nil {
 		t.Error("negative start should error")
 	}
+	// The range a hostile event log can carry: its end overflows int64.
+	if err := s.AddRun(math.MaxInt64-5, 10); err == nil {
+		t.Error("overflowing range should error")
+	}
+	if err := s.AddRun(math.MaxInt64-10, 10); err != nil {
+		t.Errorf("range ending at the largest offset: %v", err)
+	}
+	if r := s.Ranges(); len(r) != 1 || r[0] != (Interval{math.MaxInt64 - 10, math.MaxInt64}) {
+		t.Errorf("ranges = %v", r)
+	}
+}
+
+// covers reports whether some stored range of s holds the byte at off.
+func covers(s *IntervalSet, off int64) bool {
+	for _, r := range s.Ranges() {
+		if r.Start <= off && off < r.End {
+			return true
+		}
+	}
+	return false
 }
 
 func TestIntervalSetContains(t *testing.T) {
 	s := NewIntervalSet()
-	s.Add(10, 10)
+	s.AddRun(10, 10)
 	cases := []struct {
 		off  int64
 		want bool
@@ -67,24 +88,20 @@ func TestIntervalSetContains(t *testing.T) {
 		{9, false}, {10, true}, {19, true}, {20, false},
 	}
 	for _, c := range cases {
-		if got := s.Contains(c.off); got != c.want {
-			t.Errorf("Contains(%d) = %v, want %v", c.off, got, c.want)
+		if got := covers(s, c.off); got != c.want {
+			t.Errorf("byte %d covered = %v, want %v", c.off, got, c.want)
 		}
-	}
-	if !s.ContainsRange(12, 8) {
-		t.Error("ContainsRange(12,8) should hold")
-	}
-	if s.ContainsRange(12, 9) {
-		t.Error("ContainsRange(12,9) crosses the end")
 	}
 }
 
+// Merging another set in (UnionWith) coalesces overlapping ranges and
+// keeps disjoint ones.
 func TestMergeFrom(t *testing.T) {
 	a, b := NewIntervalSet(), NewIntervalSet()
-	a.Add(0, 10)
-	b.Add(5, 10)
-	b.Add(100, 10)
-	a.MergeFrom(b)
+	a.AddRun(0, 10)
+	b.AddRun(5, 10)
+	b.AddRun(100, 10)
+	a.UnionWith(b)
 	r := a.Ranges()
 	if len(r) != 2 || r[0] != (Interval{0, 15}) || r[1] != (Interval{100, 110}) {
 		t.Fatalf("merged ranges = %v", r)
@@ -120,20 +137,20 @@ func TestIntervalSetRandomizedAgainstOracle(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			start := int64(rng.Intn(300))
 			size := int64(rng.Intn(20) + 1)
-			if err := s.Add(start, size); err != nil {
+			if err := s.AddRun(start, size); err != nil {
 				t.Fatal(err)
 			}
 			oracle.add(start, size)
 		}
-		if s.Covered() != oracle.covered() {
-			t.Fatalf("trial %d: Covered = %d, oracle %d", trial, s.Covered(), oracle.covered())
+		if s.Len() != oracle.covered() {
+			t.Fatalf("trial %d: Len = %d, oracle %d", trial, s.Len(), oracle.covered())
 		}
-		if s.Len() != oracle.rangeCount() {
-			t.Fatalf("trial %d: Len = %d, oracle %d (ranges %v)", trial, s.Len(), oracle.rangeCount(), s.Ranges())
+		if s.RunCount() != oracle.rangeCount() {
+			t.Fatalf("trial %d: RunCount = %d, oracle %d (ranges %v)", trial, s.RunCount(), oracle.rangeCount(), s.Ranges())
 		}
 		for off := int64(-5); off < 330; off++ {
-			if s.Contains(off) != oracle[off] {
-				t.Fatalf("trial %d: Contains(%d) = %v, oracle %v", trial, off, s.Contains(off), oracle[off])
+			if covers(s, off) != oracle[off] {
+				t.Fatalf("trial %d: byte %d covered = %v, oracle %v", trial, off, covers(s, off), oracle[off])
 			}
 		}
 	}
@@ -149,17 +166,43 @@ func TestIntervalSetMonotoneCoverage(t *testing.T) {
 		var prev int64
 		for _, op := range ops {
 			size := int64(op.Size%32) + 1
-			if err := s.Add(int64(op.Start), size); err != nil {
+			if err := s.AddRun(int64(op.Start), size); err != nil {
 				return false
 			}
-			if s.Covered() < prev {
+			if s.Len() < prev {
 				return false
 			}
-			prev = s.Covered()
+			prev = s.Len()
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: after arbitrary merging inserts, the stored ranges are
+// disjoint, sorted, and non-adjacent (fully coalesced).
+func TestIntervalSetCanonicalForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 40; trial++ {
+		s := NewIntervalSet()
+		for i := 0; i < 150; i++ {
+			if err := s.AddRun(int64(rng.Intn(500)), int64(rng.Intn(30)+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ranges := s.Ranges()
+		for i, r := range ranges {
+			if r.Len() <= 0 {
+				t.Fatalf("empty stored range %v", r)
+			}
+			if i > 0 {
+				prev := ranges[i-1]
+				if prev.End >= r.Start {
+					t.Fatalf("ranges %v and %v overlap or touch (not coalesced)", prev, r)
+				}
+			}
+		}
 	}
 }

@@ -138,8 +138,8 @@ type memSource struct{ *bytes.Reader }
 func (memSource) Close() error { return nil }
 
 // openAndRead opens data through OpenFrom and, if that succeeds, reads
-// one element of every dataset and resolves the start of its first
-// data region: each must return an error or a value, never panic.
+// one element of every dataset and walks the index runs of all the
+// file's bytes: neither may panic.
 func openAndRead(data []byte) {
 	f, err := OpenFrom(memSource{bytes.NewReader(data)})
 	if err != nil {
@@ -151,9 +151,7 @@ func openAndRead(data []byte) {
 			continue
 		}
 		ds.ReadElement(make(array.Index, ds.Space().Rank()))
-		if regs := ds.DataRegions(); len(regs) > 0 {
-			ds.ResolveOffset(regs[0].Off)
-		}
+		ds.IndexRuns(0, int64(len(data)), func(int64, int64) {})
 	}
 }
 

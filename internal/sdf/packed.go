@@ -76,29 +76,3 @@ func (pi *packedIndex) fileOffset(lin int64) (int64, error) {
 	r := pi.runs[i]
 	return r.off + (lin-r.startLin)*pi.elem, nil
 }
-
-// linAt is the inverse: it maps an absolute file offset back to the
-// linear element position stored there.
-func (pi *packedIndex) linAt(abs int64) (int64, error) {
-	i := sort.Search(len(pi.runs), func(i int) bool {
-		return pi.runs[i].off+pi.runs[i].count*pi.elem > abs
-	})
-	if i >= len(pi.runs) || abs < pi.runs[i].off {
-		return 0, fmt.Errorf("sdf: offset %d not within any packed run", abs)
-	}
-	r := pi.runs[i]
-	rel := abs - r.off
-	if rel%pi.elem != 0 {
-		return 0, fmt.Errorf("sdf: offset %d not element-aligned", abs)
-	}
-	return r.startLin + rel/pi.elem, nil
-}
-
-// regions returns the stored data regions, one per run.
-func (pi *packedIndex) regions() []Region {
-	out := make([]Region, len(pi.runs))
-	for i, r := range pi.runs {
-		out[i] = Region{Off: r.off, Len: r.count * pi.elem}
-	}
-	return out
-}

@@ -2,7 +2,9 @@ package sdf
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/array"
@@ -127,10 +129,16 @@ func TestPackedOffsetResolution(t *testing.T) {
 			t.Fatalf("round trip %v -> %d -> %v", ix, abs, back)
 		}
 	}
-	// Regions: 3 runs (3-5, 33, 50).
-	regions := ds.DataRegions()
-	if len(regions) != 3 {
-		t.Errorf("DataRegions = %v, want 3 runs", regions)
+	// The whole file walks as the 3 stored runs (3-5, 33, 50).
+	var runs [][2]int64
+	ds.IndexRuns(0, math.MaxInt64, func(first, last int64) { runs = append(runs, [2]int64{first, last}) })
+	if want := [][2]int64{{3, 5}, {33, 33}, {50, 50}}; !reflect.DeepEqual(runs, want) {
+		t.Errorf("IndexRuns over the file = %v, want %v", runs, want)
+	}
+	// A byte inside a stored element names that element.
+	abs, _ := ds.FileOffset(array.NewIndex(4, 1))
+	if ix, err := ds.ResolveOffset(abs + 5); err != nil || !ix.Equal(array.NewIndex(4, 1)) {
+		t.Errorf("ResolveOffset(%d) = %v, %v; want (4, 1)", abs+5, ix, err)
 	}
 	// Header offset does not resolve.
 	if _, err := ds.ResolveOffset(0); err == nil {

@@ -130,7 +130,7 @@ type Dataset struct {
 	chunked *array.ChunkedLayout // nil for contiguous
 	elem    int64
 	// stored lists present chunks in ascending file-offset order for
-	// binary-searched offset→index resolution.
+	// IndexRuns' binary search.
 	stored []storedChunk
 	// packed indexes the run table of a packed dataset.
 	packed *packedIndex
@@ -218,32 +218,6 @@ func (d *Dataset) StoredBytes() int64 { return d.meta.DataLen }
 // materialized (including edge-chunk padding for chunked layouts).
 func (d *Dataset) LogicalBytes() int64 { return d.layout.DataSize() }
 
-// Region is a contiguous stretch of element data in the file.
-type Region struct {
-	Off int64 // absolute file offset of the region start
-	Len int64 // region length in bytes
-}
-
-// DataRegions returns the file regions holding this dataset's element
-// data in ascending offset order: one region for a contiguous dataset,
-// one per stored chunk for a chunked dataset. Every element offset is
-// elem-aligned relative to its region start, which is what the audit
-// resolver needs to step ranges back to indices.
-func (d *Dataset) DataRegions() []Region {
-	if d.packed != nil {
-		return d.packed.regions()
-	}
-	if d.chunked == nil {
-		return []Region{{Off: d.meta.DataOff, Len: d.meta.DataLen}}
-	}
-	chunkBytes := d.chunked.ChunkSizeBytes()
-	out := make([]Region, len(d.stored))
-	for i, sc := range d.stored {
-		out[i] = Region{Off: sc.base, Len: chunkBytes}
-	}
-	return out
-}
-
 // FileOffset maps an element index to its absolute byte offset in the
 // file, or ErrDataMissing if the containing chunk was carved away.
 func (d *Dataset) FileOffset(ix array.Index) (int64, error) {
@@ -276,55 +250,62 @@ func (d *Dataset) FileOffset(ix array.Index) (int64, error) {
 	return base + within*d.elem, nil
 }
 
-// ResolveOffset is the inverse of FileOffset: it maps an absolute file
-// offset back to the element index stored there. The audit pipeline
-// uses it to translate system-call byte offsets into index tuples
-// (paper §IV-C).
+// IndexRuns calls fn with the runs [first, last] of row-major linear
+// positions whose element bytes the file range [lo, hi) touches, in
+// ascending file order: one run for a contiguous dataset, one per
+// packed run and one per chunk row the range reaches. Bytes outside
+// the dataset's data, carved-away chunks and edge-chunk padding yield
+// nothing; an element counts as soon as the range holds one of its
+// bytes. This is the offset→index half of the bijection Kondo keeps
+// between index tuples and byte offsets (paper §IV-C): the audit
+// resolver turns a merged event range into index runs with it.
+func (d *Dataset) IndexRuns(lo, hi int64, fn func(first, last int64)) {
+	if lo >= hi {
+		return
+	}
+	// elems returns the element positions [from, to) of a stored
+	// stretch at base that the range touches.
+	elems := func(base int64) (from, to int64) {
+		return max(lo-base, 0) / d.elem, (hi - base + d.elem - 1) / d.elem
+	}
+	switch {
+	case d.packed != nil:
+		runs := d.packed.runs
+		// Run offsets ascend with their linear positions.
+		i := sort.Search(len(runs), func(i int) bool { return runs[i].off+runs[i].count*d.elem > lo })
+		for ; i < len(runs) && runs[i].off < hi; i++ {
+			from, to := elems(runs[i].off)
+			first := max(runs[i].startLin+from, 0)
+			last := min(runs[i].startLin+min(to, runs[i].count), d.space.Size()) - 1
+			if first <= last {
+				fn(first, last)
+			}
+		}
+	case d.chunked != nil:
+		chunkBytes := d.chunked.ChunkSizeBytes()
+		i := sort.Search(len(d.stored), func(i int) bool { return d.stored[i].base+chunkBytes > lo })
+		for ; i < len(d.stored) && d.stored[i].base < hi; i++ {
+			from, to := elems(d.stored[i].base)
+			d.chunked.ChunkRows(d.stored[i].lin, from, to, fn)
+		}
+	default:
+		from, to := elems(d.meta.DataOff)
+		if last := min(to, d.space.Size(), d.meta.DataLen/d.elem) - 1; from <= last {
+			fn(from, last)
+		}
+	}
+}
+
+// ResolveOffset maps an absolute file offset back to the index of the
+// element whose bytes hold it, through IndexRuns. `kondo explain` uses
+// it to name the element behind any byte of a data file.
 func (d *Dataset) ResolveOffset(abs int64) (array.Index, error) {
-	if d.packed != nil {
-		lin, err := d.packed.linAt(abs)
-		if err != nil {
-			return nil, err
-		}
-		return d.space.Unlinear(lin)
+	lin := int64(-1)
+	d.IndexRuns(abs, abs+1, func(first, _ int64) { lin = first })
+	if lin < 0 {
+		return nil, fmt.Errorf("sdf: offset %d holds no element of %q", abs, d.meta.Name)
 	}
-	if d.chunked == nil {
-		rel := abs - d.meta.DataOff
-		if rel < 0 || rel >= d.meta.DataLen {
-			return nil, fmt.Errorf("sdf: offset %d outside data region of %q", abs, d.meta.Name)
-		}
-		return d.layout.IndexAt(rel)
-	}
-	chunkBytes := d.chunked.ChunkSizeBytes()
-	// Present chunks are laid out in ascending file order by the
-	// writer, so the stored-chunk index is binary searchable.
-	i := sort.Search(len(d.stored), func(i int) bool {
-		return d.stored[i].base+chunkBytes > abs
-	})
-	if i >= len(d.stored) || abs < d.stored[i].base {
-		return nil, fmt.Errorf("sdf: offset %d not within any stored chunk of %q", abs, d.meta.Name)
-	}
-	base, chunkLin := d.stored[i].base, d.stored[i].lin
-	rel := abs - base
-	if rel%d.elem != 0 {
-		return nil, fmt.Errorf("sdf: offset %d not element-aligned in %q", abs, d.meta.Name)
-	}
-	withinLin := rel / d.elem
-	chunkIx, err := d.chunked.Grid().Unlinear(chunkLin)
-	if err != nil {
-		return nil, err
-	}
-	shape := d.chunked.ChunkShape()
-	ix := make(array.Index, len(shape))
-	for k := len(shape) - 1; k >= 0; k-- {
-		c := int64(shape[k])
-		ix[k] = chunkIx[k]*shape[k] + int(withinLin%c)
-		withinLin /= c
-	}
-	if !d.space.Contains(ix) {
-		return nil, fmt.Errorf("sdf: offset %d falls in edge-chunk padding of %q", abs, d.meta.Name)
-	}
-	return ix, nil
+	return d.space.Unlinear(lin)
 }
 
 // ReadElement reads the value of one element, issuing a single

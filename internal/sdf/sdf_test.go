@@ -230,6 +230,11 @@ func TestFileOffsetResolveOffsetRoundTrip(t *testing.T) {
 			if !back.Equal(ix) {
 				t.Fatalf("round trip %v -> %d -> %v (chunk %v)", ix, abs, back, chunk)
 			}
+			// The element's last byte names it too.
+			mid, err := ds.ResolveOffset(abs + 15)
+			if err != nil || !mid.Equal(ix) {
+				t.Fatalf("ResolveOffset(%d) = %v, %v; want %v (chunk %v)", abs+15, mid, err, ix, chunk)
+			}
 			return true
 		})
 		if _, err := ds.ResolveOffset(1); err == nil {

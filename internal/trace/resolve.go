@@ -13,36 +13,24 @@ import (
 // metadata. This is the offset→index half of the bijection Kondo
 // maintains between index tuples and byte offsets (paper §IV-C).
 //
-// Ranges may include non-data bytes (the header and metadata reads
-// issued when opening the file); those bytes are ignored. Partial
-// element coverage counts the element as accessed: a system call that
-// read any byte of an element observed that element.
+// Each range adds the index runs sdf.Dataset.IndexRuns finds for it,
+// so the work follows the runs, not the elements. Ranges may include
+// non-data bytes (the header and metadata reads issued when opening
+// the file); those bytes are ignored. Partial element coverage counts
+// the element as accessed: a system call that read any byte of an
+// element observed that element.
 func ResolveIndices(ds *sdf.Dataset, ranges []ioevent.Interval) (*array.IndexSet, error) {
 	set := array.NewIndexSet(ds.Space())
-	elem := int64(ds.DType().Size())
-	regions := ds.DataRegions()
+	var err error
 	for _, r := range ranges {
-		for _, reg := range regions {
-			lo := maxInt64(r.Start, reg.Off)
-			hi := minInt64(r.End, reg.Off+reg.Len)
-			if lo >= hi {
-				continue
+		ds.IndexRuns(r.Start, r.End, func(first, last int64) {
+			if _, aerr := set.AddRun(first, last); aerr != nil && err == nil {
+				err = fmt.Errorf("trace: resolve range [%d, %d): %w", r.Start, r.End, aerr)
 			}
-			// Align down to the element grid of this region.
-			rel := lo - reg.Off
-			lo = reg.Off + (rel/elem)*elem
-			for off := lo; off < hi; off += elem {
-				ix, err := ds.ResolveOffset(off)
-				if err != nil {
-					// Edge-chunk padding bytes are physically stored
-					// but carry no logical element; skip them.
-					continue
-				}
-				if _, err := set.Add(ix); err != nil {
-					return nil, fmt.Errorf("trace: resolve offset %d: %w", off, err)
-				}
-			}
-		}
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 	return set, nil
 }
@@ -52,18 +40,4 @@ func ResolveIndices(ds *sdf.Dataset, ranges []ioevent.Interval) (*array.IndexSet
 // it.
 func AccessedIndices(store *ioevent.Store, fileName string, ds *sdf.Dataset) (*array.IndexSet, error) {
 	return ResolveIndices(ds, store.FileRanges(fileName))
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -25,10 +25,13 @@ import (
 // audited execution; the paper's debloat test creates one per run.
 type Tracer struct {
 	store   *ioevent.Store
-	nextPID int64
+	nextPID atomic.Int64
 
+	// log is the attached event log, or nil, so that recording without
+	// one costs a single atomic load. logMu serializes the appends: a
+	// LogWriter is not safe for concurrent use.
+	log   atomic.Pointer[ioevent.LogWriter]
 	logMu sync.Mutex
-	log   *ioevent.LogWriter
 }
 
 // NewTracer returns a Tracer recording into store.
@@ -39,33 +42,27 @@ func NewTracer(store *ioevent.Store) *Tracer {
 // TeeLog additionally appends every recorded event to the given
 // persistent event log (paper §V Implementation: system-call arguments
 // are recorded in a data store). Pass nil to stop teeing.
-func (t *Tracer) TeeLog(lw *ioevent.LogWriter) {
-	t.logMu.Lock()
-	t.log = lw
-	t.logMu.Unlock()
-}
+func (t *Tracer) TeeLog(lw *ioevent.LogWriter) { t.log.Store(lw) }
 
 // record sends an event to the store and, when attached, the log.
 func (t *Tracer) record(e ioevent.Event) error {
 	if err := t.store.Record(e); err != nil {
 		return err
 	}
-	t.logMu.Lock()
-	lw := t.log
-	t.logMu.Unlock()
-	if lw != nil {
-		if err := lw.Append(e); err != nil {
-			return err
-		}
+	lw := t.log.Load()
+	if lw == nil {
+		return nil
 	}
-	return nil
+	t.logMu.Lock()
+	defer t.logMu.Unlock()
+	return lw.Append(e)
 }
 
 // NewProcess allocates a simulated process identifier. Audited
 // workloads that model multi-process executions call this once per
 // process.
 func (t *Tracer) NewProcess() int {
-	return int(atomic.AddInt64(&t.nextPID, 1))
+	return int(t.nextPID.Add(1))
 }
 
 // Open opens path for reading through the tracer under the given
@@ -90,21 +87,16 @@ type File struct {
 	f      *os.File
 	tracer *Tracer
 	id     ioevent.ID
-
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 // ReadAt reads len(p) bytes at offset off, recording the access as an
 // lseek followed by a read of the number of bytes actually
-// transferred.
+// transferred. Like any io.ReaderAt it may be called in parallel.
 func (tf *File) ReadAt(p []byte, off int64) (int, error) {
-	tf.mu.Lock()
-	if tf.closed {
-		tf.mu.Unlock()
+	if tf.closed.Load() {
 		return 0, fmt.Errorf("trace: read on closed file %s", tf.id.File)
 	}
-	tf.mu.Unlock()
 
 	if err := tf.tracer.record(ioevent.Event{ID: tf.id, Op: ioevent.OpLseek, Offset: off}); err != nil {
 		return 0, err
@@ -122,13 +114,9 @@ func (tf *File) ReadAt(p []byte, off int64) (int, error) {
 
 // Close closes the handle and records the close event.
 func (tf *File) Close() error {
-	tf.mu.Lock()
-	if tf.closed {
-		tf.mu.Unlock()
+	if tf.closed.Swap(true) {
 		return nil
 	}
-	tf.closed = true
-	tf.mu.Unlock()
 	if err := tf.tracer.record(ioevent.Event{ID: tf.id, Op: ioevent.OpClose}); err != nil {
 		return err
 	}

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/array"
@@ -148,6 +150,58 @@ func TestTeeLogCapturesEventStream(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("range %d differs: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// A traced file is an io.ReaderAt, so reads may run in parallel; with a
+// log attached, every event the store counts must still reach the log
+// whole. Under -race this also checks the appends are serialized.
+func TestTeeLogConcurrentReads(t *testing.T) {
+	path := writeFile(t, array.MustSpace(8, 8), nil)
+	store := ioevent.NewStore()
+	tr := NewTracer(store)
+	var buf bytes.Buffer
+	lw := ioevent.NewLogWriter(&buf)
+	tr.TeeLog(lw)
+	tf, err := tr.Open(tr.NewProcess(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, reads = 2, 200
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := make([]byte, 8)
+			for i := 0; i < reads; i++ {
+				if _, err := tf.ReadAt(p, int64(8*(g*reads+i)%512)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(2 + 2*readers*reads); store.Events() != want {
+		t.Fatalf("store counted %d events, want %d", store.Events(), want)
+	}
+	replayed := ioevent.NewStore()
+	if err := ioevent.Replay(bytes.NewReader(buf.Bytes()), replayed); err != nil {
+		t.Fatal(err)
+	}
+	if replayed.Events() != store.Events() {
+		t.Errorf("log holds %d events, store counted %d", replayed.Events(), store.Events())
+	}
+	name := filepath.Base(path)
+	if a, b := store.FileRanges(name), replayed.FileRanges(name); !reflect.DeepEqual(a, b) {
+		t.Errorf("replayed ranges %v, live %v", b, a)
 	}
 }
 
