@@ -193,8 +193,10 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 	// Overhead in off/on pairs: adjacent in time, heap leveled by a
 	// GC, first side alternating; the estimate is the median per-pair
 	// ratio, so process-wide drift cancels within a pair and one
-	// stalled run cannot swing it.
-	const reps = 5
+	// stalled run cannot swing it. A run takes a few milliseconds and
+	// single pair ratios spread ±20% on a 2-core host, so the median
+	// needs tens of pairs to settle.
+	const reps = 25
 	var bestOff, lastOn, lastVerified *load.Result
 	var lastTrace *obs.Trace
 	var lastSLO obs.SLOReport

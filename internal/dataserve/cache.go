@@ -20,11 +20,19 @@ type chunkCache struct {
 	maxBytes int64
 	curBytes int64
 	order    *list.List // front = most recently used; values are *cacheEntry
-	byKey    map[string]*list.Element
+	byKey    map[chunkKey]*list.Element
+}
+
+// chunkKey names one serving chunk: its dataset and its linear chunk
+// id (the Merkle leaf index). It is comparable, so a lookup hashes it
+// without building a string.
+type chunkKey struct {
+	dataset string
+	chunk   int64
 }
 
 type cacheEntry struct {
-	key  string
+	key  chunkKey
 	vals []float64
 }
 
@@ -32,11 +40,11 @@ type cacheEntry struct {
 func entryBytes(vals []float64) int64 { return int64(8*len(vals)) + 64 }
 
 func newChunkCache(maxBytes int64) *chunkCache {
-	return &chunkCache{maxBytes: maxBytes, order: list.New(), byKey: make(map[string]*list.Element)}
+	return &chunkCache{maxBytes: maxBytes, order: list.New(), byKey: make(map[chunkKey]*list.Element)}
 }
 
 // get returns the resident values for key, promoting the entry.
-func (c *chunkCache) get(key string) ([]float64, bool) {
+func (c *chunkCache) get(key chunkKey) ([]float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -50,7 +58,7 @@ func (c *chunkCache) get(key string) ([]float64, bool) {
 // put inserts (or refreshes) an entry, keeping vals itself, and evicts
 // least-recently-used entries until the cache fits its byte bound. An
 // entry larger than the whole bound is not cached at all.
-func (c *chunkCache) put(key string, vals []float64) {
+func (c *chunkCache) put(key chunkKey, vals []float64) {
 	size := entryBytes(vals)
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,8 +136,8 @@ type Fetcher struct {
 	verify map[string]*sdf.MerkleSpec // armed datasets: trusted tree specs
 
 	cache      *chunkCache
-	flight     *flightGroup[[]float64]
-	geomFlight *flightGroup[*dsGeom] // collapses concurrent /meta misses per dataset
+	flight     *flightGroup[chunkKey, []float64]
+	geomFlight *flightGroup[string, *dsGeom] // collapses concurrent /meta misses per dataset
 
 	// rng drives the retry backoff's full jitter; it is deliberately
 	// per-fetcher (not the global source) so seeding elsewhere in the
@@ -173,8 +172,8 @@ func NewFetcherConfig(baseURL string, httpClient *http.Client, cfg FetcherConfig
 		geoms:      make(map[string]*dsGeom),
 		verify:     make(map[string]*sdf.MerkleSpec),
 		cache:      newChunkCache(cfg.MaxCacheBytes),
-		flight:     newFlightGroup[[]float64](),
-		geomFlight: newFlightGroup[*dsGeom](),
+		flight:     newFlightGroup[chunkKey, []float64](),
+		geomFlight: newFlightGroup[string, *dsGeom](),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 }
@@ -290,7 +289,7 @@ func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Ind
 	if err != nil {
 		return 0, err
 	}
-	cc, _, err := g.grid.ChunkCoord(ix)
+	leaf, off, err := sdf.ChunkOffset(g.space, g.chunk, ix)
 	if err != nil {
 		return 0, fmt.Errorf("dataserve: fetch %v of %q: %w", ix, dataset, err)
 	}
@@ -298,7 +297,8 @@ func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Ind
 	// span would cost more than the microsecond lookup it describes,
 	// and there is no request to propagate a context onto. Tracing cost
 	// therefore scales with origin round trips, not recovery calls.
-	vals, hit := f.cachedChunk(dataset, g, cc)
+	key := chunkKey{dataset, leaf}
+	vals, hit := f.cachedChunk(key)
 	if !hit {
 		// Mint (or keep) the request's trace context before the fetch
 		// span so the ids it stamps on the wire appear on the client
@@ -310,7 +310,7 @@ func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Ind
 		if sp != nil && traced {
 			sp.Arg("trace_id", tc.TraceID).Arg("span_id", tc.SpanID)
 		}
-		vals, hit, err = f.chunk(ctx, dataset, g, cc)
+		vals, hit, err = f.chunk(ctx, key, g)
 		if sp != nil {
 			sp.Arg("dataset", dataset).Arg("cache", cacheVerdict(hit))
 		}
@@ -319,15 +319,9 @@ func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Ind
 			return 0, err
 		}
 	}
-	start, count := chunkSlab(g.space, g.chunk, cc)
-	// Row-major offset of ix within the clipped chunk slab.
-	off := 0
-	for k := range ix {
-		off = off*count[k] + (ix[k] - start[k])
-	}
-	if off < 0 || off >= len(vals) {
-		return 0, fmt.Errorf("dataserve: chunk %v of %q: element %v outside %d-value frame",
-			cc, dataset, ix, len(vals))
+	if off >= len(vals) {
+		return 0, fmt.Errorf("dataserve: chunk %d of %q: element %v outside %d-value frame",
+			leaf, dataset, ix, len(vals))
 	}
 	f.elements.Add(1)
 	return vals[off], nil
@@ -426,12 +420,8 @@ func cacheVerdict(hit bool) string {
 }
 
 // cachedChunk is the untraced fast path: one cache lookup, no wire.
-func (f *Fetcher) cachedChunk(dataset string, g *dsGeom, cc array.Index) ([]float64, bool) {
-	lin, err := g.grid.ChunkLinear(cc)
-	if err != nil {
-		return nil, false
-	}
-	vals, ok := f.cache.get(dataset + "\x00" + strconv.FormatInt(lin, 10))
+func (f *Fetcher) cachedChunk(key chunkKey) ([]float64, bool) {
+	vals, ok := f.cache.get(key)
 	if ok {
 		f.cacheHits.Add(1)
 	}
@@ -442,12 +432,7 @@ func (f *Fetcher) cachedChunk(dataset string, g *dsGeom, cc array.Index) ([]floa
 // possible (hit reports a cache hit), collapsing concurrent misses
 // onto one request; FetchTimeout bounds that request's trip to the
 // origin.
-func (f *Fetcher) chunk(ctx context.Context, dataset string, g *dsGeom, cc array.Index) (_ []float64, hit bool, _ error) {
-	lin, err := g.grid.ChunkLinear(cc)
-	if err != nil {
-		return nil, false, err
-	}
-	key := dataset + "\x00" + strconv.FormatInt(lin, 10)
+func (f *Fetcher) chunk(ctx context.Context, key chunkKey, g *dsGeom) (_ []float64, hit bool, _ error) {
 	if vals, ok := f.cache.get(key); ok {
 		f.cacheHits.Add(1)
 		return vals, true, nil
@@ -461,7 +446,7 @@ func (f *Fetcher) chunk(ctx context.Context, dataset string, g *dsGeom, cc array
 		}
 		ctx, cancel := context.WithTimeout(ctx, f.cfg.FetchTimeout)
 		defer cancel()
-		vals, err := f.fetchChunk(ctx, dataset, g, cc, lin)
+		vals, err := f.fetchChunk(ctx, key.dataset, g, key.chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -485,7 +470,11 @@ func (f *Fetcher) chunk(ctx context.Context, dataset string, g *dsGeom, cc array
 // manifest root, is a terminal ErrVerifyFailed. The verify.chunk span
 // lives here — on the miss path only, so the hit path's cost stays
 // zero.
-func (f *Fetcher) fetchChunk(ctx context.Context, dataset string, g *dsGeom, cc array.Index, leaf int64) ([]float64, error) {
+func (f *Fetcher) fetchChunk(ctx context.Context, dataset string, g *dsGeom, leaf int64) ([]float64, error) {
+	cc, err := g.grid.Grid().Unlinear(leaf)
+	if err != nil {
+		return nil, err
+	}
 	spec := f.verifySpec(dataset)
 	q := url.Values{"dataset": {dataset}, "chunk": {joinInts(cc)}}
 	if spec != nil {
@@ -493,7 +482,7 @@ func (f *Fetcher) fetchChunk(ctx context.Context, dataset string, g *dsGeom, cc 
 	}
 	u := f.baseURL + "/chunk?" + q.Encode()
 	var cf chunkFrame
-	err := f.withRetries(ctx, func(actx context.Context) (retryable bool, err error) {
+	err = f.withRetries(ctx, func(actx context.Context) (retryable bool, err error) {
 		resp, retryable, err := f.get(actx, u)
 		if err != nil {
 			return retryable, err
@@ -546,7 +535,7 @@ func checkFrame(spec *sdf.MerkleSpec, dataset string, g *dsGeom, cc array.Index,
 	if leaves := g.grid.NumChunks(); cf.Leaves != leaves {
 		return fmt.Errorf("response claims %d leaves, geometry says %d", cf.Leaves, leaves)
 	}
-	_, count := chunkSlab(g.space, g.chunk, cc)
+	_, count := sdf.ChunkSlab(g.space, g.chunk, cc)
 	want := int64(1)
 	for _, c := range count {
 		want *= int64(c)

@@ -343,22 +343,22 @@ func TestFetcherLRUEviction(t *testing.T) {
 
 func TestChunkCacheUnit(t *testing.T) {
 	c := newChunkCache(entryBytes(make([]float64, 4)) * 2)
-	c.put("a", []float64{1, 2, 3, 4})
-	c.put("b", []float64{5, 6, 7, 8})
-	if _, ok := c.get("a"); !ok {
+	c.put(chunkKey{dataset: "a"}, []float64{1, 2, 3, 4})
+	c.put(chunkKey{dataset: "b"}, []float64{5, 6, 7, 8})
+	if _, ok := c.get(chunkKey{dataset: "a"}); !ok {
 		t.Fatal("a missing")
 	}
 	// a was just used; inserting c should evict b.
-	c.put("c", []float64{9, 10, 11, 12})
-	if _, ok := c.get("b"); ok {
+	c.put(chunkKey{dataset: "c"}, []float64{9, 10, 11, 12})
+	if _, ok := c.get(chunkKey{dataset: "b"}); ok {
 		t.Error("b not evicted")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(chunkKey{dataset: "a"}); !ok {
 		t.Error("a evicted despite recent use")
 	}
 	// An entry larger than the whole cache is not stored.
-	c.put("huge", make([]float64, 1024))
-	if _, ok := c.get("huge"); ok {
+	c.put(chunkKey{dataset: "huge"}, make([]float64, 1024))
+	if _, ok := c.get(chunkKey{dataset: "huge"}); ok {
 		t.Error("oversized entry cached")
 	}
 	if c.len() == 0 {

@@ -1,11 +1,14 @@
 package dataserve
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/array"
 )
 
 // TestFlightGroupPanicReleasesKey pins the singleflight panic path: a
@@ -14,7 +17,7 @@ import (
 // with an unclosed done channel and every later fetch of the key
 // deadlocked.
 func TestFlightGroupPanicReleasesKey(t *testing.T) {
-	g := newFlightGroup[[]float64]()
+	g := newFlightGroup[string, []float64]()
 
 	leaderIn := make(chan struct{})
 	waiterJoined := make(chan struct{})
@@ -89,7 +92,7 @@ func TestFlightGroupPanicReleasesKey(t *testing.T) {
 // TestFlightGroupErrorNotCached checks a plain error (no panic) is
 // handed to waiters and the key is immediately retryable.
 func TestFlightGroupErrorNotCached(t *testing.T) {
-	g := newFlightGroup[[]float64]()
+	g := newFlightGroup[string, []float64]()
 	sentinel := errors.New("boom")
 	if _, err, _ := g.do("k", func() ([]float64, error) { return nil, sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
@@ -103,16 +106,40 @@ func TestFlightGroupErrorNotCached(t *testing.T) {
 // TestChunkCacheHitAllocatesNothing pins the read-only chunk
 // invariant: chunk values are written once, by the frame decoder, so a
 // hit hands out the resident slice instead of copying the whole chunk.
+// A hit through the whole FetchContext path allocates nothing either:
+// the geometry lookup, the chunk id and the element's place in its
+// clipped chunk, and the struct cache key.
 func TestChunkCacheHitAllocatesNothing(t *testing.T) {
 	c := newChunkCache(1 << 20)
 	vals := make([]float64, 32*32)
 	vals[7] = 7
-	c.put("k", vals)
+	c.put(chunkKey{dataset: "k"}, vals)
 	var got []float64
-	if allocs := testing.AllocsPerRun(100, func() { got, _ = c.get("k") }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { got, _ = c.get(chunkKey{dataset: "k"}) }); allocs != 0 {
 		t.Errorf("cache hit allocates %v times, want 0", allocs)
 	}
 	if len(got) != len(vals) || got[7] != 7 {
 		t.Fatalf("hit returned %d values, want the %d put", len(got), len(vals))
+	}
+
+	// 40×24 in 16×16 chunks: (37, 21) lies in the corner chunk, clipped
+	// to 8×8.
+	space := array.MustSpace(40, 24)
+	f := localFetcher(t, writeOriginFile(t, space, []int{16, 16}))
+	ctx := context.Background()
+	ix := array.NewIndex(37, 21)
+	if _, err := f.FetchContext(ctx, "data", ix); err != nil {
+		t.Fatal(err)
+	}
+	var v float64
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { v, err = f.FetchContext(ctx, "data", ix) }); allocs != 0 {
+		t.Errorf("FetchContext cache hit allocates %v times, want 0", allocs)
+	}
+	if err != nil || v != originValue(space, ix) {
+		t.Fatalf("hit read %v, %v; want %v", v, err, originValue(space, ix))
+	}
+	if st := f.Stats(); st.CacheHits < 100 || st.RoundTrips != 2 {
+		t.Fatalf("stats %+v, want the hits served from one chunk fetch after /meta", st)
 	}
 }

@@ -304,7 +304,7 @@ func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("dataserve: chunk %v outside grid %v", cc, sv.grid.Grid()))
 		return
 	}
-	start, count := chunkSlab(sv.space, sv.meta.Chunk, cc)
+	start, count := sdf.ChunkSlab(sv.space, sv.meta.Chunk, cc)
 	vals, err := sv.ds.ReadHyperslab(sdf.Slab(start, count))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -348,14 +348,6 @@ func (s *Server) proof(sv *serving, dataset string, leaf int64) ([][sdf.HashSize
 		return nil, fmt.Errorf("dataserve: building merkle tree of %q: %w", dataset, err)
 	}
 	return tree.Proof(leaf)
-}
-
-// chunkSlab returns the start/count of serving chunk cc clipped to the
-// dataset space. The computation lives in internal/sdf (ChunkSlab) so
-// the server, the debloat-time Merkle builder, and the client share
-// one edge-clipping rule.
-func chunkSlab(space array.Space, chunk []int, cc []int) (start, count []int) {
-	return sdf.ChunkSlab(space, chunk, cc)
 }
 
 // joinInts renders coordinates in the wire's comma form (the inverse

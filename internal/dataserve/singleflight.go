@@ -9,12 +9,12 @@ import (
 // first caller performs the work, later callers block until it
 // finishes and share the result. Results are not cached here — the
 // chunkCache (or the geometry map) does that — so a failed flight is
-// retried by the next caller. It is generic over the result type
-// because both chunk fetches ([]float64) and geometry resolution
-// (*dsGeom) collapse through it.
-type flightGroup[T any] struct {
+// retried by the next caller. It is generic over the key and result
+// types because both chunk fetches (chunkKey, []float64) and geometry
+// resolution (dataset name, *dsGeom) collapse through it.
+type flightGroup[K comparable, T any] struct {
 	mu     sync.Mutex
-	flight map[string]*flightCall[T]
+	flight map[K]*flightCall[T]
 }
 
 type flightCall[T any] struct {
@@ -24,8 +24,8 @@ type flightCall[T any] struct {
 	dups int
 }
 
-func newFlightGroup[T any]() *flightGroup[T] {
-	return &flightGroup[T]{flight: make(map[string]*flightCall[T])}
+func newFlightGroup[K comparable, T any]() *flightGroup[K, T] {
+	return &flightGroup[K, T]{flight: make(map[K]*flightCall[T])}
 }
 
 // do runs fn under key, collapsing concurrent duplicates onto the
@@ -34,7 +34,7 @@ func newFlightGroup[T any]() *flightGroup[T] {
 // in-flight call runs under the initiating caller's context; a waiter
 // whose initiator is canceled receives the initiator's error and may
 // simply retry.
-func (g *flightGroup[T]) do(key string, fn func() (T, error)) (val T, err error, dup bool) {
+func (g *flightGroup[K, T]) do(key K, fn func() (T, error)) (val T, err error, dup bool) {
 	g.mu.Lock()
 	if c, ok := g.flight[key]; ok {
 		c.dups++
@@ -55,7 +55,7 @@ func (g *flightGroup[T]) do(key string, fn func() (T, error)) (val T, err error,
 	defer func() {
 		if !completed {
 			var zero T
-			c.val, c.err = zero, fmt.Errorf("dataserve: in-flight fetch of key %q panicked", key)
+			c.val, c.err = zero, fmt.Errorf("dataserve: in-flight fetch of key %v panicked", key)
 		}
 		g.mu.Lock()
 		delete(g.flight, key)

@@ -552,33 +552,33 @@ func TestGeomSingleflight(t *testing.T) {
 func TestChunkCacheOverwrite(t *testing.T) {
 	c := newChunkCache(10 * entryBytes(make([]float64, 8)))
 
-	c.put("k", []float64{1, 2, 3, 4})
+	c.put(chunkKey{dataset: "k"}, []float64{1, 2, 3, 4})
 	if got := c.bytes(); got != entryBytes(make([]float64, 4)) {
 		t.Fatalf("bytes after first put = %d, want %d", got, entryBytes(make([]float64, 4)))
 	}
 	// Overwrite with a larger value: accounting must track the delta
 	// exactly and the new bytes must answer.
-	c.put("k", []float64{5, 6, 7, 8, 9, 10})
+	c.put(chunkKey{dataset: "k"}, []float64{5, 6, 7, 8, 9, 10})
 	if got := c.bytes(); got != entryBytes(make([]float64, 6)) {
 		t.Fatalf("bytes after overwrite = %d, want %d", got, entryBytes(make([]float64, 6)))
 	}
 	if c.len() != 1 {
 		t.Fatalf("len = %d, want 1", c.len())
 	}
-	vals, ok := c.get("k")
+	vals, ok := c.get(chunkKey{dataset: "k"})
 	if !ok || len(vals) != 6 || vals[0] != 5 {
 		t.Fatalf("get after overwrite = %v, %v", vals, ok)
 	}
 	// Overwrite with a smaller value: bytes shrink back exactly.
-	c.put("k", []float64{42})
+	c.put(chunkKey{dataset: "k"}, []float64{42})
 	if got := c.bytes(); got != entryBytes(make([]float64, 1)) {
 		t.Fatalf("bytes after shrink = %d, want %d", got, entryBytes(make([]float64, 1)))
 	}
 
 	// An oversized put over the existing key must delete it: the old
 	// value is superseded and must not answer a later get.
-	c.put("k", make([]float64, 1024))
-	if vals, ok := c.get("k"); ok {
+	c.put(chunkKey{dataset: "k"}, make([]float64, 1024))
+	if vals, ok := c.get(chunkKey{dataset: "k"}); ok {
 		t.Fatalf("stale entry survived oversized put: %v", vals)
 	}
 	if got := c.bytes(); got != 0 {
@@ -589,7 +589,7 @@ func TestChunkCacheOverwrite(t *testing.T) {
 	}
 
 	// And an oversized put on a fresh key stays a no-op.
-	c.put("fresh", make([]float64, 1024))
+	c.put(chunkKey{dataset: "fresh"}, make([]float64, 1024))
 	if c.len() != 0 || c.bytes() != 0 {
 		t.Fatalf("oversized fresh put cached: len=%d bytes=%d", c.len(), c.bytes())
 	}

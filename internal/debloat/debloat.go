@@ -91,10 +91,10 @@ func WriteSubset(srcPath, dstPath, dataset string, approx *array.IndexSet, chunk
 	if err := stampProvenance(dw, "chunk", approx.Len()); err != nil {
 		return stats, err
 	}
-	// Copy values of kept chunks only; skipped chunks stay zero and
-	// are omitted from the file anyway.
+	// Copy values of kept chunks only: the writer stages a chunk on its
+	// first write, so skipped chunks take no memory and are omitted
+	// from the file.
 	grid := cl.Grid()
-	shape := cl.ChunkShape()
 	var copyErr error
 	grid.Each(func(cc array.Index) bool {
 		lin, err := cl.ChunkLinear(cc)
@@ -105,7 +105,7 @@ func WriteSubset(srcPath, dstPath, dataset string, approx *array.IndexSet, chunk
 		if !keep[lin] {
 			return true
 		}
-		copyErr = copyChunk(ds, dw, cc, shape, space)
+		copyErr = copyChunk(ds, dw, cc, chunk)
 		return copyErr == nil
 	})
 	if copyErr != nil {
@@ -137,31 +137,15 @@ func WriteSubset(srcPath, dstPath, dataset string, approx *array.IndexSet, chunk
 	return stats, nil
 }
 
-// copyChunk copies the logical elements of one chunk from the source
-// dataset into the staged destination.
-func copyChunk(src *sdf.Dataset, dst *sdf.DatasetWriter, cc array.Index, shape []int, space array.Space) error {
-	start := make([]int, len(cc))
-	count := make([]int, len(cc))
-	for k := range cc {
-		start[k] = cc[k] * shape[k]
-		count[k] = shape[k]
-		if start[k]+count[k] > space.Dim(k) {
-			count[k] = space.Dim(k) - start[k] // edge chunk clip
-		}
-	}
-	sel := sdf.Slab(start, count)
-	vals, err := src.ReadHyperslab(sel)
+// copyChunk copies the logical elements of chunk cc, clipped to the
+// space, from the source dataset into the staged destination.
+func copyChunk(src *sdf.Dataset, dst *sdf.DatasetWriter, cc array.Index, chunk []int) error {
+	start, count := sdf.ChunkSlab(src.Space(), chunk, cc)
+	vals, err := src.ReadHyperslab(sdf.Slab(start, count))
 	if err != nil {
 		return fmt.Errorf("debloat: reading chunk %v: %w", cc, err)
 	}
-	i := 0
-	var setErr error
-	sel.Each(func(ix array.Index) bool {
-		setErr = dst.Set(ix, vals[i])
-		i++
-		return setErr == nil
-	})
-	return setErr
+	return dst.SetSlab(start, count, vals)
 }
 
 // stampProvenance attaches the debloating provenance attributes to a

@@ -23,6 +23,7 @@ var ErrDataMissing = sdf.ErrDataMissing
 type Fetcher interface {
 	// FetchContext returns the value of one missing element. A canceled
 	// ctx stops the recovery instead of hanging the debloated runtime.
+	// ix is valid only during the call: a slab read reuses it.
 	FetchContext(ctx context.Context, dataset string, ix array.Index) (float64, error)
 }
 
@@ -85,6 +86,12 @@ func (rt *Runtime) ReadElement(ix array.Index) (float64, error) {
 	if !errors.Is(err, sdf.ErrDataMissing) {
 		return 0, err
 	}
+	return rt.recoverMiss(ix)
+}
+
+// recoverMiss counts a read of the carved-away element ix and recovers
+// its value through the fetcher.
+func (rt *Runtime) recoverMiss(ix array.Index) (float64, error) {
 	rt.misses.Add(1)
 	rt.mMisses.Inc()
 	if rt.fetcher == nil {
@@ -95,7 +102,7 @@ func (rt *Runtime) ReadElement(ix array.Index) (float64, error) {
 	if sp != nil {
 		sp.Arg("dataset", rt.name)
 	}
-	v, err = rt.fetcher.FetchContext(rt.ctx, rt.name, ix)
+	v, err := rt.fetcher.FetchContext(rt.ctx, rt.name, ix)
 	sp.End()
 	if err != nil {
 		return 0, err
@@ -106,37 +113,11 @@ func (rt *Runtime) ReadElement(ix array.Index) (float64, error) {
 }
 
 // ReadSlab implements workload.Accessor: the dense block read of the
-// workload layer, served element-wise so that partially-present blocks
-// recover only the missing elements. With a chunk-caching fetcher
-// (dataserve.Fetcher) the element-wise fallback stays cheap: the first
-// miss of a chunk pulls the whole chunk and its neighbors hit memory.
+// workload layer, in one pass over the block. Present stretches are
+// read coalesced, and only the carved-away elements are recovered, in
+// row-major order, each counted as a miss exactly as ReadElement counts
+// it. With a chunk-caching fetcher (dataserve.Fetcher) the first miss
+// of a chunk pulls the whole chunk and its neighbors hit memory.
 func (rt *Runtime) ReadSlab(start, count []int) ([]float64, error) {
-	sel := sdf.Slab(start, count)
-	if err := sel.Validate(rt.ds.Space()); err != nil {
-		return nil, err
-	}
-	// Fast path: try the coalesced hyperslab read first; fall back to
-	// per-element recovery only when something is missing.
-	vals, err := rt.ds.ReadHyperslab(sel)
-	if err == nil {
-		return vals, nil
-	}
-	if !errors.Is(err, sdf.ErrDataMissing) {
-		return nil, err
-	}
-	out := make([]float64, 0, sel.NumElements())
-	var readErr error
-	sel.Each(func(ix array.Index) bool {
-		v, err := rt.ReadElement(ix.Clone())
-		if err != nil {
-			readErr = err
-			return false
-		}
-		out = append(out, v)
-		return true
-	})
-	if readErr != nil {
-		return nil, readErr
-	}
-	return out, nil
+	return rt.ds.ReadHyperslabFunc(sdf.Slab(start, count), rt.recoverMiss)
 }

@@ -3,7 +3,9 @@ package debloat
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -197,5 +199,102 @@ func TestOriginFetcherClosedErrors(t *testing.T) {
 	}
 	if err := fetcher.Close(); err != nil {
 		t.Errorf("double close: %v", err)
+	}
+}
+
+// orderFetcher records the linear position of every element it is
+// asked to recover.
+type orderFetcher struct {
+	inner Fetcher
+	space array.Space
+	lins  []int64
+}
+
+func (o *orderFetcher) FetchContext(ctx context.Context, dataset string, ix array.Index) (float64, error) {
+	lin, _ := o.space.Linear(ix)
+	o.lins = append(o.lins, lin)
+	return o.inner.FetchContext(ctx, dataset, ix)
+}
+
+// TestReadSlabMatchesElementwise reads random slabs across kept and
+// carved chunks in one pass and compares them with a ReadElement loop
+// over the same slab: the same values or error, the same Misses and
+// Recovered counts, and the same fetches in the same order, with a
+// fetcher and without one.
+func TestReadSlabMatchesElementwise(t *testing.T) {
+	ds, origin, space, cleanup := debloatedDataset(t)
+	defer cleanup()
+	rng := rand.New(rand.NewSource(5))
+	slabFetcher := &orderFetcher{inner: localFetcher(t, origin), space: space}
+	elemFetcher := &orderFetcher{inner: localFetcher(t, origin), space: space}
+	mixed := 0
+	for _, withFetcher := range []bool{true, false} {
+		for trial := 0; trial < 60; trial++ {
+			start := []int{rng.Intn(64), rng.Intn(64)}
+			count := []int{1 + rng.Intn(min(64-start[0], 20)), 1 + rng.Intn(64-start[1])}
+			slabFetcher.lins, elemFetcher.lins = nil, nil
+			var slabRT, elemRT *Runtime
+			if withFetcher {
+				slabRT, elemRT = NewRuntime(ds, slabFetcher), NewRuntime(ds, elemFetcher)
+			} else {
+				slabRT, elemRT = NewRuntime(ds, nil), NewRuntime(ds, nil)
+			}
+			got, err := slabRT.ReadSlab(start, count)
+			var want []float64
+			var wantErr error
+			sdf.Slab(start, count).Each(func(ix array.Index) bool {
+				v, err := elemRT.ReadElement(ix.Clone())
+				if err != nil {
+					wantErr = err
+					return false
+				}
+				want = append(want, v)
+				return true
+			})
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("slab %v+%v: error %v, element loop %v", start, count, err, wantErr)
+			}
+			if err == nil && !slices.Equal(got, want) {
+				t.Fatalf("slab %v+%v: values %v, element loop %v", start, count, got, want)
+			}
+			if slabRT.Misses() != elemRT.Misses() || slabRT.Recovered() != elemRT.Recovered() {
+				t.Fatalf("slab %v+%v: misses/recovered %d/%d, element loop %d/%d", start, count,
+					slabRT.Misses(), slabRT.Recovered(), elemRT.Misses(), elemRT.Recovered())
+			}
+			if !slices.Equal(slabFetcher.lins, elemFetcher.lins) {
+				t.Fatalf("slab %v+%v: fetched %v, element loop %v", start, count, slabFetcher.lins, elemFetcher.lins)
+			}
+			if withFetcher && elemRT.Misses() > 0 && int64(len(want)) > elemRT.Misses() {
+				mixed++
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no slab crossed both kept and carved chunks")
+	}
+}
+
+// TestReadElementMissAllocatesLittle bounds a recovered miss whose
+// chunk the fetcher already caches to one allocation: the data-missing
+// error, which formats its message only if printed.
+func TestReadElementMissAllocatesLittle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc counting is skipped in -short (race) runs")
+	}
+	ds, origin, space, cleanup := debloatedDataset(t)
+	defer cleanup()
+	rt := NewRuntime(ds, localFetcher(t, origin))
+	ix := array.NewIndex(0, 63)
+	if _, err := rt.ReadElement(ix); err != nil {
+		t.Fatal(err)
+	}
+	var v float64
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { v, err = rt.ReadElement(ix) })
+	if lin, _ := space.Linear(ix); err != nil || v != float64(lin) {
+		t.Fatalf("recovered %v, %v; want %v", v, err, float64(lin))
+	}
+	if allocs > 1 {
+		t.Fatalf("a recovered miss allocates %.1f times, want at most 1", allocs)
 	}
 }

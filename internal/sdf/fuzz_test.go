@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -138,9 +139,12 @@ type memSource struct{ *bytes.Reader }
 func (memSource) Close() error { return nil }
 
 // openAndRead opens data through OpenFrom and, if that succeeds, reads
-// one element of every dataset and walks the index runs of all the
-// file's bytes: neither may panic.
-func openAndRead(data []byte) {
+// one element of every dataset, walks the index runs of all the file's
+// bytes, and reads a corner hyperslab of at most cornerElems elements:
+// none of them may panic. The slab read must agree with reading its
+// elements one at a time: when it succeeds every element reads the same
+// value, and when it fails at least one element fails.
+func openAndRead(t *testing.T, data []byte) {
 	f, err := OpenFrom(memSource{bytes.NewReader(data)})
 	if err != nil {
 		return
@@ -152,8 +156,38 @@ func openAndRead(data []byte) {
 		}
 		ds.ReadElement(make(array.Index, ds.Space().Rank()))
 		ds.IndexRuns(0, int64(len(data)), func(int64, int64) {})
+
+		space := ds.Space()
+		count, left := make([]int, space.Rank()), cornerElems
+		for k := space.Rank() - 1; k >= 0; k-- {
+			count[k] = min(space.Dim(k), left)
+			left /= count[k]
+		}
+		sel := Slab(make([]int, space.Rank()), count)
+		vals, slabErr := ds.ReadHyperslab(sel)
+		i, failed := 0, false
+		sel.Each(func(ix array.Index) bool {
+			v, err := ds.ReadElement(ix)
+			switch {
+			case err != nil:
+				failed = true
+			case slabErr == nil && math.Float64bits(v) != math.Float64bits(vals[i]):
+				t.Fatalf("%q: slab read %v at %v, element read %v", name, vals[i], ix, v)
+			}
+			i++
+			return true
+		})
+		if slabErr == nil && failed {
+			t.Fatalf("%q: slab %v read, but an element of it failed", name, count)
+		}
+		if slabErr != nil && !failed {
+			t.Fatalf("%q: slab %v failed (%v), but every element read", name, count, slabErr)
+		}
 	}
 }
+
+// cornerElems bounds the corner hyperslab openAndRead reads.
+const cornerElems = 4096
 
 // FuzzOpen feeds arbitrary bytes to OpenFrom: once as given, and once
 // with the header's metadata checksum recomputed, so that mutations
@@ -162,7 +196,7 @@ func openAndRead(data []byte) {
 // chunked, a debloated chunked and a packed file.
 func FuzzOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		openAndRead(data)
+		openAndRead(t, data)
 		if len(data) < headerSize {
 			return
 		}
@@ -172,7 +206,7 @@ func FuzzOpen(f *testing.F) {
 		}
 		fixed := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(fixed[12:], metaCRC(fixed[headerSize:headerSize+metaLen]))
-		openAndRead(fixed)
+		openAndRead(t, fixed)
 	})
 }
 
@@ -227,17 +261,6 @@ func TestHostileMetadataAllocatesLittle(t *testing.T) {
 	}
 }
 
-// countingSource records the size of every ReadAt.
-type countingSource struct {
-	memSource
-	sizes []int
-}
-
-func (c *countingSource) ReadAt(p []byte, off int64) (int, error) {
-	c.sizes = append(c.sizes, len(p))
-	return c.memSource.ReadAt(p, off)
-}
-
 // TestMetadataReadSteps pins how OpenFrom reads the metadata block: one
 // ReadAt for a block of up to 64 KiB, so an audited open keeps its
 // event sequence, and doubling steps beyond that.
@@ -257,15 +280,19 @@ func TestMetadataReadSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := &countingSource{memSource: memSource{bytes.NewReader(raw)}}
+		src := &recordingSource{memSource: memSource{bytes.NewReader(raw)}}
 		f, err := OpenFrom(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		metaLen := int(binary.LittleEndian.Uint32(raw[8:]))
 		want := append([]int{headerSize}, tc.steps(metaLen)...)
-		if fmt.Sprint(src.sizes) != fmt.Sprint(want) {
-			t.Fatalf("%v: reads %v, want %v (metadata %d bytes)", tc.dims, src.sizes, want, metaLen)
+		var sizes []int
+		for _, r := range src.reads {
+			sizes = append(sizes, r.n)
+		}
+		if fmt.Sprint(sizes) != fmt.Sprint(want) {
+			t.Fatalf("%v: reads %v, want %v (metadata %d bytes)", tc.dims, sizes, want, metaLen)
 		}
 		ds, err := f.Dataset("d")
 		if err != nil {

@@ -113,3 +113,47 @@ func (h Hyperslab) Each(fn func(array.Index) bool) {
 		}
 	}
 }
+
+// eachRow calls fn once for each row of the selection, in selection
+// order, with ix set to the row's first index. A row is one block along
+// the last dimension: Block[last] consecutive positions. ix must have
+// the selection's rank; fn may change ix[last] but no other
+// coordinate. The walk stops at the first error fn returns, and eachRow
+// returns it.
+func (h Hyperslab) eachRow(ix array.Index, fn func(array.Index) error) error {
+	last := len(h.Start) - 1
+	// block[k] and within[k] place ix[k] for each dimension before the
+	// last: which block, and which position within the block.
+	block := make([]int, 2*last)
+	block, within := block[:last], block[last:]
+	for {
+		for k := 0; k < last; k++ {
+			ix[k] = h.Start[k] + block[k]*h.Stride[k] + within[k]
+		}
+		for b := 0; b < h.Count[last]; b++ {
+			ix[last] = h.Start[last] + b*h.Stride[last]
+			if err := fn(ix); err != nil {
+				return err
+			}
+		}
+		// Odometer increment over the dimensions before the last, the
+		// last of them fastest, within varying faster than block.
+		k := last - 1
+		for k >= 0 {
+			within[k]++
+			if within[k] < h.Block[k] {
+				break
+			}
+			within[k] = 0
+			block[k]++
+			if block[k] < h.Count[k] {
+				break
+			}
+			block[k] = 0
+			k--
+		}
+		if k < 0 {
+			return nil
+		}
+	}
+}

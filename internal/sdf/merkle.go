@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 
 	"repro/internal/array"
@@ -104,34 +105,73 @@ func ChunkSlab(space array.Space, chunk []int, cc []int) (start, count []int) {
 	return start, count
 }
 
+// ChunkOffset returns the row-major linear id of the serving chunk
+// holding ix and ix's row-major offset among that chunk's values, the
+// chunk clipped to the space as ChunkSlab clips it, in one pass over
+// the coordinates and without allocating.
+func ChunkOffset(space array.Space, chunk []int, ix array.Index) (leaf int64, off int, err error) {
+	if !space.Contains(ix) {
+		return 0, 0, fmt.Errorf("array: index %v out of bounds", ix)
+	}
+	for k, v := range ix {
+		c, dim := chunk[k], space.Dim(k)
+		start := v / c * c
+		leaf = leaf*int64((dim+c-1)/c) + int64(v/c)
+		off = off*min(c, dim-start) + v - start
+	}
+	return leaf, off, nil
+}
+
 // ChunkLeafHash hashes one serving chunk's clipped values as Merkle
 // leaf number leaf. The leaf index inside the preimage position-binds
 // the content: identical values stored at two different chunk
 // coordinates still produce distinct leaves.
 func ChunkLeafHash(leaf int64, vals []float64) [HashSize]byte {
-	h := sha256.New()
-	var buf [8]byte
-	h.Write([]byte{0x00})
-	binary.LittleEndian.PutUint64(buf[:], uint64(leaf))
-	h.Write(buf[:])
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+	lh := leafHasher{block: make([]byte, 0, min(leafBlock, 9+8*len(vals)))}
+	return lh.sum(leaf, vals)
+}
+
+// leafBlock is the most preimage bytes a leaf hash hands SHA-256 per
+// write.
+const leafBlock = 4096
+
+// leafHasher hashes Merkle leaves through one SHA-256 state and one
+// block buffer, reused from leaf to leaf.
+type leafHasher struct {
+	h     hash.Hash
+	block []byte
+}
+
+// sum returns leaf number leaf's hash over vals, writing the preimage
+// in blocks of up to leafBlock bytes.
+func (lh *leafHasher) sum(leaf int64, vals []float64) [HashSize]byte {
+	if lh.h == nil {
+		lh.h = sha256.New()
 	}
+	lh.h.Reset()
+	b := append(lh.block[:0], 0x00)
+	b = binary.LittleEndian.AppendUint64(b, uint64(leaf))
+	for _, v := range vals {
+		if len(b)+8 > leafBlock {
+			lh.h.Write(b)
+			b = b[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	lh.h.Write(b)
+	lh.block = b
 	var out [HashSize]byte
-	h.Sum(out[:0])
+	lh.h.Sum(out[:0])
 	return out
 }
 
 // nodeHash combines two child hashes into their parent.
 func nodeHash(left, right [HashSize]byte) [HashSize]byte {
-	h := sha256.New()
-	h.Write([]byte{0x01})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out [HashSize]byte
-	h.Sum(out[:0])
-	return out
+	var pre [1 + 2*HashSize]byte
+	pre[0] = 0x01
+	copy(pre[1:], left[:])
+	copy(pre[1+HashSize:], right[:])
+	return sha256.Sum256(pre[:])
 }
 
 // MerkleTree is the full tree over one dataset's serving chunks,
@@ -145,9 +185,10 @@ type MerkleTree struct {
 
 // BuildDatasetMerkle reads every serving chunk of ds (in row-major
 // chunk-grid order, clipped at the edges exactly as the recovery plane
-// serves them) and builds the tree. The chunk shape must be the
-// dataset's serving shape — pass sdf.ServingChunk(ds) unless a
-// specific grid is under test.
+// serves them) and builds the tree. One value slice, read buffer and
+// hash state serve every leaf. The chunk shape must be the dataset's
+// serving shape — pass sdf.ServingChunk(ds) unless a specific grid is
+// under test.
 func BuildDatasetMerkle(ds *Dataset, chunk []int) (*MerkleTree, error) {
 	space := ds.Space()
 	grid, err := array.NewChunkedLayout(space, ds.DType(), chunk)
@@ -157,17 +198,19 @@ func BuildDatasetMerkle(ds *Dataset, chunk []int) (*MerkleTree, error) {
 	n := grid.NumChunks()
 	leaves := make([][HashSize]byte, 0, n)
 	gridSpace := grid.Grid()
+	r := slabReader{d: ds}
+	var lh leafHasher
+	var vals []float64
 	for lin := int64(0); lin < n; lin++ {
 		cc, err := gridSpace.Unlinear(lin)
 		if err != nil {
 			return nil, err
 		}
 		start, count := ChunkSlab(space, chunk, cc)
-		vals, err := ds.ReadHyperslab(Slab(start, count))
-		if err != nil {
+		if vals, err = r.read(Slab(start, count), vals); err != nil {
 			return nil, fmt.Errorf("sdf: merkle leaf %d (chunk %v): %w", lin, cc, err)
 		}
-		leaves = append(leaves, ChunkLeafHash(lin, vals))
+		leaves = append(leaves, lh.sum(lin, vals))
 	}
 	return NewMerkleTree(chunk, leaves), nil
 }

@@ -238,3 +238,38 @@ func TestServingChunkSharedDerivation(t *testing.T) {
 		t.Fatalf("ServingChunkShape(256x256) = %v, want %v", got, want)
 	}
 }
+
+// TestChunkOffsetMatchesChunkSlab checks ChunkOffset on every index of
+// a space with edge chunks along every dimension against ChunkSlab: the
+// leaf is the linear id of the chunk holding the index, and the offset
+// is the index's row-major place in that chunk's clipped slab.
+func TestChunkOffsetMatchesChunkSlab(t *testing.T) {
+	space := array.MustSpace(13, 10, 7)
+	chunk := []int{4, 3, 5}
+	grid, err := array.NewChunkedLayout(space, array.Float64, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space.Each(func(ix array.Index) bool {
+		leaf, off, err := ChunkOffset(space, chunk, ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc, _ := grid.Grid().Unlinear(leaf)
+		start, count := ChunkSlab(space, chunk, cc)
+		want := 0
+		for k := range ix {
+			if ix[k] < start[k] || ix[k] >= start[k]+count[k] {
+				t.Fatalf("%v: leaf %d is chunk %v, which does not hold it", ix, leaf, cc)
+			}
+			want = want*count[k] + ix[k] - start[k]
+		}
+		if off != want {
+			t.Fatalf("%v: offset %d, want %d", ix, off, want)
+		}
+		return true
+	})
+	if _, _, err := ChunkOffset(space, chunk, array.NewIndex(13, 0, 0)); err == nil {
+		t.Error("ChunkOffset accepted an index outside the space")
+	}
+}

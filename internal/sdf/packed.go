@@ -64,15 +64,15 @@ type packedIndex struct {
 	elem int64
 }
 
-// fileOffset maps a linear element position to its stored offset, or
-// ErrDataMissing.
-func (pi *packedIndex) fileOffset(lin int64) (int64, error) {
+// fileOffset maps a linear element position to its stored offset; ok
+// is false when the position was carved away.
+func (pi *packedIndex) fileOffset(lin int64) (off int64, ok bool) {
 	i := sort.Search(len(pi.runs), func(i int) bool {
 		return pi.runs[i].startLin+pi.runs[i].count > lin
 	})
 	if i >= len(pi.runs) || lin < pi.runs[i].startLin {
-		return 0, fmt.Errorf("%w: linear position %d", ErrDataMissing, lin)
+		return 0, false
 	}
 	r := pi.runs[i]
-	return r.off + (lin-r.startLin)*pi.elem, nil
+	return r.off + (lin-r.startLin)*pi.elem, true
 }

@@ -171,8 +171,13 @@ func newDataset(f *File, m *datasetMeta) (*Dataset, error) {
 		ds.layout = array.NewContiguousLayout(space, m.DType)
 		runs := append([]packRun(nil), m.PackRuns...)
 		sort.Slice(runs, func(i, j int) bool { return runs[i].startLin < runs[j].startLin })
-		for i := 1; i < len(runs); i++ {
-			if runs[i].startLin < runs[i-1].startLin+runs[i-1].count {
+		// Non-empty runs inside the space that do not overlap end in
+		// ascending order too, which the run searches rely on.
+		for i, r := range runs {
+			if r.startLin < 0 || r.count <= 0 || r.count > space.Size()-r.startLin {
+				return nil, fmt.Errorf("sdf: dataset %q: packed run outside the dataset", m.Name)
+			}
+			if i > 0 && r.startLin < runs[i-1].startLin+runs[i-1].count {
 				return nil, fmt.Errorf("sdf: dataset %q: overlapping packed runs", m.Name)
 			}
 		}
@@ -219,16 +224,18 @@ func (d *Dataset) StoredBytes() int64 { return d.meta.DataLen }
 func (d *Dataset) LogicalBytes() int64 { return d.layout.DataSize() }
 
 // FileOffset maps an element index to its absolute byte offset in the
-// file, or ErrDataMissing if the containing chunk was carved away.
+// file, or ErrDataMissing if the element was carved away. The
+// data-missing error formats its message only when printed, so a miss
+// costs one small allocation.
 func (d *Dataset) FileOffset(ix array.Index) (int64, error) {
 	if d.packed != nil {
 		lin, err := d.space.Linear(ix)
 		if err != nil {
 			return 0, err
 		}
-		off, err := d.packed.fileOffset(lin)
-		if err != nil {
-			return 0, fmt.Errorf("%w (index %v of %q)", err, ix, d.meta.Name)
+		off, ok := d.packed.fileOffset(lin)
+		if !ok {
+			return 0, &missingError{d, lin}
 		}
 		return off, nil
 	}
@@ -245,7 +252,8 @@ func (d *Dataset) FileOffset(ix array.Index) (int64, error) {
 	}
 	base := d.meta.ChunkTable[chunkLin]
 	if base == missingChunk {
-		return 0, fmt.Errorf("%w: index %v of %q", ErrDataMissing, ix, d.meta.Name)
+		lin, _ := d.space.Linear(ix) // Locate checked the bounds
+		return 0, &missingError{d, lin}
 	}
 	return base + within*d.elem, nil
 }
@@ -323,63 +331,194 @@ func (d *Dataset) ReadElement(ix array.Index) (float64, error) {
 }
 
 // ReadHyperslab reads the selected elements in row-major selection
-// order. Physically contiguous runs of selected elements are coalesced
-// into single reads, matching how HDF5 performs hyperslab I/O; each
-// run is one I/O event under audit.
+// order. It walks the selection one row (one block along the last
+// dimension) at a time and maps each row to its file stretches: one
+// per contiguous row, chunk or packed run the row crosses. A stretch
+// that starts where the pending run ends extends it; any other stretch
+// first reads the pending run with one ReadAt. Physically contiguous
+// runs of selected elements are so coalesced into single reads,
+// matching how HDF5 performs hyperslab I/O; each run is one I/O event
+// under audit. A carved-away element fails the read with
+// ErrDataMissing, leaving the pending run unread.
 func (d *Dataset) ReadHyperslab(sel Hyperslab) ([]float64, error) {
+	return d.ReadHyperslabFunc(sel, nil)
+}
+
+// ReadHyperslabFunc reads sel as ReadHyperslab does, except that the
+// value of each carved-away element comes from missing, called once per
+// such element in selection order. Present stretches still coalesce;
+// the pending run is read before each call to missing. The index
+// passed to missing is reused between calls; clone it if it escapes. A
+// nil missing fails the read on the first carved-away element, as
+// ReadHyperslab does; so does any error missing returns.
+func (d *Dataset) ReadHyperslabFunc(sel Hyperslab, missing func(array.Index) (float64, error)) ([]float64, error) {
 	if err := sel.Validate(d.space); err != nil {
 		return nil, err
 	}
-	n := sel.NumElements()
-	out := make([]float64, 0, n)
+	r := slabReader{d: d, missing: missing}
+	return r.read(sel, nil)
+}
 
-	type run struct {
-		off   int64
-		count int64
-	}
-	var cur run
-	var missErr error
-	flush := func() error {
-		if cur.count == 0 {
-			return nil
-		}
-		buf := make([]byte, cur.count*d.elem)
-		if _, err := d.file.src.ReadAt(buf, cur.off); err != nil {
-			return fmt.Errorf("sdf: hyperslab read of %q: %w", d.meta.Name, err)
-		}
-		for i := int64(0); i < cur.count; i++ {
-			out = append(out, decodeValue(buf[i*d.elem:], d.meta.DType))
-		}
-		cur = run{}
-		return nil
-	}
+// slabReader reads selections of one dataset row by row. Its index and
+// read buffer are reused across reads, so a caller reading many slabs
+// (the Merkle build) allocates them once.
+type slabReader struct {
+	d       *Dataset
+	missing func(array.Index) (float64, error) // nil: a miss fails the read
+	ix      array.Index
+	buf     []byte    // the read buffer
+	vals    []float64 // the current read's values
+	// The pending run: count elements stored from file offset off,
+	// destined for vals[pos:].
+	off, count int64
+	pos        int
+}
 
-	var readErr error
-	sel.Each(func(ix array.Index) bool {
-		abs, err := d.FileOffset(ix)
-		if err != nil {
-			missErr = err
-			return false
-		}
-		if cur.count > 0 && abs == cur.off+cur.count*d.elem {
-			cur.count++
-			return true
-		}
-		if err := flush(); err != nil {
-			readErr = err
-			return false
-		}
-		cur = run{off: abs, count: 1}
-		return true
+// read reads the valid selection sel into vals, which it allocates
+// when vals holds fewer than the selected elements, and returns the
+// values.
+func (r *slabReader) read(sel Hyperslab, vals []float64) ([]float64, error) {
+	n := int(sel.NumElements())
+	if cap(vals) < n {
+		vals = make([]float64, n)
+	}
+	r.vals, r.count = vals[:n], 0
+	if len(r.ix) != len(sel.Start) {
+		r.ix = make(array.Index, len(sel.Start))
+	}
+	width, pos := sel.Block[len(sel.Block)-1], 0
+	err := sel.eachRow(r.ix, func(ix array.Index) error {
+		err := r.row(ix, width, pos)
+		pos += width
+		return err
 	})
-	if missErr != nil {
-		return nil, missErr
+	if err == nil {
+		err = r.flush()
 	}
-	if readErr != nil {
-		return nil, readErr
-	}
-	if err := flush(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return r.vals, nil
+}
+
+// row maps the width elements of the row starting at ix, destined for
+// vals[pos:], to their file stretches.
+func (r *slabReader) row(ix array.Index, width, pos int) error {
+	d := r.d
+	last := len(ix) - 1
+	switch {
+	case d.chunked != nil:
+		// One stretch per chunk the row crosses.
+		cw := d.meta.Chunk[last]
+		for c, end := ix[last], ix[last]+width; c < end; {
+			n := min(end, c-c%cw+cw) - c
+			ix[last] = c
+			chunk, within, _ := d.chunked.Locate(ix) // ix lies in the space
+			var err error
+			if base := d.meta.ChunkTable[chunk]; base != missingChunk {
+				err = r.stretch(base+within*d.elem, int64(n), pos)
+			} else {
+				err = r.miss(ix, n, pos)
+			}
+			if err != nil {
+				return err
+			}
+			c += n
+			pos += n
+		}
+		return nil
+	case d.packed != nil:
+		// One stretch per packed run the row's linear positions reach,
+		// and a miss for each gap between runs.
+		c0 := ix[last]
+		lin, _ := d.space.Linear(ix)
+		runs := d.packed.runs
+		p, end := lin, lin+int64(width)
+		i := sort.Search(len(runs), func(i int) bool { return runs[i].startLin+runs[i].count > p })
+		for p < end {
+			var next int64
+			var err error
+			if i < len(runs) && runs[i].startLin <= p {
+				next = min(end, runs[i].startLin+runs[i].count)
+				err = r.stretch(runs[i].off+(p-runs[i].startLin)*d.elem, next-p, pos)
+				i++
+			} else {
+				next = end
+				if i < len(runs) {
+					next = min(end, runs[i].startLin)
+				}
+				ix[last] = c0 + int(p-lin)
+				err = r.miss(ix, int(next-p), pos)
+			}
+			if err != nil {
+				return err
+			}
+			pos += int(next - p)
+			p = next
+		}
+		return nil
+	default:
+		lin, _ := d.space.Linear(ix)
+		return r.stretch(d.meta.DataOff+lin*d.elem, int64(width), pos)
+	}
+}
+
+// stretch adds count elements stored from file offset off, destined for
+// vals[pos:], to the read: it extends the pending run when it starts
+// where that run ends, and otherwise reads the pending run and starts a
+// new one.
+func (r *slabReader) stretch(off, count int64, pos int) error {
+	if r.count > 0 && off == r.off+r.count*r.d.elem {
+		r.count += count
+		return nil
+	}
+	if err := r.flush(); err != nil {
+		return err
+	}
+	r.off, r.count, r.pos = off, count, pos
+	return nil
+}
+
+// miss handles n carved-away elements of a row, from ix on, destined
+// for vals[pos:]. Without a missing function the read fails with the
+// first one's error and the pending run is dropped unread; with one,
+// the pending run is read first and missing supplies each value in
+// turn.
+func (r *slabReader) miss(ix array.Index, n, pos int) error {
+	if r.missing == nil {
+		lin, _ := r.d.space.Linear(ix)
+		return &missingError{r.d, lin}
+	}
+	if err := r.flush(); err != nil {
+		return err
+	}
+	last := len(ix) - 1
+	for j := range n {
+		v, err := r.missing(ix)
+		if err != nil {
+			return err
+		}
+		r.vals[pos+j] = v
+		ix[last]++
+	}
+	return nil
+}
+
+// flush reads the pending run with one ReadAt into the reused buffer
+// and decodes it into place.
+func (r *slabReader) flush() error {
+	if r.count == 0 {
+		return nil
+	}
+	size := int(r.count * r.d.elem)
+	if cap(r.buf) < size {
+		r.buf = make([]byte, size)
+	}
+	buf := r.buf[:size]
+	if _, err := r.d.file.src.ReadAt(buf, r.off); err != nil {
+		return fmt.Errorf("sdf: hyperslab read of %q: %w", r.d.meta.Name, err)
+	}
+	decodeValues(r.vals[r.pos:r.pos+int(r.count)], buf, r.d.meta.DType)
+	r.count = 0
+	return nil
 }

@@ -39,6 +39,26 @@ const headerSize = 16
 // this as the "data missing" exception (paper §III, §VI).
 var ErrDataMissing = errors.New("sdf: data missing (debloated away)")
 
+// missingError is the ErrDataMissing of one carved-away element of a
+// chunked or packed dataset. A recovering runtime meets one for every
+// element it recovers and never prints it, so the error keeps the
+// element's linear position and formats its message only when Error
+// is called.
+type missingError struct {
+	ds  *Dataset
+	lin int64
+}
+
+func (e *missingError) Error() string {
+	ix, _ := e.ds.space.Unlinear(e.lin)
+	if e.ds.packed != nil {
+		return fmt.Sprintf("%v: linear position %d (index %v of %q)", ErrDataMissing, e.lin, ix, e.ds.meta.Name)
+	}
+	return fmt.Sprintf("%v: index %v of %q", ErrDataMissing, ix, e.ds.meta.Name)
+}
+
+func (e *missingError) Unwrap() error { return ErrDataMissing }
+
 // ErrNotFound is returned when a named dataset does not exist.
 var ErrNotFound = errors.New("sdf: dataset not found")
 

@@ -1,6 +1,7 @@
 package sdf
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -315,6 +316,55 @@ func isDataMissing(err error) bool {
 		unwrap = u.Unwrap()
 	}
 	return false
+}
+
+// TestDataMissingMessages pins the text of the data-missing errors a
+// chunked and a packed dataset give for a carved-away element, through
+// FileOffset, ReadElement and ReadHyperslab; each still satisfies
+// errors.Is(err, ErrDataMissing).
+func TestDataMissingMessages(t *testing.T) {
+	space := array.MustSpace(8, 8)
+	path := filepath.Join(t.TempDir(), "chunked.sdf")
+	w := NewWriter(path)
+	dw, err := w.CreateDataset("d", space, array.Float64, []int{4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dw.Fill(linValue(space)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dw.OmitChunksExcept(map[int64]bool{0: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		want string
+	}{
+		{path, `sdf: data missing (debloated away): index [2 5] of "d"`},
+		{writePackedFile(t, space, []int64{0, 1, 2, 20}), `sdf: data missing (debloated away): linear position 21 (index [2 5] of "d")`},
+	} {
+		f, err := Open(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := f.Dataset("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := array.NewIndex(2, 5)
+		_, offErr := ds.FileOffset(ix)
+		_, elemErr := ds.ReadElement(ix)
+		_, slabErr := ds.ReadHyperslab(Slab([]int{2, 5}, []int{2, 3}))
+		for _, err := range []error{offErr, elemErr, slabErr} {
+			if err == nil || err.Error() != tc.want || !errors.Is(err, ErrDataMissing) {
+				t.Errorf("error %v, want %q wrapping ErrDataMissing", err, tc.want)
+			}
+		}
+		f.Close()
+	}
 }
 
 func TestStoredBytesMatchFileSize(t *testing.T) {

@@ -24,15 +24,22 @@ type Writer struct {
 type stagedDataset struct {
 	meta  datasetMeta
 	space array.Space
-	// data is the full (padded, for chunked layouts) data region.
+	elem  int64
+	// data is the whole data region of a contiguous (or packed)
+	// dataset.
 	data []byte
+	// chunked is the layout of a chunked dataset, nil otherwise.
+	chunked *array.ChunkedLayout
+	// chunks stages a chunked dataset one chunk at a time: chunks[i]
+	// holds chunk i's padded bytes, allocated on its first write. A
+	// present chunk that was never written is stored as zeros.
+	chunks [][]byte
 	// present, for debloated chunked datasets, marks which chunks
 	// will be written. Nil means all chunks present.
 	present []bool
 	// packedRuns, for packed (element-granular debloated) datasets,
 	// lists the kept element runs.
 	packedRuns []packRun
-	layout     array.Layout
 }
 
 // NewWriter returns a Writer that will create the file at path on
@@ -41,8 +48,8 @@ func NewWriter(path string) *Writer {
 	return &Writer{path: path, byName: make(map[string]*stagedDataset)}
 }
 
-// DatasetWriter provides element-level population of one staged
-// dataset.
+// DatasetWriter populates one staged dataset, by element, by dense
+// slab or all at once.
 type DatasetWriter struct {
 	w  *Writer
 	sd *stagedDataset
@@ -71,10 +78,11 @@ func (w *Writer) CreateDataset(name string, space array.Space, dt array.DType, c
 			Dims:  space.Dims(),
 		},
 		space: space,
+		elem:  int64(dt.Size()),
 	}
 	if len(chunk) == 0 {
 		sd.meta.Layout = layoutContiguous
-		sd.layout = array.NewContiguousLayout(space, dt)
+		sd.data = make([]byte, space.Size()*sd.elem)
 	} else {
 		cl, err := array.NewChunkedLayout(space, dt, chunk)
 		if err != nil {
@@ -82,9 +90,9 @@ func (w *Writer) CreateDataset(name string, space array.Space, dt array.DType, c
 		}
 		sd.meta.Layout = layoutChunked
 		sd.meta.Chunk = cl.ChunkShape()
-		sd.layout = cl
+		sd.chunked = cl
+		sd.chunks = make([][]byte, cl.NumChunks())
 	}
-	sd.data = make([]byte, sd.layout.DataSize())
 	w.datasets = append(w.datasets, sd)
 	w.byName[name] = sd
 	return &DatasetWriter{w: w, sd: sd}, nil
@@ -92,26 +100,89 @@ func (w *Writer) CreateDataset(name string, space array.Space, dt array.DType, c
 
 // Set writes the value of one element.
 func (dw *DatasetWriter) Set(ix array.Index, v float64) error {
-	off, err := dw.sd.layout.Offset(ix)
+	dst, _, err := dw.sd.span(ix, 1)
 	if err != nil {
 		return err
 	}
-	encodeValue(dw.sd.data[off:], dw.sd.meta.DType, v)
+	encodeValue(dst, dw.sd.meta.DType, v)
 	return nil
 }
 
-// Fill populates every element from fn(ix). The index passed to fn is
+// SetSlab writes the dense block of shape count at start from vals, in
+// row-major order, one row at a time.
+func (dw *DatasetWriter) SetSlab(start, count []int, vals []float64) error {
+	sel := Slab(start, count)
+	if err := sel.Validate(dw.sd.space); err != nil {
+		return err
+	}
+	if n := sel.NumElements(); int64(len(vals)) != n {
+		return fmt.Errorf("sdf: %d values for a %d-element slab of %q", len(vals), n, dw.sd.meta.Name)
+	}
+	width := count[len(count)-1]
+	return sel.eachRow(make(array.Index, len(start)), func(ix array.Index) error {
+		err := dw.sd.putRow(ix, vals[:width])
+		vals = vals[width:]
+		return err
+	})
+}
+
+// Fill populates every element from fn(ix), calling fn in row-major
+// order and storing one row at a time. The index passed to fn is
 // reused; clone it if it escapes.
 func (dw *DatasetWriter) Fill(fn func(array.Index) float64) error {
-	var fillErr error
-	dw.sd.space.Each(func(ix array.Index) bool {
-		if err := dw.Set(ix, fn(ix)); err != nil {
-			fillErr = err
-			return false
+	dims := dw.sd.space.Dims()
+	last := len(dims) - 1
+	row := make([]float64, dims[last])
+	return Slab(make([]int, len(dims)), dims).eachRow(make(array.Index, len(dims)), func(ix array.Index) error {
+		for c := range row {
+			ix[last] = c
+			row[c] = fn(ix)
 		}
-		return true
+		ix[last] = 0
+		return dw.sd.putRow(ix, row)
 	})
-	return fillErr
+}
+
+// putRow stores vals in the row that starts at ix and runs along the
+// last dimension; vals must fit in the row. It moves ix[last] along
+// the row.
+func (sd *stagedDataset) putRow(ix array.Index, vals []float64) error {
+	for len(vals) > 0 {
+		dst, n, err := sd.span(ix, len(vals))
+		if err != nil {
+			return err
+		}
+		encodeValues(dst, sd.meta.DType, vals[:n])
+		vals = vals[n:]
+		ix[len(ix)-1] += n
+	}
+	return nil
+}
+
+// span returns the staged bytes of the first n elements of ix's row
+// from ix on that one stretch of storage holds: all n for a contiguous
+// dataset, those in ix's chunk for a chunked one, allocating the chunk
+// on its first write. It also returns how many elements the bytes hold.
+func (sd *stagedDataset) span(ix array.Index, n int) ([]byte, int, error) {
+	if sd.chunked == nil {
+		lin, err := sd.space.Linear(ix)
+		if err != nil {
+			return nil, 0, err
+		}
+		return sd.data[lin*sd.elem : (lin+int64(n))*sd.elem], n, nil
+	}
+	chunk, within, err := sd.chunked.Locate(ix)
+	if err != nil {
+		return nil, 0, err
+	}
+	cw := sd.meta.Chunk[len(ix)-1]
+	n = min(n, cw-ix[len(ix)-1]%cw)
+	buf := sd.chunks[chunk]
+	if buf == nil {
+		buf = make([]byte, sd.chunked.ChunkSizeBytes())
+		sd.chunks[chunk] = buf
+	}
+	return buf[within*sd.elem : (within+int64(n))*sd.elem], n, nil
 }
 
 // OmitChunksExcept marks the dataset as debloated and keeps only the
@@ -122,8 +193,7 @@ func (dw *DatasetWriter) OmitChunksExcept(keep map[int64]bool) error {
 	if sd.meta.Layout != layoutChunked {
 		return fmt.Errorf("sdf: OmitChunksExcept on contiguous dataset %q", sd.meta.Name)
 	}
-	cl := sd.layout.(*array.ChunkedLayout)
-	n := cl.NumChunks()
+	n := sd.chunked.NumChunks()
 	sd.present = make([]bool, n)
 	for lin := range keep {
 		if lin < 0 || lin >= n {
@@ -214,21 +284,19 @@ func (sd *stagedDataset) buildChunkTable(base int64) {
 		return
 	}
 	if sd.meta.Layout == layoutPacked {
-		elem := int64(sd.meta.DType.Size())
 		off := base
 		runs := make([]packRun, len(sd.packedRuns))
 		for i, r := range sd.packedRuns {
 			r.off = off
 			runs[i] = r
-			off += r.count * elem
+			off += r.count * sd.elem
 		}
 		sd.meta.PackRuns = runs
 		sd.meta.DataLen = off - base
 		return
 	}
-	cl := sd.layout.(*array.ChunkedLayout)
-	n := cl.NumChunks()
-	chunkBytes := cl.ChunkSizeBytes()
+	n := sd.chunked.NumChunks()
+	chunkBytes := sd.chunked.ChunkSizeBytes()
 	table := make([]int64, n)
 	off := base
 	for i := int64(0); i < n; i++ {
@@ -253,22 +321,26 @@ func (sd *stagedDataset) writeData(f *os.File) error {
 		return nil
 	}
 	if sd.meta.Layout == layoutPacked {
-		elem := int64(sd.meta.DType.Size())
 		for _, r := range sd.meta.PackRuns {
-			src := sd.data[r.startLin*elem : (r.startLin+r.count)*elem]
+			src := sd.data[r.startLin*sd.elem : (r.startLin+r.count)*sd.elem]
 			if _, err := f.WriteAt(src, r.off); err != nil {
 				return fmt.Errorf("sdf: write packed run of %q: %w", sd.meta.Name, err)
 			}
 		}
 		return nil
 	}
-	cl := sd.layout.(*array.ChunkedLayout)
-	chunkBytes := cl.ChunkSizeBytes()
+	var zeros []byte
 	for i, off := range sd.meta.ChunkTable {
 		if off == missingChunk {
 			continue
 		}
-		src := sd.data[int64(i)*chunkBytes : (int64(i)+1)*chunkBytes]
+		src := sd.chunks[i]
+		if src == nil {
+			if zeros == nil {
+				zeros = make([]byte, sd.chunked.ChunkSizeBytes())
+			}
+			src = zeros
+		}
 		if _, err := f.WriteAt(src, off); err != nil {
 			return fmt.Errorf("sdf: write chunk %d of %q: %w", i, sd.meta.Name, err)
 		}
