@@ -24,13 +24,17 @@ race:
 # fuzz-smoke runs each decoder fuzzer for 10 s from its committed seed
 # corpus: FuzzChunkFrame (recovery-plane chunk frames; a panic or a
 # re-encoding mismatch fails it), FuzzOpen (sdf header, metadata and
-# chunk table; a panic fails it) and FuzzReadLog (audit event logs; a
-# panic, a replayed range that is empty or negative, or a re-encoding
-# mismatch fails it). go test fuzzes one target per run.
+# chunk table; a panic, a read outside a dataset's data region, or an
+# element whose first byte does not resolve back to it fails it),
+# FuzzReadLog (audit event logs; a panic, a replayed range
+# that is empty or negative, or a re-encoding mismatch fails it) and
+# FuzzManifest (debloat manifests with their Merkle section; a panic
+# fails it). go test fuzzes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s -parallel 2 ./internal/dataserve
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -parallel 2 ./internal/sdf
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 10s -parallel 2 ./internal/ioevent
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 10s -parallel 2 ./internal/debloat
 
 # lint-prints rejects unconditional printing from library packages:
 # everything under internal/ must route diagnostics through
@@ -93,9 +97,8 @@ bench-quick:
 # bytes kept, recovery round-trips for one end-to-end pipeline),
 # BENCH_carve.json (merge-engine pair-test reduction and speedup over
 # the naive reference on a many-hull field), and BENCH_serve.json
-# (recovery-plane throughput, tail latency, SLO attainment, and the
-# paired overhead ratios of the tracing+SLO observability path and of
-# merkle chunk verification).
+# (recovery-plane throughput, tail latency, and the paired overhead
+# ratios of request tracing and of merkle chunk verification).
 bench-json:
 	$(GO) run ./cmd/kondo-bench -exp perf -quick -json .
 	$(GO) run ./cmd/kondo-bench -exp carve -json .
@@ -115,7 +118,7 @@ bench-check:
 # load-demo drives a kondo-serve origin with the kondo-load harness
 # over loopback: wire-propagated trace contexts must stitch into one
 # 2-pid Chrome trace (kondo-viz -check-trace -min-pids 2 verifies),
-# the soak loop must find the origin's error budget intact, SIGTERM
+# the origin must answer the shared observability endpoints, SIGTERM
 # must drain gracefully, and the committed BENCH_serve.json baseline
 # must still pass the regression gate.
 load-demo:

@@ -2,14 +2,11 @@
 // plane: it drives a kondo-serve origin through the real caching
 // client in open-loop (fixed arrival rate) or closed-loop (fixed
 // concurrency) mode and reports throughput, exact tail-latency
-// quantiles, cache hit rate, and — in soak mode — whether the origin's
-// error budget survived the run.
+// quantiles and cache hit rate.
 //
 //	kondo-load -url http://127.0.0.1:8080 -requests 10000 -concurrency 16
 //	kondo-load -url http://127.0.0.1:8080 -mode open -rate 500 -duration 10s
-//	kondo-load -url ... -popularity uniform -warmup 1000 -json result.json
-//	kondo-load -url ... -stages "req=500:conc=2,req=2000:conc=8"   # ramp
-//	kondo-load -url ... -duration 60s -soak-interval 5s            # soak
+//	kondo-load -url ... -popularity uniform -json result.json
 //	kondo-load -url ... -requests 5000 -trace-out stitched.json    # 2-pid trace
 //
 // With -trace-out the run records every client fetch span (retry,
@@ -24,18 +21,17 @@
 // With -status-addr the harness serves, while the run is in flight,
 // /statusz (with the live verify view under -manifest) beside the
 // observability endpoints every Kondo daemon shares: /metrics (the
-// kondo_load_* series), /healthz, /buildz, /tracez (with -trace-out:
-// the live client trace) and /sloz (404: no SLO engine).
+// kondo_load_* series), /healthz, /buildz and /tracez (with
+// -trace-out: the live client trace).
 //
 // With -manifest pointing at a Merkle-rooted debloat manifest every
 // chunk miss is fetched with an inclusion proof and verified against
 // the pinned root before entering the cache; tampered origin bytes are
-// rejected terminally and fail the run. -no-verify is the explicit
-// escape hatch for origins that predate proof serving.
+// rejected terminally and fail the run. A manifest without a merkle
+// section runs unverified, with a warning.
 //
-// Exit status: 0 on success, 1 when the run errored, any chunk failed
-// verification, or any soak poll found an exhausted error budget, 2 on
-// usage errors.
+// Exit status: 0 on success, 1 when the run errored or any chunk failed
+// verification, 2 on usage errors.
 package main
 
 import (
@@ -67,22 +63,16 @@ func main() {
 		dataset     = flag.String("dataset", "data", "dataset to drive")
 		mode        = flag.String("mode", "closed", "load mode: closed (fixed concurrency) or open (fixed arrival rate)")
 		popularity  = flag.String("popularity", "zipf", "chunk popularity: zipf or uniform")
-		zipfS       = flag.Float64("zipf-s", 1.2, "Zipf skew parameter (> 1)")
 		rate        = flag.Float64("rate", 0, "open-loop arrival rate in requests/second")
 		concurrency = flag.Int("concurrency", 8, "worker count (closed) / in-flight cap (open)")
 		requests    = flag.Int("requests", 0, "bound the run by request count")
 		duration    = flag.Duration("duration", 0, "bound the run by wall time")
-		stagesArg   = flag.String("stages", "", "ramp schedule: comma-separated stages of colon-joined k=v pairs (keys: rate, conc, req, dur); unset keys inherit the top-level flags")
-		warmup      = flag.Int("warmup", 0, "requests issued before the measurement window (warm cache); 0 measures cold")
 		seed        = flag.Int64("seed", 0, "popularity rng seed (0 = from clock)")
-		soakEvery   = flag.Duration("soak-interval", 0, "poll the origin's /sloz at this interval and fail if any error budget is exhausted")
 		manifest    = flag.String("manifest", "", "debloat manifest JSON; when it carries a merkle section, every miss is proof-verified against its root")
-		noVerify    = flag.Bool("no-verify", false, "escape hatch: skip chunk verification even when -manifest carries a merkle root")
-		statusAddr  = flag.String("status-addr", "", "optional: serve /statusz (with live verify counters), /metrics, /healthz, /buildz, /tracez and /sloz on this address during the run")
+		statusAddr  = flag.String("status-addr", "", "optional: serve /statusz (with live verify counters), /metrics, /healthz, /buildz and /tracez on this address during the run")
 		statusFile  = flag.String("status-addr-file", "", "optional: write the resolved -status-addr listen address to this file (for scripts using port 0)")
 		jsonOut     = flag.String("json", "", "optional: write the result JSON to this file")
 		traceOut    = flag.String("trace-out", "", "optional: write a stitched client+server Chrome trace to this file")
-		dumpMetrics = flag.Bool("dump-metrics", false, "print the kondo_load_* Prometheus exposition after the run")
 		logLevel    = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
 	)
@@ -98,34 +88,24 @@ func main() {
 		os.Exit(2)
 	}
 
-	stages, err := parseStages(*stagesArg)
-	if err != nil {
-		log.Error("bad -stages", "err", err)
-		os.Exit(2)
-	}
-
 	reg := obs.NewRegistry()
 	cfg := load.Config{
-		BaseURL:      strings.TrimSuffix(*url, "/"),
-		Dataset:      *dataset,
-		Mode:         load.Mode(*mode),
-		Popularity:   load.Popularity(*popularity),
-		ZipfS:        *zipfS,
-		Rate:         *rate,
-		Concurrency:  *concurrency,
-		Requests:     *requests,
-		Duration:     *duration,
-		Stages:       stages,
-		Warmup:       *warmup,
-		Seed:         *seed,
-		SoakInterval: *soakEvery,
-		Registry:     reg,
+		BaseURL:     strings.TrimSuffix(*url, "/"),
+		Dataset:     *dataset,
+		Mode:        load.Mode(*mode),
+		Popularity:  load.Popularity(*popularity),
+		Rate:        *rate,
+		Concurrency: *concurrency,
+		Requests:    *requests,
+		Duration:    *duration,
+		Seed:        *seed,
+		Registry:    reg,
 	}
 
 	// -manifest arms the verifying client: the manifest's merkle section
 	// pins the root every miss is checked against. A manifest without
 	// one (written before verified recovery) degrades to unverified
-	// serving with a warning; -no-verify makes that choice explicit.
+	// serving with a warning.
 	var spec *sdf.MerkleSpec
 	if *manifest != "" {
 		m, err := debloat.LoadManifest(*manifest)
@@ -138,12 +118,9 @@ func main() {
 			log.Error("manifest merkle section rejected", "path", *manifest, "err", err)
 			os.Exit(2)
 		}
-		switch {
-		case spec == nil:
+		if spec == nil {
 			log.Warn("manifest has no merkle section; recovery is UNVERIFIED", "path", *manifest)
-		case *noVerify:
-			log.Warn("chunk verification disabled by -no-verify; recovery is UNVERIFIED")
-		default:
+		} else {
 			cfg.Verify = spec
 			log.Info("chunk verification armed", "root", spec.RootHex()[:12], "leaves", spec.Leaves)
 		}
@@ -178,13 +155,11 @@ func main() {
 		}
 		sv := status.NewServer(status.Campaign{Program: "kondo-load", Dataset: *dataset}, nil, 0)
 		if spec != nil {
-			verifying := cfg.Verify != nil
 			root := spec.RootHex()
 			cfg.OnFetcher = func(f *dataserve.Fetcher) {
 				sv.SetVerifySource(func() any {
 					st := f.Stats()
 					return map[string]any{
-						"enabled":       verifying,
 						"algo":          spec.Algo,
 						"root":          root,
 						"leaves":        spec.Leaves,
@@ -228,17 +203,9 @@ func main() {
 		stitchAndWrite(sctx, log, tr, cfg.BaseURL, *traceOut)
 		cancel()
 	}
-	if *dumpMetrics {
-		_ = reg.WritePrometheus(os.Stdout)
-	}
 	if res.Fetch.VerifyFailed > 0 {
 		log.Error("chunk verification FAILED: origin bytes do not match the manifest's merkle root",
 			"failed", res.Fetch.VerifyFailed, "verified", res.Fetch.VerifyOK)
-		os.Exit(1)
-	}
-	if res.SoakViolations > 0 {
-		log.Error("error budget exhausted during soak",
-			"violations", res.SoakViolations, "polls", res.SoakPolls)
 		os.Exit(1)
 	}
 }
@@ -313,47 +280,4 @@ func decodeTrace(r io.Reader, limit int64) (obs.WireTrace, error) {
 		return obs.WireTrace{}, fmt.Errorf("decoding /tracez: %w", err)
 	}
 	return wt, nil
-}
-
-// parseStages decodes the -stages grammar: stages separated by commas,
-// each a colon-joined list of k=v pairs. Example:
-// "rate=100:dur=2s,rate=400:dur=2s" ramps an open-loop run.
-func parseStages(s string) ([]load.Stage, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []load.Stage
-	for i, stanza := range strings.Split(s, ",") {
-		var st load.Stage
-		for _, pair := range strings.Split(stanza, ":") {
-			k, v, ok := strings.Cut(strings.TrimSpace(pair), "=")
-			if !ok {
-				return nil, fmt.Errorf("stage %d: %q is not k=v", i, pair)
-			}
-			switch k {
-			case "rate":
-				if _, err := fmt.Sscanf(v, "%g", &st.Rate); err != nil {
-					return nil, fmt.Errorf("stage %d: bad rate %q", i, v)
-				}
-			case "conc":
-				if _, err := fmt.Sscanf(v, "%d", &st.Concurrency); err != nil {
-					return nil, fmt.Errorf("stage %d: bad conc %q", i, v)
-				}
-			case "req":
-				if _, err := fmt.Sscanf(v, "%d", &st.Requests); err != nil {
-					return nil, fmt.Errorf("stage %d: bad req %q", i, v)
-				}
-			case "dur":
-				d, err := time.ParseDuration(v)
-				if err != nil {
-					return nil, fmt.Errorf("stage %d: bad dur %q: %v", i, v, err)
-				}
-				st.Duration = d
-			default:
-				return nil, fmt.Errorf("stage %d: unknown key %q (want rate, conc, req, dur)", i, k)
-			}
-		}
-		out = append(out, st)
-	}
-	return out, nil
 }

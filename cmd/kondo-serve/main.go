@@ -6,17 +6,16 @@
 //	kondo-serve -origin mnist.sdf                    # serve on :8080
 //	kondo-serve -origin mnist.sdf -addr 127.0.0.1:9090 -concurrency 64
 //	kondo-serve -origin mnist.sdf -addr 127.0.0.1:0 -addr-file serve.addr
-//	kondo-serve -origin mnist.sdf -slo-endpoints chunk -slo-latency 50ms
+//	kondo-serve -origin mnist.sdf -trace -drain-delay 1s
 //
 // One mux on -addr serves the data plane — /meta (JSON geometry) and
 // /chunk (CRC-checked chunk frames, with a Merkle inclusion proof when
 // asked for proof=1) — beside the observability endpoints every Kondo
 // daemon shares: /metrics (Prometheus text: request counts, bytes
 // served, latency histograms), /healthz (503 while draining), /buildz,
-// /tracez (with -trace-out or -trace: the live trace as an
-// obs.WireTrace for cross-process stitching) and /sloz (with
-// -slo-endpoints: the live SLO report). -concurrency bounds only the
-// data plane, so health checks and scrapes never queue behind slow
+// and /tracez (with -trace-out or -trace: the live trace as an
+// obs.WireTrace for cross-process stitching). -concurrency bounds only
+// the data plane, so health checks and scrapes never queue behind slow
 // chunk reads. With -debug-addr a second mux exposes /debug/pprof/*
 // and /debug/vars for runtime profiling. SIGINT/SIGTERM flip /healthz
 // to 503, wait -drain-delay for balancers to notice, drain in-flight
@@ -33,7 +32,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -53,11 +51,6 @@ func main() {
 		writeTO     = flag.Duration("write-timeout", 30*time.Second, "per-request write timeout")
 		grace       = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")
 		drainDelay  = flag.Duration("drain-delay", 0, "lame-duck window between flipping /healthz to 503 and starting shutdown")
-
-		sloEndpoints = flag.String("slo-endpoints", "", "comma-separated endpoints to put under SLO (e.g. chunk,meta); enables /sloz and kondo_slo_* metrics")
-		sloLatency   = flag.Duration("slo-latency", 50*time.Millisecond, "per-request latency bound of the SLO objectives")
-		sloTarget    = flag.Float64("slo-target", 0.99, "good-event fraction the SLO objectives require (0,1)")
-		sloWindow    = flag.Duration("slo-window", 30*time.Second, "SLO sliding-window length")
 
 		debugAddr = flag.String("debug-addr", "", "optional: listen address for the debug mux (/debug/pprof/*, /debug/vars); keep it loopback-only")
 		traceFlag = flag.Bool("trace", false, "record request spans and expose them at /tracez (implied by -trace-out)")
@@ -109,34 +102,8 @@ func main() {
 		ep.SetTrace(tr)
 	}
 
-	// SLO engine: one objective per listed endpoint, all sharing the
-	// configured bound/target, ticked in the background for the life of
-	// the process, exposed at /sloz and as kondo_slo_* instruments.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *sloEndpoints != "" {
-		var objectives []obs.SLOObjective
-		for _, ep := range strings.Split(*sloEndpoints, ",") {
-			ep = strings.TrimSpace(ep)
-			if ep == "" {
-				continue
-			}
-			objectives = append(objectives, obs.SLOObjective{
-				Name:         ep,
-				Quantile:     0.99,
-				LatencyBound: *sloLatency,
-				Target:       *sloTarget,
-				Source:       srv.Recorder().SLOSource(ep),
-			})
-		}
-		slo := obs.NewSLO(*sloWindow, objectives...)
-		slo.Register(reg)
-		ep.SetSLO(slo)
-		go slo.Run(ctx, 0)
-		log.Info("slo engine armed",
-			"endpoints", *sloEndpoints, "latency_bound", sloLatency.String(),
-			"target", *sloTarget, "window", sloWindow.String())
-	}
 
 	httpSrv := &http.Server{
 		Handler:      handler(srv.Handler(), ep, *concurrency),

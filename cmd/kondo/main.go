@@ -17,8 +17,8 @@
 //
 // With -status-addr a program-mode run serves its live campaign views
 // (/statusz, /statusz/stream) beside the observability endpoints every
-// Kondo daemon shares: /metrics, /healthz, /buildz, /tracez (with
-// -trace-out: the live trace) and /sloz (404: no SLO engine).
+// Kondo daemon shares: /metrics, /healthz, /buildz and /tracez (with
+// -trace-out: the live trace).
 package main
 
 import (
@@ -71,7 +71,7 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "optional: write a Chrome trace-event JSON of the run (open in chrome://tracing or Perfetto)")
 		logLevel    = flag.String("log-level", "warn", "diagnostic log level: debug, info, warn, error")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
-		statusAddr  = flag.String("status-addr", "", "optional: serve live campaign status on this address (/statusz JSON, /statusz/stream SSE, /metrics, /healthz, /buildz, /tracez, /sloz) while the run executes")
+		statusAddr  = flag.String("status-addr", "", "optional: serve live campaign status on this address (/statusz JSON, /statusz/stream SSE, /metrics, /healthz, /buildz, /tracez) while the run executes")
 		coverageOut = flag.String("coverage-out", "", "optional: write the campaign's coverage time series JSON (render with kondo-viz -coverage)")
 		provOut     = flag.String("prov", "", "optional: write the inclusion-provenance index JSON (query with kondo explain)")
 	)

@@ -9,6 +9,7 @@ package array
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -61,7 +62,8 @@ type Space struct {
 }
 
 // NewSpace returns the index space with the given extents. All
-// extents must be positive.
+// extents must be positive, and their product (the element count)
+// must fit in an int64, so that every linear position does too.
 func NewSpace(dims ...int) (Space, error) {
 	if len(dims) == 0 {
 		return Space{}, errors.New("array: space needs at least one dimension")
@@ -70,6 +72,9 @@ func NewSpace(dims ...int) (Space, error) {
 	for _, d := range dims {
 		if d <= 0 {
 			return Space{}, fmt.Errorf("array: invalid extent %d", d)
+		}
+		if size > math.MaxInt64/int64(d) {
+			return Space{}, fmt.Errorf("array: extents %v hold more than %d elements", dims, int64(math.MaxInt64))
 		}
 		size *= int64(d)
 	}

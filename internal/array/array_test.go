@@ -1,6 +1,7 @@
 package array
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,40 @@ func TestNewSpaceValidation(t *testing.T) {
 	}
 	if s.Rank() != 3 || s.Size() != 120 {
 		t.Errorf("Rank=%d Size=%d, want 3, 120", s.Rank(), s.Size())
+	}
+}
+
+// TestNewSpaceRejectsOverflow: an element count past int64 is an
+// error, not a wrapped Size — a wrapped space gave sizes of 581896768,
+// 0 and -1 and negative linear indices.
+func TestNewSpaceRejectsOverflow(t *testing.T) {
+	for _, dims := range [][]int{
+		{3037000500, 3037000500, 4},
+		{4294967296, 4294967296},
+		{4294967297, 4294967295},
+		{1 << 62, 2},
+	} {
+		if s, err := NewSpace(dims...); err == nil {
+			t.Errorf("NewSpace(%v) = size %d, want an overflow error", dims, s.Size())
+		}
+	}
+	// The largest counts that fit are still spaces.
+	for _, dims := range [][]int{
+		{math.MaxInt64},
+		{3037000499, 3037000499},
+		{1 << 31, 1 << 31, 1},
+	} {
+		s, err := NewSpace(dims...)
+		if err != nil {
+			t.Fatalf("NewSpace(%v): %v", dims, err)
+		}
+		last := make(Index, len(dims))
+		for k, d := range dims {
+			last[k] = d - 1
+		}
+		if lin, err := s.Linear(last); err != nil || lin != s.Size()-1 {
+			t.Fatalf("%v: Linear(last) = %d, %v; want %d", dims, lin, err, s.Size()-1)
+		}
 	}
 }
 

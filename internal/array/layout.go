@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"math"
 )
 
 // Layout maps index tuples to byte offsets within a dataset's data
@@ -56,24 +57,32 @@ type ChunkedLayout struct {
 }
 
 // NewChunkedLayout returns a chunked layout with the given chunk
-// shape. Every chunk extent must be positive and no larger than the
-// corresponding space extent.
+// shape. Every chunk extent must be positive, and a chunk's element
+// count and byte size must fit in an int64; an extent may exceed the
+// space's, which gives one padded chunk along that axis.
 func NewChunkedLayout(space Space, dt DType, chunk []int) (*ChunkedLayout, error) {
 	if len(chunk) != space.Rank() {
 		return nil, fmt.Errorf("array: chunk rank %d != space rank %d", len(chunk), space.Rank())
 	}
 	gridDims := make([]int, space.Rank())
-	vol := int64(1)
 	for k, c := range chunk {
 		if c <= 0 {
 			return nil, fmt.Errorf("array: invalid chunk extent %d", c)
 		}
-		gridDims[k] = (space.Dim(k) + c - 1) / c
-		vol *= int64(c)
+		gridDims[k] = (space.Dim(k)-1)/c + 1
 	}
 	grid, err := NewSpace(gridDims...)
 	if err != nil {
 		return nil, err
+	}
+	// A chunk is an index space too; its byte size must fit as well.
+	cspace, err := NewSpace(chunk...)
+	if err != nil {
+		return nil, fmt.Errorf("array: chunk shape: %w", err)
+	}
+	vol := cspace.Size()
+	if vol > math.MaxInt64/int64(dt.Size()) {
+		return nil, fmt.Errorf("array: chunk %v is larger than %d bytes", chunk, int64(math.MaxInt64))
 	}
 	cs := make([]int, len(chunk))
 	copy(cs, chunk)

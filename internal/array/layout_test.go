@@ -66,6 +66,14 @@ func TestChunkedLayoutValidation(t *testing.T) {
 	if _, err := NewChunkedLayout(s, Float64, []int{0, 2}); err == nil {
 		t.Error("zero chunk extent should error")
 	}
+	// Chunks whose element count (2^64) or byte size (2^60 × 16)
+	// overflows int64.
+	if _, err := NewChunkedLayout(s, Float64, []int{1 << 32, 1 << 32}); err == nil {
+		t.Error("chunk element count past int64 should error")
+	}
+	if _, err := NewChunkedLayout(s, LongDouble, []int{1 << 30, 1 << 30}); err == nil {
+		t.Error("chunk byte size past int64 should error")
+	}
 }
 
 func TestChunkedLayoutExact(t *testing.T) {

@@ -13,19 +13,29 @@ import (
 // aflMapSize is the coverage bitmap size (AFL's classic 64 KB map).
 const aflMapSize = 1 << 16
 
+// aflMap is a 64 KB map of one-byte cells held as 64-bit words, as
+// afl-fuzz.c reads it: cell i is byte i%8 (little-endian) of word i/8.
+type aflMap [aflMapSize / 8]uint64
+
 // aflBitmap is the shared-memory-style edge bitmap an instrumented
 // target writes hit counts into.
 type aflBitmap struct {
-	cur  [aflMapSize]byte
+	cur  aflMap
 	prev uint32
 }
 
 // Hit implements workload.Coverage with AFL's edge hashing: the map
 // index mixes the previous and current block ids, so the bitmap
-// captures edges rather than nodes.
+// captures edges rather than nodes. A cell's count wraps from 255 to
+// 0, as AFL's byte map does, without carrying into its neighbour.
 func (b *aflBitmap) Hit(edge uint32) {
 	idx := (b.prev ^ edge) % aflMapSize
-	b.cur[idx]++
+	w, sh := idx/8, 8*(idx%8)
+	if b.cur[w]>>sh&0xFF == 0xFF {
+		b.cur[w] &^= 0xFF << sh
+	} else {
+		b.cur[w] += 1 << sh
+	}
 	b.prev = edge >> 1
 }
 
@@ -39,9 +49,7 @@ func (b *aflBitmap) hitIndex(lin int64) {
 
 // reset clears the bitmap for the next execution.
 func (b *aflBitmap) reset() {
-	for i := range b.cur {
-		b.cur[i] = 0
-	}
+	b.cur = aflMap{}
 	b.prev = 0
 }
 
@@ -68,6 +76,31 @@ func classifyCounts(c byte) byte {
 	default:
 		return 128
 	}
+}
+
+// hasNewBits is AFL's per-execution has_new_bits pass: it classifies
+// cur's hit counts, clears the classified bits from virgin, and
+// reports whether any of them was still virgin. Like classify_counts
+// and has_new_bits in afl-fuzz.c it walks the map a 64-bit word at a
+// time and skips zero words, whose cells all classify to zero; only
+// the cells of nonzero words are classified, and each word is compared
+// with virgin at once.
+func hasNewBits(cur, virgin *aflMap) bool {
+	found := false
+	for i, w := range cur {
+		if w == 0 {
+			continue
+		}
+		var c uint64
+		for sh := 0; sh < 64; sh += 8 {
+			c |= uint64(classifyCounts(byte(w>>sh))) << sh
+		}
+		if c&virgin[i] != 0 {
+			virgin[i] &^= c
+			found = true
+		}
+	}
+	return found
 }
 
 // aflSeed is one queue entry.
@@ -127,9 +160,9 @@ func AFL(ctx context.Context, p workload.Program, cfg AFLConfig) (*Result, error
 	res := &Result{Indices: array.NewIndexSet(p.Space())}
 
 	bitmap := &aflBitmap{}
-	var virgin [aflMapSize]byte
+	var virgin aflMap
 	for i := range virgin {
-		virgin[i] = 0xFF
+		virgin[i] = ^uint64(0)
 	}
 
 	// One accumulated virtual accessor; per-run sets are extracted to
@@ -150,15 +183,7 @@ func AFL(ctx context.Context, p workload.Program, cfg AFLConfig) (*Result, error
 		})
 		res.Indices.UnionWith(iv)
 		res.Evaluations++
-		// has_new_bits: classify and compare against virgin map.
-		for i := range bitmap.cur {
-			c := classifyCounts(bitmap.cur[i])
-			if c&virgin[i] != 0 {
-				virgin[i] &^= c
-				newCov = true
-			}
-		}
-		return newCov, nil
+		return hasNewBits(&bitmap.cur, &virgin), nil
 	}
 
 	progressEvery := cfg.ProgressEvery

@@ -195,7 +195,7 @@ var registry = map[string]struct {
 	"hybrid":   {"Hybrid schedule: Kondo + AFL havoc phase (§VI extension)", Hybrid},
 	"perf":     {"End-to-end pipeline performance (machine-readable trajectory)", Perf},
 	"carve":    {"Carve merge engine vs naive reference (output sensitivity)", Carve},
-	"serve":    {"Recovery plane under load (throughput, tail latency, SLO, tracing overhead)", Serve},
+	"serve":    {"Recovery plane under load (throughput, tail latency, tracing overhead)", Serve},
 }
 
 // Experiments returns the available experiment ids, sorted.

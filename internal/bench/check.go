@@ -91,17 +91,15 @@ var checkedExperiments = map[string]map[string]metricClass{
 		"errors":     classExact,
 		"trace_pids": classExact,
 		// Wall-clock shapes vary with the host; report, don't gate.
-		"throughput_rps":  classExempt,
-		"p50_ms":          classExempt,
-		"p95_ms":          classExempt,
-		"p99_ms":          classExempt,
-		"cache_hit_rate":  classExempt,
-		"slo_attainment":  classExempt,
-		"slo_budget_used": classExempt,
+		"throughput_rps": classExempt,
+		"p50_ms":         classExempt,
+		"p95_ms":         classExempt,
+		"p99_ms":         classExempt,
+		"cache_hit_rate": classExempt,
 		// The raw overhead ratio is wall clock (exempt); the gated copy
 		// is floored at the serving observability budget so it fails
-		// exactly when tracing + SLO accounting cost more than that,
-		// never on sub-floor noise.
+		// exactly when request tracing costs more than that, never on
+		// sub-floor noise.
 		"serve_overhead":       classExempt,
 		"serve_overhead_gated": classLowerBetter,
 		// Merkle verification: proof counts vary with singleflight timing

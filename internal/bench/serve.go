@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/dataserve"
@@ -22,18 +21,17 @@ import (
 
 // serveOverheadFloor is the serving observability budget: the gated
 // metric is max(measured, floor), so the regression gate fires exactly
-// when request tracing + SLO accounting cost more than this fraction
-// of the plain run, while sub-floor jitter compares floor-to-floor.
+// when request tracing costs more than this fraction of the plain run,
+// while sub-floor jitter compares floor-to-floor.
 const serveOverheadFloor = 0.05
 
 // Serve measures the recovery plane under heavy traffic: a kondo-serve
 // origin driven closed-loop through the real caching client (Zipfian
-// chunk popularity), reporting throughput, tail latency, cache hit
-// rate and SLO attainment — and, the gated headline, the wall-clock
-// overhead of the full serving observability path (client+server
-// request tracing with wire-propagated trace contexts, plus a ticking
-// SLO engine) measured in off/on pairs. The stitched client+server
-// trace must span 2 pids.
+// chunk popularity), reporting throughput, tail latency and cache hit
+// rate — and, the gated headline, the wall-clock overhead of request
+// tracing (client+server spans with wire-propagated trace contexts)
+// measured in off/on pairs. The stitched client+server trace must span
+// 2 pids.
 func Serve(ctx context.Context, opts Options) (*Report, error) {
 	dir, err := os.MkdirTemp("", "kondo-bench-serve-")
 	if err != nil {
@@ -98,23 +96,22 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 
 	// runOnce serves the origin on a fresh loopback listener and drives
 	// one closed-loop run against it. With telemetry on it exercises
-	// the whole serving observability path: client trace + wire
-	// trace-context propagation, server child spans, and a ticking SLO
-	// engine over the chunk endpoint; the stitched 2-pid trace and the
-	// SLO report come back with the result.
+	// request tracing end to end: client trace + wire trace-context
+	// propagation and server child spans; the stitched 2-pid trace
+	// comes back with the result.
 	// A second paired gate measures Merkle verification the same way:
 	// verify-off vs verify-on (telemetry off in both), so the ≤5% bound
 	// covers exactly the proof-frame fetch + inclusion-proof check on
 	// the miss path of the same hit-heavy Zipf workload.
-	runOnce := func(telemetry, verify bool) (*load.Result, *obs.Trace, obs.SLOReport, error) {
+	runOnce := func(telemetry, verify bool) (*load.Result, *obs.Trace, error) {
 		srv, err := dataserve.NewServer(originPath)
 		if err != nil {
-			return nil, nil, obs.SLOReport{}, err
+			return nil, nil, err
 		}
 		defer srv.Close()
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, nil, obs.SLOReport{}, err
+			return nil, nil, err
 		}
 		hs := &http.Server{Handler: srv.Handler()}
 		go func() { _ = hs.Serve(ln) }()
@@ -122,7 +119,6 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 
 		runCtx := ctx
 		var tr, serverTr *obs.Trace
-		var slo *obs.SLO
 		if telemetry {
 			tr = obs.NewTrace()
 			tr.SetProcessName(obs.LocalPID, "kondo-load")
@@ -130,16 +126,6 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 			serverTr = obs.NewTrace()
 			serverTr.SetProcessName(obs.LocalPID, "kondo-serve")
 			srv.EnableTracing(serverTr)
-			slo = obs.NewSLO(30*time.Second, obs.SLOObjective{
-				Name:         "chunk",
-				Quantile:     0.99,
-				LatencyBound: 50 * time.Millisecond,
-				Target:       0.99,
-				Source:       srv.Recorder().SLOSource("chunk"),
-			})
-			tickCtx, stopTick := context.WithCancel(ctx)
-			defer stopTick()
-			go slo.Run(tickCtx, 10*time.Millisecond)
 		}
 		// Prime first-touch costs outside the measured window on both
 		// sides: one plain chunk read warms the origin's file pages, and
@@ -168,14 +154,12 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 		}
 		res, err := load.Run(runCtx, cfg)
 		if err != nil {
-			return nil, nil, obs.SLOReport{}, err
+			return nil, nil, err
 		}
-		var sloRep obs.SLOReport
 		if telemetry {
 			tr.Merge(2, serverTr.Export(0))
-			sloRep = slo.Report(time.Now())
 		}
-		return res, tr, sloRep, nil
+		return res, tr, nil
 	}
 
 	rep := &Report{
@@ -199,7 +183,6 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 	const reps = 25
 	var bestOff, lastOn, lastVerified *load.Result
 	var lastTrace *obs.Trace
-	var lastSLO obs.SLOReport
 	measure := func(verify bool) (float64, error) {
 		what := "telemetry"
 		if verify {
@@ -214,7 +197,7 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 			}
 			for _, on := range order {
 				runtime.GC()
-				res, tr, sloRep, err := runOnce(on && !verify, on && verify)
+				res, tr, err := runOnce(on && !verify, on && verify)
 				if err != nil {
 					return 0, fmt.Errorf("serve run (%s=%v): %w", what, on, err)
 				}
@@ -231,7 +214,7 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 						}
 						lastVerified = res
 					} else {
-						lastOn, lastTrace, lastSLO = res, tr, sloRep
+						lastOn, lastTrace = res, tr
 					}
 				} else {
 					offSec = res.Seconds
@@ -272,11 +255,10 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 		return nil, err
 	}
 	addRow("plain", bestOff)
-	addRow("traced+slo", lastOn)
+	addRow("traced", lastOn)
 	addRow("verified", lastVerified)
 
 	pids := len(lastTrace.PIDs())
-	sloObj := lastSLO.Objective("chunk")
 	rep.Metrics = map[string]float64{
 		"requests":              float64(bestOff.Requests),
 		"errors":                float64(bestOff.Errors + lastOn.Errors),
@@ -286,8 +268,6 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 		"p95_ms":                bestOff.P95 * 1e3,
 		"p99_ms":                bestOff.P99 * 1e3,
 		"cache_hit_rate":        bestOff.HitRate,
-		"slo_attainment":        sloObj.Attainment,
-		"slo_budget_used":       sloObj.ErrorBudgetUsed,
 		"serve_overhead":        overhead,
 		"serve_overhead_gated":  math.Max(overhead, serveOverheadFloor),
 		"verify_proofs":         float64(lastVerified.Fetch.VerifyOK),
@@ -299,9 +279,7 @@ func Serve(ctx context.Context, opts Options) (*Report, error) {
 		fmt.Sprintf("closed loop, %d requests x %d workers, zipf chunk popularity over a %dx%d origin (%dx%d chunks)",
 			reqs, conc, size, size, chunk[0], chunk[1]),
 		fmt.Sprintf("stitched client+server trace spans %d pids (gated: must stay 2)", pids),
-		fmt.Sprintf("SLO attainment %.4f, error budget used %.3f (50ms bound, 0.99 target, chunk endpoint)",
-			sloObj.Attainment, sloObj.ErrorBudgetUsed),
-		fmt.Sprintf("request tracing + SLO accounting cost %.1f%% wall clock; the gate fires above %.0f%%",
+		fmt.Sprintf("request tracing cost %.1f%% wall clock; the gate fires above %.0f%%",
 			overhead*100, serveOverheadFloor*100),
 		fmt.Sprintf("merkle verification (%d proofs checked, 0 failed) cost %.1f%% wall clock on the hit-heavy mix; same %.0f%% gate",
 			lastVerified.Fetch.VerifyOK, verifyOverhead*100, serveOverheadFloor*100),

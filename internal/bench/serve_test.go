@@ -23,7 +23,7 @@ func TestServeMetricsContract(t *testing.T) {
 	for _, key := range []string{
 		"requests", "errors", "trace_pids",
 		"throughput_rps", "p50_ms", "p95_ms", "p99_ms",
-		"cache_hit_rate", "slo_attainment", "slo_budget_used",
+		"cache_hit_rate",
 		"serve_overhead", "serve_overhead_gated",
 		"verify_proofs", "verify_failed",
 		"verify_overhead", "verify_overhead_gated",
@@ -53,13 +53,10 @@ func TestServeMetricsContract(t *testing.T) {
 	if rep.Metrics["verify_proofs"] <= 0 {
 		t.Errorf("verify_proofs = %v, want > 0", rep.Metrics["verify_proofs"])
 	}
-	if rep.Metrics["slo_attainment"] <= 0 || rep.Metrics["slo_attainment"] > 1 {
-		t.Errorf("slo_attainment = %v outside (0,1]", rep.Metrics["slo_attainment"])
-	}
 	if rep.Metrics["throughput_rps"] <= 0 {
 		t.Errorf("throughput = %v", rep.Metrics["throughput_rps"])
 	}
 	if len(rep.Rows) != 3 {
-		t.Errorf("rows = %d, want plain + traced+slo + verified", len(rep.Rows))
+		t.Errorf("rows = %d, want plain + traced + verified", len(rep.Rows))
 	}
 }

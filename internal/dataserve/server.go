@@ -160,10 +160,6 @@ func (s *Server) Close() error {
 // serve it (obs.Endpoints) and register adjacent metrics into it.
 func (s *Server) Registry() *obs.Registry { return s.rec.Registry() }
 
-// Recorder exposes the server's metrics recorder, so a daemon can wire
-// per-endpoint SLO sources off the same instruments the handlers feed.
-func (s *Server) Recorder() *metrics.ServeRecorder { return s.rec }
-
 // EnableTracing starts recording one serve.<endpoint> span per request
 // into tr; a daemon exports it through obs.Endpoints.SetTrace. A nil
 // tr disables tracing again.

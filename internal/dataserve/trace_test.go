@@ -168,62 +168,20 @@ func TestTracePropagationStitches(t *testing.T) {
 	}
 }
 
-// TestTracezSlozDisabled pins the 404-until-configured contract on
-// kondo-serve's mux, and that the data plane alone serves neither.
-func TestTracezSlozDisabled(t *testing.T) {
+// TestTracezDisabled pins the 404-until-configured contract on
+// kondo-serve's mux, and that the data plane alone does not serve it.
+func TestTracezDisabled(t *testing.T) {
 	space := array.MustSpace(8, 8)
 	_, _, daemon := startDaemon(t, space, []int{4, 4})
 	_, bare := startServer(t, space, []int{4, 4})
 	for _, ts := range []*httptest.Server{daemon, bare} {
-		for _, ep := range []string{"/tracez", "/sloz"} {
-			resp, err := http.Get(ts.URL + ep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusNotFound {
-				t.Fatalf("%s without config = %d, want 404", ep, resp.StatusCode)
-			}
+		resp, err := http.Get(ts.URL + "/tracez")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestSlozEndpoint wires an SLO engine over the server's own chunk
-// endpoint and reads the report back through /sloz.
-func TestSlozEndpoint(t *testing.T) {
-	space := array.MustSpace(16, 16)
-	srv, ep, ts := startDaemon(t, space, []int{8, 8})
-	slo := obs.NewSLO(time.Minute, obs.SLOObjective{
-		Name:         "chunk",
-		Quantile:     0.99,
-		LatencyBound: time.Second,
-		Target:       0.99,
-		Source:       srv.Recorder().SLOSource("chunk"),
-	})
-	ep.SetSLO(slo)
-
-	f := NewFetcher(ts.URL, nil)
-	if _, err := f.FetchContext(context.Background(), "data", array.Index{1, 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(ts.URL + "/sloz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sloz status = %d", resp.StatusCode)
-	}
-	var rep obs.SLOReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	o := rep.Objective("chunk")
-	if o.Requests < 1 {
-		t.Fatalf("sloz window requests = %d, want >= 1", o.Requests)
-	}
-	if o.Exhausted {
-		t.Fatalf("fresh server exhausted its budget: %+v", o)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("/tracez without config = %d, want 404", resp.StatusCode)
+		}
 	}
 }

@@ -173,9 +173,18 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("debloat: reading manifest: %w", err)
 	}
+	m, err := decodeManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("debloat: decoding manifest %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// decodeManifest decodes a manifest's JSON bytes.
+func decodeManifest(data []byte) (*Manifest, error) {
 	m := &Manifest{}
 	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("debloat: decoding manifest %s: %w", path, err)
+		return nil, err
 	}
 	return m, nil
 }

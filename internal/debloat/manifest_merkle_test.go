@@ -12,7 +12,7 @@ import (
 )
 
 // writeMerkleOrigin materializes a small chunked origin to embed.
-func writeMerkleOrigin(t *testing.T, dims, chunk []int) string {
+func writeMerkleOrigin(t testing.TB, dims, chunk []int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "origin.sdf")
 	space := array.MustSpace(dims...)
@@ -163,4 +163,5 @@ func TestManifestMerkleTamperFailsAtLoad(t *testing.T) {
 	t.Run("empty chunk", func(t *testing.T) {
 		mutate(t, func(m *Manifest) { m.Merkle.Chunk = nil })
 	})
+	t.Run("wrapped grid", func(t *testing.T) { mutate(t, wrapGrid) })
 }

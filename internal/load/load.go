@@ -1,9 +1,7 @@
 // Package load is the heavy-traffic harness for the recovery plane:
 // it drives a dataserve origin through the real caching Fetcher in
 // open-loop (fixed arrival rate) or closed-loop (fixed concurrency)
-// mode, with Zipfian or uniform chunk popularity, cold/warm cache
-// mixes, ramp schedules, and a soak mode that asserts the origin's
-// error budget is not exhausted mid-run (DESIGN.md §12).
+// mode, with Zipfian or uniform chunk popularity (DESIGN.md §12).
 package load
 
 import (
@@ -39,27 +37,16 @@ const (
 type Popularity string
 
 const (
-	// Zipf skews accesses onto a few hot chunks (s=1.2), the shape real
-	// content traffic has; it exercises cache hits and singleflight.
+	// Zipf skews accesses onto a few hot chunks (s = zipfS), the shape
+	// real content traffic has; it exercises cache hits and
+	// singleflight.
 	Zipf Popularity = "zipf"
 	// Uniform spreads accesses evenly — the cache-hostile worst case.
 	Uniform Popularity = "uniform"
 )
 
-// Stage is one step of a ramp schedule. Zero fields inherit the
-// config's top-level values, so a schedule only states what changes.
-type Stage struct {
-	// Rate is the open-loop arrival rate in requests/second.
-	Rate float64 `json:"rate,omitempty"`
-	// Concurrency is the closed-loop worker count (and the open-loop
-	// in-flight cap).
-	Concurrency int `json:"concurrency,omitempty"`
-	// Requests bounds the stage by count (closed loop default).
-	Requests int `json:"requests,omitempty"`
-	// Duration bounds the stage by time (open loop default; whichever
-	// of count/duration hits first ends the stage).
-	Duration time.Duration `json:"duration,omitempty"`
-}
+// zipfS is the Zipf skew of the Zipf popularity mix.
+const zipfS = 1.2
 
 // Config parameterizes one load run.
 type Config struct {
@@ -71,8 +58,6 @@ type Config struct {
 	Mode Mode
 	// Popularity selects the chunk mix (default Zipf).
 	Popularity Popularity
-	// ZipfS is the Zipf skew parameter (> 1; default 1.2).
-	ZipfS float64
 
 	// Rate is the open-loop arrival rate in requests/second.
 	Rate float64
@@ -80,17 +65,9 @@ type Config struct {
 	// default 8.
 	Concurrency int
 	// Requests bounds the run by count; Duration by time. At least one
-	// must be set (directly or via Stages).
+	// must be set; whichever is hit first ends the run.
 	Requests int
 	Duration time.Duration
-	// Stages, when non-empty, replaces the single implicit stage with a
-	// ramp schedule executed in order.
-	Stages []Stage
-
-	// Warmup issues this many requests before the measurement window
-	// (same popularity mix), so the cache starts warm; 0 measures the
-	// cold cache. Warmup traffic is excluded from the results.
-	Warmup int
 
 	// Seed makes the popularity sequence reproducible (0 seeds from the
 	// clock).
@@ -112,11 +89,6 @@ type Config struct {
 	// construction — the hook a daemon uses to expose live verify
 	// counters on its own /statusz.
 	OnFetcher func(*dataserve.Fetcher)
-
-	// SoakInterval, when positive, polls BaseURL/sloz every interval
-	// during the run and records a violation whenever any objective's
-	// error budget is exhausted — the mid-run assertion of soak mode.
-	SoakInterval time.Duration
 
 	// Registry, when set, receives kondo_load_* instruments.
 	Registry *obs.Registry
@@ -141,36 +113,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Popularity != Zipf && c.Popularity != Uniform {
 		return c, fmt.Errorf("load: unknown popularity %q", c.Popularity)
 	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano()
 	}
-	if len(c.Stages) == 0 {
-		c.Stages = []Stage{{}}
+	if c.Requests <= 0 && c.Duration <= 0 {
+		return c, errors.New("load: unbounded run (set Requests or Duration)")
 	}
-	for i := range c.Stages {
-		st := &c.Stages[i]
-		if st.Rate <= 0 {
-			st.Rate = c.Rate
-		}
-		if st.Concurrency <= 0 {
-			st.Concurrency = c.Concurrency
-		}
-		if st.Requests <= 0 && st.Duration <= 0 {
-			st.Requests = c.Requests
-			st.Duration = c.Duration
-		}
-		if st.Requests <= 0 && st.Duration <= 0 {
-			return c, fmt.Errorf("load: stage %d unbounded (set Requests or Duration)", i)
-		}
-		if c.Mode == Open && st.Rate <= 0 {
-			return c, fmt.Errorf("load: stage %d: open-loop mode needs a rate", i)
-		}
+	if c.Mode == Open && c.Rate <= 0 {
+		return c, errors.New("load: open-loop mode needs a rate")
 	}
 	return c, nil
 }
@@ -182,21 +135,17 @@ type instruments struct {
 	shed     *obs.Counter
 	latency  *obs.Histogram
 	inflight *obs.Gauge
-	stage    *obs.Gauge
-	target   *obs.Gauge
 }
 
 func newInstruments(reg *obs.Registry) *instruments {
 	if reg == nil {
 		return nil
 	}
-	reg.SetHelp("kondo_load_requests_total", "Load-generator requests completed (measurement window only).")
+	reg.SetHelp("kondo_load_requests_total", "Load-generator requests completed.")
 	reg.SetHelp("kondo_load_errors_total", "Load-generator requests that failed.")
 	reg.SetHelp("kondo_load_shed_total", "Open-loop arrivals shed because the in-flight cap was reached.")
 	reg.SetHelp("kondo_load_request_seconds", "Load-generator request latency.")
 	reg.SetHelp("kondo_load_inflight", "Requests currently in flight.")
-	reg.SetHelp("kondo_load_stage", "Index of the ramp stage currently executing.")
-	reg.SetHelp("kondo_load_target", "Current offered-load target: rate (open loop) or concurrency (closed loop).")
 	bounds := make([]float64, 0, 12)
 	for _, d := range []time.Duration{
 		100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
@@ -212,8 +161,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 		shed:     reg.Counter("kondo_load_shed_total"),
 		latency:  reg.Histogram("kondo_load_request_seconds", bounds),
 		inflight: reg.Gauge("kondo_load_inflight"),
-		stage:    reg.Gauge("kondo_load_stage"),
-		target:   reg.Gauge("kondo_load_target"),
 	}
 }
 
@@ -251,7 +198,7 @@ type picker struct {
 	perm []int      // shuffled chunk ranks, so the Zipf-hot chunks are scattered
 }
 
-func newPicker(g geometry, pop Popularity, zipfS float64, seed int64) *picker {
+func newPicker(g geometry, pop Popularity, seed int64) *picker {
 	rng := rand.New(rand.NewSource(seed))
 	p := &picker{g: g, rng: rng}
 	if pop == Zipf && g.chunks > 1 {

@@ -80,32 +80,6 @@ func TestRunClosedLoopDeterministicCount(t *testing.T) {
 	}
 }
 
-func TestRunWarmupExcludedFromWindow(t *testing.T) {
-	_, ts := startOrigin(t, array.MustSpace(32, 32), []int{8, 8})
-	res, err := Run(context.Background(), Config{
-		BaseURL:     ts.URL,
-		Mode:        Closed,
-		Popularity:  Uniform,
-		Requests:    64,
-		Concurrency: 2,
-		Warmup:      128, // touches most of the 16 chunks
-		Seed:        7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 64 {
-		t.Fatalf("requests = %d, want 64 (warmup excluded)", res.Requests)
-	}
-	if res.Fetch.Elements != 64 {
-		t.Fatalf("window elements = %d, want 64", res.Fetch.Elements)
-	}
-	// A warmed cache over 16 chunks must serve mostly hits.
-	if res.HitRate < 0.5 {
-		t.Fatalf("warm run hit rate = %v, want >= 0.5", res.HitRate)
-	}
-}
-
 func TestRunOpenLoopPacesAndSheds(t *testing.T) {
 	_, ts := startOrigin(t, array.MustSpace(32, 32), []int{8, 8})
 	start := time.Now()
@@ -133,67 +107,6 @@ func TestRunOpenLoopPacesAndSheds(t *testing.T) {
 	}
 	if res.Requests == 0 {
 		t.Fatal("everything was shed")
-	}
-}
-
-func TestRunRampStages(t *testing.T) {
-	_, ts := startOrigin(t, array.MustSpace(32, 32), []int{8, 8})
-	res, err := Run(context.Background(), Config{
-		BaseURL:    ts.URL,
-		Mode:       Closed,
-		Popularity: Zipf,
-		Seed:       11,
-		Stages: []Stage{
-			{Requests: 50, Concurrency: 2},
-			{Requests: 100, Concurrency: 4},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stages) != 2 {
-		t.Fatalf("stages = %d, want 2", len(res.Stages))
-	}
-	if res.Stages[0].Requests != 50 || res.Stages[1].Requests != 100 {
-		t.Fatalf("stage counts = %d/%d, want 50/100", res.Stages[0].Requests, res.Stages[1].Requests)
-	}
-	if res.Requests != 150 {
-		t.Fatalf("total = %d, want 150", res.Requests)
-	}
-	if res.Stages[1].Concurrency != 4 {
-		t.Fatalf("stage 1 concurrency = %d", res.Stages[1].Concurrency)
-	}
-}
-
-func TestRunSoakPollsSloz(t *testing.T) {
-	srv, _ := startOrigin(t, array.MustSpace(32, 32), []int{8, 8})
-	slo := obs.NewSLO(time.Minute, obs.SLOObjective{
-		Name:         "chunk",
-		LatencyBound: time.Second,
-		Target:       0.99,
-		Source:       srv.Recorder().SLOSource("chunk"),
-	})
-	// Serve the origin as kondo-serve does, /sloz beside the data plane.
-	ep := obs.NewEndpoints(srv.Registry())
-	ep.SetSLO(slo)
-	ts := httptest.NewServer(ep.Handler(srv.Handler()))
-	defer ts.Close()
-	res, err := Run(context.Background(), Config{
-		BaseURL:      ts.URL,
-		Mode:         Closed,
-		Requests:     300,
-		Concurrency:  2,
-		Seed:         5,
-		SoakInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SoakPolls == 0 {
-		t.Fatal("soak mode performed no /sloz polls")
-	}
-	if res.SoakViolations != 0 {
-		t.Fatalf("healthy run reported %d budget violations", res.SoakViolations)
 	}
 }
 
@@ -228,8 +141,6 @@ func TestRunEmitsInstrumentsAndTraces(t *testing.T) {
 		"kondo_load_errors_total 0",
 		"kondo_load_request_seconds_count 40",
 		"kondo_load_inflight",
-		"kondo_load_stage",
-		"kondo_load_target",
 		"kondo_load_shed_total",
 	} {
 		if !strings.Contains(sb.String(), want) {

@@ -2,56 +2,33 @@ package load
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/dataserve"
-	"repro/internal/obs"
 )
 
-// StageResult is one ramp stage's measured slice of the run.
-type StageResult struct {
-	Stage       int     `json:"stage"`
-	Mode        string  `json:"mode"`
-	Rate        float64 `json:"rate,omitempty"`
-	Concurrency int     `json:"concurrency"`
-	Requests    int64   `json:"requests"`
-	Errors      int64   `json:"errors"`
-	Shed        int64   `json:"shed,omitempty"`
-	Seconds     float64 `json:"seconds"`
-	Throughput  float64 `json:"throughput_rps"`
-}
-
 // Result is one load run's measurement: counts, exact-sample latency
-// quantiles, cache behaviour over the measurement window, and any soak
-// violations.
+// quantiles and cache behaviour over the run.
 type Result struct {
-	Mode       string        `json:"mode"`
-	Popularity string        `json:"popularity"`
-	Requests   int64         `json:"requests"`
-	Errors     int64         `json:"errors"`
-	Shed       int64         `json:"shed,omitempty"`
-	Seconds    float64       `json:"seconds"`
-	Throughput float64       `json:"throughput_rps"`
-	P50        float64       `json:"p50_seconds"`
-	P95        float64       `json:"p95_seconds"`
-	P99        float64       `json:"p99_seconds"`
-	P999       float64       `json:"p999_seconds"`
-	MaxLatency float64       `json:"max_seconds"`
-	HitRate    float64       `json:"cache_hit_rate"`
-	Stages     []StageResult `json:"stages,omitempty"`
-	// SoakViolations counts /sloz polls that found an exhausted error
-	// budget; SoakPolls counts polls performed.
-	SoakPolls      int `json:"soak_polls,omitempty"`
-	SoakViolations int `json:"soak_violations,omitempty"`
-	// Fetch is the client-side cache/retry accounting over the
-	// measurement window (warmup excluded).
+	Mode       string  `json:"mode"`
+	Popularity string  `json:"popularity"`
+	Requests   int64   `json:"requests"`
+	Errors     int64   `json:"errors"`
+	Shed       int64   `json:"shed,omitempty"`
+	Seconds    float64 `json:"seconds"`
+	Throughput float64 `json:"throughput_rps"`
+	P50        float64 `json:"p50_seconds"`
+	P95        float64 `json:"p95_seconds"`
+	P99        float64 `json:"p99_seconds"`
+	P999       float64 `json:"p999_seconds"`
+	MaxLatency float64 `json:"max_seconds"`
+	HitRate    float64 `json:"cache_hit_rate"`
+	// Fetch is the client-side cache/retry accounting over the run.
 	Fetch dataserve.FetchStats `json:"fetch"`
 }
 
@@ -96,7 +73,7 @@ func (s *sampler) quantiles(qs ...float64) ([]float64, float64) {
 	return out, s.samples[len(s.samples)-1]
 }
 
-// runner carries one Run's shared state across stages.
+// runner carries one Run's shared state.
 type runner struct {
 	cfg     Config
 	fetcher *dataserve.Fetcher
@@ -111,8 +88,8 @@ type runner struct {
 }
 
 // Run executes the configured load against the origin, returning the
-// measurement. It respects ctx (cancel ends the run early with the
-// partial result); when ctx carries an obs.Trace, every request's
+// measurement. It respects ctx: cancelling it ends the run with ctx's
+// error and no result. When ctx carries an obs.Trace, every request's
 // fetch spans and trace-context stamps record into it.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg, err := cfg.withDefaults()
@@ -139,50 +116,18 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.OnFetcher != nil {
 		cfg.OnFetcher(r.fetcher)
 	}
-	// Warmup: same mix, separate rng stream, nothing recorded.
-	if cfg.Warmup > 0 {
-		if err := r.warm(ctx); err != nil {
-			return nil, err
-		}
-	}
-
-	// Soak poller (if configured) runs for the whole measurement.
-	var soakPolls, soakViolations atomic.Int64
-	soakCtx, stopSoak := context.WithCancel(ctx)
-	defer stopSoak()
-	var soakWG sync.WaitGroup
-	if cfg.SoakInterval > 0 {
-		soakWG.Add(1)
-		go func() {
-			defer soakWG.Done()
-			r.soak(soakCtx, &soakPolls, &soakViolations)
-		}()
-	}
-
+	// The geometry lookup's round trip stays out of the run's accounting.
 	statsBase := r.fetcher.Stats()
 	start := time.Now()
-	var stages []StageResult
-	for i, st := range cfg.Stages {
-		if ctx.Err() != nil {
-			break
-		}
-		if r.inst != nil {
-			r.inst.stage.Set(float64(i))
-		}
-		sres, err := r.runStage(ctx, i, st)
-		if err != nil {
-			return nil, err
-		}
-		stages = append(stages, sres)
+	if cfg.Mode == Open {
+		err = r.runOpen(ctx)
+	} else {
+		err = r.runClosed(ctx)
+	}
+	if err != nil {
+		return nil, err
 	}
 	elapsed := time.Since(start)
-	stopSoak()
-	soakWG.Wait()
-	// Final end-of-run assertion under the parent context, so the
-	// budget verdict covers the whole run including its last requests.
-	if cfg.SoakInterval > 0 && ctx.Err() == nil {
-		r.soakPoll(ctx, &soakPolls, &soakViolations)
-	}
 
 	qs, maxLat := r.samples.quantiles(0.50, 0.95, 0.99, 0.999)
 	stats := r.fetcher.Stats()
@@ -199,87 +144,24 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		VerifyFailed: stats.VerifyFailed - statsBase.VerifyFailed,
 	}
 	res := &Result{
-		Mode:           string(cfg.Mode),
-		Popularity:     string(cfg.Popularity),
-		Requests:       r.requests.Load(),
-		Errors:         r.errors.Load(),
-		Shed:           r.shed.Load(),
-		Seconds:        elapsed.Seconds(),
-		P50:            qs[0],
-		P95:            qs[1],
-		P99:            qs[2],
-		P999:           qs[3],
-		MaxLatency:     maxLat,
-		HitRate:        window.HitRate(),
-		Stages:         stages,
-		SoakPolls:      int(soakPolls.Load()),
-		SoakViolations: int(soakViolations.Load()),
-		Fetch:          window,
+		Mode:       string(cfg.Mode),
+		Popularity: string(cfg.Popularity),
+		Requests:   r.requests.Load(),
+		Errors:     r.errors.Load(),
+		Shed:       r.shed.Load(),
+		Seconds:    elapsed.Seconds(),
+		P50:        qs[0],
+		P95:        qs[1],
+		P99:        qs[2],
+		P999:       qs[3],
+		MaxLatency: maxLat,
+		HitRate:    window.HitRate(),
+		Fetch:      window,
 	}
 	if res.Seconds > 0 {
 		res.Throughput = float64(res.Requests) / res.Seconds
 	}
 	return res, nil
-}
-
-// warm issues the warmup requests closed-loop at the configured
-// concurrency, ignoring errors (a cold origin warming up may flap).
-func (r *runner) warm(ctx context.Context) error {
-	var remaining atomic.Int64
-	remaining.Store(int64(r.cfg.Warmup))
-	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			p := newPicker(r.geom, r.cfg.Popularity, r.cfg.ZipfS, seed)
-			for ctx.Err() == nil && remaining.Add(-1) >= 0 {
-				_, _ = r.fetcher.FetchContext(ctx, r.cfg.Dataset, p.next())
-			}
-		}(r.cfg.Seed ^ int64(0x5eed0000+w))
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// soak polls /sloz at the configured interval (starting immediately,
-// so short runs still assert at least once), counting polls that
-// report an exhausted error budget.
-func (r *runner) soak(ctx context.Context, polls, violations *atomic.Int64) {
-	t := time.NewTicker(r.cfg.SoakInterval)
-	defer t.Stop()
-	for {
-		r.soakPoll(ctx, polls, violations)
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-	}
-}
-
-// soakPoll performs one /sloz assertion. Transport or decode failures
-// are skipped silently (the origin may still be coming up); only a
-// well-formed report counts as a poll.
-func (r *runner) soakPoll(ctx context.Context, polls, violations *atomic.Int64) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.cfg.BaseURL+"/sloz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return
-	}
-	var rep obs.SLOReport
-	err = json.NewDecoder(resp.Body).Decode(&rep)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return
-	}
-	polls.Add(1)
-	if rep.Exhausted() {
-		violations.Add(1)
-	}
 }
 
 // issue performs one measured request.
@@ -308,101 +190,65 @@ func (r *runner) issue(ctx context.Context, p *picker) {
 	}
 }
 
-// runStage executes one ramp stage in the configured mode.
-func (r *runner) runStage(ctx context.Context, idx int, st Stage) (StageResult, error) {
-	base := StageResult{
-		Stage:       idx,
-		Mode:        string(r.cfg.Mode),
-		Rate:        st.Rate,
-		Concurrency: st.Concurrency,
-	}
-	req0 := r.requests.Load()
-	err0 := r.errors.Load()
-	shed0 := r.shed.Load()
-	start := time.Now()
-	var err error
-	if r.cfg.Mode == Open {
-		err = r.runOpen(ctx, st)
-	} else {
-		base.Rate = 0
-		err = r.runClosed(ctx, st)
-	}
-	if err != nil {
-		return base, err
-	}
-	base.Seconds = time.Since(start).Seconds()
-	base.Requests = r.requests.Load() - req0
-	base.Errors = r.errors.Load() - err0
-	base.Shed = r.shed.Load() - shed0
-	if base.Seconds > 0 {
-		base.Throughput = float64(base.Requests) / base.Seconds
-	}
-	return base, nil
-}
-
 // runClosed runs a fixed worker pool; each worker fires its next
-// request as soon as the previous one returns, until the stage's
-// request count (or duration, or ctx) is exhausted. With a request
-// count and no errors the completed-request total is deterministic.
-func (r *runner) runClosed(ctx context.Context, st Stage) error {
-	if r.inst != nil {
-		r.inst.target.Set(float64(st.Concurrency))
-	}
-	sctx := ctx
-	var cancel context.CancelFunc
-	if st.Duration > 0 {
-		sctx, cancel = context.WithTimeout(ctx, st.Duration)
+// request as soon as the previous one returns, until the run's request
+// count (or duration, or ctx) is exhausted. With a request count and
+// no errors the completed-request total is deterministic.
+func (r *runner) runClosed(ctx context.Context) error {
+	rctx := ctx
+	if r.cfg.Duration > 0 {
+		var cancel context.CancelFunc
+		rctx, cancel = context.WithTimeout(ctx, r.cfg.Duration)
 		defer cancel()
 	}
 	var remaining atomic.Int64
-	if st.Requests > 0 {
-		remaining.Store(int64(st.Requests))
+	if r.cfg.Requests > 0 {
+		remaining.Store(int64(r.cfg.Requests))
 	} else {
 		remaining.Store(math.MaxInt64)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < st.Concurrency; w++ {
+	for w := 0; w < r.cfg.Concurrency; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			p := newPicker(r.geom, r.cfg.Popularity, r.cfg.ZipfS, seed)
-			for sctx.Err() == nil && remaining.Add(-1) >= 0 {
-				r.issue(sctx, p)
+			p := newPicker(r.geom, r.cfg.Popularity, seed)
+			for rctx.Err() == nil && remaining.Add(-1) >= 0 {
+				r.issue(rctx, p)
 			}
 		}(r.cfg.Seed + int64(w)*7919)
 	}
 	wg.Wait()
-	// The parent dying is an error; the stage timer firing is not.
+	// The parent dying is an error; the duration timer firing is not.
 	return ctx.Err()
 }
 
-// runOpen paces arrivals at the stage rate regardless of completions.
-// Arrivals past the in-flight cap are shed and counted — back-pressure
-// must be visible, not silently absorbed into the arrival schedule.
-func (r *runner) runOpen(ctx context.Context, st Stage) error {
-	if r.inst != nil {
-		r.inst.target.Set(st.Rate)
-	}
-	interval := time.Duration(float64(time.Second) / st.Rate)
+// runOpen paces arrivals at the configured rate regardless of
+// completions. Arrivals past the in-flight cap are shed and counted —
+// back-pressure must be visible, not silently absorbed into the
+// arrival schedule.
+func (r *runner) runOpen(ctx context.Context) error {
+	rate, conc := r.cfg.Rate, r.cfg.Concurrency
+	interval := time.Duration(float64(time.Second) / rate)
 	if interval <= 0 {
 		interval = time.Nanosecond
 	}
-	total := st.Requests
+	total := r.cfg.Requests
 	if total <= 0 {
-		total = int(st.Rate*st.Duration.Seconds() + 0.5)
+		total = int(rate*r.cfg.Duration.Seconds() + 0.5)
 	}
 	deadline := time.Time{}
-	if st.Duration > 0 {
-		deadline = time.Now().Add(st.Duration)
+	if r.cfg.Duration > 0 {
+		deadline = time.Now().Add(r.cfg.Duration)
 	}
 
-	sem := make(chan struct{}, st.Concurrency)
+	sem := make(chan struct{}, conc)
 	var wg sync.WaitGroup
 	// One picker per in-flight slot, so concurrent requests never share
 	// an rng; the dispatcher hands out slot-bound pickers.
-	pickers := make(chan *picker, st.Concurrency)
-	for i := 0; i < st.Concurrency; i++ {
-		pickers <- newPicker(r.geom, r.cfg.Popularity, r.cfg.ZipfS, r.cfg.Seed+int64(i)*104729)
+	pickers := make(chan *picker, conc)
+	for i := 0; i < conc; i++ {
+		pickers <- newPicker(r.geom, r.cfg.Popularity, r.cfg.Seed+int64(i)*104729)
 	}
 
 	startAt := time.Now()

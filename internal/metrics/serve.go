@@ -90,18 +90,6 @@ func (r *ServeRecorder) endpoint(name string) *epInstruments {
 	return e
 }
 
-// SLOSource returns an obs.SLOSource over one endpoint's instruments,
-// for wiring the endpoint into an obs.SLO engine. The instruments are
-// created on first use, so the source is valid before traffic arrives.
-func (r *ServeRecorder) SLOSource(endpoint string) obs.SLOSource {
-	e := r.endpoint(endpoint)
-	return obs.SLOSource{
-		Requests: e.requests.Value,
-		Errors:   e.errors.Value,
-		Latency:  e.latency,
-	}
-}
-
 // Record notes one completed request: its endpoint, HTTP status,
 // payload bytes written, and wall-clock latency.
 func (r *ServeRecorder) Record(endpoint string, status int, bytes int64, elapsed time.Duration) {

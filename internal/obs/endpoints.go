@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync/atomic"
-	"time"
 )
 
 // Endpoints is the observability handler set every Kondo daemon
@@ -18,14 +17,12 @@ import (
 //	/buildz   Build() as JSON
 //	/tracez   the attached trace's Export (?max=N bounds the event
 //	          count); 404 until SetTrace
-//	/sloz     the attached SLO engine's live report; 404 until SetSLO
 //
 // The setters are safe to call while requests are being served.
 type Endpoints struct {
 	reg      *Registry
 	draining atomic.Bool
 	trace    atomic.Pointer[Trace]
-	slo      atomic.Pointer[SLO]
 }
 
 // NewEndpoints returns the handler set over reg and registers
@@ -49,11 +46,6 @@ func (e *Endpoints) SetTrace(tr *Trace) {
 	})
 	e.trace.Store(tr)
 }
-
-// SetSLO attaches an SLO engine whose live report /sloz serves. The
-// caller owns ticking it (SLO.Run) and registering its instruments
-// (SLO.Register).
-func (e *Endpoints) SetSLO(s *SLO) { e.slo.Store(s) }
 
 // SetDraining flips the drain flag: once true, /healthz answers 503 so
 // load balancers route away while in-flight requests complete. Flag it
@@ -87,14 +79,6 @@ func (e *Endpoints) Handler(views http.Handler) http.Handler {
 		writeJSON(w, http.StatusOK, Build())
 	})
 	mux.HandleFunc("/tracez", e.tracez)
-	mux.HandleFunc("/sloz", func(w http.ResponseWriter, r *http.Request) {
-		s := e.slo.Load()
-		if s == nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "no SLO engine attached"})
-			return
-		}
-		writeJSON(w, http.StatusOK, s.Report(time.Now()))
-	})
 	return mux
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // get fetches path from ts, returning the status code and body.
@@ -129,35 +128,5 @@ func TestEndpointsDelegatesViews(t *testing.T) {
 	defer bare.Close()
 	if code, _ := get(t, bare, "/statusz"); code != http.StatusNotFound {
 		t.Fatalf("/statusz without views = %d, want 404", code)
-	}
-}
-
-func TestEndpointsSloz(t *testing.T) {
-	reg := NewRegistry()
-	requests := reg.Counter("test_requests_total")
-	latency := reg.Histogram("test_latency_seconds", []float64{0.01, 0.1, 1})
-	ep := NewEndpoints(reg)
-	ts := httptest.NewServer(ep.Handler(nil))
-	defer ts.Close()
-
-	if code, _ := get(t, ts, "/sloz"); code != http.StatusNotFound {
-		t.Fatalf("/sloz without an engine = %d, want 404", code)
-	}
-	ep.SetSLO(NewSLO(time.Minute, SLOObjective{
-		Name:         "chunk",
-		LatencyBound: time.Second,
-		Target:       0.99,
-		Source:       SLOSource{Requests: requests.Value, Latency: latency},
-	}))
-	requests.Inc()
-	latency.Observe(0.001)
-
-	code, body := get(t, ts, "/sloz")
-	var rep SLOReport
-	if err := json.Unmarshal([]byte(body), &rep); err != nil || code != http.StatusOK {
-		t.Fatalf("/sloz = %d %q (%v)", code, body, err)
-	}
-	if obj := rep.Objective("chunk"); obj.Requests != 1 || rep.Exhausted() {
-		t.Fatalf("live report = %+v, want 1 window request and budget intact", rep)
 	}
 }

@@ -143,9 +143,13 @@ func (memSource) Close() error { return nil }
 // bytes, and reads a corner hyperslab of at most cornerElems elements:
 // none of them may panic. The slab read must agree with reading its
 // elements one at a time: when it succeeds every element reads the same
-// value, and when it fails at least one element fails.
+// value, and when it fails at least one element fails. Every read that
+// succeeds must have read only bytes of the dataset's data region, and
+// every element with a file offset must resolve back from it through
+// IndexRuns.
 func openAndRead(t *testing.T, data []byte) {
-	f, err := OpenFrom(memSource{bytes.NewReader(data)})
+	src := &recordingSource{memSource: memSource{bytes.NewReader(data)}}
+	f, err := OpenFrom(src)
 	if err != nil {
 		return
 	}
@@ -154,7 +158,22 @@ func openAndRead(t *testing.T, data []byte) {
 		if err != nil {
 			continue
 		}
-		ds.ReadElement(make(array.Index, ds.Space().Rank()))
+		// inRegion checks the reads since the last call, when err says
+		// the read they served succeeded.
+		lo, hi := ds.meta.DataOff, ds.meta.DataOff+ds.meta.DataLen
+		src.reads = src.reads[:0]
+		inRegion := func(what string, err error) {
+			t.Helper()
+			for _, r := range src.reads {
+				if err == nil && (r.off < lo || r.off+int64(r.n) > hi) {
+					t.Fatalf("%q: %s read [%d, %d), outside the data region [%d, %d)",
+						name, what, r.off, r.off+int64(r.n), lo, hi)
+				}
+			}
+			src.reads = src.reads[:0]
+		}
+		_, err = ds.ReadElement(make(array.Index, ds.Space().Rank()))
+		inRegion("ReadElement", err)
 		ds.IndexRuns(0, int64(len(data)), func(int64, int64) {})
 
 		space := ds.Space()
@@ -165,14 +184,25 @@ func openAndRead(t *testing.T, data []byte) {
 		}
 		sel := Slab(make([]int, space.Rank()), count)
 		vals, slabErr := ds.ReadHyperslab(sel)
+		inRegion("ReadHyperslab", slabErr)
 		i, failed := 0, false
 		sel.Each(func(ix array.Index) bool {
 			v, err := ds.ReadElement(ix)
+			inRegion("ReadElement", err)
 			switch {
 			case err != nil:
 				failed = true
 			case slabErr == nil && math.Float64bits(v) != math.Float64bits(vals[i]):
 				t.Fatalf("%q: slab read %v at %v, element read %v", name, vals[i], ix, v)
+			}
+			// The first byte of a stored element resolves back to it.
+			if off, err := ds.FileOffset(ix); err == nil {
+				lin, _ := space.Linear(ix)
+				found := false
+				ds.IndexRuns(off, off+1, func(first, last int64) { found = found || (first <= lin && lin <= last) })
+				if !found {
+					t.Fatalf("%q: byte %d of element %v resolves to no run holding it", name, off, ix)
+				}
 			}
 			i++
 			return true
@@ -193,7 +223,8 @@ const cornerElems = 4096
 // with the header's metadata checksum recomputed, so that mutations
 // reach the metadata decoder instead of stopping at the checksum. The
 // seed corpus under testdata/fuzz/FuzzOpen holds a contiguous, a
-// chunked, a debloated chunked and a packed file.
+// chunked, a debloated chunked and a packed file, and the files of
+// hostileStorageFiles.
 func FuzzOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		openAndRead(t, data)
@@ -304,6 +335,86 @@ func TestMetadataReadSteps(t *testing.T) {
 		}
 		if v, err := ds.ReadElement(last); err != nil || v != float64(space.Size()-1) {
 			t.Fatalf("%v: last element = %v, %v", tc.dims, v, err)
+		}
+	}
+}
+
+// datasetFile encodes a one-dataset file image: m's metadata, then
+// data as its data region, aligned as the writer aligns it. place,
+// when set, fills in m's offsets once the region's offset is in
+// m.DataOff.
+func datasetFile(t *testing.T, m *datasetMeta, data []byte, place func(m *datasetMeta)) []byte {
+	t.Helper()
+	meta, err := encodeMeta([]*datasetMeta{m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.DataOff = align8(int64(headerSize + len(meta)))
+	if place != nil {
+		place(m)
+	}
+	if meta, err = encodeMeta([]*datasetMeta{m}); err != nil {
+		t.Fatal(err)
+	}
+	b := hostileFile(uint32(len(meta)), meta)
+	b = append(b, make([]byte, m.DataOff-int64(len(b)))...)
+	return append(b, data...)
+}
+
+// hostileStorageFiles are files whose metadata misplaces their data: a
+// contiguous dataset with too few data bytes, a chunk and a packed run
+// stored past the region, dims whose element count wraps int64, and
+// packed runs stored out of file order, which IndexRuns' search by
+// offset cannot follow.
+func hostileStorageFiles(t *testing.T) map[string][]byte {
+	f64 := array.Float64
+	return map[string][]byte{
+		"short-contiguous": datasetFile(t, &datasetMeta{
+			Name: "d", DType: f64, Layout: layoutContiguous, Dims: []int{4}, DataLen: 16,
+		}, make([]byte, 48), nil),
+		"chunk-past-region": datasetFile(t, &datasetMeta{
+			Name: "d", DType: f64, Layout: layoutChunked, Dims: []int{4, 4}, Chunk: []int{2, 2},
+			DataLen: 96, Debloated: true, ChunkTable: make([]int64, 4),
+		}, make([]byte, 160), func(m *datasetMeta) {
+			for i := range m.ChunkTable {
+				m.ChunkTable[i] = m.DataOff + 32*int64(i)
+			}
+		}),
+		"packed-run-past-region": datasetFile(t, &datasetMeta{
+			Name: "d", DType: f64, Layout: layoutPacked, Dims: []int{8}, DataLen: 16,
+			Debloated: true, PackRuns: []packRun{{startLin: 0, count: 2}, {startLin: 4, count: 2}},
+		}, make([]byte, 48), func(m *datasetMeta) {
+			m.PackRuns[0].off = m.DataOff
+			m.PackRuns[1].off = m.DataOff + 16
+		}),
+		"wrapped-dims": datasetFile(t, &datasetMeta{
+			Name: "d", DType: f64, Layout: layoutContiguous, Dims: []int{4294967297, 4294967295}, DataLen: 0,
+		}, nil, nil),
+		"packed-runs-out-of-order": datasetFile(t, &datasetMeta{
+			Name: "d", DType: f64, Layout: layoutPacked, Dims: []int{8}, DataLen: 32,
+			Debloated: true, PackRuns: []packRun{{startLin: 0, count: 2}, {startLin: 4, count: 2}},
+		}, make([]byte, 32), func(m *datasetMeta) {
+			m.PackRuns[0].off = m.DataOff + 16
+			m.PackRuns[1].off = m.DataOff
+		}),
+	}
+}
+
+// TestOpenRejectsMisplacedStorage: a dataset whose storage does not
+// fit its data region, in the order IndexRuns searches it, fails at
+// open, before a read could return bytes of the metadata or of another
+// dataset as its values, or an audited byte could resolve to no index.
+func TestOpenRejectsMisplacedStorage(t *testing.T) {
+	for name, data := range hostileStorageFiles(t) {
+		f, err := OpenFrom(memSource{bytes.NewReader(data)})
+		if err == nil {
+			ds, _ := f.Dataset("d")
+			last := make(array.Index, ds.Space().Rank())
+			for k := range last {
+				last[k] = ds.Space().Dim(k) - 1
+			}
+			v, rerr := ds.ReadElement(last)
+			t.Errorf("%s: opened; last element reads %v, %v", name, v, rerr)
 		}
 	}
 }

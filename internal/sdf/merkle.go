@@ -356,16 +356,23 @@ func (s MerkleSpec) Validate() error {
 	if len(s.Dims) == 0 || len(s.Chunk) != len(s.Dims) {
 		return fmt.Errorf("sdf: merkle spec: dims %v / chunk %v rank mismatch", s.Dims, s.Chunk)
 	}
-	want := int64(1)
-	for k, d := range s.Dims {
-		if d <= 0 || s.Chunk[k] <= 0 {
-			return fmt.Errorf("sdf: merkle spec: non-positive extent (dims %v, chunk %v)", s.Dims, s.Chunk)
-		}
-		want *= int64((d + s.Chunk[k] - 1) / s.Chunk[k])
+	if _, err := array.NewSpace(s.Dims...); err != nil {
+		return fmt.Errorf("sdf: merkle spec: %w", err)
 	}
-	if want != s.Leaves {
+	grid := make([]int, len(s.Dims))
+	for k, d := range s.Dims {
+		if s.Chunk[k] <= 0 {
+			return fmt.Errorf("sdf: merkle spec: non-positive chunk extent (chunk %v)", s.Chunk)
+		}
+		grid[k] = (d-1)/s.Chunk[k] + 1
+	}
+	gs, err := array.NewSpace(grid...)
+	if err != nil {
+		return fmt.Errorf("sdf: merkle spec: chunk grid: %w", err)
+	}
+	if gs.Size() != s.Leaves {
 		return fmt.Errorf("sdf: merkle spec: %d leaves but dims %v / chunk %v give %d serving chunks",
-			s.Leaves, s.Dims, s.Chunk, want)
+			s.Leaves, s.Dims, s.Chunk, gs.Size())
 	}
 	return nil
 }

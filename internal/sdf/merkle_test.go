@@ -209,6 +209,13 @@ func TestMerkleSpecValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("rank mismatch accepted")
 	}
+	// A grid whose leaf count wraps int64: 3037000500²·4 wraps to
+	// 581896768, which once matched a forged leaf count.
+	bad = spec
+	bad.Dims, bad.Chunk, bad.Leaves = []int{3037000500, 3037000500, 4}, []int{1, 1, 1}, 581896768
+	if bad.Validate() == nil {
+		t.Fatal("wrapped leaf count accepted")
+	}
 	if err := spec.MatchesGeometry([]int{40, 24}, []int{16, 16}); err != nil {
 		t.Fatalf("matching geometry rejected: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -147,8 +148,18 @@ func newDataset(f *File, m *datasetMeta) (*Dataset, error) {
 		return nil, fmt.Errorf("sdf: dataset %q: %w", m.Name, err)
 	}
 	ds := &Dataset{file: f, meta: m, space: space, elem: int64(m.DType.Size())}
+	// Every stored byte must lie in the data region [DataOff, end).
+	if m.DataOff < 0 || m.DataLen < 0 || m.DataLen > math.MaxInt64-m.DataOff {
+		return nil, fmt.Errorf("sdf: dataset %q: invalid data region at %d of %d bytes", m.Name, m.DataOff, m.DataLen)
+	}
+	end := m.DataOff + m.DataLen
+	inRegion := func(off, n int64) bool { return off >= m.DataOff && n <= end-off }
 	switch m.Layout {
 	case layoutContiguous:
+		if space.Size() > math.MaxInt64/ds.elem || m.DataLen != space.Size()*ds.elem {
+			return nil, fmt.Errorf("sdf: dataset %q: %d data bytes for %d elements of %d bytes",
+				m.Name, m.DataLen, space.Size(), ds.elem)
+		}
 		ds.layout = array.NewContiguousLayout(space, m.DType)
 	case layoutChunked:
 		cl, err := array.NewChunkedLayout(space, m.DType, m.Chunk)
@@ -162,9 +173,13 @@ func newDataset(f *File, m *datasetMeta) (*Dataset, error) {
 		ds.layout = cl
 		ds.chunked = cl
 		for lin, base := range m.ChunkTable {
-			if base != missingChunk {
-				ds.stored = append(ds.stored, storedChunk{base: base, lin: int64(lin)})
+			if base == missingChunk {
+				continue
 			}
+			if !inRegion(base, cl.ChunkSizeBytes()) {
+				return nil, fmt.Errorf("sdf: dataset %q: chunk %d outside the data region", m.Name, lin)
+			}
+			ds.stored = append(ds.stored, storedChunk{base: base, lin: int64(lin)})
 		}
 		sort.Slice(ds.stored, func(i, j int) bool { return ds.stored[i].base < ds.stored[j].base })
 	case layoutPacked:
@@ -172,13 +187,20 @@ func newDataset(f *File, m *datasetMeta) (*Dataset, error) {
 		runs := append([]packRun(nil), m.PackRuns...)
 		sort.Slice(runs, func(i, j int) bool { return runs[i].startLin < runs[j].startLin })
 		// Non-empty runs inside the space that do not overlap end in
-		// ascending order too, which the run searches rely on.
+		// ascending order too, which the run searches rely on; IndexRuns
+		// searches by file offset, so offsets must ascend in that order.
 		for i, r := range runs {
 			if r.startLin < 0 || r.count <= 0 || r.count > space.Size()-r.startLin {
 				return nil, fmt.Errorf("sdf: dataset %q: packed run outside the dataset", m.Name)
 			}
+			if r.count > math.MaxInt64/ds.elem || !inRegion(r.off, r.count*ds.elem) {
+				return nil, fmt.Errorf("sdf: dataset %q: packed run outside the data region", m.Name)
+			}
 			if i > 0 && r.startLin < runs[i-1].startLin+runs[i-1].count {
 				return nil, fmt.Errorf("sdf: dataset %q: overlapping packed runs", m.Name)
+			}
+			if i > 0 && r.off < runs[i-1].off+runs[i-1].count*ds.elem {
+				return nil, fmt.Errorf("sdf: dataset %q: packed runs out of file order", m.Name)
 			}
 		}
 		ds.packed = &packedIndex{runs: runs, elem: ds.elem}

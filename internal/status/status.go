@@ -4,7 +4,7 @@
 // recorded. `cmd/kondo -status-addr` mounts it
 // next to a campaign and feeds it through fuzz.Config.OnCoverage; the
 // daemon's shared observability endpoints (obs.Endpoints: /metrics,
-// /healthz, /buildz, /tracez, /sloz) serve beside it (DESIGN.md §9).
+// /healthz, /buildz, /tracez) serve beside it (DESIGN.md §9).
 package status
 
 import (

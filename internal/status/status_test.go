@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fuzz"
 	"repro/internal/obs"
@@ -244,63 +243,5 @@ func TestMetricsAndHealthz(t *testing.T) {
 	}
 	if snap := getSnapshot(t, ts); snap.Campaign.Program != "ARD" {
 		t.Fatalf("/statusz behind the shared endpoints = %+v", snap.Campaign)
-	}
-}
-
-// TestSlozWithoutSourceIs404: no campaign daemon runs an SLO engine,
-// so its /sloz answers 404.
-func TestSlozWithoutSourceIs404(t *testing.T) {
-	_, ts := daemonSurface(t, newTestServer(), obs.NewRegistry())
-
-	resp, err := http.Get(ts.URL + "/sloz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/sloz without a source = %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestSlozServesLiveReport: an engine attached to the shared endpoints
-// answers on the campaign daemon's mux.
-func TestSlozServesLiveReport(t *testing.T) {
-	reg := obs.NewRegistry()
-	requests := reg.Counter("test_requests_total")
-	latency := reg.Histogram("test_latency_seconds", []float64{0.01, 0.1, 1})
-	slo := obs.NewSLO(time.Minute, obs.SLOObjective{
-		Name:         "chunk",
-		LatencyBound: time.Second,
-		Target:       0.99,
-		Source: obs.SLOSource{
-			Requests: requests.Value,
-			Errors:   func() int64 { return 0 },
-			Latency:  latency,
-		},
-	})
-	ep, ts := daemonSurface(t, newTestServer(), reg)
-	ep.SetSLO(slo)
-
-	requests.Inc()
-	latency.Observe(0.001)
-
-	resp, err := http.Get(ts.URL + "/sloz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/sloz = %d, want 200", resp.StatusCode)
-	}
-	var rep obs.SLOReport
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	obj := rep.Objective("chunk")
-	if obj.Requests != 1 {
-		t.Fatalf("window requests = %d, want the live count 1", obj.Requests)
-	}
-	if rep.Exhausted() {
-		t.Fatalf("healthy report exhausted: %+v", rep)
 	}
 }

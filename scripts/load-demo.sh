@@ -7,16 +7,13 @@
 #      request, kondo-serve records child spans under it, and the
 #      harness pulls /tracez and writes ONE Chrome trace spanning both
 #      processes, which `kondo-viz -check-trace -min-pids 2` verifies;
-#   2. SLO — the origin runs an error-budget SLO over its chunk
-#      endpoint and the load run soak-polls /sloz, failing if the
-#      budget is ever exhausted;
-#   3. surface — the origin answers the shared observability
+#   2. surface — the origin answers the shared observability
 #      endpoints: /healthz ok, /buildz JSON, /metrics with
 #      kondo_build_info;
-#   4. drain — SIGTERM flips the origin's /healthz to 503 before it
+#   3. drain — SIGTERM flips the origin's /healthz to 503 before it
 #      stops accepting work (polled during the -drain-delay window), so
 #      balancers drain it gracefully;
-#   5. gate — the committed BENCH_serve.json baseline still passes
+#   4. gate — the committed BENCH_serve.json baseline still passes
 #      `kondo-bench -exp serve -check`.
 #
 # Open the trace in https://ui.perfetto.dev: the kondo-load lane shows
@@ -48,11 +45,10 @@ go build -o "$workdir/kondo-viz" ./cmd/kondo-viz
 echo "load-demo: materializing a 128x128 origin (16x16 chunks)"
 "$workdir/sdfgen" -out "$workdir/origin.sdf" -dims 128x128 -dtype float64 -chunk 16x16
 
-echo "load-demo: starting kondo-serve with tracing and a chunk SLO"
+echo "load-demo: starting kondo-serve with tracing"
 "$workdir/kondo-serve" -origin "$workdir/origin.sdf" \
     -addr 127.0.0.1:0 -addr-file "$workdir/serve.addr" \
-    -trace -slo-endpoints chunk -slo-latency 100ms -slo-target 0.99 \
-    -drain-delay 1s -log-level warn &
+    -trace -drain-delay 1s -log-level warn &
 serve_pid=$!
 
 # Wait for the origin to publish its ephemeral address.
@@ -85,10 +81,9 @@ check_surface() {
 echo "load-demo: scraping kondo-serve's /healthz, /buildz and /metrics"
 check_surface "http://$addr" kondo-serve
 
-echo "load-demo: closed-loop run, $REQUESTS requests x $CONCURRENCY workers, soak-polling /sloz"
+echo "load-demo: closed-loop run, $REQUESTS requests x $CONCURRENCY workers"
 "$workdir/kondo-load" -url "http://$addr" \
     -requests "$REQUESTS" -concurrency "$CONCURRENCY" -seed "$SEED" \
-    -soak-interval 250ms \
     -trace-out "$workdir/load-trace.json" -json "$workdir/load-result.json" \
     -log-level warn
 
@@ -118,4 +113,4 @@ serve_pid=""
 echo "load-demo: checking the committed BENCH_serve.json baseline"
 go run ./cmd/kondo-bench -exp serve -quick -check .
 
-echo "load-demo: OK — one trace file spans kondo-load and kondo-serve, budget intact"
+echo "load-demo: OK — one trace file spans kondo-load and kondo-serve"
