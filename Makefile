@@ -27,14 +27,18 @@ race:
 # chunk table; a panic, a read outside a dataset's data region, or an
 # element whose first byte does not resolve back to it fails it),
 # FuzzReadLog (audit event logs; a panic, a replayed range
-# that is empty or negative, or a re-encoding mismatch fails it) and
-# FuzzManifest (debloat manifests with their Merkle section; a panic
-# fails it). go test fuzzes one target per run.
+# that is empty or negative, or a re-encoding mismatch fails it),
+# FuzzManifest (debloat manifests with their Merkle section),
+# FuzzInclusionIndex (the inclusion-provenance index `kondo explain`
+# reads) and FuzzParseSpec (container specifications); a panic fails
+# each of the last three. go test fuzzes one target per run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkFrame$$' -fuzztime 10s -parallel 2 ./internal/dataserve
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -parallel 2 ./internal/sdf
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLog$$' -fuzztime 10s -parallel 2 ./internal/ioevent
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 10s -parallel 2 ./internal/debloat
+	$(GO) test -run '^$$' -fuzz '^FuzzInclusionIndex$$' -fuzztime 10s -parallel 2 ./internal/prov
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s -parallel 2 ./internal/container
 
 # lint-prints rejects unconditional printing from library packages:
 # everything under internal/ must route diagnostics through

@@ -308,38 +308,32 @@ func BenchmarkAuditOverhead(b *testing.B) {
 	p := workload.MustPRL(128, 128)
 	v := []float64{100, 100}
 
-	b.Run("untraced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f, err := sdf.Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ds, _ := f.Dataset("data")
-			if err := p.Run(v, &workload.Env{Acc: workload.NewFileAccessor(ds)}); err != nil {
-				b.Fatal(err)
-			}
-			f.Close()
+	run := func(ds *sdf.Dataset) error {
+		return p.Run(v, &workload.Env{Acc: workload.NewFileAccessor(ds)})
+	}
+	// ns/op also counts the traced side's resolution; window-ns/op is
+	// the open→run→close window the §V-D6 overhead compares.
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
 		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			store := ioevent.NewStore()
-			tr := trace.NewTracer(store)
-			tf, err := tr.Open(tr.NewProcess(), path)
-			if err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			var window time.Duration
+			for i := 0; i < b.N; i++ {
+				var tr *trace.Tracer
+				if traced {
+					tr = trace.NewTracer(ioevent.NewStore())
+				}
+				res, err := trace.Audit(context.Background(), tr, path, "data", run)
+				if err != nil {
+					b.Fatal(err)
+				}
+				window += res.Elapsed
 			}
-			f, err := sdf.OpenFrom(tf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ds, _ := f.Dataset("data")
-			if err := p.Run(v, &workload.Env{Acc: workload.NewFileAccessor(ds)}); err != nil {
-				b.Fatal(err)
-			}
-			f.Close()
-		}
-	})
+			b.ReportMetric(float64(window.Nanoseconds())/float64(b.N), "window-ns/op")
+		})
+	}
 }
 
 // --- Ablation: boundary-based EE vs plain EE (Fig. 4's point) ---
@@ -396,11 +390,11 @@ func BenchmarkAblationCarver(b *testing.B) {
 	b.Run("bottomUpMerge", func(b *testing.B) {
 		var prec float64
 		for i := 0; i < b.N; i++ {
-			hulls, err := carve.Carve(obs.Indices, carve.DefaultConfig())
+			hulls, _, err := carve.CarveStats(context.Background(), obs.Indices, carve.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
-			approx, err := carve.Rasterize(hulls, p.Space())
+			approx, _, err := carve.RasterizeStats(context.Background(), hulls, p.Space(), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -415,7 +409,7 @@ func BenchmarkAblationCarver(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			approx, err := h.Rasterize(p.Space())
+			approx, err := h.RasterizeContext(context.Background(), p.Space())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -543,7 +537,7 @@ func BenchmarkCarve(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := carve.Carve(obs.Indices, carve.DefaultConfig()); err != nil {
+		if _, _, err := carve.CarveStats(context.Background(), obs.Indices, carve.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -580,7 +574,7 @@ func BenchmarkCarveEngine(b *testing.B) {
 	set := carveBenchField(b, 800)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := carve.Carve(set, carve.DefaultConfig()); err != nil {
+		if _, _, err := carve.CarveStats(context.Background(), set, carve.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -713,13 +707,13 @@ func BenchmarkRecoveryThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("cached", func(b *testing.B) {
-		fetcher := dataserve.NewFetcher(ts.URL, nil)
+		fetcher := dataserve.NewFetcherConfig(ts.URL, nil, dataserve.FetcherConfig{})
 		var misses int64
 		var vals []float64
 		b.ResetTimer()
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			rt := debloat.NewRuntime(ds, fetcher)
+			rt := debloat.NewRuntimeContext(context.Background(), ds, fetcher)
 			got, err := rt.ReadSlab([]int{0, 0, 20}, []int{16, 8, 1})
 			if err != nil {
 				b.Fatal(err)
@@ -747,7 +741,7 @@ func BenchmarkRecoveryThroughput(b *testing.B) {
 	// context. Compare elems/s against "cached" above — with tracing
 	// only on the miss path, the gap must stay within noise (≤2%).
 	b.Run("cached+traced", func(b *testing.B) {
-		fetcher := dataserve.NewFetcher(ts.URL, nil)
+		fetcher := dataserve.NewFetcherConfig(ts.URL, nil, dataserve.FetcherConfig{})
 		tr := kobs.NewTrace()
 		reg := kobs.NewRegistry()
 		fetcher.Register(reg)

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/array"
 	"repro/internal/atomicfile"
 	"repro/internal/ioevent"
 	"repro/internal/obs"
@@ -67,7 +68,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: kondo-audit -replay <log> -data <file>")
 			os.Exit(2)
 		}
-		err := runReplay(ctx, *replay, *data, *dataset, *ranges)
+		err := runReplay(*replay, *data, *dataset, *ranges)
 		writeTrace()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kondo-audit:", err)
@@ -90,9 +91,7 @@ func main() {
 // runReplay loads a recorded event log and resolves its ranges against
 // the data file's metadata — the decoupled analysis path the paper's
 // "data store" of system-call arguments enables.
-func runReplay(ctx context.Context, logPath, data, dataset string, printRanges bool) error {
-	sp := obs.Start(ctx, "audit.replay").Arg("log", logPath)
-	defer sp.End()
+func runReplay(logPath, data, dataset string, printRanges bool) error {
 	lf, err := os.Open(logPath)
 	if err != nil {
 		return err
@@ -112,24 +111,13 @@ func runReplay(ctx context.Context, logPath, data, dataset string, printRanges b
 	if err != nil {
 		return err
 	}
-	fileName := filepath.Base(data)
-	merged := store.FileRanges(fileName)
-	indices, err := trace.ResolveIndices(ds, merged)
+	ranges := store.FileRanges(filepath.Base(data))
+	indices, err := trace.ResolveIndices(ds, ranges)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("replayed:      %d events from %s\n", store.Events(), logPath)
-	var covered int64
-	for _, r := range merged {
-		covered += r.Len()
-	}
-	fmt.Printf("byte ranges:   %d merged ranges covering %d bytes\n", len(merged), covered)
-	fmt.Printf("index subset:  %d of %d indices\n", indices.Len(), ds.Space().Size())
-	if printRanges {
-		for _, r := range merged {
-			fmt.Printf("  [%d, %d)\n", r.Start, r.End)
-		}
-	}
+	report(ranges, indices, "", printRanges)
 	return nil
 }
 
@@ -139,23 +127,6 @@ func run(ctx context.Context, data, dataset, program, paramArg string, printRang
 		return err
 	}
 
-	// Open untraced once to size the program.
-	plain, err := sdf.Open(data)
-	if err != nil {
-		return err
-	}
-	ds, err := plain.Dataset(dataset)
-	if err != nil {
-		plain.Close()
-		return err
-	}
-	p, err := workload.ForSpace(program, ds.Space().Dims())
-	plain.Close()
-	if err != nil {
-		return err
-	}
-
-	// Audited run.
 	store := ioevent.NewStore()
 	tr := trace.NewTracer(store)
 	// The log is built in memory (about 30 bytes per event) and written
@@ -166,56 +137,25 @@ func run(ctx context.Context, data, dataset, program, paramArg string, printRang
 		logWriter = ioevent.NewLogWriter(&logBuf)
 		tr.TeeLog(logWriter)
 	}
-	tf, err := tr.Open(tr.NewProcess(), data)
+	// The program is sized to the dataset it runs over.
+	var p workload.Program
+	res, err := trace.Audit(ctx, tr, data, dataset, func(ds *sdf.Dataset) error {
+		var err error
+		if p, err = workload.ForSpace(program, ds.Space().Dims()); err != nil {
+			return err
+		}
+		return p.Run(v, &workload.Env{Acc: workload.NewFileAccessor(ds)})
+	})
 	if err != nil {
 		return err
 	}
-	af, err := sdf.OpenFrom(tf)
-	if err != nil {
-		tf.Close()
-		return err
-	}
-	ads, err := af.Dataset(dataset)
-	if err != nil {
-		af.Close()
-		return err
-	}
-	env := &workload.Env{Acc: workload.NewFileAccessor(ads)}
-	sp := obs.Start(ctx, "audit.run").Arg("program", p.Name())
-	if err := p.Run(v, env); err != nil {
-		sp.End()
-		af.Close()
-		return err
-	}
-	sp.End()
-
-	fileName := filepath.Base(data)
-	rsp := obs.Start(ctx, "audit.resolve")
-	merged := store.FileRanges(fileName)
-	indices, err := trace.AccessedIndices(store, fileName, ads)
-	rsp.End()
-	if err != nil {
-		af.Close()
-		return err
-	}
-	af.Close()
 
 	fmt.Printf("program:       %s, parameters %v\n", p.Name(), v)
 	fmt.Printf("events:        %d system-call events\n", store.Events())
 	if w := store.Writes(); len(w) > 0 {
 		fmt.Printf("WARNING:       %d write events (data array is not read-only!)\n", len(w))
 	}
-	var covered int64
-	for _, r := range merged {
-		covered += r.Len()
-	}
-	fmt.Printf("byte ranges:   %d merged ranges covering %d bytes\n", len(merged), covered)
-	fmt.Printf("index subset:  %d of %d indices (I_v)\n", indices.Len(), ads.Space().Size())
-	if printRanges {
-		for _, r := range merged {
-			fmt.Printf("  [%d, %d)\n", r.Start, r.End)
-		}
-	}
+	report(res.Ranges, res.Indices, " (I_v)", printRanges)
 	if logWriter != nil {
 		if err := logWriter.Flush(); err != nil {
 			return err
@@ -236,6 +176,22 @@ func run(ctx context.Context, data, dataset, program, paramArg string, printRang
 		fmt.Printf("provenance:    %s (%d vertices)\n", dotPath, len(g.Vertices()))
 	}
 	return nil
+}
+
+// report prints the merged byte ranges an audit or a replay observed
+// and the index subset they resolve to, then, if asked, every range.
+func report(ranges []ioevent.Interval, indices *array.IndexSet, subsetNote string, printRanges bool) {
+	var covered int64
+	for _, r := range ranges {
+		covered += r.Len()
+	}
+	fmt.Printf("byte ranges:   %d merged ranges covering %d bytes\n", len(ranges), covered)
+	fmt.Printf("index subset:  %d of %d indices%s\n", indices.Len(), indices.Space().Size(), subsetNote)
+	if printRanges {
+		for _, r := range ranges {
+			fmt.Printf("  [%d, %d)\n", r.Start, r.End)
+		}
+	}
 }
 
 func parseParams(s string) ([]float64, error) {

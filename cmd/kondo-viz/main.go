@@ -264,7 +264,7 @@ func run(out string, size, budget int, seed int64) error {
 
 		// Fig. 6-style: observations + carved hulls (boundary run).
 		if boundary {
-			hulls, err := carve.Carve(res.Indices, carve.DefaultConfig())
+			hulls, _, err := carve.CarveStats(context.Background(), res.Indices, carve.DefaultConfig())
 			if err != nil {
 				return err
 			}

@@ -52,7 +52,7 @@ func main() {
 	}
 	var (
 		program  = flag.String("program", "", "benchmark program name (CS1..CS5, PRL2D/3D, LDC2D/3D, RDC2D/3D, ARD, MSI)")
-		budget   = flag.Int("budget", 2000, "debloat-test budget (number of audited executions)")
+		budget   = flag.Int("budget", 2000, "debloat-test budget (number of virtual debloat tests)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		workers  = flag.Int("workers", 0, "fuzz worker-pool size (0 = one per CPU); results are identical at any value")
 		timeout  = flag.Duration("timeout", 0, "overall deadline for the run (0 = none), e.g. 30s or 5m")

@@ -11,11 +11,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/ioevent"
@@ -83,49 +83,25 @@ func realAudit() {
 
 	p := workload.MustPRL(128, 128)
 	v := []float64{100, 90}
+	run := func(ds *sdf.Dataset) error {
+		return p.Run(v, &workload.Env{Acc: workload.NewFileAccessor(ds)})
+	}
 
-	// Untraced run for the overhead comparison.
-	start := time.Now()
-	plain, err := sdf.Open(path)
+	// The same run untraced, for the overhead comparison, then traced.
+	ctx := context.Background()
+	untraced, err := trace.Audit(ctx, nil, path, "data", run)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds, _ := plain.Dataset("data")
-	if err := p.Run(v, &workload.Env{Acc: workload.NewFileAccessor(ds)}); err != nil {
-		log.Fatal(err)
-	}
-	plain.Close()
-	untraced := time.Since(start)
-
-	// Traced run.
-	start = time.Now()
 	store := ioevent.NewStore()
-	tr := trace.NewTracer(store)
-	tf, err := tr.Open(tr.NewProcess(), path)
+	traced, err := trace.Audit(ctx, trace.NewTracer(store), path, "data", run)
 	if err != nil {
 		log.Fatal(err)
 	}
-	af, err := sdf.OpenFrom(tf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ads, _ := af.Dataset("data")
-	if err := p.Run(v, &workload.Env{Acc: workload.NewFileAccessor(ads)}); err != nil {
-		log.Fatal(err)
-	}
-	traced := time.Since(start)
-
-	name := filepath.Base(path)
-	ranges := store.FileRanges(name)
-	indices, err := trace.AccessedIndices(store, name, ads)
-	if err != nil {
-		log.Fatal(err)
-	}
-	af.Close()
 
 	fmt.Printf("real audit of %s(extent0=%g, extent1=%g):\n", p.Name(), v[0], v[1])
 	fmt.Printf("  %d syscall events -> %d merged byte ranges -> %d array indices\n",
-		store.Events(), len(ranges), indices.Len())
+		store.Events(), len(traced.Ranges), traced.Indices.Len())
 	fmt.Printf("  untraced %v, traced %v (overhead %.1f%%; paper §V-D6 reports ~31%% average)\n",
-		untraced, traced, 100*float64(traced-untraced)/float64(untraced))
+		untraced.Elapsed, traced.Elapsed, 100*float64(traced.Elapsed-untraced.Elapsed)/float64(untraced.Elapsed))
 }

@@ -76,7 +76,7 @@ func Perf(ctx context.Context, opts Options) (*Report, error) {
 
 	// Recovery: read a sample of carved-away elements back through a
 	// fetcher over the origin file.
-	roundTrips, err := perfRecovery(deb, orig, res.Approx)
+	roundTrips, err := perfRecovery(ctx, deb, orig, res.Approx)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +124,7 @@ func Perf(ctx context.Context, opts Options) (*Report, error) {
 // file and reads up to perfRecoverySample carved-away elements,
 // returning how many of them the runtime recovered
 // (Runtime.Recovered).
-func perfRecovery(debPath, origPath string, approx *array.IndexSet) (int, error) {
+func perfRecovery(ctx context.Context, debPath, origPath string, approx *array.IndexSet) (int, error) {
 	f, err := sdf.Open(debPath)
 	if err != nil {
 		return 0, err
@@ -139,7 +139,7 @@ func perfRecovery(debPath, origPath string, approx *array.IndexSet) (int, error)
 		return 0, err
 	}
 	defer fetcher.Close()
-	rt := debloat.NewRuntime(ds, fetcher)
+	rt := debloat.NewRuntimeContext(ctx, ds, fetcher)
 	space := ds.Space()
 	read := 0
 	var readErr error

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"time"
 
@@ -102,11 +103,11 @@ func Fig6(ctx context.Context, opts Options) (*Report, error) {
 	addBlock(70, 70, 92, 92) // far from both
 
 	cells := carve.DefaultConfig()
-	hulls, err := carve.Carve(truth, cells)
+	hulls, _, err := carve.CarveStats(ctx, truth, cells)
 	if err != nil {
 		return nil, err
 	}
-	merged, err := carve.Rasterize(hulls, space)
+	merged, _, err := carve.RasterizeStats(ctx, hulls, space, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +115,7 @@ func Fig6(ctx context.Context, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	singleRaster, err := single.Rasterize(space)
+	singleRaster, err := single.RasterizeContext(ctx, space)
 	if err != nil {
 		return nil, err
 	}
@@ -280,9 +281,10 @@ func Missed(ctx context.Context, opts Options) (*Report, error) {
 // layer, over growing file sizes.
 func Audit(ctx context.Context, opts Options) (*Report, error) {
 	rep := &Report{
-		Columns: []string{"program", "array", "events", "untraced", "traced", "overhead"},
+		Columns: []string{"program", "array", "events", "untraced", "traced", "overhead", "q1–q3"},
 		Notes: []string{
-			"overhead = (traced − untraced) / untraced wall time over the same reads",
+			"overhead = (traced − untraced) / untraced wall time of the open→run→close window over the same reads",
+			fmt.Sprintf("median and q1–q3 over %d alternating untraced/traced repeats", auditReps),
 			"paper reports ~31% average; I/O-intensive programs sit higher",
 		},
 	}
@@ -308,14 +310,15 @@ func Audit(ctx context.Context, opts Options) (*Report, error) {
 			if err := writeDataFile(path, p.Space()); err != nil {
 				return nil, err
 			}
-			events, untraced, traced, overhead, err := auditOnce(p, path, opts)
+			a, err := auditOnce(ctx, p, path)
 			if err != nil {
 				return nil, err
 			}
-			overheads = append(overheads, overhead)
+			overheads = append(overheads, a.ratios[len(a.ratios)/2])
 			rep.Rows = append(rep.Rows, []string{
-				p.Name(), p.Space().String(), fmt.Sprint(events),
-				fmtDur(untraced), fmtDur(traced), fmtPct(overhead),
+				p.Name(), p.Space().String(), fmt.Sprint(a.events),
+				fmtDur(a.untraced), fmtDur(a.traced), fmtPct(a.ratios[len(a.ratios)/2]),
+				fmtPct(a.ratios[len(a.ratios)/4]) + "–" + fmtPct(a.ratios[3*len(a.ratios)/4]),
 			})
 		}
 	}
@@ -343,12 +346,25 @@ func writeDataFile(path string, space array.Space) error {
 	return w.Close()
 }
 
+// auditReps is how many untraced/traced pairs auditOnce times. Over
+// four quick runs at 31, the average of the per-program medians moved
+// by under 1.5 points; at 11 repeats it moved by 9.
+const auditReps = 31
+
+// auditRuns is one program's audit overhead measurement.
+type auditRuns struct {
+	events           int64
+	untraced, traced time.Duration // medians
+	ratios           []float64     // per-repeat overheads, ascending
+}
+
 // auditOnce measures the audit overhead for one program and file: the
 // same spread of parameter values runs against the file untraced and
-// traced, repeated several times. The reported overhead is the median
-// of the per-repetition traced/untraced ratios (single sub-millisecond
-// runs are too noisy to subtract).
-func auditOnce(p workload.Program, path string, opts Options) (events int64, untraced, traced time.Duration, overhead float64, err error) {
+// traced through trace.Audit, alternating, auditReps times. Each
+// repeat gives one traced/untraced ratio (single sub-millisecond runs
+// are too noisy to subtract). A collection before each window keeps
+// one side's garbage out of the other's.
+func auditOnce(ctx context.Context, p workload.Program, path string) (auditRuns, error) {
 	params := p.Params()
 	const spread = 36
 	values := make([][]float64, 0, spread)
@@ -359,9 +375,8 @@ func auditOnce(p workload.Program, path string, opts Options) (events int64, unt
 		}
 		values = append(values, v)
 	}
-
-	runAll := func(acc workload.Accessor) error {
-		env := &workload.Env{Acc: acc}
+	runAll := func(ds *sdf.Dataset) error {
+		env := &workload.Env{Acc: workload.NewFileAccessor(ds)}
 		for _, v := range values {
 			if err := p.Run(v, env); err != nil {
 				return err
@@ -370,62 +385,28 @@ func auditOnce(p workload.Program, path string, opts Options) (events int64, unt
 		return nil
 	}
 
-	reps := 5
-	if opts.Quick {
-		reps = 3
-	}
-	var untracedSamples, tracedSamples []time.Duration
-	for rep := 0; rep < reps; rep++ {
-		// Untraced.
-		start := time.Now()
-		f, err := sdf.Open(path)
+	var a auditRuns
+	var untraced, traced []time.Duration
+	for rep := 0; rep < auditReps; rep++ {
+		runtime.GC()
+		u, err := trace.Audit(ctx, nil, path, "data", runAll)
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return a, err
 		}
-		ds, err := f.Dataset("data")
-		if err != nil {
-			f.Close()
-			return 0, 0, 0, 0, err
-		}
-		if err := runAll(workload.NewFileAccessor(ds)); err != nil {
-			f.Close()
-			return 0, 0, 0, 0, err
-		}
-		f.Close()
-		untracedSamples = append(untracedSamples, time.Since(start))
-
-		// Traced.
-		start = time.Now()
 		store := ioevent.NewStore()
-		tr := trace.NewTracer(store)
-		tf, err := tr.Open(tr.NewProcess(), path)
+		runtime.GC()
+		t, err := trace.Audit(ctx, trace.NewTracer(store), path, "data", runAll)
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return a, err
 		}
-		af, err := sdf.OpenFrom(tf)
-		if err != nil {
-			tf.Close()
-			return 0, 0, 0, 0, err
-		}
-		ads, err := af.Dataset("data")
-		if err != nil {
-			af.Close()
-			return 0, 0, 0, 0, err
-		}
-		if err := runAll(workload.NewFileAccessor(ads)); err != nil {
-			af.Close()
-			return 0, 0, 0, 0, err
-		}
-		af.Close()
-		tracedSamples = append(tracedSamples, time.Since(start))
-		events = store.Events()
+		untraced = append(untraced, u.Elapsed)
+		traced = append(traced, t.Elapsed)
+		a.ratios = append(a.ratios, float64(t.Elapsed-u.Elapsed)/float64(u.Elapsed))
+		a.events = store.Events()
 	}
-	ratios := make([]float64, len(untracedSamples))
-	for i := range untracedSamples {
-		ratios[i] = float64(tracedSamples[i]-untracedSamples[i]) / float64(untracedSamples[i])
-	}
-	sort.Float64s(ratios)
-	return events, median(untracedSamples), median(tracedSamples), ratios[len(ratios)/2], nil
+	sort.Float64s(a.ratios)
+	a.untraced, a.traced = median(untraced), median(traced)
+	return a, nil
 }
 
 // median returns the median of the samples (they are few; sort a copy).

@@ -162,24 +162,12 @@ func (s Stats) Shrinkage() float64 {
 	return float64(s.InitialHulls-s.FinalHulls) / float64(s.InitialHulls)
 }
 
-// Carve runs Alg. 2 on the observed index points IS and returns the
-// merged hull set ℍ. An empty point set carves to nil hulls with nil
-// error.
-func Carve(points *array.IndexSet, cfg Config) ([]*hull.Hull, error) {
-	return CarveContext(context.Background(), points, cfg)
-}
-
-// CarveContext is Carve with a context carrying cancellation and
-// optional observability state: when an obs trace is attached, the
-// SPLIT, per-cell hull, and merge stages emit spans.
-func CarveContext(ctx context.Context, points *array.IndexSet, cfg Config) ([]*hull.Hull, error) {
-	hulls, _, err := CarveStats(ctx, points, cfg)
-	return hulls, err
-}
-
-// CarveStats is CarveContext returning the invocation's hull-quality
-// Stats alongside the hull set. When the context carries a metrics
-// registry the stats are also published as kondo_carve_* instruments.
+// CarveStats runs Alg. 2 on the observed index points IS and returns
+// the merged hull set ℍ with the invocation's hull-quality Stats. An
+// empty point set carves to nil hulls with nil error. When the context
+// carries an obs trace, the SPLIT, per-cell hull and merge stages emit
+// spans; when it carries a metrics registry, the stats are also
+// published as kondo_carve_* instruments.
 func CarveStats(ctx context.Context, points *array.IndexSet, cfg Config) ([]*hull.Hull, Stats, error) {
 	var st Stats
 	if err := cfg.validate(); err != nil {
@@ -299,7 +287,7 @@ func publishStats(ctx context.Context, st Stats) {
 
 // SimpleConvex is the paper's SC baseline: the fuzzer's points carved
 // with a single regular convex hull (no cells, no merge thresholds).
-// Like Carve, an empty point set yields a nil hull with nil error —
+// Like CarveStats, an empty point set yields a nil hull with nil error —
 // callers must treat the nil hull as an empty approximation.
 func SimpleConvex(points *array.IndexSet) (*hull.Hull, error) {
 	if points.Len() == 0 {
@@ -479,24 +467,12 @@ func collectPoints(points *array.IndexSet) []geom.Point {
 	return toPoints(space, newLineFilter(space).extremes(lins))
 }
 
-// Rasterize converts a hull set into the approximated index subset
-// I'_Θ over the data array's space.
-func Rasterize(hulls []*hull.Hull, space array.Space) (*array.IndexSet, error) {
-	return hull.RasterizeAll(hulls, space)
-}
-
-// RasterizeContext is Rasterize with cancellation and bounded
-// parallelism: hulls are sharded across up to workers goroutines (0 or
-// negative: one per available CPU) and the per-worker index sets are
-// unioned deterministically. The result is bit-identical at any worker
-// count.
-func RasterizeContext(ctx context.Context, hulls []*hull.Hull, space array.Space, workers int) (*array.IndexSet, error) {
-	return hull.RasterizeAllContext(ctx, hulls, space, workers)
-}
-
-// RasterizeStats is RasterizeContext also returning the scanline work
-// counters (rows, point tests, emitted runs) — the deterministic
-// metrics the bench regression gate tracks.
+// RasterizeStats converts a hull set into the approximated index
+// subset I'_Θ over the data array's space, with the scanline work
+// counters (rows, point tests, emitted runs) the bench regression gate
+// tracks. Hulls are sharded across up to workers goroutines (0 or
+// negative: one per available CPU) and the result is bit-identical at
+// any worker count; a canceled context stops the walk.
 func RasterizeStats(ctx context.Context, hulls []*hull.Hull, space array.Space, workers int) (*array.IndexSet, hull.RasterStats, error) {
 	return hull.RasterizeAllStats(ctx, hulls, space, workers)
 }

@@ -1,6 +1,7 @@
 package carve
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/array"
@@ -21,7 +22,7 @@ func fill(t *testing.T, set *array.IndexSet, r0, c0, r1, c1 int) {
 
 func TestCarveEmpty(t *testing.T) {
 	set := array.NewIndexSet(array.MustSpace(32, 32))
-	hulls, err := Carve(set, DefaultConfig())
+	hulls, _, err := CarveStats(context.Background(), set, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +34,10 @@ func TestCarveEmpty(t *testing.T) {
 func TestCarveConfigValidation(t *testing.T) {
 	set := array.NewIndexSet(array.MustSpace(8, 8))
 	set.AddLinear(0)
-	if _, err := Carve(set, Config{CellSize: 0}); err == nil {
+	if _, _, err := CarveStats(context.Background(), set, Config{CellSize: 0}); err == nil {
 		t.Error("zero cell size should error")
 	}
-	if _, err := Carve(set, Config{CellSize: 4, CenterDistThresh: -1}); err == nil {
+	if _, _, err := CarveStats(context.Background(), set, Config{CellSize: 4, CenterDistThresh: -1}); err == nil {
 		t.Error("negative threshold should error")
 	}
 }
@@ -45,14 +46,14 @@ func TestCarveSingleDenseRegion(t *testing.T) {
 	space := array.MustSpace(64, 64)
 	set := array.NewIndexSet(space)
 	fill(t, set, 0, 0, 30, 30)
-	hulls, err := Carve(set, DefaultConfig())
+	hulls, _, err := CarveStats(context.Background(), set, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hulls) != 1 {
 		t.Fatalf("dense region carved into %d hulls, want 1", len(hulls))
 	}
-	raster, err := Rasterize(hulls, space)
+	raster, _, err := RasterizeStats(context.Background(), hulls, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +70,14 @@ func TestCarveKeepsDistantRegionsSeparate(t *testing.T) {
 	set := array.NewIndexSet(space)
 	fill(t, set, 0, 0, 7, 7)
 	fill(t, set, 120, 120, 127, 127)
-	hulls, err := Carve(set, DefaultConfig())
+	hulls, _, err := CarveStats(context.Background(), set, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hulls) != 2 {
 		t.Fatalf("distant regions carved into %d hulls, want 2", len(hulls))
 	}
-	raster, err := Rasterize(hulls, space)
+	raster, _, err := RasterizeStats(context.Background(), hulls, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +96,14 @@ func TestCarveMergesNearbyRegions(t *testing.T) {
 	set := array.NewIndexSet(space)
 	fill(t, set, 0, 0, 7, 7)
 	fill(t, set, 0, 12, 7, 19)
-	hulls, err := Carve(set, DefaultConfig())
+	hulls, _, err := CarveStats(context.Background(), set, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hulls) != 1 {
 		t.Fatalf("nearby regions carved into %d hulls, want 1", len(hulls))
 	}
-	raster, err := Rasterize(hulls, space)
+	raster, _, err := RasterizeStats(context.Background(), hulls, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +122,14 @@ func TestCarve3D(t *testing.T) {
 			}
 		}
 	}
-	hulls, err := Carve(set, Config{CellSize: 8, CenterDistThresh: 20, BoundaryDistThresh: 10})
+	hulls, _, err := CarveStats(context.Background(), set, Config{CellSize: 8, CenterDistThresh: 20, BoundaryDistThresh: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hulls) != 1 {
 		t.Fatalf("3D block carved into %d hulls", len(hulls))
 	}
-	raster, err := Rasterize(hulls, space)
+	raster, _, err := RasterizeStats(context.Background(), hulls, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestEmptyInputContract(t *testing.T) {
 	// yields nothing — nil result, nil error (documented contract).
 	space := array.MustSpace(64, 64)
 	empty := array.NewIndexSet(space)
-	hulls, err := Carve(empty, DefaultConfig())
+	hulls, _, err := CarveStats(context.Background(), empty, DefaultConfig())
 	if err != nil || hulls != nil {
 		t.Errorf("Carve(empty) = %v, %v; want nil, nil", hulls, err)
 	}
@@ -183,11 +184,11 @@ func TestCarveRecallInvariant(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		set.AddLinear(int64((i * 37) % (48 * 48)))
 	}
-	hulls, err := Carve(set, DefaultConfig())
+	hulls, _, err := CarveStats(context.Background(), set, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	raster, err := Rasterize(hulls, space)
+	raster, _, err := RasterizeStats(context.Background(), hulls, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestCloseModeAblation(t *testing.T) {
 	fill(t, set, 0, 22, 15, 37)
 
 	either := DefaultConfig()
-	hulls, err := Carve(set, either)
+	hulls, _, err := CarveStats(context.Background(), set, either)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestCloseModeAblation(t *testing.T) {
 	// Block 2's two cell hulls (centers 8 apart) still merge, but the
 	// two blocks (centers ~22 apart) no longer do.
 	both.CenterDistThresh = 10
-	hulls, err = Carve(set, both)
+	hulls, _, err = CarveStats(context.Background(), set, both)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,7 +250,7 @@ func TestCarveTraceShowsFilter(t *testing.T) {
 		}
 	}
 	tr := obs.NewTrace()
-	if _, err := CarveContext(obs.WithTrace(context.Background(), tr), set, DefaultConfig()); err != nil {
+	if _, _, err := CarveStats(obs.WithTrace(context.Background(), tr), set, DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

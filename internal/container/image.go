@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/array"
+	"repro/internal/atomicfile"
 	"repro/internal/debloat"
 )
 
@@ -147,19 +148,16 @@ func (img *Image) DebloatData(newRoot, imageDataPath, dataset string, approx *ar
 	return &Image{Spec: img.Spec, Root: newRoot}, stats, nil
 }
 
+// copyFile replaces dst with a copy of src through atomicfile, so a
+// copy that fails partway leaves no partial dst.
 func copyFile(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
+	return atomicfile.Write(dst, 0o666, func(out *os.File) error {
+		_, err := io.Copy(out, in)
 		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
+	})
 }

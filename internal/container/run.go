@@ -1,6 +1,7 @@
 package container
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/debloat"
@@ -46,7 +47,7 @@ func (img *Image) Run(v []float64, dataset string, fetcher debloat.Fetcher) (*Ru
 		return nil, fmt.Errorf("container: resolving entrypoint: %w", err)
 	}
 
-	rt := debloat.NewRuntime(ds, fetcher)
+	rt := debloat.NewRuntimeContext(context.TODO(), ds, fetcher)
 	if err := prog.Run(v, &workload.Env{Acc: rt}); err != nil {
 		return &RunReport{Misses: rt.Misses()}, err
 	}

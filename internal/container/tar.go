@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/atomicfile"
 )
 
 // Image distribution: a built image exports to a tar stream (the unit
@@ -51,8 +53,9 @@ func (img *Image) ExportTar(w io.Writer) error {
 }
 
 // ImportTar materializes a tar stream produced by ExportTar under
-// root and returns the image. spec is attached as the image's
-// specification (tar archives carry only files).
+// root and returns the image. Each file is replaced atomically, so a
+// truncated stream leaves no partial file. spec is attached as the
+// image's specification (tar archives carry only files).
 func ImportTar(r io.Reader, spec *Spec, root string) (*Image, error) {
 	tr := tar.NewReader(r)
 	for {
@@ -73,15 +76,12 @@ func ImportTar(r io.Reader, spec *Spec, root string) (*Image, error) {
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			return nil, err
 		}
-		out, err := os.Create(dst)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := io.Copy(out, tr); err != nil { //nolint:gosec // sizes bounded by archive
-			out.Close()
-			return nil, fmt.Errorf("container: extracting %s: %w", hdr.Name, err)
-		}
-		if err := out.Close(); err != nil {
+		if err := atomicfile.Write(dst, 0o666, func(out *os.File) error {
+			if _, err := io.Copy(out, tr); err != nil { //nolint:gosec // sizes bounded by archive
+				return fmt.Errorf("container: extracting %s: %w", hdr.Name, err)
+			}
+			return nil
+		}); err != nil {
 			return nil, err
 		}
 	}

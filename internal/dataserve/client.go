@@ -118,12 +118,12 @@ type dsGeom struct {
 }
 
 // Fetcher recovers carved-away elements from a dataserve origin,
-// remote (NewFetcher) or a local file (NewLocalFetcher). It implements
-// debloat.Fetcher: one miss pulls the whole containing serving chunk
-// over a single round trip, caches it in a byte-bounded LRU, and
-// serves neighboring misses from memory. Concurrent misses on one
-// chunk collapse onto a single HTTP request. It is safe for concurrent
-// use.
+// remote (NewFetcherConfig) or a local file (NewLocalFetcher). It
+// implements debloat.Fetcher: one miss pulls the whole containing
+// serving chunk over a single round trip, caches it in a byte-bounded
+// LRU, and serves neighboring misses from memory. Concurrent misses on
+// one chunk collapse onto a single HTTP request. It is safe for
+// concurrent use.
 type Fetcher struct {
 	baseURL string
 	http    *http.Client
@@ -151,15 +151,10 @@ type Fetcher struct {
 	verifyOK, verifyFailed          atomic.Int64
 }
 
-// NewFetcher returns a fetcher against the origin's base URL (e.g.
-// "http://127.0.0.1:8080") with default configuration. A nil
-// httpClient gets a dedicated client whose per-request timeout is
-// enforced through contexts.
-func NewFetcher(baseURL string, httpClient *http.Client) *Fetcher {
-	return NewFetcherConfig(baseURL, httpClient, FetcherConfig{})
-}
-
-// NewFetcherConfig returns a fetcher with explicit configuration.
+// NewFetcherConfig returns a fetcher against the origin's base URL
+// (e.g. "http://127.0.0.1:8080"); zero fields of cfg take their
+// defaults. A nil httpClient gets a dedicated client whose per-request
+// timeout is enforced through contexts.
 func NewFetcherConfig(baseURL string, httpClient *http.Client, cfg FetcherConfig) *Fetcher {
 	if httpClient == nil {
 		httpClient = &http.Client{}
@@ -189,7 +184,7 @@ func NewLocalFetcher(originPath string) (*Fetcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := NewFetcher("http://origin", &http.Client{Transport: inProcess{srv.Handler()}})
+	f := NewFetcherConfig("http://origin", &http.Client{Transport: inProcess{srv.Handler()}}, FetcherConfig{})
 	f.local = srv
 	return f, nil
 }

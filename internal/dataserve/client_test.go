@@ -30,7 +30,7 @@ var fastRetry = FetcherConfig{
 func TestFetcherValuesAndCache(t *testing.T) {
 	space := array.MustSpace(32, 32)
 	srv, ts := startServer(t, space, []int{8, 8})
-	f := NewFetcher(ts.URL, nil)
+	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 
 	// Read every element of chunk (1,2): rows 8..15, cols 16..23.
 	for r := 8; r < 16; r++ {
@@ -82,7 +82,7 @@ func TestFetcherSingleflight(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	f := NewFetcher(ts.URL, nil)
+	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 	// Warm the meta so the measured round trips are chunk-only.
 	if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(15, 15)); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestFetcherCancellationMidFetch(t *testing.T) {
 	defer ts.Close()
 	defer close(block)
 
-	f := NewFetcher(ts.URL, nil) // default (long) timeouts: cancellation must cut through
+	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{}) // default (long) timeouts: cancellation must cut through
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -397,8 +397,8 @@ func TestRuntimeRecoversThroughCachedFetcher(t *testing.T) {
 	}
 	defer f.Close()
 	ds, _ := f.Dataset("data")
-	fetcher := NewFetcher(ts.URL, nil)
-	rt := debloat.NewRuntime(ds, fetcher)
+	fetcher := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
+	rt := debloat.NewRuntimeContext(context.Background(), ds, fetcher)
 
 	of, err := sdf.Open(origin)
 	if err != nil {
@@ -468,8 +468,8 @@ func TestARDRecoveryRoundTripReduction(t *testing.T) {
 	}
 	defer f.Close()
 	ds, _ := f.Dataset("data")
-	cached := NewFetcher(ts.URL, nil)
-	rt := debloat.NewRuntime(ds, cached)
+	cached := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
+	rt := debloat.NewRuntimeContext(context.Background(), ds, cached)
 	// height=16, width=8 at time plane 20: fully carved away.
 	start, count := []int{0, 0, 20}, []int{16, 8, 1}
 	vals, err := rt.ReadSlab(start, count)
@@ -513,7 +513,7 @@ func TestARDRecoveryRoundTripReduction(t *testing.T) {
 func TestFetcherConcurrentMixed(t *testing.T) {
 	space := array.MustSpace(64, 64)
 	_, ts := startServer(t, space, []int{16, 16})
-	f := NewFetcher(ts.URL, nil)
+	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)

@@ -290,7 +290,7 @@ func TestDebloatedOriginAnswersGone(t *testing.T) {
 		t.Fatalf("carved chunk = %d, want 410", resp.StatusCode)
 	}
 
-	f := NewFetcher(ts.URL, nil)
+	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 	_, err = f.FetchContext(context.Background(), "data", array.NewIndex(15, 15))
 	if !errors.Is(err, sdf.ErrDataMissing) {
 		t.Errorf("carved fetch error = %v, want ErrDataMissing", err)

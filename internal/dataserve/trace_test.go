@@ -104,7 +104,7 @@ func TestTracePropagationStitches(t *testing.T) {
 
 	clientTr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), clientTr)
-	f := NewFetcher(ts.URL, nil)
+	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 	v, err := f.FetchContext(ctx, "data", array.Index{3, 4})
 	if err != nil {
 		t.Fatal(err)

@@ -125,11 +125,11 @@ func TestVerifiedFetchEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	verified := NewFetcher(ts.URL, nil)
+	verified := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 	if err := verified.SetVerify("data", originSpec(t, path, "data")); err != nil {
 		t.Fatal(err)
 	}
-	plain := NewFetcher(ts.URL, nil)
+	plain := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 
 	for r := 0; r < 32; r++ {
 		for c := 0; c < 32; c++ {
@@ -440,7 +440,7 @@ func TestVerifiedFetchDetectsTamperAfterTreeBuild(t *testing.T) {
 	spec := originSpec(t, path, "data")
 
 	// Warm run: builds and memoizes the server's tree.
-	f := NewFetcher(ts.URL, nil)
+	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 	if err := f.SetVerify("data", spec); err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestGeomSingleflight(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	f := NewFetcher(ts.URL, nil)
+	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{})
 	const workers = 16
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

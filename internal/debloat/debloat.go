@@ -64,23 +64,12 @@ func WriteSubset(srcPath, dstPath, dataset string, approx *array.IndexSet, chunk
 	}
 
 	// Which chunks hold approved indices? Each run is walked one
-	// chunk-wide stretch of a row at a time, through one reused index.
+	// chunk-wide stretch of a row at a time; the callback cannot fail.
 	keep := make(map[int64]bool)
-	ix := make(array.Index, space.Rank())
-	last := len(ix) - 1
-	approx.EachRun(func(lo, hi int64) bool {
-		for lin := lo; lin <= hi; {
-			rem := lin
-			for k := last; k >= 0; k-- {
-				d := int64(space.Dim(k))
-				ix[k] = int(rem % d)
-				rem /= d
-			}
-			chunkLin, _, _ := cl.Locate(ix) // ix lies in space by construction
-			keep[chunkLin] = true
-			lin += int64(min(chunk[last]-ix[last]%chunk[last], space.Dim(last)-ix[last]))
-		}
-		return true
+	_ = eachStretch(space, approx, chunk[len(chunk)-1], func(ix array.Index, _ int) error {
+		chunkLin, _, _ := cl.Locate(ix) // ix lies in space by construction
+		keep[chunkLin] = true
+		return nil
 	})
 
 	w := sdf.NewWriter(dstPath)
@@ -135,6 +124,31 @@ func WriteSubset(srcPath, dstPath, dataset string, approx *array.IndexSet, chunk
 		KeptIndices:    approx.Len(),
 	}
 	return stats, nil
+}
+
+// eachStretch walks set's runs over space in stretches that stay
+// inside one row and one width-aligned block of it, calling fn with
+// each stretch's first index, reused between calls, and its length. It
+// stops at, and returns, fn's first error.
+func eachStretch(space array.Space, set *array.IndexSet, width int, fn func(ix array.Index, n int) error) error {
+	ix := make(array.Index, space.Rank())
+	last := len(ix) - 1
+	var err error
+	set.EachRun(func(lo, hi int64) bool {
+		for lin := lo; lin <= hi && err == nil; {
+			rem := lin
+			for k := last; k >= 0; k-- {
+				d := int64(space.Dim(k))
+				ix[k] = int(rem % d)
+				rem /= d
+			}
+			n := min(int64(width-ix[last]%width), int64(space.Dim(last)-ix[last]), hi-lin+1)
+			err = fn(ix, int(n))
+			lin += n
+		}
+		return err == nil
+	})
+	return err
 }
 
 // copyChunk copies the logical elements of chunk cc, clipped to the

@@ -1,6 +1,7 @@
 package debloat
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -150,7 +151,7 @@ func TestRuntimeMissRaisesWithoutFetcher(t *testing.T) {
 	}
 	defer f.Close()
 	ds, _ := f.Dataset("data")
-	rt := NewRuntime(ds, nil)
+	rt := NewRuntimeContext(context.Background(), ds, nil)
 
 	if _, err := rt.ReadElement(array.NewIndex(10, 5)); err != nil {
 		t.Errorf("present element errored: %v", err)
@@ -177,7 +178,7 @@ func TestRuntimeFetcherRecovers(t *testing.T) {
 	}
 	defer f.Close()
 	ds, _ := f.Dataset("data")
-	rt := NewRuntime(ds, localFetcher(t, orig))
+	rt := NewRuntimeContext(context.Background(), ds, localFetcher(t, orig))
 
 	// A carved-away element is recovered with the right value.
 	v, err := rt.ReadElement(array.NewIndex(0, 63))
@@ -256,7 +257,7 @@ func TestRuntimeServesProgramIdentically(t *testing.T) {
 	}
 	defer df.Close()
 	dds, _ := df.Dataset("data")
-	rt := NewRuntime(dds, nil)
+	rt := NewRuntimeContext(context.Background(), dds, nil)
 
 	for _, v := range [][]float64{{1, 1}, {0, 3}, {2, 7}, {5, 5}} {
 		iv, err := workload.RunOnVirtual(p, v)

@@ -1,6 +1,7 @@
 package debloat
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,7 +86,7 @@ func TestManifestRebuildsExactVertexLists(t *testing.T) {
 			return true
 		})
 	}
-	hulls, err := carve.Carve(set, carve.DefaultConfig())
+	hulls, _, err := carve.CarveStats(context.Background(), set, carve.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +151,11 @@ func TestManifestMatchesCarvedSubset(t *testing.T) {
 			obs.Add(array.NewIndex(r, c))
 		}
 	}
-	hulls, err := carve.Carve(obs, carve.DefaultConfig())
+	hulls, _, err := carve.CarveStats(context.Background(), obs, carve.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	raster, err := carve.Rasterize(hulls, space)
+	raster, _, err := carve.RasterizeStats(context.Background(), hulls, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,20 +39,23 @@ func WritePacked(srcPath, dstPath, dataset string, approx *array.IndexSet) (Stat
 	if err := stampProvenance(dw, "element", approx.Len()); err != nil {
 		return stats, err
 	}
-	// Copy only the approved values; unkept elements never reach the
-	// output file regardless of staged contents.
-	var copyErr error
-	approx.Each(func(ix array.Index) bool {
-		v, err := ds.ReadElement(ix)
+	// Copy only the approved values, a row stretch of a run at a time;
+	// unkept elements never reach the output file regardless of staged
+	// contents.
+	last := space.Rank() - 1
+	count := make([]int, space.Rank())
+	for k := range count {
+		count[k] = 1
+	}
+	if err := eachStretch(space, approx, space.Dim(last), func(ix array.Index, n int) error {
+		count[last] = n
+		vals, err := ds.ReadHyperslab(sdf.Slab(ix, count))
 		if err != nil {
-			copyErr = fmt.Errorf("debloat: reading %v: %w", ix, err)
-			return false
+			return fmt.Errorf("debloat: reading %v: %w", ix, err)
 		}
-		copyErr = dw.Set(ix, v)
-		return copyErr == nil
-	})
-	if copyErr != nil {
-		return stats, copyErr
+		return dw.SetSlab(ix, count, vals)
+	}); err != nil {
+		return stats, err
 	}
 	if err := dw.PackElements(approx); err != nil {
 		return stats, err

@@ -47,14 +47,10 @@ type Runtime struct {
 	mRecovered *obs.Counter
 }
 
-// NewRuntime returns a runtime over one dataset of an opened debloated
-// file. fetcher may be nil, in which case misses are fatal.
-func NewRuntime(ds *sdf.Dataset, fetcher Fetcher) *Runtime {
-	return NewRuntimeContext(context.Background(), ds, fetcher)
-}
-
-// NewRuntimeContext returns a runtime whose recoveries run under ctx:
-// canceling ctx aborts in-flight and future fetches.
+// NewRuntimeContext returns a runtime over one dataset of an opened
+// debloated file. fetcher may be nil, in which case misses are fatal.
+// Recoveries run under ctx: canceling it aborts in-flight and future
+// fetches.
 func NewRuntimeContext(ctx context.Context, ds *sdf.Dataset, fetcher Fetcher) *Runtime {
 	if ctx == nil {
 		ctx = context.Background()

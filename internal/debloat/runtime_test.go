@@ -63,7 +63,7 @@ func debloatedDataset(t *testing.T) (ds *sdf.Dataset, origin string, space array
 func TestRuntimeRecoveredCounter(t *testing.T) {
 	ds, origin, _, cleanup := debloatedDataset(t)
 	defer cleanup()
-	rt := NewRuntime(ds, localFetcher(t, origin))
+	rt := NewRuntimeContext(context.Background(), ds, localFetcher(t, origin))
 
 	// Present element: no miss, no recovery.
 	if _, err := rt.ReadElement(array.NewIndex(10, 5)); err != nil {
@@ -134,7 +134,7 @@ func TestRuntimeCanceledContextAbortsRecovery(t *testing.T) {
 func TestOriginFetcherConcurrent(t *testing.T) {
 	ds, origin, space, cleanup := debloatedDataset(t)
 	defer cleanup()
-	rt := NewRuntime(ds, localFetcher(t, origin))
+	rt := NewRuntimeContext(context.Background(), ds, localFetcher(t, origin))
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -176,7 +176,7 @@ func TestOriginFetcherClosedErrors(t *testing.T) {
 	ds, origin, _, cleanup := debloatedDataset(t)
 	defer cleanup()
 	fetcher := localFetcher(t, origin)
-	rt := NewRuntime(ds, fetcher)
+	rt := NewRuntimeContext(context.Background(), ds, fetcher)
 	// Warm the cache: a closed fetcher must refuse hits too.
 	if _, err := rt.ReadElement(array.NewIndex(0, 63)); err != nil {
 		t.Fatal(err)
@@ -233,12 +233,12 @@ func TestReadSlabMatchesElementwise(t *testing.T) {
 			start := []int{rng.Intn(64), rng.Intn(64)}
 			count := []int{1 + rng.Intn(min(64-start[0], 20)), 1 + rng.Intn(64-start[1])}
 			slabFetcher.lins, elemFetcher.lins = nil, nil
-			var slabRT, elemRT *Runtime
+			var slabF, elemF Fetcher
 			if withFetcher {
-				slabRT, elemRT = NewRuntime(ds, slabFetcher), NewRuntime(ds, elemFetcher)
-			} else {
-				slabRT, elemRT = NewRuntime(ds, nil), NewRuntime(ds, nil)
+				slabF, elemF = slabFetcher, elemFetcher
 			}
+			ctx := context.Background()
+			slabRT, elemRT := NewRuntimeContext(ctx, ds, slabF), NewRuntimeContext(ctx, ds, elemF)
 			got, err := slabRT.ReadSlab(start, count)
 			var want []float64
 			var wantErr error
@@ -283,7 +283,7 @@ func TestReadElementMissAllocatesLittle(t *testing.T) {
 	}
 	ds, origin, space, cleanup := debloatedDataset(t)
 	defer cleanup()
-	rt := NewRuntime(ds, localFetcher(t, origin))
+	rt := NewRuntimeContext(context.Background(), ds, localFetcher(t, origin))
 	ix := array.NewIndex(0, 63)
 	if _, err := rt.ReadElement(ix); err != nil {
 		t.Fatal(err)

@@ -16,8 +16,10 @@ import (
 	"time"
 )
 
-// DefaultBatchSize is the number of seeds drained per schedule round
-// when Config.BatchSize is zero.
+// DefaultBatchSize is the number of seeds drained from the queue per
+// schedule round and evaluated concurrently. It is deliberately
+// independent of Config.Workers so the schedule (batch composition and
+// RNG stream) never depends on the degree of parallelism.
 const DefaultBatchSize = 32
 
 // Config holds the fuzz-schedule parameters of paper Fig. 5. The
@@ -81,12 +83,6 @@ type Config struct {
 	// any Workers value. Workers > 1 requires an Evaluator that is
 	// safe for concurrent use.
 	Workers int
-	// BatchSize is the number of seeds drained from the queue per
-	// schedule round and evaluated concurrently. It is deliberately
-	// independent of Workers so the schedule (batch composition and
-	// RNG stream) never depends on the degree of parallelism. Zero
-	// resolves to DefaultBatchSize.
-	BatchSize int
 	// Witnesses enables inclusion-provenance recording: for every
 	// index the campaign covers, Result.Witnesses remembers the seed
 	// (by ordinal into Result.Seeds) whose debloat test first observed

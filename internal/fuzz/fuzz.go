@@ -170,10 +170,6 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batchSize := cfg.BatchSize
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
 	// Instruments resolve once per campaign; with no registry or trace
 	// in the context every use below is a nil-receiver no-op.
 	reg := obs.RegistryOf(ctx)
@@ -204,7 +200,7 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 	}
 	runSpan := obs.Start(ctx, "fuzz.run")
 	if runSpan != nil {
-		runSpan.Arg("workers", workers).Arg("batch_size", batchSize)
+		runSpan.Arg("workers", workers).Arg("batch_size", DefaultBatchSize)
 	}
 	defer func() {
 		if runSpan != nil {
@@ -242,7 +238,7 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 	}
 
 	stop := StopMaxIter // reason when the for condition ends the loop
-	batch := make([][]float64, 0, batchSize)
+	batch := make([][]float64, 0, DefaultBatchSize)
 loop:
 	for itr < cfg.MaxIter {
 		if cfg.StopIter > 0 && idleIters >= cfg.StopIter {
@@ -267,7 +263,7 @@ loop:
 		// samples when the queue drains. The batch size is bounded by
 		// the remaining iteration and evaluation budgets and is
 		// independent of the worker count.
-		want := batchSize
+		want := DefaultBatchSize
 		if left := cfg.MaxIter - itr; left < want {
 			want = left
 		}

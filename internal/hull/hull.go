@@ -231,16 +231,10 @@ func (s *RasterStats) add(o RasterStats) {
 	s.Runs += o.Runs
 }
 
-// Rasterize collects every integer index of the space that lies inside
-// the hull. This converts the carver's hull set back into the
-// approximated index subset I'_Θ. It cannot be canceled; use
-// RasterizeContext when walking large lattices.
-func (h *Hull) Rasterize(space array.Space) (*array.IndexSet, error) {
-	return h.RasterizeContext(context.Background(), space)
-}
-
-// RasterizeContext is Rasterize with cancellation: a canceled context
-// stops the lattice walk mid-hull and returns the context's error.
+// RasterizeContext collects every integer index of the space that
+// lies inside the hull. This converts the carver's hull set back into
+// the approximated index subset I'_Θ. A canceled context stops the
+// lattice walk mid-hull and returns the context's error.
 func (h *Hull) RasterizeContext(ctx context.Context, space array.Space) (*array.IndexSet, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -435,32 +429,21 @@ func RasterizeReference(ctx context.Context, hulls []*Hull, space array.Space) (
 	return set, st, nil
 }
 
-// RasterizeAll rasterizes a set of hulls into one index set (the union
-// of their covered indices), sequentially.
-func RasterizeAll(hulls []*Hull, space array.Space) (*array.IndexSet, error) {
-	return RasterizeAllContext(context.Background(), hulls, space, 1)
-}
-
-// RasterizeAllContext is RasterizeAll with bounded parallelism: hulls
-// are sharded across up to workers goroutines (0 or negative means one
-// per available CPU), each rasterizing into a private index set, and
-// the per-worker sets are unioned in worker order. Index-set union is
-// commutative, so the result is bit-identical at any worker count. A
-// canceled context stops the walk and returns the context's error.
-func RasterizeAllContext(ctx context.Context, hulls []*Hull, space array.Space, workers int) (*array.IndexSet, error) {
-	set, _, err := RasterizeAllStats(ctx, hulls, space, workers)
-	return set, err
-}
-
-// RasterizeAllStats is RasterizeAllContext also returning the
-// scanline work counters. When the context carries a metrics registry
-// the counters are published as kondo_raster_* instruments. On error
-// the stats cover the work performed before the stop.
+// RasterizeAllStats rasterizes a set of hulls into one index set (the
+// union of their covered indices) and returns the scanline work
+// counters. Hulls are sharded across up to workers goroutines (0 or
+// negative means one per available CPU), each rasterizing into a
+// private index set, and the per-worker sets are unioned in worker
+// order. Index-set union is commutative, so the result is bit-identical
+// at any worker count. When the context carries a metrics registry the
+// counters are published as kondo_raster_* instruments. On error the
+// stats cover the work performed before the stop.
 //
 // A failing hull (error or cancellation) stops the whole
 // rasterization promptly: the shared first-error signal keeps the
 // remaining workers from draining the hull list, and an internal
-// cancellation aborts their in-flight lattice walks.
+// cancellation aborts their in-flight lattice walks. A canceled
+// context returns the context's error.
 func RasterizeAllStats(ctx context.Context, hulls []*Hull, space array.Space, workers int) (*array.IndexSet, RasterStats, error) {
 	var st RasterStats
 	if ctx == nil {

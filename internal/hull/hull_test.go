@@ -1,6 +1,7 @@
 package hull
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -255,7 +256,7 @@ func TestRasterize2D(t *testing.T) {
 	// Triangle (0,0)-(4,0)-(0,4) over a 6x6 space.
 	h := mustHull(t, []geom.Point{pt(0, 0), pt(4, 0), pt(0, 4)})
 	space := array.MustSpace(6, 6)
-	set, err := h.Rasterize(space)
+	set, err := h.RasterizeContext(context.Background(), space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestRasterize2D(t *testing.T) {
 func TestRasterizeClipsToSpace(t *testing.T) {
 	h := mustHull(t, []geom.Point{pt(-5, -5), pt(3, -5), pt(-5, 3), pt(3, 3)})
 	space := array.MustSpace(4, 4)
-	set, err := h.Rasterize(space)
+	set, err := h.RasterizeContext(context.Background(), space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestRasterizeClipsToSpace(t *testing.T) {
 	}
 	// Entirely outside.
 	far := mustHull(t, []geom.Point{pt(100, 100), pt(101, 100), pt(100, 101)})
-	set, err = far.Rasterize(space)
+	set, err = far.RasterizeContext(context.Background(), space)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,14 +299,14 @@ func TestRasterizeAll(t *testing.T) {
 	a := mustHull(t, []geom.Point{pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)})
 	b := mustHull(t, []geom.Point{pt(1, 1), pt(2, 1), pt(1, 2), pt(2, 2)}) // overlaps at (1,1)
 	space := array.MustSpace(4, 4)
-	set, err := RasterizeAll([]*Hull{a, b}, space)
+	set, _, err := RasterizeAllStats(context.Background(), []*Hull{a, b}, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if set.Len() != 7 { // 4 + 4 - 1 shared
 		t.Errorf("union rasterization = %d, want 7", set.Len())
 	}
-	if _, err := RasterizeAll([]*Hull{a}, array.MustSpace(2, 2, 2)); err == nil {
+	if _, _, err := RasterizeAllStats(context.Background(), []*Hull{a}, array.MustSpace(2, 2, 2), 1); err == nil {
 		t.Error("rank mismatch should error")
 	}
 }

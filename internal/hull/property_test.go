@@ -1,6 +1,7 @@
 package hull
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -150,7 +151,7 @@ func TestRasterizeMatchesContains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raster, err := h.Rasterize(space)
+		raster, err := h.RasterizeContext(context.Background(), space)
 		if err != nil {
 			t.Fatal(err)
 		}

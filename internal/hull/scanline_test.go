@@ -193,7 +193,7 @@ func TestSharedHullConcurrentRasterize(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	h := mustHull(t, randomPoints(rng, 12, 3, 16))
 	sp := array.MustSpace(16, 16, 16)
-	want, err := h.Rasterize(sp)
+	want, err := h.RasterizeContext(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}

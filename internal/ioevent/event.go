@@ -185,14 +185,3 @@ func (s *Store) Files() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Reset discards all recorded state, keeping allocations to a minimum
-// for reuse across fuzz iterations.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.perID = make(map[ID]*IntervalSet)
-	s.perIDIDs = s.perIDIDs[:0]
-	s.writes = nil
-	s.events = 0
-}

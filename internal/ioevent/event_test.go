@@ -76,7 +76,7 @@ func TestWriteDetection(t *testing.T) {
 	}
 }
 
-func TestStoreFilesAndReset(t *testing.T) {
+func TestStoreFiles(t *testing.T) {
 	s := NewStore()
 	s.Record(Event{ID: ID{PID: 1, File: "b"}, Op: OpRead, Offset: 0, Size: 1})
 	s.Record(Event{ID: ID{PID: 2, File: "a"}, Op: OpRead, Offset: 0, Size: 1})
@@ -84,13 +84,6 @@ func TestStoreFilesAndReset(t *testing.T) {
 	files := s.Files()
 	if len(files) != 2 || files[0] != "a" || files[1] != "b" {
 		t.Errorf("Files = %v", files)
-	}
-	s.Reset()
-	if s.Events() != 0 || len(s.Files()) != 0 {
-		t.Error("Reset did not clear state")
-	}
-	if got := s.FileRanges("b"); len(got) != 0 {
-		t.Errorf("ranges after reset: %v", got)
 	}
 }
 

@@ -52,12 +52,6 @@ func (s *IntervalSet) AddRun(start, size int64) error {
 	return err
 }
 
-// Len returns the total number of bytes covered.
-func (s *IntervalSet) Len() int64 { return int64(s.runs.Len()) }
-
-// RunCount returns the number of disjoint ranges stored.
-func (s *IntervalSet) RunCount() int { return s.runs.RunCount() }
-
 // Ranges returns the stored ranges in ascending order.
 func (s *IntervalSet) Ranges() []Interval {
 	out := make([]Interval, 0, s.runs.RunCount())

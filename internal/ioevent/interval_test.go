@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// covered returns how many bytes s's ranges cover.
+func covered(s *IntervalSet) int64 {
+	var n int64
+	for _, r := range s.Ranges() {
+		n += r.Len()
+	}
+	return n
+}
+
 func TestIntervalSetMergeSemantics(t *testing.T) {
 	s := NewIntervalSet()
 	mustAdd := func(start, size int64) {
@@ -17,18 +26,18 @@ func TestIntervalSetMergeSemantics(t *testing.T) {
 	}
 	mustAdd(0, 10)
 	mustAdd(20, 10)
-	if s.RunCount() != 2 || s.Len() != 20 {
-		t.Fatalf("RunCount=%d Len=%d", s.RunCount(), s.Len())
+	if len(s.Ranges()) != 2 || covered(s) != 20 {
+		t.Fatalf("ranges %v", s.Ranges())
 	}
 	// Overlap the first.
 	mustAdd(5, 10)
-	if s.RunCount() != 2 || s.Len() != 25 {
-		t.Fatalf("after overlap: RunCount=%d Len=%d, ranges %v", s.RunCount(), s.Len(), s.Ranges())
+	if len(s.Ranges()) != 2 || covered(s) != 25 {
+		t.Fatalf("after overlap: ranges %v", s.Ranges())
 	}
 	// Bridge the gap (touching both).
 	mustAdd(15, 5)
-	if s.RunCount() != 1 || s.Len() != 30 {
-		t.Fatalf("after bridge: RunCount=%d Len=%d, ranges %v", s.RunCount(), s.Len(), s.Ranges())
+	if len(s.Ranges()) != 1 || covered(s) != 30 {
+		t.Fatalf("after bridge: ranges %v", s.Ranges())
 	}
 	r := s.Ranges()
 	if r[0].Start != 0 || r[0].End != 30 {
@@ -40,7 +49,7 @@ func TestIntervalSetAdjacencyMerges(t *testing.T) {
 	s := NewIntervalSet()
 	s.AddRun(0, 10)
 	s.AddRun(10, 5) // exactly adjacent
-	if s.RunCount() != 1 {
+	if len(s.Ranges()) != 1 {
 		t.Fatalf("adjacent ranges not merged: %v", s.Ranges())
 	}
 }
@@ -142,11 +151,11 @@ func TestIntervalSetRandomizedAgainstOracle(t *testing.T) {
 			}
 			oracle.add(start, size)
 		}
-		if s.Len() != oracle.covered() {
-			t.Fatalf("trial %d: Len = %d, oracle %d", trial, s.Len(), oracle.covered())
+		if covered(s) != oracle.covered() {
+			t.Fatalf("trial %d: covered %d bytes, oracle %d", trial, covered(s), oracle.covered())
 		}
-		if s.RunCount() != oracle.rangeCount() {
-			t.Fatalf("trial %d: RunCount = %d, oracle %d (ranges %v)", trial, s.RunCount(), oracle.rangeCount(), s.Ranges())
+		if len(s.Ranges()) != oracle.rangeCount() {
+			t.Fatalf("trial %d: %d ranges, oracle %d (ranges %v)", trial, len(s.Ranges()), oracle.rangeCount(), s.Ranges())
 		}
 		for off := int64(-5); off < 330; off++ {
 			if covers(s, off) != oracle[off] {
@@ -169,10 +178,10 @@ func TestIntervalSetMonotoneCoverage(t *testing.T) {
 			if err := s.AddRun(int64(op.Start), size); err != nil {
 				return false
 			}
-			if s.Len() < prev {
+			if covered(s) < prev {
 				return false
 			}
-			prev = s.Len()
+			prev = covered(s)
 		}
 		return true
 	}

@@ -1,5 +1,6 @@
 // Package kondo wires Kondo's pipeline together (paper Fig. 3): sample
-// initial parameter values from Θ, run audited debloat tests, expand
+// initial parameter values from Θ, run debloat tests (virtual ones in
+// Debloat, the caller's evaluator in DebloatWithEvaluator), expand
 // the observed index set with the fuzzing schedule, carve the
 // observations into a set of convex hulls, and rasterize the hulls
 // into the approximated index subset I'_Θ that the debloated data file
@@ -116,7 +117,7 @@ func debloat(ctx context.Context, f *fuzz.Fuzzer, space array.Space, cfg Config)
 		return nil, fmt.Errorf("kondo: carving: %w", err)
 	}
 	rastSpan := obs.Start(ctx, "kondo.rasterize")
-	approx, err := carve.RasterizeContext(ctx, hulls, space, cfg.Carve.Workers)
+	approx, _, err := carve.RasterizeStats(ctx, hulls, space, cfg.Carve.Workers)
 	if rastSpan != nil && approx != nil {
 		rastSpan.Arg("indices", approx.Len())
 	}

@@ -116,13 +116,22 @@ func Load(path string) (*InclusionIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("prov: reading index: %w", err)
 	}
+	x, err := decodeIndex(data)
+	if err != nil {
+		return nil, fmt.Errorf("prov: index %s: %w", path, err)
+	}
+	return x, nil
+}
+
+// decodeIndex decodes an index's JSON bytes.
+func decodeIndex(data []byte) (*InclusionIndex, error) {
 	x := &InclusionIndex{}
 	if err := json.Unmarshal(data, x); err != nil {
-		return nil, fmt.Errorf("prov: decoding index %s: %w", path, err)
+		return nil, fmt.Errorf("decoding: %w", err)
 	}
 	if len(x.WitnessLins) != len(x.WitnessSeeds) {
-		return nil, fmt.Errorf("prov: index %s: %d witness positions but %d seed ordinals",
-			path, len(x.WitnessLins), len(x.WitnessSeeds))
+		return nil, fmt.Errorf("%d witness positions but %d seed ordinals",
+			len(x.WitnessLins), len(x.WitnessSeeds))
 	}
 	return x, nil
 }

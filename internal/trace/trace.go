@@ -2,7 +2,8 @@
 // the ptrace-based Sciunit system of the paper. It wraps file handles
 // so that every data access turns into an ioevent.Event, and resolves
 // the audited byte ranges back to array indices using the data file's
-// self-describing metadata (paper §IV-C).
+// self-describing metadata (paper §IV-C). Audit runs one whole debloat
+// test (paper Def. 2) through both.
 //
 // The paper's interposer observes open/lseek/read/close system calls;
 // our traced handle exposes ReadAt, which it reports as the equivalent

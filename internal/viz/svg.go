@@ -6,6 +6,7 @@
 package viz
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -145,7 +146,7 @@ func HullsSVG(w io.Writer, points *array.IndexSet, hulls []*hull.Hull, title str
 	// Approximated cover first (light), then the points, then the
 	// outlines on top.
 	for _, h := range hulls {
-		raster, err := h.Rasterize(space)
+		raster, err := h.RasterizeContext(context.TODO(), space)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestHullsSVG(t *testing.T) {
 			set.Add(array.NewIndex(r, c))
 		}
 	}
-	hulls, err := carve.Carve(set, carve.DefaultConfig())
+	hulls, _, err := carve.CarveStats(context.Background(), set, carve.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,13 +86,14 @@ var ErrDataMissing = debloat.ErrDataMissing
 func DefaultConfig() Config { return kondo.DefaultConfig() }
 
 // Debloat runs the full pipeline (fuzz → carve → rasterize) for a
-// program, using audited virtual debloat tests. The context bounds
-// the whole pipeline: canceling it (or letting its deadline pass)
-// stops the fuzz campaign within one evaluation batch; the partial
-// fuzz result is returned alongside the context's error. A failing
-// debloat test does not abort the campaign — it is recorded in
-// Result.Fuzz.Failures and its seed skipped; fuzzing errors out only
-// when every attempted test failed.
+// program. Its debloat tests are virtual: each runs the program over
+// the index space, not over a data file, so no run is audited (§V-C's
+// method). The context bounds the whole pipeline: canceling it (or
+// letting its deadline pass) stops the fuzz campaign within one
+// evaluation batch; the partial fuzz result is returned alongside the
+// context's error. A failing debloat test does not abort the campaign
+// — it is recorded in Result.Fuzz.Failures and its seed skipped;
+// fuzzing errors out only when every attempted test failed.
 func Debloat(ctx context.Context, p Program, cfg Config) (*Result, error) {
 	return kondo.Debloat(ctx, p, cfg)
 }
@@ -276,7 +277,7 @@ type FetchStats = dataserve.FetchStats
 // NewCachedFetcher returns a caching fetcher against a DataServer's
 // base URL with default configuration.
 func NewCachedFetcher(baseURL string) *CachedFetcher {
-	return dataserve.NewFetcher(baseURL, nil)
+	return dataserve.NewFetcherConfig(baseURL, nil, dataserve.FetcherConfig{})
 }
 
 // NewCachedFetcherConfig returns a caching fetcher with explicit
