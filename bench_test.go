@@ -80,7 +80,7 @@ func BenchmarkFig7BF(b *testing.B) {
 			gt := truthOf(b, p)
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				res, err := baseline.BruteForce(context.Background(), p, benchBudget, 0)
+				res, err := baseline.BruteForce(context.Background(), p, benchBudget)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,9 +98,7 @@ func BenchmarkFig7AFL(b *testing.B) {
 			gt := truthOf(b, p)
 			var recall float64
 			for i := 0; i < b.N; i++ {
-				cfg := baseline.DefaultAFLConfig()
-				cfg.MaxEvals = benchBudget
-				cfg.Seed = int64(i + 1)
+				cfg := baseline.AFLConfig{MaxEvals: benchBudget, Seed: int64(i + 1)}
 				res, err := baseline.AFL(context.Background(), p, cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -111,7 +112,14 @@ func runReplay(logPath, data, dataset string, printRanges bool) error {
 	if err != nil {
 		return err
 	}
-	ranges := store.FileRanges(filepath.Base(data))
+	// The log keys its ranges by the audited file's base name, so a
+	// renamed copy of that file resolves nothing.
+	name := filepath.Base(data)
+	ranges := store.FileRanges(name)
+	if files := store.Files(); len(ranges) == 0 && len(files) > 0 && !slices.Contains(files, name) {
+		return fmt.Errorf("%s records no reads of %s; it records reads of %s",
+			logPath, name, strings.Join(files, ", "))
+	}
 	indices, err := trace.ResolveIndices(ds, ranges)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/array"
@@ -36,18 +37,7 @@ func TestParseParams(t *testing.T) {
 func TestFailedRunKeepsOldOutputs(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "data.sdf")
-	space := array.MustSpace(32, 32)
-	w := sdf.NewWriter(data)
-	dw, err := w.CreateDataset("data", space, array.Float64, []int{8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dw.Fill(func(array.Index) float64 { return 1 }); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeData(t, data)
 	logPath, dotPath := filepath.Join(dir, "run.klog"), filepath.Join(dir, "run.dot")
 	for _, p := range []string{logPath, dotPath} {
 		if err := os.WriteFile(p, []byte("old bytes"), 0o644); err != nil {
@@ -79,5 +69,45 @@ func TestFailedRunKeepsOldOutputs(t *testing.T) {
 	}
 	if store.Events() == 0 {
 		t.Error("written log holds no events")
+	}
+}
+
+// writeData writes a 32×32 float64 dataset "data" in 8×8 chunks.
+func writeData(t *testing.T, path string) {
+	t.Helper()
+	w := sdf.NewWriter(path)
+	dw, err := w.CreateDataset("data", array.MustSpace(32, 32), array.Float64, []int{8, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dw.Fill(func(array.Index) float64 { return 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A log keys its ranges by the audited file's name: replaying it
+// against a renamed copy of that file fails and names the file the log
+// records, where the original name replays cleanly.
+func TestReplayRejectsUnrecordedFile(t *testing.T) {
+	dir := t.TempDir()
+	data, renamed := filepath.Join(dir, "data.sdf"), filepath.Join(dir, "renamed.sdf")
+	writeData(t, data)
+	writeData(t, renamed)
+	logPath := filepath.Join(dir, "run.klog")
+	if err := run(context.Background(), data, "data", "CS2", "3,5", false, logPath, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := runReplay(logPath, data, "data", false); err != nil {
+		t.Fatalf("replay against the audited file: %v", err)
+	}
+	err := runReplay(logPath, renamed, "data", false)
+	if err == nil {
+		t.Fatal("replay against a renamed copy resolved nothing and succeeded")
+	}
+	if !strings.Contains(err.Error(), "renamed.sdf") || !strings.Contains(err.Error(), "reads of data.sdf") {
+		t.Errorf("error %q should name renamed.sdf and the recorded data.sdf", err)
 	}
 }

@@ -50,7 +50,7 @@ func main() {
 		res.Fuzz.Evaluations, pr.Precision, pr.Recall,
 		100*kondo.BloatFraction(p.Space(), res.Approx))
 
-	bf, err := baseline.BruteForce(context.Background(), p, budget, 0)
+	bf, err := baseline.BruteForce(context.Background(), p, budget)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,8 +15,6 @@ type Layout interface {
 	// Offset returns the byte offset (relative to the start of the
 	// dataset's data region) of the element at ix.
 	Offset(ix Index) (int64, error)
-	// DataSize returns the total size in bytes of the data region.
-	DataSize() int64
 }
 
 // ContiguousLayout stores elements in row-major order, back to back.
@@ -39,9 +37,6 @@ func (l *ContiguousLayout) Offset(ix Index) (int64, error) {
 	}
 	return lin * l.elem, nil
 }
-
-// DataSize implements Layout.
-func (l *ContiguousLayout) DataSize() int64 { return l.space.Size() * l.elem }
 
 // ChunkedLayout stores the array as a grid of fixed-shape chunks, each
 // chunk contiguous (row-major within the chunk), chunks ordered
@@ -200,9 +195,4 @@ func (l *ChunkedLayout) Offset(ix Index) (int64, error) {
 		return 0, err
 	}
 	return (chunk*l.chunkVol + within) * l.elem, nil
-}
-
-// DataSize implements Layout. Edge chunks are padded to full size.
-func (l *ChunkedLayout) DataSize() int64 {
-	return l.chunkGrid.Size() * l.chunkVol * l.elem
 }

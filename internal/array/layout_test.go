@@ -43,9 +43,6 @@ func TestDTypeSizes(t *testing.T) {
 func TestContiguousLayout(t *testing.T) {
 	s := MustSpace(4, 8)
 	l := NewContiguousLayout(s, LongDouble)
-	if l.DataSize() != 4*8*16 {
-		t.Errorf("DataSize = %d", l.DataSize())
-	}
 	off, err := l.Offset(NewIndex(1, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -145,10 +142,6 @@ func TestChunkedEdgePadding(t *testing.T) {
 	l, err := NewChunkedLayout(s, Float64, []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Chunk grid is 2x2, data region padded to 4 chunks × 4 elements.
-	if l.DataSize() != 4*4*8 {
-		t.Errorf("DataSize = %d, want %d", l.DataSize(), 4*4*8)
 	}
 	// Element (0,1) of chunk (0,1) covers logical column 3, which does
 	// not exist: it yields nothing.

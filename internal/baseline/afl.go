@@ -110,24 +110,16 @@ type aflSeed struct {
 	detDone   bool // deterministic stages already applied
 }
 
-// AFLConfig bounds an AFL campaign.
+// AFLConfig bounds an AFL campaign. The zero value runs until the
+// context ends.
 type AFLConfig struct {
-	MaxEvals   int
-	TimeBudget time.Duration
-	Seed       int64
-	// HavocStacking is the maximum number of stacked havoc mutations
-	// per generated input (AFL default behaviour uses a power of two
-	// up to 64).
-	HavocStacking int
+	// MaxEvals, when positive, bounds the number of program runs.
+	MaxEvals int
+	Seed     int64
 	// Progress, when set, is invoked every ProgressEvery evaluations
 	// with the accumulated result; returning true stops the campaign.
 	Progress      func(*Result) bool
 	ProgressEvery int
-}
-
-// DefaultAFLConfig mirrors stock AFL behaviour.
-func DefaultAFLConfig() AFLConfig {
-	return AFLConfig{HavocStacking: 16}
 }
 
 // AFL runs a coverage-guided fuzzing campaign against the program,
@@ -147,14 +139,7 @@ func AFL(ctx context.Context, p workload.Program, cfg AFLConfig) (*Result, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.HavocStacking <= 0 {
-		cfg.HavocStacking = 16
-	}
 	start := time.Now()
-	var deadline time.Time
-	if cfg.TimeBudget > 0 {
-		deadline = start.Add(cfg.TimeBudget)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	params := p.Params()
 	res := &Result{Indices: array.NewIndexSet(p.Space())}
@@ -197,9 +182,6 @@ func AFL(ctx context.Context, p workload.Program, cfg AFLConfig) (*Result, error
 			return false
 		}
 		if cfg.MaxEvals > 0 && res.Evaluations >= cfg.MaxEvals {
-			return false
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
 			return false
 		}
 		if ctx.Err() != nil {
@@ -261,13 +243,10 @@ func AFL(ctx context.Context, p workload.Program, cfg AFLConfig) (*Result, error
 		if !budgetLeft() {
 			break
 		}
-		// Havoc stage: stacked random mutations.
+		// Havoc stage: 2, 4, 8 or 16 stacked random mutations.
 		for round := 0; round < 32 && budgetLeft(); round++ {
 			mutant := append([]byte(nil), seed.data...)
 			stack := 1 << (1 + rng.Intn(4))
-			if stack > cfg.HavocStacking {
-				stack = cfg.HavocStacking
-			}
 			for s := 0; s < stack; s++ {
 				havocOp(mutant, rng)
 			}

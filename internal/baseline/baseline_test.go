@@ -12,7 +12,7 @@ import (
 
 func TestBruteForceExhaustiveIsExact(t *testing.T) {
 	p := workload.MustCS(2, 32)
-	res, err := BruteForce(context.Background(), p, 0, 0)
+	res, err := BruteForce(context.Background(), p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBruteForceExhaustiveIsExact(t *testing.T) {
 
 func TestBruteForceRespectsEvalBudget(t *testing.T) {
 	p := workload.MustCS(2, 64)
-	res, err := BruteForce(context.Background(), p, 100, 0)
+	res, err := BruteForce(context.Background(), p, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,27 +59,33 @@ func TestBruteForceRespectsEvalBudget(t *testing.T) {
 	}
 }
 
+// TestBruteForceRespectsTimeBudget pins an enumeration's one
+// wall-clock bound, its context's deadline: under a 20 ms deadline BF
+// over a Θ of a million valuations returns within a second with the
+// runs it made.
 func TestBruteForceRespectsTimeBudget(t *testing.T) {
-	p := workload.MustCS(2, 128)
+	p := workload.MustCS(2, 1024)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res, err := BruteForce(context.Background(), p, 0, 20*time.Millisecond)
+	res, err := BruteForce(ctx, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if time.Since(start) > 2*time.Second {
-		t.Error("time budget wildly exceeded")
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("enumeration returned %v after a 20ms deadline", elapsed)
 	}
-	if res.Evaluations == 0 {
-		t.Error("no evaluations in budget")
+	if res.Exhausted {
+		t.Errorf("enumeration of %d valuations reports exhaustion after %d runs", p.Params().Valuations(), res.Evaluations)
+	}
+	if res.Evaluations == 0 || res.Indices.Empty() {
+		t.Errorf("partial result is empty: %d evaluations, %d indices", res.Evaluations, res.Indices.Len())
 	}
 }
 
 func TestAFLFindsCoverage(t *testing.T) {
 	p := workload.MustCS(2, 64)
-	cfg := DefaultAFLConfig()
-	cfg.MaxEvals = 3000
-	cfg.Seed = 9
-	res, err := AFL(context.Background(), p, cfg)
+	res, err := AFL(context.Background(), p, AFLConfig{MaxEvals: 3000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +122,7 @@ func TestAFLWeakerThanKondoPerEval(t *testing.T) {
 	}
 	const budget = 1500
 
-	aflCfg := DefaultAFLConfig()
-	aflCfg.MaxEvals = budget
-	aflCfg.Seed = 4
-	aflRes, err := AFL(context.Background(), p, aflCfg)
+	aflRes, err := AFL(context.Background(), p, AFLConfig{MaxEvals: budget, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,39 +32,29 @@ type Result struct {
 // BruteForce executes the program on every parameter valuation of Θ in
 // lexicographic order, recording accessed indices, until the budget
 // runs out (paper §V-C: "BF computes the true and precise result, if
-// given sufficient time"). A zero maxEvals or timeBudget leaves that
-// limit off. Canceling the context stops the enumeration promptly and
-// returns the partial result.
-func BruteForce(ctx context.Context, p workload.Program, maxEvals int, timeBudget time.Duration) (*Result, error) {
+// given sufficient time"). A zero maxEvals leaves the run count
+// unbounded. Canceling the context (or letting its deadline pass)
+// stops the enumeration promptly and returns the partial result.
+func BruteForce(ctx context.Context, p workload.Program, maxEvals int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	var deadline time.Time
-	if timeBudget > 0 {
-		deadline = start.Add(timeBudget)
-	}
 	res := &Result{Indices: array.NewIndexSet(p.Space()), Exhausted: true}
 	acc := workload.NewVirtualAccessor(p.Space())
 	env := &workload.Env{Acc: acc}
 	var runErr error
-	// Check the deadline only every few runs; time.Now in the hot
-	// loop would dominate the cheap virtual executions.
-	const deadlineEvery = 64
+	// Poll the context only every few runs: a virtual execution is
+	// cheap enough that a poll per run would show.
+	const ctxEvery = 64
 	p.Params().EachValuation(func(v []float64) bool {
 		if maxEvals > 0 && res.Evaluations >= maxEvals {
 			res.Exhausted = false
 			return false
 		}
-		if res.Evaluations%deadlineEvery == 0 {
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				res.Exhausted = false
-				return false
-			}
-			if ctx.Err() != nil {
-				res.Exhausted = false
-				return false
-			}
+		if res.Evaluations%ctxEvery == 0 && ctx.Err() != nil {
+			res.Exhausted = false
+			return false
 		}
 		if err := p.Run(v, env); err != nil {
 			runErr = err

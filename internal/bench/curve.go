@@ -76,10 +76,7 @@ func Curve(ctx context.Context, opts Options) (*Report, error) {
 	// AFL: same sampling through its progress hook.
 	aflAt := make(map[int]float64)
 	aflNext := step
-	acfg := baseline.DefaultAFLConfig()
-	acfg.Seed = opts.Seed
-	acfg.MaxEvals = budget
-	acfg.ProgressEvery = step
+	acfg := baseline.AFLConfig{Seed: opts.Seed, MaxEvals: budget, ProgressEvery: step}
 	acfg.Progress = func(r *baseline.Result) bool {
 		if r.Evaluations >= aflNext {
 			aflAt[aflNext] = metrics.Recall(gt, r.Indices)

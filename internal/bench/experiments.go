@@ -101,7 +101,7 @@ func Fig7(ctx context.Context, opts Options) (*Report, error) {
 			kondoRecalls = append(kondoRecalls, pr.Recall)
 			kondoTime += res.Elapsed()
 
-			bf, err := baseline.BruteForce(ctx, p, opts.EvalBudget, 0)
+			bf, err := baseline.BruteForce(ctx, p, opts.EvalBudget)
 			if err != nil {
 				return nil, err
 			}
@@ -112,9 +112,7 @@ func Fig7(ctx context.Context, opts Options) (*Report, error) {
 			bfRecalls = append(bfRecalls, bfPR.Recall)
 		}
 		for r := 0; r < opts.AFLRuns; r++ {
-			cfg := baseline.DefaultAFLConfig()
-			cfg.MaxEvals = opts.EvalBudget
-			cfg.Seed = opts.Seed + int64(r)
+			cfg := baseline.AFLConfig{MaxEvals: opts.EvalBudget, Seed: opts.Seed + int64(r)}
 			afl, err := baseline.AFL(ctx, p, cfg)
 			if err != nil {
 				return nil, err
@@ -256,10 +254,7 @@ func Fig10(ctx context.Context, opts Options) (*Report, error) {
 		}
 		bfRecall := metrics.Recall(gt, bf.Indices)
 
-		aflCfg := baseline.DefaultAFLConfig()
-		aflCfg.Seed = opts.Seed
-		aflCfg.MaxEvals = aflCap
-		aflCfg.ProgressEvery = 256
+		aflCfg := baseline.AFLConfig{Seed: opts.Seed, MaxEvals: aflCap, ProgressEvery: 256}
 		aflCfg.Progress = func(r *baseline.Result) bool {
 			return metrics.Recall(gt, r.Indices) >= target
 		}
@@ -305,7 +300,7 @@ func TableIII(ctx context.Context, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		bf, err := baseline.BruteForce(ctx, p, budget, 0)
+		bf, err := baseline.BruteForce(ctx, p, budget)
 		if err != nil {
 			return nil, err
 		}

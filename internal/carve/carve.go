@@ -35,21 +35,6 @@ import (
 	"repro/internal/obs"
 )
 
-// CloseMode selects how the two distance tests compose in the CLOSE
-// predicate. The paper's prose supports disjunction (boundary distance
-// drives early merges of small hulls; center distance lets a grown
-// hull keep absorbing near ones, §IV-B); conjunction is provided as an
-// ablation.
-type CloseMode uint8
-
-const (
-	// CloseEither merges when either distance test passes (default,
-	// the output-sensitive behaviour described in the paper).
-	CloseEither CloseMode = iota
-	// CloseBoth merges only when both tests pass.
-	CloseBoth
-)
-
 // Config controls the carving algorithm. The distance thresholds are
 // the paper's center_d_thresh and bound_d_thresh (Fig. 5), with §V-B
 // defaults 20 and 10.
@@ -63,8 +48,6 @@ type Config struct {
 	// BoundaryDistThresh merges two hulls whose nearest vertices are
 	// within this distance.
 	BoundaryDistThresh float64
-	// Mode composes the two distance tests (see CloseMode).
-	Mode CloseMode
 	// Workers bounds the worker pool used for per-cell hull
 	// construction and hull rasterization (0 or negative: one per
 	// available CPU). The carve result is bit-identical at any worker
@@ -99,20 +82,15 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-// close is the paper's CLOSE predicate. Boundary distance drives the
-// early merging of small neighbouring cell hulls; center distance
-// lets a grown hull keep absorbing nearby small hulls whose vertices
-// have drifted apart (§IV-B's discussion of output sensitivity). The
-// O(V²) boundary-vertex scan only runs when the O(d) bbox gap — a
-// lower bound on the boundary distance — could still pass the
-// threshold.
+// close is the paper's CLOSE predicate: two hulls merge when either
+// distance test passes. Boundary distance drives the early merging of
+// small neighbouring cell hulls; center distance lets a grown hull
+// keep absorbing nearby small hulls whose vertices have drifted apart
+// (§IV-B's discussion of output sensitivity). The O(V²)
+// boundary-vertex scan only runs when the O(d) bbox gap — a lower
+// bound on the boundary distance — could still pass the threshold.
 func (c Config) close(a, b *hull.Hull) bool {
-	center := a.CenterDist(b) <= c.CenterDistThresh
-	if c.Mode == CloseBoth {
-		if !center {
-			return false
-		}
-	} else if center {
+	if a.CenterDist(b) <= c.CenterDistThresh {
 		return true
 	}
 	if a.BBoxGap(b) > c.BoundaryDistThresh {

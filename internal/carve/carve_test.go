@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/geom"
+	"repro/internal/hull"
 )
 
 // fill adds a dense rectangle of indices to the set.
@@ -202,35 +203,40 @@ func TestCarveRecallInvariant(t *testing.T) {
 	})
 }
 
-func TestCloseModeAblation(t *testing.T) {
-	// Two blocks whose hull centroids are ~22 apart but whose nearest
-	// vertices touch within the boundary threshold: disjunction
-	// merges them, conjunction does not.
+// TestCloseMergesOnEitherDistance keeps the CLOSE-predicate finding
+// EXPERIMENTS.md cites: the default (OR) CLOSE merges two blocks whose
+// hull centroids are further apart than CenterDistThresh, on boundary
+// distance alone, so a conjunctive CLOSE would have refused them.
+func TestCloseMergesOnEitherDistance(t *testing.T) {
 	space := array.MustSpace(64, 64)
-	set := array.NewIndexSet(space)
-	fill(t, set, 0, 0, 15, 15)
-	fill(t, set, 0, 22, 15, 37)
-
-	either := DefaultConfig()
-	hulls, _, err := CarveStats(context.Background(), set, either)
-	if err != nil {
-		t.Fatal(err)
+	cfg := DefaultConfig()
+	carve := func(blocks ...[4]int) []*hull.Hull {
+		set := array.NewIndexSet(space)
+		for _, b := range blocks {
+			fill(t, set, b[0], b[1], b[2], b[3])
+		}
+		hulls, _, err := CarveStats(context.Background(), set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hulls
 	}
-	if len(hulls) != 1 {
-		t.Errorf("CloseEither carved %d hulls, want 1 (merge via boundary distance)", len(hulls))
+	lower, upper := [4]int{0, 0, 15, 15}, [4]int{0, 22, 15, 37}
+	if n := len(carve(lower, upper)); n != 1 {
+		t.Fatalf("the two blocks carved to %d hulls, want 1", n)
 	}
-
-	both := DefaultConfig()
-	both.Mode = CloseBoth
-	// Block 2's two cell hulls (centers 8 apart) still merge, but the
-	// two blocks (centers ~22 apart) no longer do.
-	both.CenterDistThresh = 10
-	hulls, _, err = CarveStats(context.Background(), set, both)
-	if err != nil {
-		t.Fatal(err)
+	a, b := carve(lower), carve(upper)
+	if len(a) != 1 || len(b) != 1 {
+		t.Fatalf("the blocks alone carved to %d and %d hulls, want 1 each", len(a), len(b))
 	}
-	if len(hulls) != 2 {
-		t.Errorf("CloseBoth carved %d hulls, want 2", len(hulls))
+	if d := a[0].CenterDist(b[0]); d <= cfg.CenterDistThresh {
+		t.Errorf("block centroids %.2f apart, want more than CenterDistThresh %v", d, cfg.CenterDistThresh)
+	}
+	if d := a[0].BoundaryDist(b[0]); d > cfg.BoundaryDistThresh {
+		t.Errorf("block boundaries %.2f apart, want at most BoundaryDistThresh %v", d, cfg.BoundaryDistThresh)
+	}
+	if !cfg.close(a[0], b[0]) {
+		t.Error("CLOSE refuses the two blocks")
 	}
 }
 

@@ -81,7 +81,7 @@ func randomCloud(t *testing.T, rng *rand.Rand, space array.Space, n int) *array.
 }
 
 // TestEnginePinsNaiveReference is the determinism property test: over
-// random point clouds, both CloseModes, and worker counts {1, 4, 8},
+// random point clouds, jittered thresholds, and worker counts {1, 4, 8},
 // the candidate-pair engine must produce the identical hull set —
 // count, order, and vertices — as the retained naive reference.
 func TestEnginePinsNaiveReference(t *testing.T) {
@@ -101,26 +101,23 @@ func TestEnginePinsNaiveReference(t *testing.T) {
 			n = 200 + rng.Intn(300)
 		}
 		set := randomCloud(t, rng, space, n)
-		for _, mode := range []CloseMode{CloseEither, CloseBoth} {
-			cfg := DefaultConfig()
-			cfg.Mode = mode
-			// Jitter the thresholds so the candidate radius varies
-			// relative to the cell size.
-			cfg.CenterDistThresh = 8 + float64(rng.Intn(25))
-			cfg.BoundaryDistThresh = 4 + float64(rng.Intn(15))
-			naive, err := CarveNaive(set, cfg)
+		cfg := DefaultConfig()
+		// Jitter the thresholds so the candidate radius varies
+		// relative to the cell size.
+		cfg.CenterDistThresh = 8 + float64(rng.Intn(25))
+		cfg.BoundaryDistThresh = 4 + float64(rng.Intn(15))
+		naive, err := CarveNaive(set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4, 8} {
+			cfg.Workers = w
+			hulls, _, err := CarveStats(context.Background(), set, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{1, 4, 8} {
-				cfg.Workers = w
-				hulls, _, err := CarveStats(context.Background(), set, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("trial %d mode %d workers %d (%d points)", trial, mode, w, set.Len())
-				sameHulls(t, label, hulls, naive)
-			}
+			label := fmt.Sprintf("trial %d workers %d (%d points)", trial, w, set.Len())
+			sameHulls(t, label, hulls, naive)
 		}
 	}
 }
@@ -283,12 +280,10 @@ func TestBBoxPrunePreservesClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []CloseMode{CloseEither, CloseBoth} {
-			c := Config{CellSize: 16, CenterDistThresh: float64(rng.Intn(30)), BoundaryDistThresh: float64(rng.Intn(20)), Mode: mode}
-			e := newMergeEngine(c)
-			if got, want := e.closeTest(hp, hq), c.close(hp, hq); got != want {
-				t.Fatalf("trial %d mode %d: closeTest = %v, Config.close = %v", trial, mode, got, want)
-			}
+		c := Config{CellSize: 16, CenterDistThresh: float64(rng.Intn(30)), BoundaryDistThresh: float64(rng.Intn(20))}
+		e := newMergeEngine(c)
+		if got, want := e.closeTest(hp, hq), c.close(hp, hq); got != want {
+			t.Fatalf("trial %d: closeTest = %v, Config.close = %v", trial, got, want)
 		}
 	}
 }

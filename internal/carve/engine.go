@@ -86,11 +86,6 @@ type mergeEngine struct {
 
 func newMergeEngine(cfg Config) *mergeEngine {
 	r := math.Max(cfg.BoundaryDistThresh, cfg.CenterDistThresh)
-	if cfg.Mode == CloseBoth {
-		// Conjunction fails as soon as either distance exceeds its
-		// threshold, and the gap lower-bounds both distances.
-		r = math.Min(cfg.BoundaryDistThresh, cfg.CenterDistThresh)
-	}
 	return &mergeEngine{
 		cfg:         cfg,
 		pruneRadius: r,
@@ -104,12 +99,7 @@ func newMergeEngine(cfg Config) *mergeEngine {
 // bbox lower bound counts as a prune hit.
 func (e *mergeEngine) closeTest(a, b *hull.Hull) bool {
 	e.st.pairTests++
-	center := a.CenterDist(b) <= e.cfg.CenterDistThresh
-	if e.cfg.Mode == CloseBoth {
-		if !center {
-			return false
-		}
-	} else if center {
+	if a.CenterDist(b) <= e.cfg.CenterDistThresh {
 		return true
 	}
 	// Only the boundary test remains decisive; its O(V²) vertex scan

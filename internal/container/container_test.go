@@ -50,10 +50,6 @@ func TestParseSpec(t *testing.T) {
 	if err != nil || df != "/stencil/mnist.sdf" {
 		t.Errorf("DataFile = %q, %v", df, err)
 	}
-	dp, err := spec.DefaultParams()
-	if err != nil || len(dp) != 2 || dp[0] != 1 || dp[1] != 1 {
-		t.Errorf("DefaultParams = %v, %v", dp, err)
-	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
@@ -123,12 +119,14 @@ func buildTestImage(t *testing.T) (*Image, string) {
 
 func TestBuildAndSize(t *testing.T) {
 	img, _ := buildTestImage(t)
-	files, err := img.Files()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != 2 {
-		t.Fatalf("Files = %v", files)
+	for _, add := range img.Spec.Adds {
+		p, err := img.HostPath(add.Dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("ADD %s: %v", add.Dst, err)
+		}
 	}
 	size, err := img.Size()
 	if err != nil {
@@ -211,4 +209,37 @@ func TestDebloatedImageEndToEnd(t *testing.T) {
 	if rep.Misses == 0 || !rep.Recovered {
 		t.Errorf("expected recovered misses, got %+v", rep)
 	}
+}
+
+// listDir returns the names in dir, or nil when it does not exist.
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// A copy that fails partway leaves neither a partial file nor a
+// temporary one: an ADD whose source is a directory fails on its first
+// read.
+func TestFailedCopyLeavesNoPartialFile(t *testing.T) {
+	src := t.TempDir()
+	if err := os.Mkdir(filepath.Join(src, "dir.sdf"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{From: "scratch", Entrypoint: "CS2", Adds: []AddEntry{{Src: "dir.sdf", Dst: "/d/data.sdf"}}}
+	root := t.TempDir()
+	if _, err := Build(spec, src, root); err == nil {
+		t.Fatal("ADD of a directory should fail")
+	}
+	if names := listDir(t, filepath.Join(root, "d")); len(names) != 0 {
+		t.Errorf("failed ADD left %v", names)
+	}
+
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/array"
@@ -73,33 +72,6 @@ func (img *Image) Size() (int64, error) {
 		return nil
 	})
 	return total, err
-}
-
-// Files lists the image's files (image-relative, sorted) with sizes.
-func (img *Image) Files() ([]FileEntry, error) {
-	var out []FileEntry
-	err := filepath.Walk(img.Root, func(p string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if !info.Mode().IsRegular() {
-			return nil
-		}
-		rel, err := filepath.Rel(img.Root, p)
-		if err != nil {
-			return err
-		}
-		out = append(out, FileEntry{Path: "/" + filepath.ToSlash(rel), Size: info.Size()})
-		return nil
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, err
-}
-
-// FileEntry is one file in an image listing.
-type FileEntry struct {
-	Path string
-	Size int64
 }
 
 // DebloatData builds a debloated copy of this image at newRoot: the

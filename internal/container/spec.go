@@ -51,23 +51,6 @@ func (s *Spec) DataFile() (string, error) {
 	return s.Cmd[len(s.Cmd)-1], nil
 }
 
-// DefaultParams returns the parameter values of the default command
-// (all CMD elements but the last, parsed as numbers).
-func (s *Spec) DefaultParams() ([]float64, error) {
-	if len(s.Cmd) < 2 {
-		return nil, fmt.Errorf("container: CMD carries no parameter values")
-	}
-	out := make([]float64, len(s.Cmd)-1)
-	for i, tok := range s.Cmd[:len(s.Cmd)-1] {
-		v, err := strconv.ParseFloat(tok, 64)
-		if err != nil {
-			return nil, fmt.Errorf("container: CMD parameter %q: %w", tok, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // ParseSpec reads a container specification. Supported instructions:
 //
 //	FROM <ref>

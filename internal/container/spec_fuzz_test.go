@@ -7,8 +7,8 @@ import (
 
 // FuzzParseSpec parses arbitrary bytes as a container specification —
 // a file that comes from outside the process — and, when they parse,
-// asks for the data file, as Image.Run and cmd/kondo do, and for the
-// default parameter values. Each must return an error, never panic.
+// asks for the data file, as Image.Run and cmd/kondo do. Each must
+// return an error, never panic.
 // The seed corpus under testdata/fuzz/FuzzParseSpec holds the paper's
 // Fig. 2a spec, one with fractional and negative PARAM bounds, an
 // inverted and a dashless PARAM range, an empty CMD, a non-numeric CMD
@@ -20,6 +20,5 @@ func FuzzParseSpec(f *testing.F) {
 			return
 		}
 		spec.DataFile()
-		spec.DefaultParams()
 	})
 }

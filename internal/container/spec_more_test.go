@@ -5,30 +5,12 @@ import (
 	"testing"
 )
 
-func TestDefaultParamsErrors(t *testing.T) {
-	spec, err := ParseSpec(strings.NewReader(
-		"FROM a\nENTRYPOINT [\"X\"]\nCMD [abc, /data.sdf]"))
+func TestDataFileErrors(t *testing.T) {
+	spec, err := ParseSpec(strings.NewReader("FROM a\nENTRYPOINT [\"X\"]"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := spec.DefaultParams(); err == nil {
-		t.Error("non-numeric CMD parameter should error")
-	}
-
-	spec2, err := ParseSpec(strings.NewReader(
-		"FROM a\nENTRYPOINT [\"X\"]\nCMD [/data.sdf]"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := spec2.DefaultParams(); err == nil {
-		t.Error("CMD without parameters should error")
-	}
-
-	spec3, err := ParseSpec(strings.NewReader("FROM a\nENTRYPOINT [\"X\"]"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := spec3.DataFile(); err == nil {
+	if _, err := spec.DataFile(); err == nil {
 		t.Error("missing CMD should error on DataFile")
 	}
 }

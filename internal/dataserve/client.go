@@ -31,47 +31,50 @@ import (
 // workload.
 var ErrVerifyFailed = errors.New("dataserve: chunk verification failed")
 
-// FetcherConfig tunes the client's cache, timeout, and retry
-// behaviour. The zero value of any field selects its default.
+// FetcherConfig tunes the client's chunk cache.
 type FetcherConfig struct {
-	// MaxCacheBytes bounds the chunk cache (default 64 MiB).
+	// MaxCacheBytes bounds the chunk cache (default 64 MiB when zero
+	// or negative).
 	MaxCacheBytes int64
-	// RequestTimeout bounds one HTTP attempt (default 2s).
-	RequestTimeout time.Duration
-	// FetchTimeout bounds each trip to the origin including its retries
-	// (default 10s): the geometry lookup on a dataset's first touch, and
-	// each chunk miss. A dead origin fails within this deadline instead
-	// of hanging the debloated runtime; a cache hit does no I/O and is
-	// not timed.
-	FetchTimeout time.Duration
-	// MaxAttempts is the total number of HTTP attempts per fetch
-	// (default 4: one try plus three retries).
-	MaxAttempts int
-	// RetryBase and RetryMax shape the exponential backoff between
-	// attempts (defaults 50ms and 2s).
-	RetryBase, RetryMax time.Duration
 }
 
-func (c FetcherConfig) withDefaults() FetcherConfig {
-	if c.MaxCacheBytes <= 0 {
-		c.MaxCacheBytes = 64 << 20
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 2 * time.Second
-	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 10 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 2 * time.Second
-	}
-	return c
+// defaultCacheBytes is the chunk-cache bound of a zero FetcherConfig.
+const defaultCacheBytes = 64 << 20
+
+// The fetcher's timeouts and retry schedule.
+const (
+	// requestTimeout bounds one HTTP attempt.
+	requestTimeout = 2 * time.Second
+	// fetchTimeout bounds each trip to the origin including its
+	// retries: the geometry lookup on a dataset's first touch, and
+	// each chunk miss. A dead origin fails within this deadline
+	// instead of hanging the debloated runtime; a cache hit does no
+	// I/O and is not timed.
+	fetchTimeout = 10 * time.Second
+	// maxAttempts is the total number of HTTP attempts per trip: one
+	// try plus three retries.
+	maxAttempts = 4
+	// retryBase and retryMax shape the exponential backoff between
+	// attempts.
+	retryBase = 50 * time.Millisecond
+	retryMax  = 2 * time.Second
+)
+
+// retryPolicy is the timeout and retry schedule one fetcher runs.
+// Every fetcher starts with the constants above; in-package tests
+// swap in a faster policy.
+type retryPolicy struct {
+	request, fetch time.Duration
+	attempts       int
+	base, max      time.Duration
+}
+
+var defaultRetry = retryPolicy{
+	request:  requestTimeout,
+	fetch:    fetchTimeout,
+	attempts: maxAttempts,
+	base:     retryBase,
+	max:      retryMax,
 }
 
 // FetchStats is a snapshot of a Fetcher's counters.
@@ -127,7 +130,7 @@ type dsGeom struct {
 type Fetcher struct {
 	baseURL string
 	http    *http.Client
-	cfg     FetcherConfig
+	retry   retryPolicy
 	local   *Server // the in-process origin of a local fetcher, else nil
 	closed  atomic.Bool
 
@@ -152,18 +155,20 @@ type Fetcher struct {
 }
 
 // NewFetcherConfig returns a fetcher against the origin's base URL
-// (e.g. "http://127.0.0.1:8080"); zero fields of cfg take their
-// defaults. A nil httpClient gets a dedicated client whose per-request
+// (e.g. "http://127.0.0.1:8080"); a zero MaxCacheBytes takes its
+// default. A nil httpClient gets a dedicated client whose per-request
 // timeout is enforced through contexts.
 func NewFetcherConfig(baseURL string, httpClient *http.Client, cfg FetcherConfig) *Fetcher {
 	if httpClient == nil {
 		httpClient = &http.Client{}
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MaxCacheBytes <= 0 {
+		cfg.MaxCacheBytes = defaultCacheBytes
+	}
 	return &Fetcher{
 		baseURL:    strings.TrimSuffix(baseURL, "/"),
 		http:       httpClient,
-		cfg:        cfg,
+		retry:      defaultRetry,
 		geoms:      make(map[string]*dsGeom),
 		verify:     make(map[string]*sdf.MerkleSpec),
 		cache:      newChunkCache(cfg.MaxCacheBytes),
@@ -278,7 +283,7 @@ func (f *Fetcher) Register(reg *obs.Registry) {
 
 // FetchContext implements debloat.Fetcher: it recovers one element
 // under the caller's context. Each trip to the origin is additionally
-// bounded by FetchTimeout; a cache hit makes none.
+// bounded by fetchTimeout; a cache hit makes none.
 func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Index) (float64, error) {
 	g, err := f.geom(ctx, dataset)
 	if err != nil {
@@ -324,7 +329,7 @@ func (f *Fetcher) FetchContext(ctx context.Context, dataset string, ix array.Ind
 
 // Geometry returns a dataset's dims and serving chunk shape, of equal
 // rank and positive extents, through the same cached, retried and
-// FetchTimeout-bounded lookup the fetches use (and, after SetVerify,
+// fetchTimeout-bounded lookup the fetches use (and, after SetVerify,
 // checked against the manifest).
 func (f *Fetcher) Geometry(ctx context.Context, dataset string) (dims, chunk []int, err error) {
 	g, err := f.geom(ctx, dataset)
@@ -337,7 +342,7 @@ func (f *Fetcher) Geometry(ctx context.Context, dataset string) (dims, chunk []i
 // geom resolves (and caches) a dataset's serving geometry; it is where
 // a closed fetcher stops every fetch. Concurrent first-touch misses
 // for one dataset collapse onto a single /meta round trip, bounded by
-// FetchTimeout, through the same singleflight machinery chunk fetches
+// fetchTimeout, through the same singleflight machinery chunk fetches
 // use; misses for different datasets proceed independently.
 func (f *Fetcher) geom(ctx context.Context, dataset string) (*dsGeom, error) {
 	if f.closed.Load() {
@@ -358,7 +363,7 @@ func (f *Fetcher) geom(ctx context.Context, dataset string) (*dsGeom, error) {
 		if ok {
 			return g, nil
 		}
-		ctx, cancel := context.WithTimeout(ctx, f.cfg.FetchTimeout)
+		ctx, cancel := context.WithTimeout(ctx, f.retry.fetch)
 		defer cancel()
 		g, err := f.fetchGeom(ctx, dataset)
 		if err != nil {
@@ -425,7 +430,7 @@ func (f *Fetcher) cachedChunk(key chunkKey) ([]float64, bool) {
 
 // chunk returns the values of one serving chunk, from cache when
 // possible (hit reports a cache hit), collapsing concurrent misses
-// onto one request; FetchTimeout bounds that request's trip to the
+// onto one request; fetchTimeout bounds that request's trip to the
 // origin.
 func (f *Fetcher) chunk(ctx context.Context, key chunkKey, g *dsGeom) (_ []float64, hit bool, _ error) {
 	if vals, ok := f.cache.get(key); ok {
@@ -439,7 +444,7 @@ func (f *Fetcher) chunk(ctx context.Context, key chunkKey, g *dsGeom) (_ []float
 		if vals, ok := f.cache.get(key); ok {
 			return vals, nil
 		}
-		ctx, cancel := context.WithTimeout(ctx, f.cfg.FetchTimeout)
+		ctx, cancel := context.WithTimeout(ctx, f.retry.fetch)
 		defer cancel()
 		vals, err := f.fetchChunk(ctx, key.dataset, g, key.chunk)
 		if err != nil {
@@ -611,7 +616,7 @@ func (f *Fetcher) stampTraceContext(ctx context.Context, req *http.Request) {
 // exactly like a carved-away access with no fetcher attached.
 func (f *Fetcher) withRetries(ctx context.Context, attempt func(context.Context) (retryable bool, err error)) error {
 	var lastErr error
-	for try := 0; try < f.cfg.MaxAttempts; try++ {
+	for try := 0; try < f.retry.attempts; try++ {
 		if try > 0 {
 			f.retries.Add(1)
 			backoff := f.backoffDelay(try)
@@ -622,7 +627,7 @@ func (f *Fetcher) withRetries(ctx context.Context, attempt func(context.Context)
 					sdf.ErrDataMissing, ctx.Err(), lastErr)
 			}
 		}
-		actx, cancel := context.WithTimeout(ctx, f.cfg.RequestTimeout)
+		actx, cancel := context.WithTimeout(ctx, f.retry.request)
 		retryable, err := attempt(actx)
 		cancel()
 		if err == nil {
@@ -638,7 +643,7 @@ func (f *Fetcher) withRetries(ctx context.Context, attempt func(context.Context)
 		}
 	}
 	return fmt.Errorf("%w: origin unreachable after %d attempts: %v",
-		sdf.ErrDataMissing, f.cfg.MaxAttempts, lastErr)
+		sdf.ErrDataMissing, f.retry.attempts, lastErr)
 }
 
 // backoffDelay returns the sleep before attempt try (1-based retry
@@ -648,12 +653,12 @@ func (f *Fetcher) withRetries(ctx context.Context, attempt func(context.Context)
 // architecture blog's "full jitter" variant, which has the best
 // tail-collision behaviour of the standard options).
 func (f *Fetcher) backoffDelay(try int) time.Duration {
-	ceiling := f.cfg.RetryMax
+	ceiling := f.retry.max
 	// Compare by shifting the cap down rather than the base up: the
 	// base shifted left can overflow for large try, the cap shifted
 	// right cannot.
-	if shift := uint(try - 1); shift < 63 && f.cfg.RetryBase <= ceiling>>shift {
-		ceiling = f.cfg.RetryBase << shift
+	if shift := uint(try - 1); shift < 63 && f.retry.base <= ceiling>>shift {
+		ceiling = f.retry.base << shift
 	}
 	if ceiling <= 0 {
 		return 0

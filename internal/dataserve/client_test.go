@@ -20,11 +20,20 @@ import (
 )
 
 // fastRetry keeps retry-path tests quick.
-var fastRetry = FetcherConfig{
-	RequestTimeout: 200 * time.Millisecond,
-	FetchTimeout:   time.Second,
-	MaxAttempts:    3,
-	RetryBase:      5 * time.Millisecond,
+var fastRetry = retryPolicy{
+	request:  200 * time.Millisecond,
+	fetch:    time.Second,
+	attempts: 3,
+	base:     5 * time.Millisecond,
+	max:      retryMax,
+}
+
+// newFetcherWith returns a fetcher with a default cache that runs the
+// given retry policy.
+func newFetcherWith(baseURL string, p retryPolicy) *Fetcher {
+	f := NewFetcherConfig(baseURL, nil, FetcherConfig{})
+	f.retry = p
+	return f
 }
 
 func TestFetcherValuesAndCache(t *testing.T) {
@@ -137,7 +146,7 @@ func TestFetcherRetriesFlakyServer(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	f := NewFetcherConfig(ts.URL, nil, fastRetry)
+	f := newFetcherWith(ts.URL, fastRetry)
 	v, err := f.FetchContext(context.Background(), "data", array.NewIndex(3, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +165,7 @@ func TestFetcherDeadServerFailsFast(t *testing.T) {
 	url := ts.URL
 	ts.Close() // kill the server before any fetch
 
-	f := NewFetcherConfig(url, nil, fastRetry)
+	f := newFetcherWith(url, fastRetry)
 	start := time.Now()
 	_, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	elapsed := time.Since(start)
@@ -167,7 +176,7 @@ func TestFetcherDeadServerFailsFast(t *testing.T) {
 		t.Errorf("error %v does not classify as ErrDataMissing", err)
 	}
 	if elapsed > 3*time.Second {
-		t.Errorf("fetch took %v, want well under FetchTimeout slack", elapsed)
+		t.Errorf("fetch took %v, want well under the fetch timeout", elapsed)
 	}
 }
 
@@ -182,11 +191,12 @@ func TestFetcherHungServerHonorsTimeout(t *testing.T) {
 	defer ts.Close()
 	defer close(block) // unblock handlers before ts.Close waits on them
 
-	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{
-		RequestTimeout: 100 * time.Millisecond,
-		FetchTimeout:   400 * time.Millisecond,
-		MaxAttempts:    10,
-		RetryBase:      10 * time.Millisecond,
+	f := newFetcherWith(ts.URL, retryPolicy{
+		request:  100 * time.Millisecond,
+		fetch:    400 * time.Millisecond,
+		attempts: 10,
+		base:     10 * time.Millisecond,
+		max:      retryMax,
 	})
 	start := time.Now()
 	_, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
@@ -198,7 +208,7 @@ func TestFetcherHungServerHonorsTimeout(t *testing.T) {
 		t.Errorf("error %v does not classify as ErrDataMissing", err)
 	}
 	if elapsed > 2*time.Second {
-		t.Errorf("fetch took %v, want ~FetchTimeout (400ms)", elapsed)
+		t.Errorf("fetch took %v, want ~the 400ms fetch timeout", elapsed)
 	}
 }
 
@@ -270,7 +280,7 @@ func TestFetcherRejectsCorruptFrames(t *testing.T) {
 				h.ServeHTTP(w, r)
 			}))
 			defer ts.Close()
-			f := NewFetcherConfig(ts.URL, nil, fastRetry)
+			f := newFetcherWith(ts.URL, fastRetry)
 			if _, err := f.FetchContext(context.Background(), "data", array.NewIndex(0, 0)); err == nil {
 				t.Error("corrupt frame accepted")
 			}
@@ -281,7 +291,7 @@ func TestFetcherRejectsCorruptFrames(t *testing.T) {
 func TestFetcherClientSideErrors(t *testing.T) {
 	space := array.MustSpace(8, 8)
 	_, ts := startServer(t, space, []int{4, 4})
-	f := NewFetcherConfig(ts.URL, nil, fastRetry)
+	f := newFetcherWith(ts.URL, fastRetry)
 
 	if _, err := f.FetchContext(context.Background(), "nope", array.NewIndex(0, 0)); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown dataset err = %v, want 404", err)
@@ -579,7 +589,7 @@ func TestDatasetNamesAreEscaped(t *testing.T) {
 	defer ts.Close()
 
 	for _, verified := range []bool{false, true} {
-		f := NewFetcherConfig(ts.URL, nil, fastRetry)
+		f := newFetcherWith(ts.URL, fastRetry)
 		for k, name := range names {
 			if verified {
 				if err := f.SetVerify(name, originSpec(t, path, name)); err != nil {

@@ -54,9 +54,7 @@ func TestFetcherSoakRace(t *testing.T) {
 
 	// A small cache forces eviction churn alongside the hits.
 	f := NewFetcherConfig(ts.URL, nil, FetcherConfig{
-		MaxCacheBytes:  16 << 10, // ~32 chunks of 8x8 float64
-		RequestTimeout: 2 * time.Second,
-		FetchTimeout:   5 * time.Second,
+		MaxCacheBytes: 16 << 10, // ~32 chunks of 8x8 float64
 	})
 
 	goroutines := 16

@@ -16,10 +16,7 @@ import (
 // backoff delays for the same attempt are randomized (full jitter),
 // not a constant, and never exceed the capped exponential ceiling.
 func TestBackoffDelayJittered(t *testing.T) {
-	f := NewFetcherConfig("http://127.0.0.1:1", nil, FetcherConfig{
-		RetryBase: 50 * time.Millisecond,
-		RetryMax:  2 * time.Second,
-	})
+	f := NewFetcherConfig("http://127.0.0.1:1", nil, FetcherConfig{})
 	const samples = 64
 	seen := make(map[time.Duration]bool)
 	for i := 0; i < samples; i++ {
@@ -34,13 +31,13 @@ func TestBackoffDelayJittered(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("delays are constant: %v", seen)
 	}
-	// The ceiling grows exponentially, then caps at RetryMax.
+	// The ceiling grows exponentially, then caps at retryMax.
 	for i := 0; i < samples; i++ {
 		if d := f.backoffDelay(3); d > 200*time.Millisecond {
 			t.Fatalf("try-3 delay %v above 4x base ceiling", d)
 		}
 		if d := f.backoffDelay(20); d > 2*time.Second {
-			t.Fatalf("try-20 delay %v above RetryMax cap", d)
+			t.Fatalf("try-20 delay %v above the retryMax cap", d)
 		}
 		// Very deep retries must not overflow the shifted ceiling.
 		if d := f.backoffDelay(200); d < 0 || d > 2*time.Second {

@@ -226,7 +226,7 @@ func TestVerifiedFetchRejectsTamperedValues(t *testing.T) {
 		return out // ...and re-frame with a valid CRC
 	})
 
-	f := NewFetcherConfig(ts.URL, nil, fastRetry)
+	f := newFetcherWith(ts.URL, fastRetry)
 	if err := f.SetVerify("data", originSpec(t, path, "data")); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestVerifiedFetchRejectsSubstitutedChunk(t *testing.T) {
 		}
 	}, nil)
 
-	f := NewFetcherConfig(ts.URL, nil, fastRetry)
+	f := newFetcherWith(ts.URL, fastRetry)
 	if err := f.SetVerify("data", originSpec(t, path, "data")); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestUnverifiedClientRejectsSwappedResponse(t *testing.T) {
 		}
 	}, nil)
 
-	f := NewFetcherConfig(ts.URL, nil, fastRetry) // NO SetVerify
+	f := newFetcherWith(ts.URL, fastRetry) // NO SetVerify
 	_, err = f.FetchContext(context.Background(), "data", array.NewIndex(0, 0))
 	requireVerifyFailed(t, err)
 	if st := f.Stats(); st.VerifyFailed != 1 || st.Retries != 0 || st.CacheEntries != 0 {
@@ -329,7 +329,7 @@ func TestVerifiedFetchAgainstOldServer(t *testing.T) {
 		r.URL.RawQuery = q.Encode()
 	}, nil)
 
-	f := NewFetcherConfig(ts.URL, nil, fastRetry)
+	f := newFetcherWith(ts.URL, fastRetry)
 	if err := f.SetVerify("data", originSpec(t, path, "data")); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestVerifiedFetchAgainstOldServer(t *testing.T) {
 	})
 	for _, forged := range []bool{false, true} {
 		forge.Store(forged)
-		g := NewFetcherConfig(oneTS.URL, nil, fastRetry)
+		g := newFetcherWith(oneTS.URL, fastRetry)
 		if err := g.SetVerify("data", originSpec(t, onePath, "data")); err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,7 @@ func TestVerifiedFetchRejectsWrongRoot(t *testing.T) {
 
 	spec := originSpec(t, path, "data")
 	spec.Root[0] ^= 0xff // a root that matches nothing
-	f := NewFetcherConfig(ts.URL, nil, fastRetry)
+	f := newFetcherWith(ts.URL, fastRetry)
 	if err := f.SetVerify("data", spec); err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestVerifiedFetchRejectsLyingMeta(t *testing.T) {
 
 	// A spec pinned for a different geometry (32x32 over 16x16 chunks).
 	other := writeOriginFile(t, array.MustSpace(32, 32), []int{16, 16})
-	f := NewFetcherConfig(ts.URL, nil, fastRetry)
+	f := newFetcherWith(ts.URL, fastRetry)
 	if err := f.SetVerify("data", originSpec(t, other, "data")); err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestVerifiedFetchDetectsTamperAfterTreeBuild(t *testing.T) {
 
 	// A cold verifying client sweeps every chunk: the tampered one must
 	// be rejected, the untouched ones must still verify.
-	cold := NewFetcherConfig(ts.URL, nil, fastRetry)
+	cold := newFetcherWith(ts.URL, fastRetry)
 	if err := cold.SetVerify("data", spec); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ package debloat
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/array"
 	"repro/internal/sdf"
@@ -175,18 +174,4 @@ func stampProvenance(dw *sdf.DatasetWriter, granularity string, kept int) error 
 		}
 	}
 	return nil
-}
-
-// FileSizes returns the on-disk sizes of the original and debloated
-// files — what a container user actually downloads.
-func FileSizes(srcPath, dstPath string) (orig, debloated int64, err error) {
-	si, err := os.Stat(srcPath)
-	if err != nil {
-		return 0, 0, err
-	}
-	di, err := os.Stat(dstPath)
-	if err != nil {
-		return 0, 0, err
-	}
-	return si.Size(), di.Size(), nil
 }

@@ -128,7 +128,7 @@ func (m *Manifest) MerkleSpec() (*sdf.MerkleSpec, error) {
 func NewManifest(program, dataset string, dims []int, granularity string, chunk []int,
 	hulls []*hull.Hull, stats Stats, evaluations int) *Manifest {
 
-	m := &Manifest{
+	return &Manifest{
 		Tool:           "kondo-repro",
 		Program:        program,
 		Dataset:        dataset,
@@ -139,15 +139,8 @@ func NewManifest(program, dataset string, dims []int, granularity string, chunk 
 		Evaluations:    evaluations,
 		OriginalBytes:  stats.OriginalBytes,
 		DebloatedBytes: stats.DebloatedBytes,
+		Hulls:          hull.Encode(hulls),
 	}
-	for _, h := range hulls {
-		var verts [][]float64
-		for _, v := range h.Vertices() {
-			verts = append(verts, append([]float64(nil), v...))
-		}
-		m.Hulls = append(m.Hulls, verts)
-	}
-	return m
 }
 
 // Save writes the manifest as JSON, replacing any file at path all at
@@ -191,19 +184,11 @@ func decodeManifest(data []byte) (*Manifest, error) {
 
 // RebuildHulls reconstructs the hull objects from the manifest.
 func (m *Manifest) RebuildHulls() ([]*hull.Hull, error) {
-	out := make([]*hull.Hull, 0, len(m.Hulls))
-	for i, verts := range m.Hulls {
-		pts := make([]geom.Point, len(verts))
-		for j, v := range verts {
-			pts[j] = geom.Point(v)
-		}
-		h, err := hull.New(pts)
-		if err != nil {
-			return nil, fmt.Errorf("debloat: manifest hull %d: %w", i, err)
-		}
-		out = append(out, h)
+	hulls, err := hull.Decode(m.Hulls)
+	if err != nil {
+		return nil, fmt.Errorf("debloat: manifest %w", err)
 	}
-	return out, nil
+	return hulls, nil
 }
 
 // Covers reports whether the carved hull set contains the index — the

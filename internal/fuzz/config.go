@@ -11,10 +11,7 @@
 // after far fewer debloat tests than brute force.
 package fuzz
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // DefaultBatchSize is the number of seeds drained from the queue per
 // schedule round and evaluated concurrently. It is deliberately
@@ -64,18 +61,9 @@ type Config struct {
 	// MaxEvals, when positive, bounds the number of debloat tests
 	// (seed evaluations) — the "number of runs" budget.
 	MaxEvals int
-	// TimeBudget, when positive, bounds wall-clock time — the fixed
-	// time budget of §V-C.
-	TimeBudget time.Duration
 	// Seed seeds the schedule's random source, making runs
 	// reproducible.
 	Seed int64
-	// InitialValues, when non-empty, is a seed corpus enqueued ahead
-	// of the first random sampling — e.g. the useful valuations of an
-	// earlier campaign, so a continued run (§VI: "let Kondo run for
-	// some more time") starts from what is already known instead of
-	// from scratch.
-	InitialValues [][]float64
 	// Workers bounds the worker pool that runs debloat tests
 	// concurrently within a batch. Zero or negative resolves to
 	// runtime.GOMAXPROCS(0). The worker count changes only wall-clock

@@ -52,8 +52,6 @@ const (
 	StopIdle StopReason = "stop-iter"
 	// StopBudget: the MaxEvals debloat-test budget was spent.
 	StopBudget StopReason = "max-evals"
-	// StopDeadline: the TimeBudget wall-clock deadline passed.
-	StopDeadline StopReason = "deadline"
 	// StopCanceled: the campaign context was canceled (or hit its own
 	// deadline).
 	StopCanceled StopReason = "canceled"
@@ -188,10 +186,6 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	start := time.Now()
-	var deadline time.Time
-	if cfg.TimeBudget > 0 {
-		deadline = start.Add(cfg.TimeBudget)
-	}
 
 	cov := newCovTracker(f.space, start)
 	res := &Result{Indices: array.NewIndexSet(f.space), Workers: workers, Coverage: cov.series}
@@ -229,14 +223,6 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// A provided corpus takes the first turn; it is clamped into Θ and
-	// deduped by the normal evaluation bookkeeping.
-	for _, v := range cfg.InitialValues {
-		if len(v) == len(f.params) {
-			queue = append(queue, f.params.Clamp(v))
-		}
-	}
-
 	stop := StopMaxIter // reason when the for condition ends the loop
 	batch := make([][]float64, 0, DefaultBatchSize)
 loop:
@@ -247,10 +233,6 @@ loop:
 		}
 		if cfg.MaxEvals > 0 && res.Evaluations >= cfg.MaxEvals {
 			stop = StopBudget
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			stop = StopDeadline
 			break
 		}
 		if ctx.Err() != nil {

@@ -170,25 +170,43 @@ func TestFuzzerRespectsMaxEvals(t *testing.T) {
 	}
 }
 
+// TestFuzzerRespectsTimeBudget pins a campaign's one wall-clock bound,
+// its context's deadline: under a 20 ms deadline a campaign of slow
+// tests returns within a second with the tests it finished, and
+// reports StopCanceled.
 func TestFuzzerRespectsTimeBudget(t *testing.T) {
 	space := array.MustSpace(32, 32)
 	params := workload.ParamSpace{{Lo: 0, Hi: 31}, {Lo: 0, Hi: 31}}
 	cfg := DefaultConfig()
-	cfg.TimeBudget = time.Millisecond
+	cfg.MaxIter = 1 << 20
+	cfg.StopIter = 0 // only the deadline may stop this campaign
+	everything := rectEvaluator(space, 0, 31, 0, 31)
 	slow := func(v []float64) (*array.IndexSet, error) {
-		time.Sleep(200 * time.Microsecond)
-		return array.NewIndexSet(space), nil
+		time.Sleep(time.Millisecond)
+		return everything(v)
 	}
 	f, err := New(params, space, slow, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if _, err := f.Run(context.Background()); err != nil {
+	res, err := f.Run(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if time.Since(start) > time.Second {
-		t.Error("time budget not respected")
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("campaign returned %v after a 20ms deadline", elapsed)
+	}
+	if res.StopReason != StopCanceled {
+		t.Errorf("StopReason = %q, want %q", res.StopReason, StopCanceled)
+	}
+	if res.Evaluations == 0 || res.Indices.Empty() {
+		t.Errorf("partial result is empty: %d evaluations, %d indices", res.Evaluations, res.Indices.Len())
+	}
+	if res.Evaluations >= 1024 {
+		t.Errorf("campaign ran all %d valuations despite the deadline", res.Evaluations)
 	}
 }
 
@@ -239,90 +257,6 @@ func TestFuzzerNeverEvaluatesSameValuationTwice(t *testing.T) {
 		if n > 1 {
 			t.Errorf("valuation %s evaluated %d times", key, n)
 		}
-	}
-}
-
-func TestInitialValuesCorpusEvaluatedFirst(t *testing.T) {
-	space := array.MustSpace(32, 32)
-	params := workload.ParamSpace{{Lo: 0, Hi: 31}, {Lo: 0, Hi: 31}}
-	var order [][]float64
-	eval := func(v []float64) (*array.IndexSet, error) {
-		order = append(order, append([]float64(nil), v...))
-		return rectEvaluator(space, 0, 31, 0, 31)(v)
-	}
-	cfg := DefaultConfig()
-	cfg.Seed = 9
-	cfg.MaxIter = 50
-	cfg.Workers = 1 // the evaluator records arrival order
-	cfg.InitialValues = [][]float64{{3, 4}, {99, -5} /* clamped */, {7, 7}}
-	f, err := New(params, space, eval, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) < 3 {
-		t.Fatalf("only %d evaluations", len(order))
-	}
-	if order[0][0] != 3 || order[0][1] != 4 {
-		t.Errorf("first evaluation = %v, want corpus seed (3,4)", order[0])
-	}
-	if order[1][0] != 31 || order[1][1] != 0 {
-		t.Errorf("second evaluation = %v, want clamped (31,0)", order[1])
-	}
-	// Wrong-arity corpus entries are ignored.
-	cfg.InitialValues = [][]float64{{1}}
-	f2, err := New(params, space, eval, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f2.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestResumeImprovesOnColdStart verifies the §VI continuation story: a
-// second campaign seeded with the first campaign's useful valuations
-// discovers at least everything the first run knew, within the same
-// fresh budget.
-func TestResumeImprovesOnColdStart(t *testing.T) {
-	space := array.MustSpace(64, 64)
-	params := workload.ParamSpace{{Lo: 0, Hi: 63}, {Lo: 0, Hi: 63}}
-	eval := rectEvaluator(space, 20, 40, 20, 40)
-
-	first := DefaultConfig()
-	first.Seed = 2
-	first.MaxEvals = 150
-	f1, err := New(params, space, eval, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := f1.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var corpus [][]float64
-	for _, s := range res1.Seeds {
-		if s.Useful {
-			corpus = append(corpus, s.V)
-		}
-	}
-	second := DefaultConfig()
-	second.Seed = 3
-	second.MaxEvals = 300
-	second.InitialValues = corpus
-	f2, err := New(params, space, eval, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := f2.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Indices.Len() < res1.Indices.Len() {
-		t.Errorf("resumed campaign found %d < first run's %d", res2.Indices.Len(), res1.Indices.Len())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,31 +215,20 @@ func TestAllFailuresError(t *testing.T) {
 }
 
 // TestRestartPreservesFrontier locks in the restart fix: a restart adds
-// fresh uniform seeds without discarding the pending boundary-mutant
-// queue. The useful region is a small island in a huge Θ that uniform
-// samples essentially never hit; only the corpus seeds inside it and
-// the mutants they spawn can discover it. With Restart=1 (a restart
-// after every iteration), a restart that cleared the queue would wipe
-// those mutants every round and discovery would stall at the corpus.
+// fresh uniform seeds without discarding the pending mutant queue.
+// Uniform samples are integer valuations, and a mutant almost never
+// is, so the fractional seeds a campaign evaluates are its mutants.
+// With Restart=1 (a restart after every iteration), a restart that
+// cleared the queue would drop every mutant before its turn and the
+// campaign would evaluate uniform samples only.
 func TestRestartPreservesFrontier(t *testing.T) {
 	space := array.MustSpace(64, 64)
-	params := workload.ParamSpace{{Lo: 0, Hi: 1023}, {Lo: 0, Hi: 1023}}
-	eval := func(v []float64) (*array.IndexSet, error) {
-		set := array.NewIndexSet(space)
-		x, y := workload.RoundParam(v[0]), workload.RoundParam(v[1])
-		if x >= 500 && x <= 540 && y >= 500 && y <= 540 {
-			set.Add(array.NewIndex(x-500, y-500))
-		}
-		return set, nil
-	}
+	params := workload.ParamSpace{{Lo: 0, Hi: 63}, {Lo: 0, Hi: 63}}
 	cfg := DefaultConfig()
 	cfg.Seed = 13
 	cfg.MaxIter = 400
 	cfg.Restart = 1
-	cfg.InitialValues = [][]float64{
-		{505, 505}, {510, 520}, {520, 510}, {530, 530}, {515, 515},
-	}
-	f, err := New(params, space, eval, cfg)
+	f, err := New(params, space, rectEvaluator(space, 16, 47, 16, 47), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,10 +236,23 @@ func TestRestartPreservesFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The corpus alone accounts for 5 useful evaluations; everything
-	// beyond that had to come from mutants that survived the restarts.
-	if res.Useful <= 2*len(cfg.InitialValues) {
-		t.Errorf("restart-heavy campaign made only %d useful evaluations: pending mutants were lost", res.Useful)
+	mutants := 0
+	for _, s := range res.Seeds {
+		for _, x := range s.V {
+			if x != math.Trunc(x) {
+				mutants++
+				break
+			}
+		}
+	}
+	// Each iteration queues 5 to 8 mutants behind 20 fresh samples;
+	// after dedup and clamping, 54 of the 400 seeds evaluated here are
+	// fractional mutants. A cleared queue would leave none.
+	if mutants < len(res.Seeds)/20 {
+		t.Errorf("restart-heavy campaign evaluated %d mutants among %d seeds: pending mutants were lost", mutants, len(res.Seeds))
+	}
+	if res.Useful == 0 {
+		t.Error("no seed reached the region")
 	}
 	if res.MaxQueueDepth == 0 {
 		t.Error("queue depth never recorded")

@@ -12,13 +12,6 @@ type Box struct {
 	Min, Max Point
 }
 
-// NewBox returns the box spanning [min, max]. It panics on dimension
-// mismatch.
-func NewBox(min, max Point) Box {
-	checkDim(min, max)
-	return Box{Min: min.Clone(), Max: max.Clone()}
-}
-
 // BoundingBox returns the smallest box containing all points. It
 // panics if pts is empty.
 func BoundingBox(pts []Point) Box {
@@ -41,25 +34,11 @@ func BoundingBox(pts []Point) Box {
 	return Box{Min: min, Max: max}
 }
 
-// Dim returns the dimension of the box.
-func (b Box) Dim() int { return len(b.Min) }
-
 // Contains reports whether p lies inside the box (inclusive).
 func (b Box) Contains(p Point) bool {
 	checkDim(b.Min, p)
 	for i := range p {
 		if p[i] < b.Min[i] || p[i] > b.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether the two boxes share at least one point.
-func (b Box) Intersects(o Box) bool {
-	checkDim(b.Min, o.Min)
-	for i := range b.Min {
-		if b.Max[i] < o.Min[i] || o.Max[i] < b.Min[i] {
 			return false
 		}
 	}
@@ -84,51 +63,6 @@ func (b Box) Gap(o Box) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// Union returns the smallest box containing both b and o.
-func (b Box) Union(o Box) Box {
-	checkDim(b.Min, o.Min)
-	min := b.Min.Clone()
-	max := b.Max.Clone()
-	for i := range min {
-		if o.Min[i] < min[i] {
-			min[i] = o.Min[i]
-		}
-		if o.Max[i] > max[i] {
-			max[i] = o.Max[i]
-		}
-	}
-	return Box{Min: min, Max: max}
-}
-
-// Center returns the midpoint of the box.
-func (b Box) Center() Point {
-	c := make(Point, len(b.Min))
-	for i := range c {
-		c[i] = (b.Min[i] + b.Max[i]) / 2
-	}
-	return c
-}
-
-// Volume returns the product of the box's side lengths. A degenerate
-// box (a point or lower-dimensional slab) has volume zero.
-func (b Box) Volume() float64 {
-	v := 1.0
-	for i := range b.Min {
-		v *= b.Max[i] - b.Min[i]
-	}
-	return v
-}
-
-// Clamp returns p with every coordinate clamped into the box.
-func (b Box) Clamp(p Point) Point {
-	checkDim(b.Min, p)
-	q := p.Clone()
-	for i := range q {
-		q[i] = math.Max(b.Min[i], math.Min(b.Max[i], q[i]))
-	}
-	return q
 }
 
 // String formats the box as "[min .. max]".

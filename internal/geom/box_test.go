@@ -19,7 +19,7 @@ func TestBoundingBox(t *testing.T) {
 }
 
 func TestBoxContainsBoundary(t *testing.T) {
-	b := NewBox(NewPoint(0, 0), NewPoint(10, 10))
+	b := Box{Min: NewPoint(0, 0), Max: NewPoint(10, 10)}
 	if !b.Contains(NewPoint(0, 0)) || !b.Contains(NewPoint(10, 10)) {
 		t.Error("box boundary should be inclusive")
 	}
@@ -28,80 +28,25 @@ func TestBoxContainsBoundary(t *testing.T) {
 	}
 }
 
-func TestBoxIntersects(t *testing.T) {
-	a := NewBox(NewPoint(0, 0), NewPoint(5, 5))
-	cases := []struct {
-		b    Box
-		want bool
-	}{
-		{NewBox(NewPoint(4, 4), NewPoint(8, 8)), true},
-		{NewBox(NewPoint(5, 5), NewPoint(9, 9)), true}, // touching corner
-		{NewBox(NewPoint(6, 0), NewPoint(9, 5)), false},
-		{NewBox(NewPoint(0, -3), NewPoint(5, -1)), false},
-	}
-	for _, c := range cases {
-		if got := a.Intersects(c.b); got != c.want {
-			t.Errorf("Intersects(%v) = %v, want %v", c.b, got, c.want)
-		}
-		if got := c.b.Intersects(a); got != c.want {
-			t.Errorf("Intersects not symmetric for %v", c.b)
-		}
-	}
-}
-
-func TestBoxUnionVolume(t *testing.T) {
-	a := NewBox(NewPoint(0, 0), NewPoint(2, 2))
-	b := NewBox(NewPoint(3, 3), NewPoint(4, 4))
-	u := a.Union(b)
-	if !u.Min.Equal(NewPoint(0, 0)) || !u.Max.Equal(NewPoint(4, 4)) {
-		t.Errorf("Union = %v", u)
-	}
-	if v := u.Volume(); v != 16 {
-		t.Errorf("Volume = %v, want 16", v)
-	}
-	if v := NewBox(NewPoint(1, 1), NewPoint(1, 5)).Volume(); v != 0 {
-		t.Errorf("degenerate Volume = %v, want 0", v)
-	}
-}
-
-func TestBoxCenterClamp(t *testing.T) {
-	b := NewBox(NewPoint(0, 0), NewPoint(10, 4))
-	if c := b.Center(); !c.Equal(NewPoint(5, 2)) {
-		t.Errorf("Center = %v", c)
-	}
-	if p := b.Clamp(NewPoint(-5, 9)); !p.Equal(NewPoint(0, 4)) {
-		t.Errorf("Clamp = %v", p)
-	}
-	if p := b.Clamp(NewPoint(3, 2)); !p.Equal(NewPoint(3, 2)) {
-		t.Errorf("Clamp of interior point = %v", p)
-	}
-}
-
-// Property: a union contains both boxes' corners, and bounding box of
-// clamped points always lies inside the box.
+// Property: the bounding box of two points contains both, and the gap
+// between two boxes is symmetric, zero when one box contains a point
+// of the other, and never more than the distance between any two of
+// their points.
 func TestBoxProperties(t *testing.T) {
-	f := func(x1, y1, x2, y2, px, py int8) bool {
-		min := NewPoint(float64(min8(x1, x2)), float64(min8(y1, y2)))
-		max := NewPoint(float64(max8(x1, x2)), float64(max8(y1, y2)))
-		b := NewBox(min, max)
-		p := b.Clamp(NewPoint(float64(px), float64(py)))
-		return b.Contains(p)
+	f := func(ax, ay, bx, by, cx, cy, dx, dy int8) bool {
+		p, q := NewPoint(float64(ax), float64(ay)), NewPoint(float64(bx), float64(by))
+		r, u := NewPoint(float64(cx), float64(cy)), NewPoint(float64(dx), float64(dy))
+		b, o := BoundingBox([]Point{p, q}), BoundingBox([]Point{r, u})
+		if !b.Contains(p) || !b.Contains(q) {
+			return false
+		}
+		gap := b.Gap(o)
+		if gap != o.Gap(b) || gap > p.Dist(r)+1e-9 {
+			return false
+		}
+		return !o.Contains(p) || gap == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func min8(a, b int8) int8 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max8(a, b int8) int8 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,8 +1,7 @@
 // Package geom provides the d-dimensional geometric primitives used by
 // Kondo's fuzzer (parameter-space frames and clusters) and carver
 // (convex hulls over index space): points, vectors, bounding boxes,
-// and the orientation predicates needed for 2D and 3D hull
-// construction.
+// and the orientation and distance predicates of hull construction.
 //
 // Points are represented as []float64 slices. All functions treat the
 // slice length as the dimension d and panic on dimension mismatch;
@@ -187,17 +186,4 @@ func (p Point) Less(q Point) bool {
 		}
 	}
 	return false
-}
-
-// Key returns a string key identifying the exact coordinates of p,
-// suitable for map-based deduplication of evaluated fuzz seeds.
-func (p Point) Key() string {
-	var b strings.Builder
-	for i, v := range p {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%v", v)
-	}
-	return b.String()
 }

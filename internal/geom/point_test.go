@@ -107,17 +107,6 @@ func TestLessLexicographic(t *testing.T) {
 	}
 }
 
-func TestKeyDistinguishesPoints(t *testing.T) {
-	a := NewPoint(1, 23)
-	b := NewPoint(12, 3)
-	if a.Key() == b.Key() {
-		t.Errorf("Key collision: %q vs %q", a.Key(), b.Key())
-	}
-	if a.Key() != NewPoint(1, 23).Key() {
-		t.Error("Key not stable for equal points")
-	}
-}
-
 // Property: distance is symmetric and satisfies the triangle
 // inequality for finite inputs.
 func TestDistProperties(t *testing.T) {

@@ -19,20 +19,6 @@ func Orient2D(a, b, c Point) float64 {
 	return v
 }
 
-// Orient3D returns the signed volume (×6) of the tetrahedron a,b,c,d.
-// Positive means d is on the positive side of the plane through a,b,c
-// oriented counter-clockwise when viewed from the positive side.
-func Orient3D(a, b, c, d Point) float64 {
-	ab := b.Sub(a)
-	ac := c.Sub(a)
-	ad := d.Sub(a)
-	v := ad.Dot(Cross3(ab, ac))
-	if math.Abs(v) <= Eps {
-		return 0
-	}
-	return v
-}
-
 // SegmentDist2 returns the squared distance from point p to segment
 // [a, b] in any dimension.
 func SegmentDist2(p, a, b Point) float64 {
@@ -49,15 +35,4 @@ func SegmentDist2(p, a, b Point) float64 {
 	}
 	proj := a.Add(ab.Scale(t))
 	return p.Dist2(proj)
-}
-
-// PointInTriangle2D reports whether p lies inside or on the triangle
-// a,b,c in the plane.
-func PointInTriangle2D(p, a, b, c Point) bool {
-	d1 := Orient2D(a, b, p)
-	d2 := Orient2D(b, c, p)
-	d3 := Orient2D(c, a, p)
-	hasNeg := d1 < 0 || d2 < 0 || d3 < 0
-	hasPos := d1 > 0 || d2 > 0 || d3 > 0
-	return !(hasNeg && hasPos)
 }

@@ -18,21 +18,6 @@ func TestOrient2D(t *testing.T) {
 	}
 }
 
-func TestOrient3D(t *testing.T) {
-	a := NewPoint(0, 0, 0)
-	b := NewPoint(1, 0, 0)
-	c := NewPoint(0, 1, 0)
-	if v := Orient3D(a, b, c, NewPoint(0, 0, 1)); v <= 0 {
-		t.Errorf("above plane gave %v, want > 0", v)
-	}
-	if v := Orient3D(a, b, c, NewPoint(0, 0, -1)); v >= 0 {
-		t.Errorf("below plane gave %v, want < 0", v)
-	}
-	if v := Orient3D(a, b, c, NewPoint(5, 5, 0)); v != 0 {
-		t.Errorf("coplanar gave %v, want 0", v)
-	}
-}
-
 func TestSegmentDist2(t *testing.T) {
 	a, b := NewPoint(0, 0), NewPoint(10, 0)
 	cases := []struct {
@@ -55,24 +40,6 @@ func TestSegmentDist2(t *testing.T) {
 	}
 }
 
-func TestPointInTriangle2D(t *testing.T) {
-	a, b, c := NewPoint(0, 0), NewPoint(10, 0), NewPoint(0, 10)
-	if !PointInTriangle2D(NewPoint(2, 2), a, b, c) {
-		t.Error("interior point reported outside")
-	}
-	if !PointInTriangle2D(NewPoint(5, 0), a, b, c) {
-		t.Error("edge point reported outside")
-	}
-	if !PointInTriangle2D(a, a, b, c) {
-		t.Error("vertex reported outside")
-	}
-	if PointInTriangle2D(NewPoint(6, 6), a, b, c) {
-		t.Error("exterior point reported inside")
-	}
-}
-
-// Property: Orient2D is antisymmetric under swapping the last two
-// arguments.
 func TestOrient2DAntisymmetry(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy int8) bool {
 		a := NewPoint(float64(ax), float64(ay))

@@ -115,9 +115,6 @@ func Merge(a, b *Hull) (*Hull, error) {
 	return New(pts)
 }
 
-// Dim returns the dimension of the hull's ambient space.
-func (h *Hull) Dim() int { return h.dim }
-
 // Vertices returns the hull's extreme vertices: counter-clockwise from
 // the lexicographically smallest in 2-D, lexicographic otherwise. In
 // every dimension the list depends only on the hull's point set.

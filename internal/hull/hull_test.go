@@ -21,9 +21,9 @@ func TestMonotoneChainSquare(t *testing.T) {
 		t.Fatalf("hull has %d vertices, want 4: %v", len(verts), verts)
 	}
 	// All corners present.
-	want := map[string]bool{"0,0": true, "4,0": true, "4,4": true, "0,4": true}
+	want := map[string]bool{"(0, 0)": true, "(4, 0)": true, "(4, 4)": true, "(0, 4)": true}
 	for _, v := range verts {
-		delete(want, v.Key())
+		delete(want, v.String())
 	}
 	if len(want) != 0 {
 		t.Errorf("missing corners: %v", want)

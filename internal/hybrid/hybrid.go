@@ -63,10 +63,7 @@ func Run(ctx context.Context, p workload.Program, cfg Config) (*Result, error) {
 		Evaluations:  kres.Evaluations,
 	}
 	if cfg.AFLBudget > 0 {
-		acfg := baseline.DefaultAFLConfig()
-		acfg.MaxEvals = cfg.AFLBudget
-		acfg.Seed = cfg.AFLSeed
-		ares, err := baseline.AFL(ctx, p, acfg)
+		ares, err := baseline.AFL(ctx, p, baseline.AFLConfig{MaxEvals: cfg.AFLBudget, Seed: cfg.AFLSeed})
 		if err != nil {
 			return nil, err
 		}

@@ -73,10 +73,6 @@ type Config struct {
 	// clock).
 	Seed int64
 
-	// Fetcher overrides the client configuration (zero value = fetcher
-	// defaults: 64 MiB cache, 4 attempts).
-	Fetcher dataserve.FetcherConfig
-
 	// Verify, when set, arms Merkle verification on the client: every
 	// chunk miss is fetched with an inclusion proof and checked against
 	// this manifest-derived spec before entering the cache. A
@@ -173,8 +169,8 @@ type geometry struct {
 }
 
 // fetchGeometry takes the dataset's dims and serving chunk shape from
-// the fetcher's own geometry lookup (cached, retried, bounded by
-// FetchTimeout, and checked against the manifest once verification is
+// the fetcher's own geometry lookup (cached, retried, bounded by the
+// fetcher's per-trip timeout, and checked against the manifest once verification is
 // armed) and lays out the chunk grid.
 func fetchGeometry(ctx context.Context, f *dataserve.Fetcher, dataset string) (geometry, error) {
 	dims, chunk, err := f.Geometry(ctx, dataset)

@@ -98,7 +98,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	r := &runner{
 		cfg:     cfg,
-		fetcher: dataserve.NewFetcherConfig(cfg.BaseURL, nil, cfg.Fetcher),
+		fetcher: dataserve.NewFetcherConfig(cfg.BaseURL, nil, dataserve.FetcherConfig{}),
 		inst:    newInstruments(cfg.Registry),
 		samples: &sampler{},
 	}

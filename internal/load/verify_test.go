@@ -101,7 +101,6 @@ func TestRunVerifiedLoadMeasuresBlastRadius(t *testing.T) {
 		Concurrency: 4,
 		Seed:        7,
 		Verify:      &spec,
-		Fetcher:     dataserve.FetcherConfig{MaxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

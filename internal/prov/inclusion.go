@@ -70,13 +70,7 @@ func New(program, dataset string, space array.Space, granularity string, chunk [
 		Dims:        space.Dims(),
 		Granularity: granularity,
 		Chunk:       append([]int(nil), chunk...),
-	}
-	for _, h := range hulls {
-		var verts [][]float64
-		for _, v := range h.Vertices() {
-			verts = append(verts, append([]float64(nil), v...))
-		}
-		idx.Hulls = append(idx.Hulls, verts)
+		Hulls:       hull.Encode(hulls),
 	}
 	for _, s := range seeds {
 		idx.Seeds = append(idx.Seeds, SeedEntry{V: append([]float64(nil), s.V...), Useful: s.Useful})
@@ -152,20 +146,12 @@ func (x *InclusionIndex) rebuiltHulls() ([]*hull.Hull, error) {
 	if x.hulls != nil || len(x.Hulls) == 0 {
 		return x.hulls, nil
 	}
-	out := make([]*hull.Hull, 0, len(x.Hulls))
-	for i, verts := range x.Hulls {
-		pts := make([]geom.Point, len(verts))
-		for j, v := range verts {
-			pts[j] = geom.Point(v)
-		}
-		h, err := hull.New(pts)
-		if err != nil {
-			return nil, fmt.Errorf("prov: index hull %d: %w", i, err)
-		}
-		out = append(out, h)
+	hulls, err := hull.Decode(x.Hulls)
+	if err != nil {
+		return nil, fmt.Errorf("prov: index %w", err)
 	}
-	x.hulls = out
-	return out, nil
+	x.hulls = hulls
+	return hulls, nil
 }
 
 // Attribution explains why one index of the debloated file was kept.

@@ -1,11 +1,10 @@
 // Package prov builds a provenance graph from Kondo's audit events, in
 // the style of the system-call-based lineage systems the paper builds
 // on (SPADE [10], Sciunit [12]): process and artifact vertices with
-// used / wasGeneratedBy / wasDerivedFrom edges. Kondo's contribution
-// is the *fine-grained* extension — here the used edges carry the
-// byte-range summary of the access — and the debloated data file is
-// recorded as derived from its origin, closing the provenance chain a
-// container user can audit.
+// used / wasGeneratedBy edges. Kondo's contribution is the
+// *fine-grained* extension — here the used edges carry the byte-range
+// summary of the access. The inclusion-provenance index
+// (inclusion.go) records why each index of a debloated file was kept.
 package prov
 
 import (
@@ -24,7 +23,6 @@ type Kind uint8
 const (
 	Process  Kind = iota + 1 // an executing process
 	Artifact                 // a file (or file version)
-	Activity                 // a tool invocation (e.g. the Kondo debloat run)
 )
 
 // String returns the OPM-ish name of the kind.
@@ -34,8 +32,6 @@ func (k Kind) String() string {
 		return "process"
 	case Artifact:
 		return "artifact"
-	case Activity:
-		return "activity"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -48,8 +44,7 @@ type EdgeKind uint8
 // Edge kinds.
 const (
 	Used           EdgeKind = iota + 1 // process → artifact it read
-	WasGeneratedBy                     // artifact → process/activity that wrote it
-	WasDerivedFrom                     // artifact → source artifact
+	WasGeneratedBy                     // artifact → process that wrote it
 )
 
 // String returns the OPM name of the edge kind.
@@ -59,8 +54,6 @@ func (k EdgeKind) String() string {
 		return "used"
 	case WasGeneratedBy:
 		return "wasGeneratedBy"
-	case WasDerivedFrom:
-		return "wasDerivedFrom"
 	default:
 		return fmt.Sprintf("edge(%d)", uint8(k))
 	}
@@ -119,49 +112,12 @@ func (g *Graph) AddEdge(from, to string, kind EdgeKind, attrs map[string]string)
 	return nil
 }
 
-// Vertex returns a vertex by id.
-func (g *Graph) Vertex(id string) (*Vertex, bool) {
-	v, ok := g.vertices[id]
-	return v, ok
-}
-
 // Vertices returns all vertices in insertion order.
 func (g *Graph) Vertices() []*Vertex {
 	out := make([]*Vertex, len(g.order))
 	for i, id := range g.order {
 		out[i] = g.vertices[id]
 	}
-	return out
-}
-
-// Edges returns a copy of the edges.
-func (g *Graph) Edges() []Edge {
-	return append([]Edge(nil), g.edges...)
-}
-
-// Ancestry returns every vertex id reachable from id along dependency
-// edges — the lineage of an entity: what it used, was generated by, or
-// was derived from, transitively. The result excludes id itself and is
-// sorted.
-func (g *Graph) Ancestry(id string) []string {
-	seen := map[string]bool{id: true}
-	frontier := []string{id}
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		for _, e := range g.edges {
-			if e.From == cur && !seen[e.To] {
-				seen[e.To] = true
-				frontier = append(frontier, e.To)
-			}
-		}
-	}
-	delete(seen, id)
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -213,39 +169,14 @@ func FromStore(store *ioevent.Store) *Graph {
 	return g
 }
 
-// RecordDebloat extends a graph with the debloating derivation: the
-// carved file wasGeneratedBy the Kondo activity, which used the origin
-// file; the carved file wasDerivedFrom the origin.
-func RecordDebloat(g *Graph, originFile, debloatedFile, program string, evaluations int, reduction float64) error {
-	act := "activity:kondo-debloat:" + program
-	g.AddVertex(act, Activity, "kondo debloat "+program, map[string]string{
-		"evaluations": fmt.Sprint(evaluations),
-		"reduction":   fmt.Sprintf("%.4f", reduction),
-	})
-	if _, ok := g.vertices[fileID(originFile)]; !ok {
-		g.AddVertex(fileID(originFile), Artifact, originFile, nil)
-	}
-	g.AddVertex(fileID(debloatedFile), Artifact, debloatedFile, map[string]string{"debloated": "true"})
-	if err := g.AddEdge(act, fileID(originFile), Used, nil); err != nil {
-		return err
-	}
-	if err := g.AddEdge(fileID(debloatedFile), act, WasGeneratedBy, nil); err != nil {
-		return err
-	}
-	return g.AddEdge(fileID(debloatedFile), fileID(originFile), WasDerivedFrom, nil)
-}
-
 // DOT writes the graph in Graphviz format.
 func (g *Graph) DOT(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("digraph provenance {\n  rankdir=BT;\n")
 	for _, v := range g.Vertices() {
 		shape := "box"
-		switch v.Kind {
-		case Process:
+		if v.Kind == Process {
 			shape = "ellipse"
-		case Activity:
-			shape = "hexagon"
 		}
 		// Build the label with Graphviz-level \n line breaks; escape
 		// double quotes so the label stays a valid quoted string.

@@ -25,7 +25,6 @@ package sdf
 // coordinates.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -417,7 +416,3 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
-
-// EqualRoot is a constant-shape comparison helper for tests and
-// callers that hold raw roots.
-func EqualRoot(a, b [HashSize]byte) bool { return bytes.Equal(a[:], b[:]) }

@@ -79,9 +79,6 @@ func TestPackedRoundTrip(t *testing.T) {
 	if ds.StoredBytes() != int64(len(kept))*8 {
 		t.Errorf("StoredBytes = %d, want %d", ds.StoredBytes(), len(kept)*8)
 	}
-	if ds.LogicalBytes() != 64*8 {
-		t.Errorf("LogicalBytes = %d, want %d", ds.LogicalBytes(), 64*8)
-	}
 
 	keptSet := map[int64]bool{}
 	for _, lin := range kept {

@@ -241,10 +241,6 @@ func (d *Dataset) ChunkLayout() *array.ChunkedLayout { return d.chunked }
 // chunks — the quantity Fig. 9's % data reduction is computed from.
 func (d *Dataset) StoredBytes() int64 { return d.meta.DataLen }
 
-// LogicalBytes returns the size the dataset would occupy fully
-// materialized (including edge-chunk padding for chunked layouts).
-func (d *Dataset) LogicalBytes() int64 { return d.layout.DataSize() }
-
 // FileOffset maps an element index to its absolute byte offset in the
 // file, or ErrDataMissing if the element was carved away. The
 // data-missing error formats its message only when printed, so a miss

@@ -279,9 +279,6 @@ func TestDebloatedFile(t *testing.T) {
 	if ds.StoredBytes() != 2*16*8 {
 		t.Errorf("StoredBytes = %d, want %d", ds.StoredBytes(), 2*16*8)
 	}
-	if ds.LogicalBytes() != 4*16*8 {
-		t.Errorf("LogicalBytes = %d, want %d", ds.LogicalBytes(), 4*16*8)
-	}
 
 	// Present element.
 	v, err := ds.ReadElement(array.NewIndex(1, 1))

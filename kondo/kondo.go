@@ -35,11 +35,8 @@ import (
 	"repro/internal/container"
 	"repro/internal/dataserve"
 	"repro/internal/debloat"
-	"repro/internal/ioevent"
 	"repro/internal/kondo"
 	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/prov"
 	"repro/internal/sdf"
 	"repro/internal/workload"
 )
@@ -98,40 +95,6 @@ func Debloat(ctx context.Context, p Program, cfg Config) (*Result, error) {
 	return kondo.Debloat(ctx, p, cfg)
 }
 
-// Trace is an in-memory collector of pipeline spans, exportable as
-// Chrome trace-event JSON (chrome://tracing, Perfetto). Attach one to
-// a context with WithTrace and pass that context to Debloat or a
-// Runtime: the fuzz rounds, carve passes, and recovery fetches emit
-// spans with zero overhead when no trace is attached.
-type Trace = obs.Trace
-
-// NewTrace returns an empty trace collector.
-func NewTrace() *Trace { return obs.NewTrace() }
-
-// WithTrace returns a context carrying tr; instrumented pipeline
-// stages emit spans into it.
-func WithTrace(ctx context.Context, tr *Trace) context.Context {
-	return obs.WithTrace(ctx, tr)
-}
-
-// MetricsRegistry is a concurrent registry of named counters, gauges,
-// and histograms with Prometheus text exposition (WritePrometheus).
-type MetricsRegistry = obs.Registry
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// WithMetrics returns a context carrying reg; instrumented pipeline
-// stages (fuzz counters, runtime miss/recovery counters) update live
-// instruments in it.
-func WithMetrics(ctx context.Context, reg *MetricsRegistry) context.Context {
-	return obs.WithRegistry(ctx, reg)
-}
-
-// Programs returns the 11-program benchmark suite of the paper's
-// evaluation at the default sizes (128² in 2D, 64³ in 3D).
-func Programs() []Program { return workload.All() }
-
 // ProgramByName resolves a benchmark program ("CS1".."CS5", "PRL2D",
 // "PRL3D", "LDC2D", "LDC3D", "RDC2D", "RDC3D", "ARD", "MSI").
 func ProgramByName(name string) (Program, error) { return workload.ByName(name) }
@@ -140,19 +103,6 @@ func ProgramByName(name string) (Program, error) { return workload.ByName(name) 
 // array extents.
 func ProgramForSpace(name string, dims []int) (Program, error) {
 	return workload.ForSpace(name, dims)
-}
-
-// ParamSpace is the advertised parameter space Θ.
-type ParamSpace = workload.ParamSpace
-
-// ParamRange is one inclusive integer parameter range Θ_i.
-type ParamRange = workload.ParamRange
-
-// WithParams restricts a program to an advertised parameter space (the
-// container spec's PARAM line): the debloated subset then follows the
-// advertised Θ, not the program's maximal one.
-func WithParams(p Program, ps ParamSpace) (Program, error) {
-	return workload.WithParams(p, ps)
 }
 
 // GroundTruth computes the exact index subset I_Θ of a program.
@@ -196,19 +146,6 @@ func NewManifest(program, dataset string, dims []int, granularity string, chunk 
 // LoadManifest reads a manifest written by Manifest.Save.
 func LoadManifest(path string) (*Manifest, error) { return debloat.LoadManifest(path) }
 
-// MerkleSpec is a client's trusted description of one dataset's
-// serving-chunk Merkle tree: root, leaf count, and pinned geometry.
-// Obtain one from a manifest's MerkleSpec method and arm a
-// CachedFetcher with SetVerify to reject substituted or tampered
-// chunks before they enter the cache.
-type MerkleSpec = sdf.MerkleSpec
-
-// ErrVerifyFailed marks a recovered chunk that failed Merkle
-// verification (or identity echo) against the manifest root. It is
-// terminal: the origin is lying, not flaky, so the fetcher never
-// retries it and never degrades it to ErrDataMissing.
-var ErrVerifyFailed = dataserve.ErrVerifyFailed
-
 // Fetcher recovers carved-away element values at the user's end
 // (paper §VI's remote-fetch path).
 type Fetcher = debloat.Fetcher
@@ -228,12 +165,6 @@ type Runtime = debloat.Runtime
 // OpenRuntime opens a debloated data file and returns a Runtime over
 // the named dataset, plus a closer for the underlying file.
 func OpenRuntime(path, dataset string, fetcher Fetcher) (*Runtime, io.Closer, error) {
-	return OpenRuntimeContext(context.Background(), path, dataset, fetcher)
-}
-
-// OpenRuntimeContext is OpenRuntime with recoveries bound to ctx:
-// canceling ctx aborts in-flight and future fetches.
-func OpenRuntimeContext(ctx context.Context, path, dataset string, fetcher Fetcher) (*Runtime, io.Closer, error) {
 	f, err := sdf.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -243,7 +174,7 @@ func OpenRuntimeContext(ctx context.Context, path, dataset string, fetcher Fetch
 		f.Close()
 		return nil, nil, err
 	}
-	return debloat.NewRuntimeContext(ctx, ds, fetcher), f, nil
+	return debloat.NewRuntimeContext(context.Background(), ds, fetcher), f, nil
 }
 
 // DataServer is the recovery data plane (paper §VI): it serves an
@@ -266,41 +197,10 @@ func NewDataServer(originPath string) (*DataServer, error) {
 // bounded retries instead of hanging.
 type CachedFetcher = dataserve.Fetcher
 
-// CachedFetcherConfig tunes a CachedFetcher's cache size, timeouts,
-// and retry policy.
-type CachedFetcherConfig = dataserve.FetcherConfig
-
-// FetchStats snapshots a CachedFetcher's counters: elements served,
-// HTTP round trips, retries, and cache hit rate.
-type FetchStats = dataserve.FetchStats
-
 // NewCachedFetcher returns a caching fetcher against a DataServer's
 // base URL with default configuration.
 func NewCachedFetcher(baseURL string) *CachedFetcher {
 	return dataserve.NewFetcherConfig(baseURL, nil, dataserve.FetcherConfig{})
-}
-
-// NewCachedFetcherConfig returns a caching fetcher with explicit
-// configuration.
-func NewCachedFetcherConfig(baseURL string, cfg CachedFetcherConfig) *CachedFetcher {
-	return dataserve.NewFetcherConfig(baseURL, nil, cfg)
-}
-
-// ProvenanceGraph is a SPADE-style lineage graph built from audit
-// events.
-type ProvenanceGraph = prov.Graph
-
-// ProvenanceFromStore builds the run-level provenance of an audited
-// execution.
-func ProvenanceFromStore(store *ioevent.Store) *ProvenanceGraph {
-	return prov.FromStore(store)
-}
-
-// RecordDebloatProvenance extends a graph with the debloating
-// derivation chain (origin → kondo activity → carved file).
-func RecordDebloatProvenance(g *ProvenanceGraph, originFile, debloatedFile, program string, res *Result, stats DebloatStats) error {
-	return prov.RecordDebloat(g, originFile, debloatedFile, program,
-		res.Fuzz.Evaluations, stats.Reduction())
 }
 
 // ContainerSpec is a parsed container specification (FROM/RUN/ADD/
