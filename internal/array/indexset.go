@@ -179,11 +179,42 @@ func (s *IndexSet) UnionWithNew(o *IndexSet, fn func(lo, hi int64)) int64 {
 	return s.union(o.runs, fn)
 }
 
+// EachRunNotIn calls fn for every maximal run of s \ o — the positions
+// of s that o does not hold — in ascending order, stopping early if fn
+// returns false. It only reads the two sets: for each run of s, a
+// galloping search finds the runs of o it meets, so walking a small s
+// against a large o costs O(|s| log |o|) and copies nothing. The two
+// sets must range over the same space.
+func (s *IndexSet) EachRunNotIn(o *IndexSet, fn func(lo, hi int64) bool) {
+	b := o.runs
+	j := 0 // b[:j] end before the current run of s
+	for _, r := range s.runs {
+		j += gallop(b[j:], r.Lo)
+		pos := r.Lo // the first position of r not yet reported or covered
+		for ; j < len(b) && b[j].Lo <= r.Hi; j++ {
+			if b[j].Lo > pos && !fn(pos, b[j].Lo-1) {
+				return
+			}
+			if b[j].Hi >= r.Hi {
+				pos = r.Hi + 1 // b[j] may reach the next run of s too
+				break
+			}
+			pos = b[j].Hi + 1
+		}
+		if pos <= r.Hi && !fn(pos, r.Hi) {
+			return
+		}
+	}
+}
+
 // union merges the sorted run list b into s. Runs of s that no run of
 // b reaches are found by galloping search and copied in bulk; a b run
 // already inside one run of s changes nothing and copies nothing. The
 // output is built in the retained scratch buffer and the two buffers
-// are swapped, so the steady-state union performs no allocations.
+// are swapped, so the steady-state union performs no allocations. A
+// scratch buffer that may be too small for the output is replaced
+// before the merge by one sized to it plus a quarter, so a growing set
+// allocates at most once per union.
 func (s *IndexSet) union(b []Run, fn func(lo, hi int64)) int64 {
 	if len(b) == 0 {
 		return 0
@@ -214,6 +245,9 @@ func (s *IndexSet) union(b []Run, fn func(lo, hi int64)) int64 {
 			continue // r is already covered and nothing has changed yet
 		}
 		if out == nil {
+			if need := len(a) + len(b); cap(s.scratch) < need {
+				s.scratch = make([]Run, 0, need+need/4)
+			}
 			out = s.scratch[:0]
 		}
 		out = append(out, a[i:j]...)

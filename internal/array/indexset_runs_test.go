@@ -183,6 +183,49 @@ func checkModel(t *testing.T, trial int, s *IndexSet, m model) {
 	}
 }
 
+// checkDifference compares s.EachRunNotIn(o) with the model difference
+// sm \ om: the runs must be ascending, maximal and cover it exactly.
+// It also checks that stopping the walk early stops it.
+func checkDifference(t *testing.T, trial int, s *IndexSet, sm model, o *IndexSet, om model) {
+	t.Helper()
+	want := model{}
+	for lin := range sm {
+		if _, ok := om[lin]; !ok {
+			want[lin] = struct{}{}
+		}
+	}
+	got := model{}
+	prevHi := int64(-2)
+	calls := 0
+	s.EachRunNotIn(o, func(lo, hi int64) bool {
+		if lo > hi || lo <= prevHi+1 {
+			t.Fatalf("trial %d: difference run [%d, %d] after %d is not ascending and maximal", trial, lo, hi, prevHi)
+		}
+		for lin := lo; lin <= hi; lin++ {
+			if _, ok := want[lin]; !ok {
+				t.Fatalf("trial %d: difference run [%d, %d] holds %d, which is not in s \\ o", trial, lo, hi, lin)
+			}
+		}
+		prevHi = hi
+		calls++
+		got.addRange(lo, hi)
+		return true
+	})
+	if len(got) != len(want) {
+		t.Fatalf("trial %d: difference walk covered %d positions, model %d", trial, len(got), len(want))
+	}
+	if calls > 1 {
+		stopped := 0
+		s.EachRunNotIn(o, func(lo, hi int64) bool {
+			stopped++
+			return false
+		})
+		if stopped != 1 {
+			t.Fatalf("trial %d: difference walk went on after fn returned false (%d calls)", trial, stopped)
+		}
+	}
+}
+
 // firstAbsent returns the smallest position absent from m, or -1 if m is
 // full.
 func firstAbsent(size int64, m model) int64 {
@@ -197,8 +240,8 @@ func firstAbsent(size int64, m model) int64 {
 // TestIndexSetMatchesMapModel drives random Add/AddLinear/AddRun/
 // UnionWith/Reset sequences into an IndexSet and a map reference and
 // checks Len, ContainsLinear over the whole space, ascending
-// EachLinear, maximal EachRun, IntersectLen, Equal and Clone after
-// every step.
+// EachLinear, maximal EachRun, IntersectLen, the EachRunNotIn
+// difference walk both ways, Equal and Clone after every step.
 func TestIndexSetMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	sp := MustSpace(16, 16)
@@ -241,6 +284,8 @@ func TestIndexSetMatchesMapModel(t *testing.T) {
 				if got := s.IntersectLen(o); got != inter || o.IntersectLen(s) != inter {
 					t.Fatalf("trial %d: IntersectLen = %d, model %d", trial, got, inter)
 				}
+				checkDifference(t, trial, o, om, s, m)
+				checkDifference(t, trial, s, m, o, om)
 				s.UnionWith(o)
 				for lin := range om {
 					m[lin] = struct{}{}

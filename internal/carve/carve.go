@@ -353,59 +353,121 @@ func splitLinear(points *array.IndexSet, cellSize int) [][]int64 {
 // keeps exactly those. It never drops a vertex, so the kept points
 // have the same hull as all of them, while the hull's input shrinks
 // from a cell's volume toward its surface.
+//
+// A line's ends live in one array per axis, indexed by the line's
+// position among the axis-k lines through the points' bounding box, so
+// a SPLIT cell's points use arrays of at most one cell face each. Each
+// entry carries the epoch of the call that wrote it, so the arrays are
+// reused across calls without clearing.
 type lineFilter struct {
-	dims, strides []int64
-	ends          []map[int64]lineEnds // per axis: line → its first and last point
+	dims  []int64      // the space's extent per axis
+	lo    []int64      // the points' bbox: low corner per axis,
+	ext   []int64      // and extent per axis
+	ends  [][]lineEnds // per axis: line position → its first and last point
+	epoch int
+	// strides[k*rank+j] is axis j's stride in the row-major order of
+	// the axis-k lines (0 for j = k).
+	strides []int64
+	// coords holds each point's box-local coordinates and lines its
+	// line position per axis, rank per point.
+	coords, lines []int64
 }
 
-// lineEnds are the smallest and largest linear index on one line.
-type lineEnds struct{ lo, hi int64 }
+// lineEnds are the smallest and largest linear index on one line, as
+// of the call whose epoch they carry.
+type lineEnds struct {
+	lo, hi int64
+	epoch  int
+}
 
 func newLineFilter(space array.Space) *lineFilter {
 	rank := space.Rank()
 	f := &lineFilter{
 		dims:    make([]int64, rank),
-		strides: make([]int64, rank),
-		ends:    make([]map[int64]lineEnds, rank),
+		lo:      make([]int64, rank),
+		ext:     make([]int64, rank),
+		ends:    make([][]lineEnds, rank),
+		strides: make([]int64, rank*rank),
 	}
-	stride := int64(1)
-	for k := rank - 1; k >= 0; k-- {
+	for k := range f.dims {
 		f.dims[k] = int64(space.Dim(k))
-		f.strides[k] = stride
-		stride *= f.dims[k]
-		f.ends[k] = make(map[int64]lineEnds)
 	}
 	return f
-}
-
-// line identifies the axis-k line through lin: lin with its axis-k
-// coordinate set to zero. Along the line, lin grows with that
-// coordinate, so the line's ends are its smallest and largest lin.
-func (f *lineFilter) line(lin int64, k int) int64 {
-	return lin - (lin/f.strides[k])%f.dims[k]*f.strides[k]
 }
 
 // extremes filters distinct linear indices, in any order, in place and
 // returns the kept ones in ascending order.
 func (f *lineFilter) extremes(lins []int64) []int64 {
-	for k, m := range f.ends {
-		clear(m)
-		for _, lin := range lins {
-			key := f.line(lin, k)
-			if e, ok := m[key]; !ok {
-				m[key] = lineEnds{lin, lin}
+	if len(lins) == 0 {
+		return lins
+	}
+	rank := len(f.dims)
+	n := len(lins) * rank
+	f.coords = slices.Grow(f.coords[:0], n)[:n]
+	f.lines = slices.Grow(f.lines[:0], n)[:n]
+	f.epoch++
+
+	// The points' coordinates and bounding box.
+	hi := f.ext // the box's high corner until the extents are known
+	for i, lin := range lins {
+		c := f.coords[i*rank : (i+1)*rank]
+		for k := rank - 1; k >= 0; k-- {
+			c[k] = lin % f.dims[k]
+			lin /= f.dims[k]
+			if i == 0 || c[k] < f.lo[k] {
+				f.lo[k] = c[k]
+			}
+			if i == 0 || c[k] > hi[k] {
+				hi[k] = c[k]
+			}
+		}
+	}
+	for k := range f.ext {
+		f.ext[k] = hi[k] - f.lo[k] + 1
+	}
+	// The axis-k lines are the box-local coordinates without axis k, in
+	// row-major order.
+	for k := range f.ends {
+		stride := int64(1)
+		for j := rank - 1; j >= 0; j-- {
+			if j == k {
+				f.strides[k*rank+j] = 0
+				continue
+			}
+			f.strides[k*rank+j] = stride
+			stride *= f.ext[j]
+		}
+		f.ends[k] = slices.Grow(f.ends[k][:0], int(stride))[:stride]
+	}
+
+	// Record every line's ends.
+	for i, lin := range lins {
+		c := f.coords[i*rank : (i+1)*rank]
+		for j := range c {
+			c[j] -= f.lo[j]
+		}
+		lines := f.lines[i*rank : (i+1)*rank]
+		for k := range lines {
+			var line int64
+			for j, x := range c {
+				line += x * f.strides[k*rank+j]
+			}
+			lines[k] = line
+			e := &f.ends[k][line]
+			if e.epoch != f.epoch {
+				*e = lineEnds{lin, lin, f.epoch}
 			} else if lin < e.lo {
-				m[key] = lineEnds{lin, e.hi}
+				e.lo = lin
 			} else if lin > e.hi {
-				m[key] = lineEnds{e.lo, lin}
+				e.hi = lin
 			}
 		}
 	}
 	kept := lins[:0]
 next:
-	for _, lin := range lins {
-		for k, m := range f.ends {
-			if e := m[f.line(lin, k)]; lin != e.lo && lin != e.hi {
+	for i, lin := range lins {
+		for k, line := range f.lines[i*rank : (i+1)*rank] {
+			if e := f.ends[k][line]; lin != e.lo && lin != e.hi {
 				continue next
 			}
 		}

@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/hull"
 )
@@ -77,8 +75,24 @@ type mergeEngine struct {
 
 	hulls []*hull.Hull // by id; nil once merged away
 	keys  []int        // by id: surviving-order key (array-position rank)
-	grid  map[string][]int
-	big   []int // ids registered in the catch-all bucket
+	inBig []bool       // by id: registered in the catch-all bucket
+
+	// The grid spans the cells of the initial hulls' expanded bboxes. A
+	// merged hull's vertices are its parts' vertices, so its cells lie
+	// inside that span too. A cell is keyed by its row-major position in
+	// the span (origin and strides per axis); should the span outgrow
+	// an int, positions wrap, and cells sharing a key only propose extra
+	// candidates, each of which is still CLOSE-tested.
+	origin, strides []int
+	grid            map[int][]int
+	big             []int // ids registered in the catch-all bucket
+
+	// neighbors' reused state: stamp[id] == epoch marks id as already
+	// listed by the current call; lo, hi and cur hold a cell range.
+	stamp       []int
+	epoch       int
+	nbuf        []int
+	lo, hi, cur []int
 
 	work pairHeap
 	st   mergeStats
@@ -90,7 +104,7 @@ func newMergeEngine(cfg Config) *mergeEngine {
 		cfg:         cfg,
 		pruneRadius: r,
 		cellSide:    math.Max(1, math.Max(r, float64(cfg.CellSize))),
-		grid:        make(map[string][]int),
+		grid:        make(map[int][]int),
 	}
 }
 
@@ -111,117 +125,126 @@ func (e *mergeEngine) closeTest(a, b *hull.Hull) bool {
 	return a.BoundaryDist(b) <= e.cfg.BoundaryDistThresh
 }
 
+// cellRange sets e.lo and e.hi to the inclusive range of grid cells
+// that h's bbox, expanded by pruneRadius/2 per side, overlaps: two
+// hulls whose gap is within the prune radius then share a cell.
+func (e *mergeEngine) cellRange(h *hull.Hull) {
+	bb := h.BBox()
+	for k := range bb.Min {
+		e.lo[k] = int(math.Floor((bb.Min[k] - e.pruneRadius/2) / e.cellSide))
+		e.hi[k] = int(math.Floor((bb.Max[k] + e.pruneRadius/2) / e.cellSide))
+	}
+}
+
+// setGrid sizes the grid's span to the initial hulls' cell ranges.
+func (e *mergeEngine) setGrid(hulls []*hull.Hull) {
+	if len(hulls) == 0 {
+		return
+	}
+	dim := len(hulls[0].BBox().Min)
+	e.lo, e.hi, e.cur = make([]int, dim), make([]int, dim), make([]int, dim)
+	e.origin, e.strides = make([]int, dim), make([]int, dim)
+	top := make([]int, dim)
+	for i, h := range hulls {
+		e.cellRange(h)
+		for k := range e.lo {
+			if i == 0 || e.lo[k] < e.origin[k] {
+				e.origin[k] = e.lo[k]
+			}
+			if i == 0 || e.hi[k] > top[k] {
+				top[k] = e.hi[k]
+			}
+		}
+	}
+	stride := 1
+	for k := dim - 1; k >= 0; k-- {
+		e.strides[k] = stride
+		stride *= top[k] - e.origin[k] + 1
+	}
+}
+
+// firstCell starts a walk over the cells of e.lo..e.hi in row-major
+// order and returns the first cell's key; nextCell steps the walk and
+// reports false past the last cell.
+func (e *mergeEngine) firstCell() int {
+	copy(e.cur, e.lo)
+	return e.cellKey()
+}
+
+func (e *mergeEngine) nextCell() (int, bool) {
+	for k := len(e.cur) - 1; k >= 0; k-- {
+		if e.cur[k]++; e.cur[k] <= e.hi[k] {
+			return e.cellKey(), true
+		}
+		e.cur[k] = e.lo[k]
+	}
+	return 0, false
+}
+
+// cellKey is the grid key of cell e.cur.
+func (e *mergeEngine) cellKey() int {
+	key := 0
+	for k, c := range e.cur {
+		key += (c - e.origin[k]) * e.strides[k]
+	}
+	return key
+}
+
 // addHull registers a hull under the given surviving-order key and
 // returns its id.
 func (e *mergeEngine) addHull(h *hull.Hull, key int) int {
 	id := len(e.hulls)
 	e.hulls = append(e.hulls, h)
 	e.keys = append(e.keys, key)
+	e.stamp = append(e.stamp, 0)
 
-	// Register the bbox expanded by pruneRadius/2 per side: two hulls
-	// whose gap is within the prune radius then share at least one
-	// grid cell.
-	bb := h.BBox()
-	dim := len(bb.Min)
-	lo := make([]int, dim)
-	hi := make([]int, dim)
+	e.cellRange(h)
 	cover := 1
-	for k := 0; k < dim; k++ {
-		lo[k] = int(math.Floor((bb.Min[k] - e.pruneRadius/2) / e.cellSide))
-		hi[k] = int(math.Floor((bb.Max[k] + e.pruneRadius/2) / e.cellSide))
-		cover *= hi[k] - lo[k] + 1
-		if cover > maxGridCover {
+	for k := range e.lo {
+		if cover *= e.hi[k] - e.lo[k] + 1; cover > maxGridCover {
+			e.inBig = append(e.inBig, true)
 			e.big = append(e.big, id)
 			return id
 		}
 	}
-	cur := append([]int(nil), lo...)
-	for {
-		ck := gridKey(cur)
+	e.inBig = append(e.inBig, false)
+	for ck, ok := e.firstCell(), true; ok; ck, ok = e.nextCell() {
 		e.grid[ck] = append(e.grid[ck], id)
-		k := dim - 1
-		for k >= 0 {
-			cur[k]++
-			if cur[k] <= hi[k] {
-				break
-			}
-			cur[k] = lo[k]
-			k--
-		}
-		if k < 0 {
-			return id
-		}
 	}
-}
-
-func gridKey(cell []int) string {
-	var b strings.Builder
-	for i, c := range cell {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(c))
-	}
-	return b.String()
+	return id
 }
 
 // neighbors returns the live candidate partners of id: hulls sharing a
 // grid cell with it, plus every catch-all hull (and, for a catch-all
 // hull, every live hull). The returned set is deduplicated; its order
 // is irrelevant because every candidate is tested, never short-
-// circuited.
+// circuited. The slice is reused by the next call.
 func (e *mergeEngine) neighbors(id int) []int {
-	seen := make(map[int]bool)
-	var out []int
+	e.epoch++
+	e.stamp[id] = e.epoch // id is not its own neighbor
+	out := e.nbuf[:0]
 	add := func(nb int) {
-		if nb == id || seen[nb] || e.hulls[nb] == nil {
-			return
-		}
-		seen[nb] = true
-		out = append(out, nb)
-	}
-	inBig := false
-	for _, b := range e.big {
-		if b == id {
-			inBig = true
-			break
+		if e.hulls[nb] != nil && e.stamp[nb] != e.epoch {
+			e.stamp[nb] = e.epoch
+			out = append(out, nb)
 		}
 	}
-	if inBig {
+	if e.inBig[id] {
 		for nb := range e.hulls {
 			add(nb)
 		}
-		return out
-	}
-	bb := e.hulls[id].BBox()
-	dim := len(bb.Min)
-	lo := make([]int, dim)
-	hi := make([]int, dim)
-	for k := 0; k < dim; k++ {
-		lo[k] = int(math.Floor((bb.Min[k] - e.pruneRadius/2) / e.cellSide))
-		hi[k] = int(math.Floor((bb.Max[k] + e.pruneRadius/2) / e.cellSide))
-	}
-	cur := append([]int(nil), lo...)
-	for {
-		for _, nb := range e.grid[gridKey(cur)] {
+	} else {
+		e.cellRange(e.hulls[id])
+		for ck, ok := e.firstCell(), true; ok; ck, ok = e.nextCell() {
+			for _, nb := range e.grid[ck] {
+				add(nb)
+			}
+		}
+		for _, nb := range e.big {
 			add(nb)
 		}
-		k := dim - 1
-		for k >= 0 {
-			cur[k]++
-			if cur[k] <= hi[k] {
-				break
-			}
-			cur[k] = lo[k]
-			k--
-		}
-		if k < 0 {
-			break
-		}
 	}
-	for _, nb := range e.big {
-		add(nb)
-	}
+	e.nbuf = out
 	return out
 }
 
@@ -239,6 +262,7 @@ func (e *mergeEngine) push(ida, idb, depth int) {
 // run drives the worklist to the fixpoint and returns the surviving
 // hulls in surviving-order (identical to the naive array order).
 func (e *mergeEngine) run(ctx context.Context, hulls []*hull.Hull) ([]*hull.Hull, mergeStats, error) {
+	e.setGrid(hulls)
 	for i, h := range hulls {
 		e.addHull(h, i)
 	}

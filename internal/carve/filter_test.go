@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -99,13 +100,57 @@ func latticeSet(rng *rand.Rand, space array.Space, kind string) []int64 {
 	return lins
 }
 
-// checkFilterKeepsHull builds the hull of every point and the hull of
-// the points lineFilter keeps, and requires identical vertex lists
-// with every vertex among the kept points.
-func checkFilterKeepsHull(t *testing.T, label string, space array.Space, lins []int64) (all, kept int) {
+// extremesByMap is the filter as one map per axis from a line (a
+// point with its axis-k coordinate zeroed) to the line's ends: the
+// reference the array-backed lineFilter is checked against.
+func extremesByMap(space array.Space, lins []int64) []int64 {
+	rank := space.Rank()
+	strides := make([]int64, rank)
+	stride := int64(1)
+	for k := rank - 1; k >= 0; k-- {
+		strides[k] = stride
+		stride *= int64(space.Dim(k))
+	}
+	line := func(lin int64, k int) int64 {
+		return lin - (lin/strides[k])%int64(space.Dim(k))*strides[k]
+	}
+	ends := make([]map[int64][2]int64, rank)
+	for k := range ends {
+		ends[k] = make(map[int64][2]int64)
+		for _, lin := range lins {
+			e, ok := ends[k][line(lin, k)]
+			if !ok {
+				e = [2]int64{lin, lin}
+			}
+			ends[k][line(lin, k)] = [2]int64{min(e[0], lin), max(e[1], lin)}
+		}
+	}
+	var kept []int64
+next:
+	for _, lin := range lins {
+		for k := range ends {
+			if e := ends[k][line(lin, k)]; lin != e[0] && lin != e[1] {
+				continue next
+			}
+		}
+		kept = append(kept, lin)
+	}
+	slices.Sort(kept)
+	return kept
+}
+
+// checkFilterKeepsHull filters lins with f, which may have filtered
+// other sets before, and requires the map reference's kept points. It
+// then builds the hull of every point and the hull of the kept points,
+// and requires identical vertex lists with every vertex among the kept
+// points.
+func checkFilterKeepsHull(t *testing.T, label string, f *lineFilter, space array.Space, lins []int64) (all, kept int) {
 	t.Helper()
 	whole := toPoints(space, lins)
-	keptLins := newLineFilter(space).extremes(append([]int64(nil), lins...))
+	keptLins := f.extremes(append([]int64(nil), lins...))
+	if want := extremesByMap(space, lins); !slices.Equal(keptLins, want) {
+		t.Errorf("%s: the filter kept %d points, the map reference %d", label, len(keptLins), len(want))
+	}
 	keptSet := make(map[int64]bool, len(keptLins))
 	for _, lin := range keptLins {
 		keptSet[lin] = true
@@ -133,8 +178,9 @@ func checkFilterKeepsHull(t *testing.T, label string, space array.Space, lins []
 }
 
 // TestLineFilterKeepsHull is the filter's property oracle: over random
-// lattice sets in 2-D, 3-D and 4-D (4-D hulls are LP-only), the hull
-// of the kept points is the hull of all points, vertex for vertex.
+// lattice sets in 2-D, 3-D and 4-D (4-D hulls are LP-only), one filter
+// per space keeps what the map reference keeps, set after set, and the
+// hull of the kept points is the hull of all points, vertex for vertex.
 func TestLineFilterKeepsHull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	trials := 5
@@ -148,11 +194,12 @@ func TestLineFilterKeepsHull(t *testing.T) {
 			dims[k] = side
 		}
 		space := array.MustSpace(dims...)
+		f := newLineFilter(space)
 		for trial := 0; trial < trials; trial++ {
 			for _, kind := range []string{"blob", "scatter", "line", "plane", "point"} {
 				lins := latticeSet(rng, space, kind)
 				label := fmt.Sprintf("%d-D %s trial %d (%d points)", dim, kind, trial, len(lins))
-				checkFilterKeepsHull(t, label, space, lins)
+				checkFilterKeepsHull(t, label, f, space, lins)
 			}
 		}
 	}
@@ -180,8 +227,9 @@ func campaign(t *testing.T, p workload.Program, tests int, seed int64) *array.In
 
 // TestLineFilterPinsWorkloadCells pins the filter on real campaigns:
 // for every SPLIT cell of scaled-down ARD, MSI, PRL3D, LDC3D and RDC3D
-// campaigns at two seeds, the hull of the whole cell equals the hull
-// of its filtered points. The SC baseline's hull is checked against
+// campaigns at two seeds, one filter shared by the cells, as split
+// shares it, keeps what the map reference keeps, and the hull of the
+// whole cell equals the hull of its filtered points. The SC baseline's hull is checked against
 // the hull of every observed point of one campaign.
 func TestLineFilterPinsWorkloadCells(t *testing.T) {
 	tests := 150
@@ -202,10 +250,11 @@ func TestLineFilterPinsWorkloadCells(t *testing.T) {
 	for _, p := range progs {
 		for _, seed := range []int64{1, 2} {
 			set := campaign(t, p, tests, seed)
+			f := newLineFilter(set.Space())
 			all, kept := 0, 0
 			for i, lins := range splitLinear(set, cellSize) {
 				label := fmt.Sprintf("%s seed %d cell %d", p.Name(), seed, i)
-				n, k := checkFilterKeepsHull(t, label, set.Space(), lins)
+				n, k := checkFilterKeepsHull(t, label, f, set.Space(), lins)
 				all += n
 				kept += k
 			}

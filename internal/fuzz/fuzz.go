@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/array"
@@ -189,6 +188,21 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 
 	cov := newCovTracker(f.space, start)
 	res := &Result{Indices: array.NewIndexSet(f.space), Workers: workers, Coverage: cov.series}
+	// A round's merge leaves res.Indices (IS) as it was at the round's
+	// start. Each test's I_v \ IS goes into fresh, and fresh is folded
+	// into staged, which reports exactly the positions that neither IS
+	// nor an earlier test of the round holds. IS and staged are
+	// disjoint, so |IS| + |staged| is the campaign's coverage, and one
+	// union folds staged into IS when the round closes: IS is copied
+	// once per round, not once per test.
+	staged := array.NewIndexSet(f.space)
+	fresh := array.NewIndexSet(f.space)
+	addFresh := func(lo, hi int64) bool {
+		// A run of I_v, whose space the pool checked, so AddRun cannot
+		// fail; the runs come in ascending order, so each is an append.
+		fresh.AddRun(lo, hi)
+		return true
+	}
 	if cfg.Witnesses {
 		res.Witnesses = make(map[int64]int)
 	}
@@ -205,6 +219,7 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 	clUseful := newClusterSet(cfg.Diameter)
 	clNonUseful := newClusterSet(cfg.Diameter)
 	evaluated := make(map[string]bool)
+	var key []byte // appendSeedKey's reused buffer
 	totalVals := f.params.Valuations()
 	var queue [][]float64
 	eps := cfg.Epsilon
@@ -225,7 +240,6 @@ func (f *Fuzzer) Run(ctx context.Context) (*Result, error) {
 
 	stop := StopMaxIter // reason when the for condition ends the loop
 	batch := make([][]float64, 0, DefaultBatchSize)
-loop:
 	for itr < cfg.MaxIter {
 		if cfg.StopIter > 0 && idleIters >= cfg.StopIter {
 			stop = StopIdle
@@ -265,15 +279,15 @@ loop:
 			}
 			v := queue[0]
 			queue = queue[1:]
-			key := seedKey(v)
-			if evaluated[key] {
+			key = appendSeedKey(key[:0], v)
+			if evaluated[string(key)] {
 				// Already-seen valuations cost no debloat test; they
 				// must not count toward the no-new-offset stop.
 				res.DedupSkips++
 				mDedup.Inc()
 				continue
 			}
-			evaluated[key] = true
+			evaluated[string(key)] = true
 			batch = append(batch, v)
 		}
 		if len(batch) == 0 {
@@ -294,11 +308,16 @@ loop:
 		// Merge in seed order. Only this sequential phase touches the
 		// RNG, the clusters, and the accumulated state, so the outcome
 		// is independent of how the pool interleaved the evaluations.
+		mergeSpan := obs.Start(ctx, "fuzz.merge")
+		if mergeSpan != nil {
+			mergeSpan.Arg("batch", res.Batches)
+		}
+		canceled := false
 		for i, v := range batch {
 			out := outs[i]
 			if out.skipped {
-				stop = StopCanceled
-				break loop
+				canceled = true
+				break
 			}
 			itr++
 			res.Iterations = itr
@@ -315,12 +334,15 @@ loop:
 				mEvals.Inc()
 				useful := !out.indices.Empty()
 
-				// Fold I_v into IS as one run union. The ranges it
-				// reports are exactly I_v \ IS, in ascending order, so
-				// the coverage tracker and the witness map see each
-				// newly covered index once.
+				// Stage I_v \ IS. The ranges staged reports are exactly
+				// I_v \ (IS ∪ staged), the positions a fold straight into
+				// IS would report, in ascending order, so the coverage
+				// tracker and the witness map see each newly covered
+				// index once.
 				ord := len(res.Seeds) // the SeedRecord appended below
-				added := int(res.Indices.UnionWithNew(out.indices, func(lo, hi int64) {
+				fresh.Reset()
+				out.indices.EachRunNotIn(res.Indices, addFresh)
+				added := int(staged.UnionWithNew(fresh, func(lo, hi int64) {
 					cov.observeRun(lo, hi)
 					if res.Witnesses != nil {
 						for lin := lo; lin <= hi; lin++ {
@@ -334,7 +356,8 @@ loop:
 				} else {
 					idleIters++
 				}
-				res.Curve = append(res.Curve, res.Indices.Len())
+				covered := res.Indices.Len() + staged.Len()
+				res.Curve = append(res.Curve, covered)
 
 				res.Seeds = append(res.Seeds, SeedRecord{V: append([]float64(nil), v...), Useful: useful})
 				vp := geom.Point(v)
@@ -347,14 +370,15 @@ loop:
 				}
 
 				for _, mutant := range f.mutate(vp, useful, eps, clUseful, clNonUseful, rng) {
-					if !evaluated[seedKey(mutant)] {
+					key = appendSeedKey(key[:0], mutant)
+					if !evaluated[string(key)] {
 						queue = append(queue, mutant)
 					}
 				}
 				if len(queue) > res.MaxQueueDepth {
 					res.MaxQueueDepth = len(queue)
 				}
-				gIndices.Set(float64(res.Indices.Len()))
+				gIndices.Set(float64(covered))
 				gQueue.Set(float64(len(queue)))
 			}
 
@@ -364,6 +388,15 @@ loop:
 			if cfg.Restart > 0 && itr%cfg.Restart == 0 {
 				reseed()
 			}
+		}
+		// Fold the round's staged indices into IS on every path out of
+		// the merge, a canceled one included.
+		res.Indices.UnionWith(staged)
+		staged.Reset()
+		mergeSpan.End()
+		if canceled {
+			stop = StopCanceled
+			break
 		}
 
 		// Close the round: one coverage point per merged batch. The
@@ -477,16 +510,16 @@ func (f *Fuzzer) greedyStep(v, target geom.Point, targetDist float64, dist [2]fl
 	return out
 }
 
-// seedKey identifies a seed by the integer valuation it rounds to —
-// the "i is new" dedup of Alg. 1 line 19, expressed in the units the
-// program actually distinguishes.
-func seedKey(v []float64) string {
-	var b strings.Builder
+// appendSeedKey appends the key identifying a seed by the integer
+// valuation it rounds to — the "i is new" dedup of Alg. 1 line 19,
+// expressed in the units the program actually distinguishes — to dst:
+// the rounded values in decimal, comma-separated.
+func appendSeedKey(dst []byte, v []float64) []byte {
 	for i, x := range v {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%d", workload.RoundParam(x))
+		dst = strconv.AppendInt(dst, int64(workload.RoundParam(x)), 10)
 	}
-	return b.String()
+	return dst
 }

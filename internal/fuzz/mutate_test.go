@@ -2,8 +2,10 @@ package fuzz
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/array"
@@ -113,12 +115,25 @@ func TestMutantsClampedIntoTheta(t *testing.T) {
 	}
 }
 
+// seedKey is a seed's dedup key as a string.
+func seedKey(v []float64) string { return string(appendSeedKey(nil, v)) }
+
 func TestSeedKeyRoundsToValuation(t *testing.T) {
 	if seedKey([]float64{1.4, 2.6}) != seedKey([]float64{0.5, 3.4}) {
 		t.Error("values rounding to the same valuation should share a key")
 	}
 	if seedKey([]float64{1, 2}) == seedKey([]float64{2, 1}) {
 		t.Error("distinct valuations share a key")
+	}
+	// The key is the rounded values in decimal, comma-separated.
+	for _, v := range [][]float64{{0}, {-3.5, 2.49, 1e6}, {-0.4, 7, -12.6}} {
+		want := make([]string, len(v))
+		for i, x := range v {
+			want[i] = fmt.Sprintf("%d", workload.RoundParam(x))
+		}
+		if got := seedKey(v); got != strings.Join(want, ",") {
+			t.Errorf("seedKey(%v) = %q, want %q", v, got, strings.Join(want, ","))
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // TestRunEmitsSpansAndMetrics runs a multi-worker campaign with a
 // trace and a registry in the context and checks that the export is
 // well-formed Chrome trace JSON carrying fuzz spans from multiple
-// worker lanes, and that the live counters match the result. Under
+// worker lanes, a fuzz.round and a fuzz.merge span per round, and
+// that the live counters match the result. Under
 // -race this is the observability concurrency contract of the pool.
 func TestRunEmitsSpansAndMetrics(t *testing.T) {
 	space := array.MustSpace(32, 32)
@@ -72,6 +73,9 @@ func TestRunEmitsSpansAndMetrics(t *testing.T) {
 	}
 	if counts["fuzz.round"] != res.Batches {
 		t.Errorf("fuzz.round spans = %d, want %d batches", counts["fuzz.round"], res.Batches)
+	}
+	if counts["fuzz.merge"] != res.Batches {
+		t.Errorf("fuzz.merge spans = %d, want %d batches", counts["fuzz.merge"], res.Batches)
 	}
 	if counts["fuzz.worker"] == 0 {
 		t.Error("no fuzz.worker spans from a 4-worker campaign")

@@ -148,6 +148,66 @@ func TestCancellationReturnsPartialResult(t *testing.T) {
 	}
 }
 
+// blockAt returns the indices of the 5×3 block whose corner is v
+// rounded, clipped to the space: a debloat test whose I_v moves with
+// the seed, so nearly every test adds indices.
+func blockAt(space array.Space, v []float64) *array.IndexSet {
+	set := array.NewIndexSet(space)
+	x0, y0 := workload.RoundParam(v[0]), workload.RoundParam(v[1])
+	for x := x0; x < min(x0+5, space.Dim(0)); x++ {
+		for y := y0; y < min(y0+3, space.Dim(1)); y++ {
+			set.Add(array.NewIndex(x, y))
+		}
+	}
+	return set
+}
+
+// TestCancellationKeepsStagedIndices cancels a campaign part-way
+// through a round's merge. The indices the round's merged tests
+// observed must still reach Indices: it equals the union of I_v over
+// the evaluated seeds, and the last Curve point equals its size.
+func TestCancellationKeepsStagedIndices(t *testing.T) {
+	space := array.MustSpace(64, 64)
+	params := workload.ParamSpace{{Lo: 0, Hi: 63}, {Lo: 0, Hi: 63}}
+	const cancelAt = DefaultBatchSize + 8 // the 8th test of the second round
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var evals atomic.Int64
+	eval := func(v []float64) (*array.IndexSet, error) {
+		if evals.Add(1) == cancelAt {
+			cancel()
+		}
+		return blockAt(space, v), nil
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = 9
+	cfg.MaxIter = 100000
+	cfg.StopIter = 0
+	cfg.Workers = 1 // the canceling test is the last one evaluated
+	f, err := New(params, space, eval, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StopReason != StopCanceled || res.Evaluations != cancelAt {
+		t.Fatalf("stop %q after %d tests, want %q after %d", res.StopReason, res.Evaluations, StopCanceled, cancelAt)
+	}
+	want := array.NewIndexSet(space)
+	for _, s := range res.Seeds {
+		want.UnionWith(blockAt(space, s.V))
+	}
+	if !res.Indices.Equal(want) {
+		t.Errorf("Indices holds %d indices, the union of the evaluated tests' I_v %d",
+			res.Indices.Len(), want.Len())
+	}
+	if last := res.Curve[len(res.Curve)-1]; last != res.Indices.Len() {
+		t.Errorf("last Curve point %d, |Indices| %d", last, res.Indices.Len())
+	}
+}
+
 // TestFailuresDoNotAbortCampaign locks in the failure-tolerance fix: a
 // failing debloat test is recorded and skipped, and the campaign keeps
 // the indices accumulated from the seeds that succeeded.

@@ -7,7 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -70,8 +70,11 @@ func New(points []geom.Point) (*Hull, error) {
 // dropped, and the kept set is re-pruned at the end so points absorbed
 // by later arrivals are removed too. Sorting the result makes the
 // vertex list a function of the point set alone: neither the input
-// order nor the visiting permutation shows in it.
+// order nor the visiting permutation shows in it. The vertices are
+// copied into one block, so the hull shares no memory with points.
 func extremeVertices(points []geom.Point) []geom.Point {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
 	// Visit points in a fixed pseudo-random permutation. The
 	// incremental reduction is only fast when arrivals are scattered —
 	// then the kept set stays near the true extreme set — and degrades
@@ -79,28 +82,83 @@ func extremeVertices(points []geom.Point) []geom.Point {
 	// point is extreme for the prefix slab seen so far (a 16³ cell in
 	// row-major order keeps thousands of candidates). The permutation
 	// is a speed device only; the result does not depend on it.
-	perm := rand.New(rand.NewSource(1)).Perm(len(points))
-	kept := make([]geom.Point, 0, 16)
-	for _, pi := range perm {
+	kept := ws.kept[:0]
+	for _, pi := range ws.visitOrder(len(points)) {
 		p := points[pi]
-		if len(kept) > 0 && InConvexCombination(p, kept) {
+		if len(kept) > 0 && ws.inConvexCombination(p, kept) {
 			continue
 		}
-		kept = append(kept, p.Clone())
+		kept = append(kept, p)
 	}
 	// Final prune: drop any kept vertex inside the hull of the others.
-	others := make([]geom.Point, 0, len(kept))
 	for i := 0; i < len(kept); {
-		others = append(others[:0], kept[:i]...)
+		others := append(ws.others[:0], kept[:i]...)
 		others = append(others, kept[i+1:]...)
-		if len(others) > 0 && InConvexCombination(kept[i], others) {
+		ws.others = others
+		if len(others) > 0 && ws.inConvexCombination(kept[i], others) {
 			kept = append(kept[:i], kept[i+1:]...)
 			continue
 		}
 		i++
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Less(kept[j]) })
-	return kept
+	slices.SortFunc(kept, func(a, b geom.Point) int {
+		switch {
+		case a.Less(b):
+			return -1
+		case b.Less(a):
+			return 1
+		}
+		return 0
+	})
+	dim := len(points[0])
+	coords := make([]float64, len(kept)*dim)
+	verts := make([]geom.Point, len(kept))
+	for i, p := range kept {
+		verts[i] = coords[i*dim : (i+1)*dim : (i+1)*dim]
+		copy(verts[i], p)
+	}
+	// Drop the references to the caller's points before the workspace
+	// goes back to the pool.
+	clear(kept[:cap(kept)])
+	clear(ws.others[:cap(ws.others)])
+	ws.kept = kept[:0]
+	return verts
+}
+
+// workspace is the reusable working memory of hull construction: the
+// membership LP's flat row-major tableau and basis, and
+// extremeVertices' visiting order and point lists. One goroutine uses
+// a workspace at a time; the pool hands them out.
+type workspace struct {
+	t            []float64
+	basis        []int
+	kept, others []geom.Point
+
+	// rng and draws replay the visiting permutation (visitOrder).
+	rng         *rand.Rand
+	draws, perm []int
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// visitOrder returns rand.New(rand.NewSource(1)).Perm(n) without
+// seeding a source per call. Perm shuffles inside out, drawing
+// j_i = Intn(i+1) for i = 0, 1, …, n-1, so its first n draws are the
+// same for every n: the workspace keeps one growing prefix of draws
+// and replays Perm(n) from it. The slice is reused by the next call.
+func (ws *workspace) visitOrder(n int) []int {
+	if ws.rng == nil {
+		ws.rng = rand.New(rand.NewSource(1))
+	}
+	for i := len(ws.draws); i < n; i++ {
+		ws.draws = append(ws.draws, ws.rng.Intn(i+1))
+	}
+	ws.perm = slices.Grow(ws.perm[:0], n)[:n]
+	for i, j := range ws.draws[:n] {
+		ws.perm[i] = ws.perm[j]
+		ws.perm[j] = i
+	}
+	return ws.perm
 }
 
 // Merge returns the hull of the union of the two hulls' underlying

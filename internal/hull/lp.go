@@ -23,13 +23,21 @@ const lpEps = 1e-7
 // InConvexCombination reports whether p can be written as a convex
 // combination of the given vertices: ∃λ ≥ 0 with Σλ = 1 and
 // Σ λ_i v_i = p. It decides membership in conv(vertices) for any
-// dimension and any degenerate vertex configuration.
+// dimension and any degenerate vertex configuration. It is safe for
+// concurrent use: each call takes its tableau from a pool.
 //
 // The implementation is a phase-1 simplex on the standard-form system
 // with d+1 equality rows (one per coordinate plus the Σλ = 1 row) and
 // one artificial variable per row; feasibility holds iff the artificial
 // objective reaches zero.
 func InConvexCombination(p geom.Point, vertices []geom.Point) bool {
+	ws := workspaces.Get().(*workspace)
+	in := ws.inConvexCombination(p, vertices)
+	workspaces.Put(ws)
+	return in
+}
+
+func (ws *workspace) inConvexCombination(p geom.Point, vertices []geom.Point) bool {
 	if len(vertices) == 0 {
 		return false
 	}
@@ -37,26 +45,28 @@ func InConvexCombination(p geom.Point, vertices []geom.Point) bool {
 	rows := d + 1
 	n := len(vertices)
 
-	// Tableau columns: n λ-variables, rows artificials, then RHS.
+	// Tableau columns: n λ-variables, rows artificials, then RHS; the
+	// objective row follows the constraint rows.
 	cols := n + rows + 1
-	t := make([][]float64, rows+1) // +1 objective row
-	for i := range t {
-		t[i] = make([]float64, cols)
+	size := (rows + 1) * cols
+	if cap(ws.t) < size {
+		ws.t = make([]float64, size)
 	}
+	t := ws.t[:size]
+	clear(t)
 
 	// Right-hand side must be non-negative for phase 1; flip rows as
-	// needed. Shift coordinates so everything stays well-scaled.
-	rhs := make([]float64, rows)
-	for i := 0; i < d; i++ {
-		rhs[i] = p[i]
-	}
-	rhs[d] = 1
-
+	// needed. The RHS is p's coordinates, then 1 for the Σλ row.
 	for i := 0; i < rows; i++ {
+		rhs := 1.0
+		if i < d {
+			rhs = p[i]
+		}
 		sign := 1.0
-		if rhs[i] < 0 {
+		if rhs < 0 {
 			sign = -1
 		}
+		row := t[i*cols : (i+1)*cols]
 		for j := 0; j < n; j++ {
 			var a float64
 			if i < d {
@@ -64,19 +74,19 @@ func InConvexCombination(p geom.Point, vertices []geom.Point) bool {
 			} else {
 				a = 1
 			}
-			t[i][j] = sign * a
+			row[j] = sign * a
 		}
-		t[i][n+i] = 1 // artificial
-		t[i][cols-1] = sign * rhs[i]
+		row[n+i] = 1 // artificial
+		row[cols-1] = sign * rhs
 	}
 
 	// Objective: minimize sum of artificials. Express as maximizing
 	// -Σ artificials; start by pricing out the artificial basis.
-	obj := t[rows]
+	obj := t[rows*cols:]
 	for j := 0; j < cols; j++ {
 		var s float64
 		for i := 0; i < rows; i++ {
-			s += t[i][j]
+			s += t[i*cols+j]
 		}
 		obj[j] = -s
 	}
@@ -84,7 +94,10 @@ func InConvexCombination(p geom.Point, vertices []geom.Point) bool {
 		obj[n+i] = 0
 	}
 
-	basis := make([]int, rows)
+	if cap(ws.basis) < rows {
+		ws.basis = make([]int, rows)
+	}
+	basis := ws.basis[:rows]
 	for i := range basis {
 		basis[i] = n + i
 	}
@@ -106,8 +119,8 @@ func InConvexCombination(p geom.Point, vertices []geom.Point) bool {
 		leave := -1
 		best := math.Inf(1)
 		for i := 0; i < rows; i++ {
-			if t[i][enter] > lpEps {
-				ratio := t[i][cols-1] / t[i][enter]
+			if a := t[i*cols+enter]; a > lpEps {
+				ratio := t[i*cols+cols-1] / a
 				if ratio < best-lpEps || (math.Abs(ratio-best) <= lpEps && (leave < 0 || basis[i] < basis[leave])) {
 					best = ratio
 					leave = i
@@ -117,7 +130,7 @@ func InConvexCombination(p geom.Point, vertices []geom.Point) bool {
 		if leave < 0 {
 			break // unbounded (cannot happen for phase 1); treat as done
 		}
-		pivot(t, leave, enter)
+		pivot(t, cols, leave, enter)
 		basis[leave] = enter
 	}
 
@@ -126,24 +139,26 @@ func InConvexCombination(p geom.Point, vertices []geom.Point) bool {
 	return math.Abs(obj[cols-1]) <= 1e-6
 }
 
-// pivot performs a full tableau pivot on (row, col), including the
-// objective row (the last row of t).
-func pivot(t [][]float64, row, col int) {
-	pr := t[row]
+// pivot performs a full tableau pivot on (row, col) of the flat
+// tableau t with cols columns, including the objective row (the last
+// row of t).
+func pivot(t []float64, cols, row, col int) {
+	pr := t[row*cols : (row+1)*cols]
 	pv := pr[col]
 	for j := range pr {
 		pr[j] /= pv
 	}
-	for i := range t {
+	for i := 0; i*cols < len(t); i++ {
 		if i == row {
 			continue
 		}
-		f := t[i][col]
+		ri := t[i*cols : (i+1)*cols]
+		f := ri[col]
 		if f == 0 {
 			continue
 		}
-		for j := range t[i] {
-			t[i][j] -= f * pr[j]
+		for j := range ri {
+			ri[j] -= f * pr[j]
 		}
 	}
 }
