@@ -141,6 +141,10 @@ func (l *ChunkedLayout) Locate(ix Index) (chunk, within int64, err error) {
 	return chunk, within, nil
 }
 
+// rowWalkRank is the highest rank whose ChunkRows walk keeps its
+// coordinates on the stack; higher ranks allocate them.
+const rowWalkRank = 9
+
 // ChunkRows calls fn once for each row of the chunk with linear id
 // chunk that the within-chunk element positions [from, to) reach, in
 // ascending order, with the inclusive run [lo, hi] of the space's
@@ -148,8 +152,9 @@ func (l *ChunkedLayout) Locate(ix Index) (chunk, within int64, err error) {
 // of the chunk along the last dimension, so its elements are
 // consecutive in the space too. Rows are clipped to the space: edge
 // padding yields nothing, and from and to are clamped to the chunk.
-// It is the inverse of Locate for a run of elements, and allocates
-// nothing.
+// It is the inverse of Locate for a run of elements. It places the
+// first row with one divide per dimension and steps to each later row
+// without any, and allocates nothing up to rank rowWalkRank.
 func (l *ChunkedLayout) ChunkRows(chunk, from, to int64, fn func(lo, hi int64)) {
 	from, to = max(from, 0), min(to, l.chunkVol)
 	if chunk < 0 || chunk >= l.chunkGrid.Size() || from >= to {
@@ -159,31 +164,66 @@ func (l *ChunkedLayout) ChunkRows(chunk, from, to int64, fn func(lo, hi int64)) 
 	width := int64(l.chunk[last])
 	dims := l.space.dims
 	gridDims := l.chunkGrid.dims
-	// The chunk's first column along the last dimension.
+	// The chunk's columns along the last dimension, clipped to the
+	// space.
 	col0 := chunk % int64(gridDims[last]) * width
+	colEnd := min(col0+width, int64(dims[last]))
 	chunk /= int64(gridDims[last])
-	for row := from / width; row*width < to; row++ {
-		// Place the row in the space: its coordinate along every
-		// dimension but the last, and the linear position of its
-		// column 0.
-		lin, stride := int64(0), int64(dims[last])
-		r, c := row, chunk
-		inside := true
-		for k := last - 1; k >= 0; k-- {
+	// Place the first row. Along each dimension k but the last, w[k] is
+	// its coordinate within the chunk and n[k] the number of the chunk's
+	// coordinates that lie inside the space; lin is the linear position
+	// of its column 0, and outside the number of dimensions along which
+	// it lies in the padding.
+	var wBuf, nBuf [rowWalkRank - 1]int64
+	w, n := wBuf[:], nBuf[:]
+	if last > len(wBuf) {
+		w, n = make([]int64, last), make([]int64, last)
+	}
+	row, lastRow := from/width, (to-1)/width
+	lin, stride, outside := int64(0), int64(dims[last]), 0
+	r, c := row, chunk
+	for k := last - 1; k >= 0; k-- {
+		ext := int64(l.chunk[k])
+		origin := c % int64(gridDims[k]) * ext
+		w[k], n[k] = r%ext, min(ext, int64(dims[k])-origin)
+		r, c = r/ext, c/int64(gridDims[k])
+		lin += (origin + w[k]) * stride
+		stride *= int64(dims[k])
+		if w[k] >= n[k] {
+			outside++
+		}
+	}
+	for ; ; row++ {
+		if outside == 0 {
+			first := col0 + max(from-row*width, 0)
+			end := min(col0+to-row*width, colEnd)
+			if first < end {
+				fn(lin+first, lin+end-1)
+			}
+		}
+		if row == lastRow {
+			return
+		}
+		// Step to the next row like an odometer: bump the innermost
+		// coordinate, and carry outwards past each one that wraps at the
+		// chunk's extent. row < lastRow, so the outermost never wraps.
+		stride = int64(dims[last])
+		for k := last - 1; ; k-- {
 			ext := int64(l.chunk[k])
-			v := c%int64(gridDims[k])*ext + r%ext
-			r, c = r/ext, c/int64(gridDims[k])
-			if v >= int64(dims[k]) {
-				inside = false
+			w[k]++
+			lin += stride
+			if w[k] < ext {
+				if w[k] == n[k] {
+					outside++
+				}
 				break
 			}
-			lin += v * stride
+			if n[k] < ext {
+				outside--
+			}
+			w[k] = 0
+			lin -= ext * stride
 			stride *= int64(dims[k])
-		}
-		first := col0 + max(from-row*width, 0)
-		end := min(col0+min(to-row*width, width), int64(dims[last]))
-		if inside && first < end {
-			fn(lin+first, lin+end-1)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package array
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -267,6 +269,87 @@ func TestChunkRowsCoverSpaceOnce(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { l.ChunkRows(5, 0, l.chunkVol, func(int64, int64) {}) }); allocs != 0 {
 		t.Errorf("ChunkRows allocates %.1f per walk, want 0", allocs)
+	}
+}
+
+// chunkRowsPerRow is ChunkRows as it was before it stepped from row to
+// row: it places every row afresh, with a divide and a modulo per
+// dimension.
+func chunkRowsPerRow(l *ChunkedLayout, chunk, from, to int64, fn func(lo, hi int64)) {
+	from, to = max(from, 0), min(to, l.chunkVol)
+	if chunk < 0 || chunk >= l.chunkGrid.Size() || from >= to {
+		return
+	}
+	last := len(l.chunk) - 1
+	width := int64(l.chunk[last])
+	dims := l.space.dims
+	gridDims := l.chunkGrid.dims
+	col0 := chunk % int64(gridDims[last]) * width
+	chunk /= int64(gridDims[last])
+	for row := from / width; row*width < to; row++ {
+		lin, stride := int64(0), int64(dims[last])
+		r, c := row, chunk
+		inside := true
+		for k := last - 1; k >= 0; k-- {
+			ext := int64(l.chunk[k])
+			v := c%int64(gridDims[k])*ext + r%ext
+			r, c = r/ext, c/int64(gridDims[k])
+			if v >= int64(dims[k]) {
+				inside = false
+				break
+			}
+			lin += v * stride
+			stride *= int64(dims[k])
+		}
+		first := col0 + max(from-row*width, 0)
+		end := min(col0+min(to-row*width, width), int64(dims[last]))
+		if inside && first < end {
+			fn(lin+first, lin+end-1)
+		}
+	}
+}
+
+// The stepping walk yields exactly the per-row walk's runs for random
+// chunks and random [from, to) ranges, clamped ones included, on
+// edge-padded layouts of rank 1 to 4 and on one of rank 11, past the
+// walk's stack buffer.
+func TestChunkRowsMatchesPerRowWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var layouts []*ChunkedLayout
+	for range 60 {
+		rank := 1 + rng.Intn(4)
+		dims, chunk := make([]int, rank), make([]int, rank)
+		for k := range dims {
+			dims[k] = 1 + rng.Intn(13)
+			chunk[k] = 1 + rng.Intn(dims[k]+2) // may exceed the extent
+		}
+		l, err := NewChunkedLayout(MustSpace(dims...), Float64, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layouts = append(layouts, l)
+	}
+	high, err := NewChunkedLayout(MustSpace(3, 2, 3, 1, 2, 3, 2, 1, 3, 2, 5), Int32, []int{2, 2, 2, 1, 1, 2, 2, 1, 2, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layouts = append(layouts, high)
+	for _, l := range layouts {
+		for range 40 {
+			chunk := rng.Int63n(l.NumChunks()+2) - 1
+			from := rng.Int63n(l.chunkVol+4) - 2
+			to := from + rng.Int63n(l.chunkVol+4)
+			if rng.Intn(4) == 0 {
+				from, to = 0, l.chunkVol
+			}
+			var got, want [][2]int64
+			l.ChunkRows(chunk, from, to, func(lo, hi int64) { got = append(got, [2]int64{lo, hi}) })
+			chunkRowsPerRow(l, chunk, from, to, func(lo, hi int64) { want = append(want, [2]int64{lo, hi}) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("space %v chunk %v: ChunkRows(%d, %d, %d) = %v, want %v",
+					l.space.dims, l.chunk, chunk, from, to, got, want)
+			}
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ func TestWritePackedSpaceMismatch(t *testing.T) {
 }
 
 // writePackedElementwise is WritePacked's element-at-a-time reference:
-// one ReadElement and one Set per kept index.
+// one ReadElement and one one-element SetSlab per kept index.
 func writePackedElementwise(t *testing.T, srcPath, dstPath string, approx *array.IndexSet) {
 	t.Helper()
 	src, err := sdf.Open(srcPath)
@@ -141,10 +141,14 @@ func writePackedElementwise(t *testing.T, srcPath, dstPath string, approx *array
 	if err := stampProvenance(dw, "element", approx.Len()); err != nil {
 		t.Fatal(err)
 	}
+	one := make([]int, ds.Space().Rank())
+	for k := range one {
+		one[k] = 1
+	}
 	approx.Each(func(ix array.Index) bool {
 		v, err := ds.ReadElement(ix)
 		if err == nil {
-			err = dw.Set(ix, v)
+			err = dw.SetSlab(ix, one, []float64{v})
 		}
 		if err != nil {
 			t.Fatal(err)

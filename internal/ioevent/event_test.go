@@ -1,6 +1,7 @@
 package ioevent
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -139,5 +140,59 @@ func TestRecordInvalidRange(t *testing.T) {
 	err := s.Record(Event{ID: ID{PID: 1, File: "f"}, Op: OpRead, Offset: 0, Size: 0})
 	if err == nil {
 		t.Error("zero-size read should error")
+	}
+}
+
+// SeekRead on a record handed out by File accounts exactly what
+// Recording the lseek and read events would: two events per read, one
+// when nothing was read, and the same merged ranges.
+func TestSeekReadMatchesRecord(t *testing.T) {
+	id := ID{PID: 3, File: "f"}
+	direct, viaRecord := NewStore(), NewStore()
+	rec := viaRecord.File(id)
+	if viaRecord.Events() != 0 || viaRecord.Lookup(id) != nil || len(viaRecord.IDs()) != 0 {
+		t.Fatal("an unused record counts as an access")
+	}
+	for _, r := range []struct{ off, n int64 }{{40, 10}, {0, 16}, {100, 0}, {16, 24}, {70, 5}} {
+		direct.Record(Event{ID: id, Op: OpLseek, Offset: r.off})
+		if r.n > 0 {
+			direct.Record(Event{ID: id, Op: OpRead, Offset: r.off, Size: r.n})
+		}
+		if err := rec.SeekRead(r.off, r.n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if direct.Events() != 9 || viaRecord.Events() != direct.Events() {
+		t.Errorf("Events = %d via SeekRead, %d via Record, want 9", viaRecord.Events(), direct.Events())
+	}
+	want := []Interval{{0, 50}, {70, 75}}
+	if got := viaRecord.Lookup(id); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(direct.Lookup(id), want) {
+		t.Errorf("Lookup = %v via SeekRead, %v via Record, want %v", got, direct.Lookup(id), want)
+	}
+	if viaRecord.File(id) != rec {
+		t.Error("File handed out a second record for the same pair")
+	}
+	if err := rec.SeekRead(-8, 8); err == nil {
+		t.Error("SeekRead accepted a negative offset")
+	}
+}
+
+// IDs lists pairs in the order of their first byte access, not the
+// order their records were handed out or their first event.
+func TestIDsFollowFirstAccess(t *testing.T) {
+	s := NewStore()
+	p1, p2, p3 := ID{PID: 1, File: "f"}, ID{PID: 2, File: "f"}, ID{PID: 3, File: "g"}
+	r1 := s.File(p1)
+	s.Record(Event{ID: p2, Op: OpOpen})
+	r3 := s.File(p3)
+	r3.SeekRead(0, 4)
+	s.Record(Event{ID: p2, Op: OpRead, Offset: 8, Size: 4})
+	r1.SeekRead(0, 0) // an lseek alone accesses nothing
+	r1.SeekRead(2, 2)
+	if got, want := s.IDs(), []ID{p3, p2, p1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("IDs = %v, want %v", got, want)
+	}
+	if got := s.Files(); !reflect.DeepEqual(got, []string{"f", "g"}) {
+		t.Errorf("Files = %v", got)
 	}
 }

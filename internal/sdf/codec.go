@@ -72,11 +72,6 @@ func decodeValues(dst []float64, src []byte, dt array.DType) {
 	}
 }
 
-// encodeValue writes one element value into dst.
-func encodeValue(dst []byte, dt array.DType, v float64) {
-	encodeValues(dst, dt, []float64{v})
-}
-
 // decodeValue reads one element value from src.
 func decodeValue(src []byte, dt array.DType) float64 {
 	var v [1]float64

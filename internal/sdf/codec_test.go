@@ -15,7 +15,7 @@ func TestCodecRoundTripFloats(t *testing.T) {
 			if math.IsNaN(v) {
 				return true // NaN != NaN; storage still works but skip compare
 			}
-			encodeValue(buf, dt, v)
+			encodeValues(buf, dt, []float64{v})
 			return decodeValue(buf, dt) == v
 		}
 		if err := quick.Check(f, nil); err != nil {
@@ -26,12 +26,12 @@ func TestCodecRoundTripFloats(t *testing.T) {
 
 func TestCodecFloat32Precision(t *testing.T) {
 	buf := make([]byte, 4)
-	encodeValue(buf, array.Float32, 1.5)
+	encodeValues(buf, array.Float32, []float64{1.5})
 	if got := decodeValue(buf, array.Float32); got != 1.5 {
 		t.Errorf("float32 round trip = %v", got)
 	}
 	// Values beyond float32 precision are truncated, not corrupted.
-	encodeValue(buf, array.Float32, math.Pi)
+	encodeValues(buf, array.Float32, []float64{math.Pi})
 	if got := decodeValue(buf, array.Float32); math.Abs(got-math.Pi) > 1e-6 {
 		t.Errorf("float32 pi = %v", got)
 	}
@@ -50,7 +50,7 @@ func TestCodecIntegersTruncate(t *testing.T) {
 		{array.Int64, -3.999, -3},
 	}
 	for _, c := range cases {
-		encodeValue(buf, c.dt, c.in)
+		encodeValues(buf, c.dt, []float64{c.in})
 		if got := decodeValue(buf, c.dt); got != c.want {
 			t.Errorf("%v(%v) = %v, want %v", c.dt, c.in, got, c.want)
 		}
@@ -59,7 +59,7 @@ func TestCodecIntegersTruncate(t *testing.T) {
 
 func TestCodecNaNStorable(t *testing.T) {
 	buf := make([]byte, 8)
-	encodeValue(buf, array.Float64, math.NaN())
+	encodeValues(buf, array.Float64, []float64{math.NaN()})
 	if got := decodeValue(buf, array.Float64); !math.IsNaN(got) {
 		t.Errorf("NaN round trip = %v", got)
 	}
@@ -67,7 +67,7 @@ func TestCodecNaNStorable(t *testing.T) {
 
 func TestCodecLongDoublePaddingZeroed(t *testing.T) {
 	buf := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	encodeValue(buf, array.LongDouble, 1.0)
+	encodeValues(buf, array.LongDouble, []float64{1.0})
 	for i := 8; i < 16; i++ {
 		if buf[i] != 0 {
 			t.Fatalf("padding byte %d = %d, want 0", i, buf[i])
@@ -81,5 +81,5 @@ func TestCodecInvalidDTypePanics(t *testing.T) {
 			t.Error("expected panic on invalid dtype")
 		}
 	}()
-	encodeValue(make([]byte, 16), array.DType(99), 1)
+	encodeValues(make([]byte, 16), array.DType(99), []float64{1})
 }

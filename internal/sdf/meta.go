@@ -1,7 +1,6 @@
 package sdf
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -52,14 +51,12 @@ func (m *datasetMeta) space() (array.Space, error) {
 //	  name (u16 len + bytes), dtype u8, layout u8, debloated u8,
 //	  rank u8, dims [rank]u64, chunk [rank]u64 (chunked only),
 //	  dataOff u64, dataLen u64,
-//	  chunkTableLen u64 + entries [n]i64 (chunked only)
+//	  chunkTableLen u64 + entries [n]i64 (chunked only),
+//	  packRunsLen u64 + runs [n](startLin, count, off i64) (packed only),
+//	  attrCount u32 + attrs [n](key, value: u16 len + bytes), sorted by key
 func encodeMeta(ds []*datasetMeta) ([]byte, error) {
-	var buf bytes.Buffer
-	w := func(v any) {
-		// bytes.Buffer writes never fail.
-		_ = binary.Write(&buf, binary.LittleEndian, v)
-	}
-	w(uint32(len(ds)))
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, uint32(len(ds)))
 	for _, m := range ds {
 		if len(m.Name) > 0xFFFF {
 			return nil, fmt.Errorf("sdf: dataset name too long (%d bytes)", len(m.Name))
@@ -73,41 +70,37 @@ func encodeMeta(ds []*datasetMeta) ([]byte, error) {
 		if len(m.Dims) == 0 || len(m.Dims) > 255 {
 			return nil, fmt.Errorf("sdf: dataset %q has unsupported rank %d", m.Name, len(m.Dims))
 		}
-		w(uint16(len(m.Name)))
-		buf.WriteString(m.Name)
-		w(uint8(m.DType))
-		w(uint8(m.Layout))
+		b = appendString16(b, m.Name)
 		deb := uint8(0)
 		if m.Debloated {
 			deb = 1
 		}
-		w(deb)
-		w(uint8(len(m.Dims)))
+		b = append(b, uint8(m.DType), uint8(m.Layout), deb, uint8(len(m.Dims)))
 		for _, d := range m.Dims {
-			w(uint64(d))
+			b = le.AppendUint64(b, uint64(d))
 		}
 		if m.Layout == layoutChunked {
 			if len(m.Chunk) != len(m.Dims) {
 				return nil, fmt.Errorf("sdf: dataset %q chunk rank mismatch", m.Name)
 			}
 			for _, c := range m.Chunk {
-				w(uint64(c))
+				b = le.AppendUint64(b, uint64(c))
 			}
 		}
-		w(uint64(m.DataOff))
-		w(uint64(m.DataLen))
+		b = le.AppendUint64(b, uint64(m.DataOff))
+		b = le.AppendUint64(b, uint64(m.DataLen))
 		if m.Layout == layoutChunked {
-			w(uint64(len(m.ChunkTable)))
+			b = le.AppendUint64(b, uint64(len(m.ChunkTable)))
 			for _, off := range m.ChunkTable {
-				w(off)
+				b = le.AppendUint64(b, uint64(off))
 			}
 		}
 		if m.Layout == layoutPacked {
-			w(uint64(len(m.PackRuns)))
+			b = le.AppendUint64(b, uint64(len(m.PackRuns)))
 			for _, r := range m.PackRuns {
-				w(r.startLin)
-				w(r.count)
-				w(r.off)
+				b = le.AppendUint64(b, uint64(r.startLin))
+				b = le.AppendUint64(b, uint64(r.count))
+				b = le.AppendUint64(b, uint64(r.off))
 			}
 		}
 		// Attributes, sorted for byte-stable output.
@@ -116,19 +109,21 @@ func encodeMeta(ds []*datasetMeta) ([]byte, error) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		w(uint32(len(keys)))
+		b = le.AppendUint32(b, uint32(len(keys)))
 		for _, k := range keys {
 			v := m.Attrs[k]
 			if len(k) > maxAttrLen || len(v) > maxAttrLen {
 				return nil, fmt.Errorf("sdf: attribute %q of %q too long", k, m.Name)
 			}
-			w(uint16(len(k)))
-			buf.WriteString(k)
-			w(uint16(len(v)))
-			buf.WriteString(v)
+			b = appendString16(appendString16(b, k), v)
 		}
 	}
-	return buf.Bytes(), nil
+	return b, nil
+}
+
+// appendString16 appends s with its u16 length prefix.
+func appendString16(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint16(b, uint16(len(s))), s...)
 }
 
 // The smallest encodings decodeMeta accepts: a rank-1 dataset with an
@@ -141,33 +136,36 @@ const (
 
 // decodeMeta parses a metadata block produced by encodeMeta.
 func decodeMeta(b []byte) ([]*datasetMeta, error) {
-	r := bytes.NewReader(b)
-	rd := func(v any) error { return binary.Read(r, binary.LittleEndian, v) }
-	var count uint32
-	if err := rd(&count); err != nil {
+	le := binary.LittleEndian
+	r := metaReader(b)
+	count, err := r.u32()
+	if err != nil {
 		return nil, fmt.Errorf("sdf: truncated metadata: %w", err)
 	}
 	// Counts are bounded by the bytes left to hold them, so a hostile
 	// claim fails before it sizes an allocation.
-	if uint64(count) > uint64(r.Len())/minDatasetMetaLen {
+	if uint64(count) > uint64(len(r))/minDatasetMetaLen {
 		return nil, fmt.Errorf("sdf: implausible dataset count %d", count)
 	}
 	ds := make([]*datasetMeta, 0, count)
 	for i := uint32(0); i < count; i++ {
 		m := &datasetMeta{}
-		var nameLen uint16
-		if err := rd(&nameLen); err != nil {
+		nameLen, err := r.u16()
+		if err != nil {
 			return nil, fmt.Errorf("sdf: truncated metadata: %w", err)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
+		name, err := r.next(int(nameLen))
+		if err != nil {
 			return nil, fmt.Errorf("sdf: truncated dataset name: %w", err)
 		}
 		m.Name = string(name)
-		var dt, lk, deb, rank uint8
-		if err := firstErr(rd(&dt), rd(&lk), rd(&deb), rd(&rank)); err != nil {
-			return nil, fmt.Errorf("sdf: truncated metadata for %q: %w", m.Name, err)
+		// Four one-byte fields: a short block fails on a whole byte,
+		// so with io.EOF.
+		if len(r) < 4 {
+			return nil, fmt.Errorf("sdf: truncated metadata for %q: %w", m.Name, io.EOF)
 		}
+		fields, _ := r.next(4)
+		dt, lk, deb, rank := fields[0], fields[1], fields[2], fields[3]
 		m.DType = array.DType(dt)
 		if !m.DType.Valid() {
 			return nil, fmt.Errorf("sdf: dataset %q: invalid dtype %d", m.Name, dt)
@@ -180,78 +178,75 @@ func decodeMeta(b []byte) ([]*datasetMeta, error) {
 		if rank == 0 {
 			return nil, fmt.Errorf("sdf: dataset %q: zero rank", m.Name)
 		}
-		m.Dims = make([]int, rank)
-		for k := range m.Dims {
-			var v uint64
-			if err := rd(&v); err != nil {
-				return nil, fmt.Errorf("sdf: truncated dims for %q: %w", m.Name, err)
-			}
-			m.Dims[k] = int(v)
+		if m.Dims, err = r.ints(int(rank)); err != nil {
+			return nil, fmt.Errorf("sdf: truncated dims for %q: %w", m.Name, err)
 		}
 		if m.Layout == layoutChunked {
-			m.Chunk = make([]int, rank)
-			for k := range m.Chunk {
-				var v uint64
-				if err := rd(&v); err != nil {
-					return nil, fmt.Errorf("sdf: truncated chunk shape for %q: %w", m.Name, err)
-				}
-				m.Chunk[k] = int(v)
+			if m.Chunk, err = r.ints(int(rank)); err != nil {
+				return nil, fmt.Errorf("sdf: truncated chunk shape for %q: %w", m.Name, err)
 			}
 		}
-		var off, length uint64
-		if err := firstErr(rd(&off), rd(&length)); err != nil {
+		off, err := r.u64()
+		if err != nil {
+			return nil, fmt.Errorf("sdf: truncated data extent for %q: %w", m.Name, err)
+		}
+		length, err := r.u64()
+		if err != nil {
 			return nil, fmt.Errorf("sdf: truncated data extent for %q: %w", m.Name, err)
 		}
 		m.DataOff = int64(off)
 		m.DataLen = int64(length)
 		if m.Layout == layoutChunked {
-			var n uint64
-			if err := rd(&n); err != nil {
+			n, err := r.u64()
+			if err != nil {
 				return nil, fmt.Errorf("sdf: truncated chunk table for %q: %w", m.Name, err)
 			}
 			// Each entry takes 8 bytes; a count beyond the remaining
 			// buffer is corruption — reject before allocating.
-			if n > uint64(r.Len())/8 {
+			if n > uint64(len(r))/8 {
 				return nil, fmt.Errorf("sdf: implausible chunk table size %d for %q", n, m.Name)
 			}
+			table, _ := r.next(int(n) * 8)
 			m.ChunkTable = make([]int64, n)
 			for k := range m.ChunkTable {
-				if err := rd(&m.ChunkTable[k]); err != nil {
-					return nil, fmt.Errorf("sdf: truncated chunk table for %q: %w", m.Name, err)
-				}
+				m.ChunkTable[k] = int64(le.Uint64(table[8*k:]))
 			}
 		}
 		if m.Layout == layoutPacked {
-			var n uint64
-			if err := rd(&n); err != nil {
+			n, err := r.u64()
+			if err != nil {
 				return nil, fmt.Errorf("sdf: truncated pack table for %q: %w", m.Name, err)
 			}
 			// Each run takes 24 bytes in the buffer.
-			if n > uint64(r.Len())/24 {
+			if n > uint64(len(r))/24 {
 				return nil, fmt.Errorf("sdf: implausible pack table size %d for %q", n, m.Name)
 			}
+			table, _ := r.next(int(n) * 24)
 			m.PackRuns = make([]packRun, n)
 			for k := range m.PackRuns {
-				if err := firstErr(rd(&m.PackRuns[k].startLin), rd(&m.PackRuns[k].count), rd(&m.PackRuns[k].off)); err != nil {
-					return nil, fmt.Errorf("sdf: truncated pack table for %q: %w", m.Name, err)
+				run := table[24*k:]
+				m.PackRuns[k] = packRun{
+					startLin: int64(le.Uint64(run)),
+					count:    int64(le.Uint64(run[8:])),
+					off:      int64(le.Uint64(run[16:])),
 				}
 			}
 		}
-		var attrCount uint32
-		if err := rd(&attrCount); err != nil {
+		attrCount, err := r.u32()
+		if err != nil {
 			return nil, fmt.Errorf("sdf: truncated attributes for %q: %w", m.Name, err)
 		}
-		if uint64(attrCount) > uint64(r.Len())/minAttrLen {
+		if uint64(attrCount) > uint64(len(r))/minAttrLen {
 			return nil, fmt.Errorf("sdf: implausible attribute count %d for %q", attrCount, m.Name)
 		}
 		if attrCount > 0 {
 			m.Attrs = make(map[string]string, attrCount)
 			for a := uint32(0); a < attrCount; a++ {
-				k, err := readString16(r)
+				k, err := r.string16()
 				if err != nil {
 					return nil, fmt.Errorf("sdf: truncated attribute key for %q: %w", m.Name, err)
 				}
-				v, err := readString16(r)
+				v, err := r.string16()
 				if err != nil {
 					return nil, fmt.Errorf("sdf: truncated attribute value for %q: %w", m.Name, err)
 				}
@@ -263,26 +258,76 @@ func decodeMeta(b []byte) ([]*datasetMeta, error) {
 	return ds, nil
 }
 
-// readString16 reads a u16-length-prefixed string.
-func readString16(r *bytes.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+// metaReader is the unread rest of a metadata block. Its fields are
+// read with little-endian loads straight from the bytes; a field the
+// block is too short for fails as io.ReadFull would: with io.EOF when
+// no byte is left, and with io.ErrUnexpectedEOF, consuming the rest,
+// when some are.
+type metaReader []byte
+
+// next consumes the next n bytes.
+func (r *metaReader) next(n int) ([]byte, error) {
+	b := *r
+	switch {
+	case n <= len(b):
+		*r = b[n:]
+		return b[:n], nil
+	case len(b) == 0:
+		return nil, io.EOF
+	default:
+		*r = nil
+		return nil, io.ErrUnexpectedEOF
+	}
+}
+
+func (r *metaReader) u16() (uint16, error) {
+	b, err := r.next(2)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint16(b), nil
+}
+
+func (r *metaReader) u32() (uint32, error) {
+	b, err := r.next(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (r *metaReader) u64() (uint64, error) {
+	b, err := r.next(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// ints reads n u64 extents.
+func (r *metaReader) ints(n int) ([]int, error) {
+	out := make([]int, n)
+	for k := range out {
+		v, err := r.u64()
+		if err != nil {
+			return nil, err
+		}
+		out[k] = int(v)
+	}
+	return out, nil
+}
+
+// string16 reads a u16-length-prefixed string.
+func (r *metaReader) string16() (string, error) {
+	n, err := r.u16()
+	if err != nil {
 		return "", err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := r.next(int(n))
+	if err != nil {
 		return "", err
 	}
 	return string(b), nil
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // metaCRC computes the checksum stored in the header for the metadata

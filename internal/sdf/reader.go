@@ -172,6 +172,10 @@ func newDataset(f *File, m *datasetMeta) (*Dataset, error) {
 		}
 		ds.layout = cl
 		ds.chunked = cl
+		ds.stored = make([]storedChunk, 0, len(m.ChunkTable))
+		// The writer lays chunks out in table order, so the table
+		// ascends in file offset unless it was built by hand.
+		ascending := true
 		for lin, base := range m.ChunkTable {
 			if base == missingChunk {
 				continue
@@ -179,9 +183,14 @@ func newDataset(f *File, m *datasetMeta) (*Dataset, error) {
 			if !inRegion(base, cl.ChunkSizeBytes()) {
 				return nil, fmt.Errorf("sdf: dataset %q: chunk %d outside the data region", m.Name, lin)
 			}
+			if n := len(ds.stored); n > 0 && base < ds.stored[n-1].base {
+				ascending = false
+			}
 			ds.stored = append(ds.stored, storedChunk{base: base, lin: int64(lin)})
 		}
-		sort.Slice(ds.stored, func(i, j int) bool { return ds.stored[i].base < ds.stored[j].base })
+		if !ascending {
+			sort.Slice(ds.stored, func(i, j int) bool { return ds.stored[i].base < ds.stored[j].base })
+		}
 	case layoutPacked:
 		ds.layout = array.NewContiguousLayout(space, m.DType)
 		runs := append([]packRun(nil), m.PackRuns...)
@@ -359,7 +368,19 @@ func (d *Dataset) ReadElement(ix array.Index) (float64, error) {
 // under audit. A carved-away element fails the read with
 // ErrDataMissing, leaving the pending run unread.
 func (d *Dataset) ReadHyperslab(sel Hyperslab) ([]float64, error) {
-	return d.ReadHyperslabFunc(sel, nil)
+	return d.ReadHyperslabInto(sel, nil)
+}
+
+// ReadHyperslabInto reads sel as ReadHyperslab does, into vals when it
+// has room for the selection (as H5Dread writes into its caller's
+// buffer) and into a new slice otherwise, and returns the values. A
+// caller reading many slabs can so reuse one slice.
+func (d *Dataset) ReadHyperslabInto(sel Hyperslab, vals []float64) ([]float64, error) {
+	if err := sel.Validate(d.space); err != nil {
+		return nil, err
+	}
+	r := slabReader{d: d}
+	return r.read(sel, vals)
 }
 
 // ReadHyperslabFunc reads sel as ReadHyperslab does, except that the

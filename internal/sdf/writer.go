@@ -98,16 +98,6 @@ func (w *Writer) CreateDataset(name string, space array.Space, dt array.DType, c
 	return &DatasetWriter{w: w, sd: sd}, nil
 }
 
-// Set writes the value of one element.
-func (dw *DatasetWriter) Set(ix array.Index, v float64) error {
-	dst, _, err := dw.sd.span(ix, 1)
-	if err != nil {
-		return err
-	}
-	encodeValue(dst, dw.sd.meta.DType, v)
-	return nil
-}
-
 // SetSlab writes the dense block of shape count at start from vals, in
 // row-major order, one row at a time.
 func (dw *DatasetWriter) SetSlab(start, count []int, vals []float64) error {

@@ -10,12 +10,12 @@ import (
 	"repro/internal/array"
 )
 
-// TestSetSlabMatchesSet writes random dense slabs of random values into
-// random contiguous and chunked datasets, once with SetSlab and once
-// element by element with Set. Slabs need not align with chunks, and
-// some chunks stay unwritten (stored as zeros); the two files must be
-// byte-identical.
-func TestSetSlabMatchesSet(t *testing.T) {
+// TestSetSlabMatchesElementwise writes random dense slabs of random
+// values into random contiguous and chunked datasets, once a slab per
+// SetSlab call and once an element per call. Slabs need not align with
+// chunks, and some chunks stay unwritten (stored as zeros); the two
+// files must be byte-identical.
+func TestSetSlabMatchesElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	dtypes := []array.DType{array.Float32, array.Float64, array.Int32, array.Int64, array.LongDouble}
 	for trial := 0; trial < 100; trial++ {
@@ -65,9 +65,12 @@ func TestSetSlabMatchesSet(t *testing.T) {
 					}
 					continue
 				}
-				i := 0
+				i, one := 0, make([]int, rank)
+				for k := range one {
+					one[k] = 1
+				}
 				Slab(s.start, s.count).Each(func(ix array.Index) bool {
-					if err := dw.Set(ix, s.vals[i]); err != nil {
+					if err := dw.SetSlab(ix, one, s.vals[i:i+1]); err != nil {
 						t.Fatal(err)
 					}
 					i++
@@ -84,7 +87,7 @@ func TestSetSlabMatchesSet(t *testing.T) {
 			return raw
 		}
 		if !bytes.Equal(write(true), write(false)) {
-			t.Fatalf("%v chunk %v %v: SetSlab and Set wrote different files", dims, chunk, dt)
+			t.Fatalf("%v chunk %v %v: slab and element writes made different files", dims, chunk, dt)
 		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 
 // Audited is what one Audit observed.
 type Audited struct {
-	// Ranges are the data file's audited byte ranges, merged across
-	// processes (paper §IV-C).
+	// Ranges are the byte ranges this run's process read from the data
+	// file, merged (paper §IV-C): its own (pid, file) record, so other
+	// runs on the same tracer, reading the same file, add nothing.
 	Ranges []ioevent.Interval
 	// Indices is I_v: Ranges resolved to the dataset's indices.
 	Indices *array.IndexSet
@@ -24,9 +25,9 @@ type Audited struct {
 
 // Audit runs one debloat test (paper Def. 2). It opens the data file
 // at path through t under a fresh process, looks up the dataset, runs
-// fn over it, closes the file, and resolves the file's audited byte
-// ranges to the indices the run read. Events go to t's store, and to
-// its log when one is teed.
+// fn over it, closes the file, and resolves the byte ranges that
+// process read to the indices the run read. Events go to t's store,
+// and to its log when one is teed.
 //
 // A nil t runs the same open→run→close window untraced and resolves
 // nothing: the baseline of the §V-D6 audit overhead. Errors from fn
@@ -67,7 +68,7 @@ func Audit(ctx context.Context, t *Tracer, path, dataset string, fn func(*sdf.Da
 
 	sp = obs.Start(ctx, "trace.resolve")
 	defer sp.End()
-	res.Ranges = t.store.FileRanges(tf.Name())
+	res.Ranges = t.store.Lookup(tf.id)
 	if res.Indices, err = ResolveIndices(ds, res.Ranges); err != nil {
 		return nil, err
 	}

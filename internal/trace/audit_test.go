@@ -3,6 +3,9 @@ package trace
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"os"
@@ -276,6 +279,103 @@ func TestAuditedMatchesVirtual(t *testing.T) {
 			if err := os.Remove(path); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// runsDigest hashes an index set's runs.
+func runsDigest(s *array.IndexSet) string {
+	h := sha256.New()
+	var b [16]byte
+	s.EachRun(func(lo, hi int64) bool {
+		binary.LittleEndian.PutUint64(b[:8], uint64(lo))
+		binary.LittleEndian.PutUint64(b[8:], uint64(hi))
+		h.Write(b[:])
+		return true
+	})
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The teed event log and the resolved I_v of three audited runs over a
+// 128×128 long-double file in 16×16 chunks are pinned: a change to the
+// record path, the sdf open or the slab reads that moved one event or
+// one index shows here.
+func TestAuditLogGolden(t *testing.T) {
+	space := array.MustSpace(128, 128)
+	path := filepath.Join(t.TempDir(), "audit.sdf")
+	w := sdf.NewWriter(path)
+	dw, err := w.CreateDataset("data", space, array.LongDouble, []int{16, 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dw.Fill(func(ix array.Index) float64 {
+		lin, _ := space.Linear(ix)
+		return float64(lin)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		program    string
+		v          []float64
+		events     int64
+		log, index string
+	}{
+		{"CS2", []float64{1, 1}, 1022,
+			"f3fa78fa8f4b3621c67cdec513d1b09f43225cc1376cc49cd3528bc7f26db8a4",
+			"66e3609d1138a462140031f49ce650e40772919602b21488deb6e3b9c176ec3c"},
+		{"PRL2D", []float64{100, 90}, 454,
+			"c228a79611998c50709c497bab697377ec6c60d3c630a04afd9d8728ea7a1c6e",
+			"f69167742c6906522e1363410155c6a39a0c9db9a868f5806dcc5440dd570b00"},
+		{"LDC2D", []float64{20, 30}, 166,
+			"6c82d25d6d69050cd7546f0e31899c490f96b9216e8eb9db4035cb3bfb569d65",
+			"bbe24330eb667adef15bdd557d6b0c9609bf1eca400e7df9579234b194761eea"},
+	} {
+		p, err := workload.ForSpace(c.program, space.Dims())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		store := ioevent.NewStore()
+		tr := NewTracer(store)
+		lw := ioevent.NewLogWriter(&log)
+		tr.TeeLog(lw)
+		res, err := Audit(context.Background(), tr, path, "data", func(ds *sdf.Dataset) error {
+			return p.Run(c.v, &workload.Env{Acc: workload.NewFileAccessor(ds)})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(log.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != c.log || store.Events() != c.events {
+			t.Errorf("%s %v: log sha256 %s of %d events, want %s of %d", c.program, c.v, got, store.Events(), c.log, c.events)
+		}
+		if got := runsDigest(res.Indices); got != c.index {
+			t.Errorf("%s %v: I_v (%d indices) digest %s, want %s", c.program, c.v, res.Indices.Len(), got, c.index)
+		}
+	}
+}
+
+// Audits on one tracer each resolve only their own run's reads, though
+// all of them record into the same store under the same file name.
+func TestAuditReusedTracerResolvesOwnRun(t *testing.T) {
+	path := writeFile(t, array.MustSpace(8, 8), []int{4, 4})
+	tr := NewTracer(ioevent.NewStore())
+	for _, ix := range []array.Index{array.NewIndex(0, 0), array.NewIndex(7, 7)} {
+		res, err := Audit(context.Background(), tr, path, "d", func(ds *sdf.Dataset) error {
+			_, err := ds.ReadElement(ix)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Indices.Len() != 1 || !res.Indices.Contains(ix) {
+			t.Errorf("audit reading %v resolved %d indices", ix, res.Indices.Len())
 		}
 	}
 }

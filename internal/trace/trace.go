@@ -22,8 +22,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Tracer audits file I/O into an event store. Each Tracer models one
-// audited execution; the paper's debloat test creates one per run.
+// Tracer audits file I/O into an event store. Audit runs each debloat
+// test under a process of its own, so one Tracer (and one teed log) can
+// serve many runs.
 type Tracer struct {
 	store   *ioevent.Store
 	nextPID atomic.Int64
@@ -67,7 +68,8 @@ func (t *Tracer) NewProcess() int {
 }
 
 // Open opens path for reading through the tracer under the given
-// simulated pid, recording the open event.
+// simulated pid, recording the open event. The handle records its reads
+// straight into the store's record of (pid, file).
 func (t *Tracer) Open(pid int, path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -79,7 +81,7 @@ func (t *Tracer) Open(pid int, path string) (*File, error) {
 		return nil, err
 	}
 	obs.Log().Debug("trace: opened audited file", "pid", pid, "file", id.File)
-	return &File{f: f, tracer: t, id: id}, nil
+	return &File{f: f, tracer: t, id: id, rec: t.store.File(id)}, nil
 }
 
 // File is a traced read-only file handle. It satisfies
@@ -88,6 +90,7 @@ type File struct {
 	f      *os.File
 	tracer *Tracer
 	id     ioevent.ID
+	rec    *ioevent.FileRecord
 	closed atomic.Bool
 }
 
@@ -98,19 +101,28 @@ func (tf *File) ReadAt(p []byte, off int64) (int, error) {
 	if tf.closed.Load() {
 		return 0, fmt.Errorf("trace: read on closed file %s", tf.id.File)
 	}
-
-	if err := tf.tracer.record(ioevent.Event{ID: tf.id, Op: ioevent.OpLseek, Offset: off}); err != nil {
-		return 0, err
-	}
 	n, err := tf.f.ReadAt(p, off)
-	if n > 0 {
-		if rerr := tf.tracer.record(ioevent.Event{
-			ID: tf.id, Op: ioevent.OpRead, Offset: off, Size: int64(n),
-		}); rerr != nil {
-			return n, rerr
+	if rerr := tf.rec.SeekRead(off, int64(n)); rerr != nil {
+		return n, rerr
+	}
+	if lw := tf.tracer.log.Load(); lw != nil {
+		if lerr := tf.appendLog(lw, off, int64(n)); lerr != nil {
+			return n, lerr
 		}
 	}
 	return n, err
+}
+
+// appendLog appends the lseek and, when n > 0, the read that one ReadAt
+// stands for to the teed log.
+func (tf *File) appendLog(lw *ioevent.LogWriter, off, n int64) error {
+	t := tf.tracer
+	t.logMu.Lock()
+	defer t.logMu.Unlock()
+	if err := lw.Append(ioevent.Event{ID: tf.id, Op: ioevent.OpLseek, Offset: off}); err != nil || n == 0 {
+		return err
+	}
+	return lw.Append(ioevent.Event{ID: tf.id, Op: ioevent.OpRead, Offset: off, Size: n})
 }
 
 // Close closes the handle and records the close event.

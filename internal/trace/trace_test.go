@@ -155,7 +155,9 @@ func TestTeeLogCapturesEventStream(t *testing.T) {
 
 // A traced file is an io.ReaderAt, so reads may run in parallel; with a
 // log attached, every event the store counts must still reach the log
-// whole. Under -race this also checks the appends are serialized.
+// whole, and the store's readers may look while the file is still being
+// read. Under -race this also checks the appends are serialized and
+// the file's record is read under its lock.
 func TestTeeLogConcurrentReads(t *testing.T) {
 	path := writeFile(t, array.MustSpace(8, 8), nil)
 	store := ioevent.NewStore()
@@ -167,7 +169,8 @@ func TestTeeLogConcurrentReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const readers, reads = 2, 200
+	name := filepath.Base(path)
+	const readers, reads = 4, 200
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
@@ -182,14 +185,35 @@ func TestTeeLogConcurrentReads(t *testing.T) {
 			}
 		}(g)
 	}
+	done := make(chan struct{})
+	looked := make(chan struct{})
+	go func() {
+		defer close(looked)
+		// Counts only grow while the readers run.
+		for last := int64(0); ; {
+			n := store.Events()
+			if n < last {
+				t.Errorf("Events fell from %d to %d", last, n)
+			}
+			last = n
+			store.FileRanges(name)
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	<-looked
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := lw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(2 + 2*readers*reads); store.Events() != want {
+	if want := int64(1 + 2*readers*reads + 1); store.Events() != want {
 		t.Fatalf("store counted %d events, want %d", store.Events(), want)
 	}
 	replayed := ioevent.NewStore()
@@ -199,7 +223,6 @@ func TestTeeLogConcurrentReads(t *testing.T) {
 	if replayed.Events() != store.Events() {
 		t.Errorf("log holds %d events, store counted %d", replayed.Events(), store.Events())
 	}
-	name := filepath.Base(path)
 	if a, b := store.FileRanges(name), replayed.FileRanges(name); !reflect.DeepEqual(a, b) {
 		t.Errorf("replayed ranges %v, live %v", b, a)
 	}

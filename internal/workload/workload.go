@@ -34,6 +34,7 @@ type Accessor interface {
 	// ReadElement reads one element.
 	ReadElement(ix array.Index) (float64, error)
 	// ReadSlab reads the dense block of shape count anchored at start.
+	// The values are valid until the accessor's next read.
 	ReadSlab(start, count []int) ([]float64, error)
 }
 
@@ -241,6 +242,9 @@ func (a *VirtualAccessor) ReadSlab(start, count []int) ([]float64, error) {
 // trace.File to audit the accesses.
 type FileAccessor struct {
 	ds *sdf.Dataset
+	// vals holds the last slab's values; each ReadSlab decodes into it,
+	// so a run allocates its values once, not once per slab.
+	vals []float64
 }
 
 // NewFileAccessor returns an accessor over the dataset.
@@ -258,7 +262,12 @@ func (a *FileAccessor) ReadElement(ix array.Index) (float64, error) {
 
 // ReadSlab implements Accessor.
 func (a *FileAccessor) ReadSlab(start, count []int) ([]float64, error) {
-	return a.ds.ReadHyperslab(sdf.Slab(start, count))
+	vals, err := a.ds.ReadHyperslabInto(sdf.Slab(start, count), a.vals)
+	if err != nil {
+		return nil, err
+	}
+	a.vals = vals
+	return vals, nil
 }
 
 // RunOnVirtual executes p on v against a fresh virtual accessor and

@@ -2,9 +2,12 @@ package workload
 
 import (
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/array"
+	"repro/internal/sdf"
 )
 
 func TestParamRange(t *testing.T) {
@@ -98,6 +101,55 @@ func TestVirtualAccessorRecords(t *testing.T) {
 	old := acc.ResetAccessed()
 	if old.Len() != 5 || acc.Accessed().Len() != 0 {
 		t.Error("ResetAccessed did not swap sets")
+	}
+}
+
+// A file accessor decodes every slab into the one buffer it keeps: a
+// smaller slab reuses the larger one's storage, and each read returns
+// its own values.
+func TestFileAccessorReusesSlabBuffer(t *testing.T) {
+	space := array.MustSpace(6, 6)
+	path := filepath.Join(t.TempDir(), "acc.sdf")
+	w := sdf.NewWriter(path)
+	dw, err := w.CreateDataset("d", space, array.LongDouble, []int{4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dw.Fill(func(ix array.Index) float64 { return float64(10*ix[0] + ix[1]) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sdf.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ds, err := f.Dataset("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := NewFileAccessor(ds)
+	big, err := acc.ReadSlab([]int{1, 1}, []int{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big) != 12 || big[0] != 11 || big[11] != 34 {
+		t.Fatalf("3×4 slab = %v", big)
+	}
+	small, err := acc.ReadSlab([]int{4, 2}, []int{2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{42, 43, 52, 53}; !slices.Equal(small, want) {
+		t.Fatalf("2×2 slab = %v, want %v", small, want)
+	}
+	if &small[0] != &big[0] {
+		t.Error("second slab was decoded into a new buffer")
+	}
+	if _, err := acc.ReadSlab([]int{5, 5}, []int{2, 2}); err == nil {
+		t.Error("out-of-bounds ReadSlab should error")
 	}
 }
 
