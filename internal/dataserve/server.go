@@ -17,11 +17,6 @@ import (
 	"repro/internal/sdf"
 )
 
-// defaultServingElems is the serving-chunk volume target for origins
-// stored contiguously, shared with the debloat-time Merkle builder so
-// both derive the same chunk grid.
-const defaultServingElems = sdf.DefaultServingElems
-
 // DatasetMeta is the /meta response body: the geometry a client needs
 // to turn element indices into serving-chunk coordinates.
 type DatasetMeta struct {
@@ -117,11 +112,7 @@ func NewServer(originPath string) (*Server, error) {
 			return nil, err
 		}
 		space := ds.Space()
-		chunk := ds.ChunkShape()
-		chunked := chunk != nil
-		if chunk == nil {
-			chunk = sdf.ServingChunkShape(space.Dims(), defaultServingElems)
-		}
+		chunk := sdf.ServingChunk(ds)
 		grid, err := array.NewChunkedLayout(space, ds.DType(), chunk)
 		if err != nil {
 			f.Close()
@@ -134,7 +125,7 @@ func NewServer(originPath string) (*Server, error) {
 				Dims:      space.Dims(),
 				DType:     ds.DType().String(),
 				Chunk:     chunk,
-				Chunked:   chunked,
+				Chunked:   ds.ChunkLayout() != nil,
 				Debloated: ds.Debloated(),
 			},
 			space: space,

@@ -150,8 +150,8 @@ func TestContiguousOriginGetsServingChunks(t *testing.T) {
 	for _, c := range meta.Chunk {
 		vol *= c
 	}
-	if vol > defaultServingElems || vol <= 0 {
-		t.Errorf("serving chunk %v volume %d exceeds target %d", meta.Chunk, vol, defaultServingElems)
+	if vol > sdf.DefaultServingElems || vol <= 0 {
+		t.Errorf("serving chunk %v volume %d exceeds target %d", meta.Chunk, vol, sdf.DefaultServingElems)
 	}
 	resp, err := http.Get(ts.URL + "/chunk?dataset=data&chunk=0,0")
 	if err != nil {

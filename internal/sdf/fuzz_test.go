@@ -3,7 +3,9 @@ package sdf
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -288,6 +290,44 @@ func TestHostileMetadataAllocatesLittle(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 			t.Fatalf("%s: hostile claim grew TotalAlloc by %d bytes, want < 1 MiB", tc.name, grew)
+		}
+	}
+}
+
+// TestHostileDatasetMerkleAllocatesLittle builds Merkle trees over
+// files that open but claim far more data than they hold: a 2^16×2^16
+// contiguous float64 dataset (2^20 serving chunks) and one 2048×2048
+// float64 chunk, each with no data bytes at all. Each build must fail
+// at its first read having allocated well under 1 MiB, not the claimed
+// leaves or chunk.
+func TestHostileDatasetMerkleAllocatesLittle(t *testing.T) {
+	f64 := array.Float64
+	for name, data := range map[string][]byte{
+		"contiguous": datasetFile(t, &datasetMeta{
+			Name: "d", DType: f64, Layout: layoutContiguous, Dims: []int{1 << 16, 1 << 16}, DataLen: 8 << 32,
+		}, nil, nil),
+		"one chunk": datasetFile(t, &datasetMeta{
+			Name: "d", DType: f64, Layout: layoutChunked, Dims: []int{2048, 2048}, Chunk: []int{2048, 2048},
+			DataLen: 8 << 22, ChunkTable: make([]int64, 1),
+		}, nil, func(m *datasetMeta) { m.ChunkTable[0] = m.DataOff }),
+	} {
+		f, err := OpenFrom(memSource{bytes.NewReader(data)})
+		if err != nil {
+			t.Fatalf("%s (%d bytes): %v", name, len(data), err)
+		}
+		ds, err := f.Dataset("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = BuildDatasetMerkle(ds, ServingChunk(ds))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.EOF) {
+			t.Fatalf("%s (%d bytes): err = %v, want EOF", name, len(data), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s (%d bytes): the build grew TotalAlloc by %d bytes, want < 1 MiB", name, len(data), grew)
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"math"
 
 	"repro/internal/array"
 )
@@ -43,8 +42,9 @@ const MerkleAlgo = "sha256/serving-chunk-v1"
 // DefaultServingElems is the serving-chunk volume target for datasets
 // stored contiguously: 4096 float64 values ≈ 32 KiB per frame, big
 // enough to amortize a round trip and small enough to keep a client
-// cache granular. The dataserve origin and the manifest-time tree
-// builder share this constant so both derive the same chunk grid.
+// cache granular. ServingChunk derives every contiguous dataset's grid
+// from it, so the dataserve origin and the manifest-time tree builder
+// derive the same one.
 const DefaultServingElems = 4096
 
 // HashSize is the byte length of every node hash.
@@ -124,41 +124,98 @@ func ChunkOffset(space array.Space, chunk []int, ix array.Index) (leaf int64, of
 // ChunkLeafHash hashes one serving chunk's clipped values as Merkle
 // leaf number leaf. The leaf index inside the preimage position-binds
 // the content: identical values stored at two different chunk
-// coordinates still produce distinct leaves.
+// coordinates still produce distinct leaves. A verifying client hashes
+// the decoded values of a chunk frame with it.
 func ChunkLeafHash(leaf int64, vals []float64) [HashSize]byte {
-	lh := leafHasher{block: make([]byte, 0, min(leafBlock, 9+8*len(vals)))}
-	return lh.sum(leaf, vals)
+	var lh leafHasher
+	lh.begin(leaf)
+	lh.writeValues(vals)
+	return lh.sum()
 }
 
-// leafBlock is the most preimage bytes a leaf hash hands SHA-256 per
-// write.
+// leafBlock is the most transcoded preimage bytes a leaf hash hands
+// SHA-256 per write.
 const leafBlock = 4096
 
 // leafHasher hashes Merkle leaves through one SHA-256 state and one
-// block buffer, reused from leaf to leaf.
+// block buffer, reused from leaf to leaf. The Merkle build hands it a
+// leaf's elements as stored, of type dt, and it hashes their values'
+// float64 bits: the bytes themselves for float64, the low 8 bytes of
+// each long double, and for float32 and the integer types the bits of
+// the value decodeValues gives, so every dtype hashes the preimage
+// ChunkLeafHash hashes for the decoded values.
 type leafHasher struct {
 	h     hash.Hash
-	block []byte
+	dt    array.DType
+	block []byte    // transcoded preimage bytes
+	vals  []float64 // decoded float32 and integer values
 }
 
-// sum returns leaf number leaf's hash over vals, writing the preimage
-// in blocks of up to leafBlock bytes.
-func (lh *leafHasher) sum(leaf int64, vals []float64) [HashSize]byte {
+// begin starts the hash of leaf number leaf: 0x00 || le64(leaf).
+func (lh *leafHasher) begin(leaf int64) {
 	if lh.h == nil {
 		lh.h = sha256.New()
 	}
 	lh.h.Reset()
-	b := append(lh.block[:0], 0x00)
-	b = binary.LittleEndian.AppendUint64(b, uint64(leaf))
-	for _, v := range vals {
-		if len(b)+8 > leafBlock {
-			lh.h.Write(b)
-			b = b[:0]
+	var pre [9]byte
+	binary.LittleEndian.PutUint64(pre[1:], uint64(leaf))
+	lh.h.Write(pre[:])
+}
+
+// write adds the whole elements of type dt stored in b to the leaf.
+func (lh *leafHasher) write(b []byte) {
+	switch lh.dt {
+	case array.Float64:
+		// The stored bytes are the preimage.
+		lh.h.Write(b)
+	case array.LongDouble:
+		le := binary.LittleEndian
+		for len(b) > 0 {
+			n := min(len(b)/16, leafBlock/8)
+			blk := lh.grow(8 * n)
+			for i := range n {
+				le.PutUint64(blk[8*i:], le.Uint64(b[16*i:]))
+			}
+			lh.h.Write(blk)
+			b = b[16*n:]
 		}
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	default:
+		size := lh.dt.Size()
+		if lh.vals == nil {
+			lh.vals = make([]float64, leafBlock/8)
+		}
+		for len(b) > 0 {
+			n := min(len(b)/size, leafBlock/8)
+			decodeValues(lh.vals[:n], b, lh.dt)
+			lh.writeValues(lh.vals[:n])
+			b = b[n*size:]
+		}
 	}
-	lh.h.Write(b)
-	lh.block = b
+}
+
+// writeValues adds vals to the leaf as their float64 bits,
+// little-endian, a block at a time.
+func (lh *leafHasher) writeValues(vals []float64) {
+	for len(vals) > 0 {
+		n := min(len(vals), leafBlock/8)
+		blk := lh.grow(8 * n)
+		encodeValues(blk, array.Float64, vals[:n])
+		lh.h.Write(blk)
+		vals = vals[n:]
+	}
+}
+
+// grow returns the block buffer resliced to n bytes, reallocated when
+// it holds fewer.
+func (lh *leafHasher) grow(n int) []byte {
+	if cap(lh.block) < n {
+		lh.block = make([]byte, n)
+	}
+	return lh.block[:n]
+}
+
+// sum returns the leaf's hash.
+func (lh *leafHasher) sum() [HashSize]byte {
 	var out [HashSize]byte
 	lh.h.Sum(out[:0])
 	return out
@@ -184,34 +241,125 @@ type MerkleTree struct {
 
 // BuildDatasetMerkle reads every serving chunk of ds (in row-major
 // chunk-grid order, clipped at the edges exactly as the recovery plane
-// serves them) and builds the tree. One value slice, read buffer and
-// hash state serve every leaf. The chunk shape must be the dataset's
-// serving shape — pass sdf.ServingChunk(ds) unless a specific grid is
-// under test.
+// serves them) and builds the tree, hashing each leaf from the bytes
+// it reads. A chunked dataset's leaf is its stored chunk, read with one
+// ReadAt from the first clipped row to the end of the last; a
+// contiguous or packed dataset's leaf is the coalesced reads of its
+// slab. One read buffer and hash state serve every leaf. chunk must be
+// ServingChunk(ds), the one grid a client can verify against; any other
+// is rejected.
 func BuildDatasetMerkle(ds *Dataset, chunk []int) (*MerkleTree, error) {
+	if serving := ServingChunk(ds); !equalInts(chunk, serving) {
+		return nil, fmt.Errorf("sdf: merkle chunk %v of %q is not its serving chunk %v", chunk, ds.Name(), serving)
+	}
 	space := ds.Space()
 	grid, err := array.NewChunkedLayout(space, ds.DType(), chunk)
 	if err != nil {
 		return nil, fmt.Errorf("sdf: merkle chunk grid: %w", err)
 	}
-	n := grid.NumChunks()
-	leaves := make([][HashSize]byte, 0, n)
-	gridSpace := grid.Grid()
-	r := slabReader{d: ds}
-	var lh leafHasher
-	var vals []float64
-	for lin := int64(0); lin < n; lin++ {
-		cc, err := gridSpace.Unlinear(lin)
+	lh := &leafHasher{dt: ds.DType()}
+	// hashLeaf adds the values of leaf lin, the slab of count elements
+	// along each dimension from start, to the leaf begun in lh.
+	var hashLeaf func(lin int64, start, count []int) error
+	if ds.chunked != nil {
+		hashLeaf = newStoredLeaves(ds, lh).hash
+	} else {
+		r := slabReader{d: ds, sink: lh.write}
+		hashLeaf = func(_ int64, start, count []int) error {
+			_, err := r.read(Slab(start, count), nil)
+			return err
+		}
+	}
+	// The leaves grow as they are hashed, so a file claiming far more
+	// chunks than it holds fails at its first short read having
+	// allocated little.
+	var leaves [][HashSize]byte
+	for lin := int64(0); lin < grid.NumChunks(); lin++ {
+		cc, err := grid.Grid().Unlinear(lin)
 		if err != nil {
 			return nil, err
 		}
 		start, count := ChunkSlab(space, chunk, cc)
-		if vals, err = r.read(Slab(start, count), vals); err != nil {
+		lh.begin(lin)
+		if err := hashLeaf(lin, start, count); err != nil {
 			return nil, fmt.Errorf("sdf: merkle leaf %d (chunk %v): %w", lin, cc, err)
 		}
-		leaves = append(leaves, lh.sum(lin, vals))
+		leaves = append(leaves, lh.sum())
 	}
 	return NewMerkleTree(chunk, leaves), nil
+}
+
+// storedLeaves hashes the leaves of a chunked dataset, whose serving
+// chunks are its stored chunks, through one read buffer.
+type storedLeaves struct {
+	d      *Dataset
+	lh     *leafHasher
+	buf    []byte
+	stride []int64 // row-major element strides of a stored chunk
+	w      []int   // the current run's place in the clipped chunk
+}
+
+// newStoredLeaves returns the leaf hasher of the chunked dataset d,
+// which hashes into lh.
+func newStoredLeaves(d *Dataset, lh *leafHasher) *storedLeaves {
+	shape := d.meta.Chunk
+	s := &storedLeaves{d: d, lh: lh, stride: make([]int64, len(shape)), w: make([]int, len(shape))}
+	s.stride[len(shape)-1] = 1
+	for k := len(shape) - 2; k >= 0; k-- {
+		s.stride[k] = s.stride[k+1] * int64(shape[k+1])
+	}
+	return s
+}
+
+// hash adds stored chunk lin, clipped to count elements along each
+// dimension from start, to the leaf begun in lh. It reads the chunk
+// from its first element to the end of its last clipped row with one
+// ReadAt, then hands lh the clipped elements a contiguous run at a
+// time; edge padding between runs is read but not hashed.
+func (s *storedLeaves) hash(lin int64, start, count []int) error {
+	d := s.d
+	base := d.meta.ChunkTable[lin]
+	if base == missingChunk {
+		first, _ := d.space.Linear(start)
+		return &missingError{d, first}
+	}
+	// Past dimension j the chunk is not clipped, so each run spans
+	// count[j] steps along j, and the runs step along the dimensions
+	// before j. An interior chunk is one run.
+	j := len(count) - 1
+	for j > 0 && count[j] == d.meta.Chunk[j] {
+		j--
+	}
+	run := int64(count[j]) * s.stride[j]
+	span := run
+	for k := range j {
+		span += int64(count[k]-1) * s.stride[k]
+	}
+	var err error
+	if s.buf, err = readGrowing(d.file.src, s.buf, base, int(span*d.elem)); err != nil {
+		return fmt.Errorf("sdf: chunk read of %q: %w", d.meta.Name, err)
+	}
+	// off is the current run's first element, counted from the chunk's
+	// first element.
+	clear(s.w)
+	var off int64
+	for {
+		s.lh.write(s.buf[off*d.elem : (off+run)*d.elem])
+		// Step like an odometer over the dimensions before j.
+		k := j - 1
+		for ; k >= 0; k-- {
+			s.w[k]++
+			off += s.stride[k]
+			if s.w[k] < count[k] {
+				break
+			}
+			s.w[k] = 0
+			off -= int64(count[k]) * s.stride[k]
+		}
+		if k < 0 {
+			return nil
+		}
+	}
 }
 
 // NewMerkleTree folds precomputed leaves into a tree. Exposed for

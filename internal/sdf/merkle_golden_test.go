@@ -92,7 +92,9 @@ func TestChunkLeafHashPreimage(t *testing.T) {
 		for i := range vals {
 			vals[i] = float64(i)
 		}
-		if got, want := lh.sum(9, vals), ChunkLeafHash(9, vals); got != want {
+		lh.begin(9)
+		lh.writeValues(vals)
+		if got, want := lh.sum(), ChunkLeafHash(9, vals); got != want {
 			t.Errorf("reused hasher, %d values: %x, want %x", n, got, want)
 		}
 	}

@@ -1,8 +1,12 @@
 package sdf
 
 import (
+	"crypto/sha256"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/array"
@@ -280,3 +284,222 @@ func TestChunkOffsetMatchesChunkSlab(t *testing.T) {
 		t.Error("ChunkOffset accepted an index outside the space")
 	}
 }
+
+// merkleFile writes a one-dataset file, its dataset named "d", and
+// returns its bytes; omit, when set, carves chunks away first.
+func merkleFile(tb testing.TB, space array.Space, dt array.DType, chunk []int, fn func(array.Index) float64, omit func(*DatasetWriter) error) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "m.sdf")
+	w := NewWriter(path)
+	dw, err := w.CreateDataset("d", space, dt, chunk)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := dw.Fill(fn); err != nil {
+		tb.Fatal(err)
+	}
+	if omit != nil {
+		if err := omit(dw); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// TestMerkleLeavesMatchDecodedValues ties the build's leaves, hashed
+// from stored bytes, to the preimage a client hashes: for every dtype,
+// each leaf equals ChunkLeafHash over the values ReadHyperslab decodes
+// from its serving chunk. The chunked cases clip the edge chunks along
+// no dimension, each one in turn, and all of them, at ranks 1 to 3; the
+// contiguous ones clip their derived serving chunks.
+func TestMerkleLeavesMatchDecodedValues(t *testing.T) {
+	shapes := []struct{ dims, chunk []int }{
+		{[]int{16}, []int{8}},
+		{[]int{19}, []int{8}},
+		{[]int{8, 12}, []int{4, 6}},
+		{[]int{9, 12}, []int{4, 6}},
+		{[]int{8, 13}, []int{4, 6}},
+		{[]int{9, 13}, []int{4, 6}},
+		{[]int{3, 13}, []int{4, 6}}, // one chunk row, shorter than the chunk
+		{[]int{6, 8, 10}, []int{3, 4, 5}},
+		{[]int{7, 8, 10}, []int{3, 4, 5}},
+		{[]int{6, 9, 10}, []int{3, 4, 5}},
+		{[]int{6, 8, 11}, []int{3, 4, 5}},
+		{[]int{7, 9, 11}, []int{3, 4, 5}},
+		{[]int{5000}, nil},       // two 2500-element serving chunks
+		{[]int{4099}, nil},       // 2050 and a clipped 2049
+		{[]int{70, 190}, nil},    // 70×48, the last clipped to 70×46
+		{[]int{9, 40, 50}, nil},  // 9×20×13, clipped along the last
+		{[]int{33, 17, 12}, nil}, // 17×17×12, clipped along the first
+	}
+	for _, dt := range []array.DType{array.Float32, array.Float64, array.Int32, array.Int64, array.LongDouble} {
+		for _, sh := range shapes {
+			space := array.MustSpace(sh.dims...)
+			ds, _ := openRecorded(t, merkleFile(t, space, dt, sh.chunk, func(ix array.Index) float64 {
+				lin, _ := space.Linear(ix)
+				return float64(lin)/7 - 100
+			}, nil))
+			chunk := ServingChunk(ds)
+			tree, err := BuildDatasetMerkle(ds, chunk)
+			if err != nil {
+				t.Fatalf("%v %v/%v: %v", dt, sh.dims, chunk, err)
+			}
+			grid, _ := array.NewChunkedLayout(space, dt, chunk)
+			if tree.Leaves() != grid.NumChunks() || tree.Leaves() < 2 {
+				t.Fatalf("%v %v/%v: %d leaves, want %d (at least 2)", dt, sh.dims, chunk, tree.Leaves(), grid.NumChunks())
+			}
+			for leaf := range tree.Leaves() {
+				cc, _ := grid.Grid().Unlinear(leaf)
+				start, count := ChunkSlab(space, chunk, cc)
+				vals, err := ds.ReadHyperslab(Slab(start, count))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tree.levels[0][leaf] != ChunkLeafHash(leaf, vals) {
+					t.Fatalf("%v %v/%v: leaf %d (chunk %v) differs from the hash of its decoded values", dt, sh.dims, chunk, leaf, cc)
+				}
+			}
+		}
+	}
+}
+
+// TestMerkleReadsEachStoredChunkOnce pins a chunked build's I/O: one
+// ReadAt per stored chunk, at the chunk's base, from its first element
+// to the end of its last clipped row. A chunk larger than 64 KiB is
+// read in doubling steps until the buffer holds one, and then with one
+// ReadAt too.
+func TestMerkleReadsEachStoredChunkOnce(t *testing.T) {
+	for _, tc := range []struct {
+		dims, chunk []int
+		dt          array.DType
+		firstReads  []int // the sizes of the first chunk's reads
+	}{
+		{[]int{20, 13, 37}, []int{8, 5, 16}, array.Float64, []int{8 * 5 * 16 * 8}},
+		{[]int{20, 13, 37}, []int{8, 5, 16}, array.LongDouble, []int{8 * 5 * 16 * 16}},
+		{[]int{50, 47}, []int{16, 16}, array.Int32, []int{16 * 16 * 4}},
+		{[]int{100, 100}, []int{96, 96}, array.Float64, []int{64 << 10, 96*96*8 - 64<<10}},
+	} {
+		space := array.MustSpace(tc.dims...)
+		ds, src := openRecorded(t, merkleFile(t, space, tc.dt, tc.chunk, linValue(space), nil))
+		if _, err := BuildDatasetMerkle(ds, ServingChunk(ds)); err != nil {
+			t.Fatal(err)
+		}
+		grid := ds.ChunkLayout()
+		var want []readAt
+		for lin := range grid.NumChunks() {
+			cc, _ := grid.Grid().Unlinear(lin)
+			_, count := ChunkSlab(space, tc.chunk, cc)
+			// The clipped rows end at the last one's last element.
+			last, stride := int64(count[len(count)-1]), int64(1)
+			for k := len(count) - 1; k > 0; k-- {
+				stride *= int64(tc.chunk[k])
+				last += int64(count[k-1]-1) * stride
+			}
+			base := ds.meta.ChunkTable[lin]
+			if lin == 0 {
+				for _, n := range tc.firstReads {
+					want = append(want, readAt{base, n})
+					base += int64(n)
+				}
+				continue
+			}
+			want = append(want, readAt{base, int(last * ds.elem)})
+		}
+		if !slices.Equal(src.reads, want) {
+			t.Errorf("%v %v/%v: reads %v, want %v", tc.dt, tc.dims, tc.chunk, src.reads, want)
+		}
+	}
+}
+
+// TestMerkleOverCarvedFileFails: a carved-away chunk has no bytes to
+// commit to, so the build fails with ErrDataMissing naming the leaf,
+// its chunk and the chunk's first element.
+func TestMerkleOverCarvedFileFails(t *testing.T) {
+	space := array.MustSpace(8, 10)
+	ds, _ := openRecorded(t, merkleFile(t, space, array.Float64, []int{4, 4}, linValue(space), func(dw *DatasetWriter) error {
+		return dw.OmitChunksExcept(map[int64]bool{0: true, 1: true, 2: true, 4: true})
+	}))
+	_, err := BuildDatasetMerkle(ds, ServingChunk(ds))
+	if !errors.Is(err, ErrDataMissing) {
+		t.Fatalf("err = %v, want ErrDataMissing", err)
+	}
+	want := `sdf: merkle leaf 3 (chunk [1 0]): sdf: data missing (debloated away): index [4 0] of "d"`
+	if err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+}
+
+// TestMerkleRejectsOtherGrids: a tree over any grid but the serving
+// chunk is one no client could verify against, so the build refuses it.
+func TestMerkleRejectsOtherGrids(t *testing.T) {
+	for _, tc := range []struct{ dims, chunk, grid []int }{
+		{[]int{40, 24}, []int{16, 16}, []int{8, 16}},
+		{[]int{40, 24}, []int{16, 16}, []int{16}},
+		{[]int{256, 256}, nil, []int{32, 32}},
+		{[]int{256, 256}, nil, nil},
+	} {
+		space := array.MustSpace(tc.dims...)
+		ds, _ := openRecorded(t, merkleFile(t, space, array.Float64, tc.chunk, linValue(space), nil))
+		_, err := BuildDatasetMerkle(ds, tc.grid)
+		if err == nil || !strings.Contains(err.Error(), "not its serving chunk") {
+			t.Errorf("%v/%v: grid %v: err = %v, want a serving-chunk error", tc.dims, tc.chunk, tc.grid, err)
+		}
+	}
+}
+
+// BenchmarkBuildDatasetMerkle times the Merkle build over a chunked
+// float64 dataset with edge chunks along every dimension and over a
+// contiguous long-double one, and SHA-256 alone over as many bytes as
+// the float64 build's leaves hash. Each reports MB/s of logical
+// float64 preimage, so the builds read against the hash's own rate.
+func BenchmarkBuildDatasetMerkle(b *testing.B) {
+	for _, bc := range []struct {
+		name        string
+		dims, chunk []int
+		dt          array.DType
+	}{
+		{"chunked-float64", []int{99, 130, 120}, []int{16, 16, 16}, array.Float64},
+		{"contiguous-longdouble", []int{256, 384}, nil, array.LongDouble},
+	} {
+		space := array.MustSpace(bc.dims...)
+		path := filepath.Join(b.TempDir(), bc.name+".sdf")
+		if err := os.WriteFile(path, merkleFile(b, space, bc.dt, bc.chunk, linValue(space), nil), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		f, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		ds, err := f.Dataset("d")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(8 * space.Size())
+			for range b.N {
+				if _, err := BuildDatasetMerkle(ds, ServingChunk(ds)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("sha256", func(b *testing.B) {
+		buf := make([]byte, 8*99*130*120)
+		b.SetBytes(int64(len(buf)))
+		b.ResetTimer()
+		for range b.N {
+			benchSum = sha256.Sum256(buf)
+		}
+	})
+}
+
+// benchSum keeps the benchmark's hashes live.
+var benchSum [HashSize]byte

@@ -83,18 +83,30 @@ func OpenFrom(src ByteSource) (*File, error) {
 	return file, nil
 }
 
-// metaReadAhead is the largest metadata block OpenFrom reads with one
-// ReadAt. A larger claimed length is read in doubling steps, so a
-// header claiming more bytes than the file holds fails having
-// allocated about what the file does hold.
-const metaReadAhead = 64 << 10
+// readAhead is the most bytes readGrowing reads with its first ReadAt
+// into a buffer that cannot yet hold them.
+const readAhead = 64 << 10
 
-// readMeta reads the n-byte metadata block that follows the header.
+// readMeta reads the n-byte metadata block that follows the header: a
+// block of up to 64 KiB with one ReadAt, and a larger one in doubling
+// steps.
 func readMeta(src io.ReaderAt, n int) ([]byte, error) {
-	buf := make([]byte, min(n, metaReadAhead))
+	return readGrowing(src, nil, headerSize, n)
+}
+
+// readGrowing reads the n bytes at off into buf's backing array, which
+// it grows only as reads succeed: the first ReadAt fills what buf
+// already holds or readAhead bytes, whichever is more, and each later
+// one doubles what has been read. So a length claimed beyond the end of
+// src fails having allocated about what src holds, and a buffer reused
+// for reads of one size reads each with one ReadAt. It returns the
+// buffer, for reuse, with or without the error.
+func readGrowing(src io.ReaderAt, buf []byte, off int64, n int) ([]byte, error) {
+	first := min(n, max(cap(buf), readAhead))
+	buf = slices.Grow(buf[:0], first)[:first]
 	for filled := 0; ; {
-		if _, err := src.ReadAt(buf[filled:], headerSize+int64(filled)); err != nil {
-			return nil, err
+		if _, err := src.ReadAt(buf[filled:], off+int64(filled)); err != nil {
+			return buf, err
 		}
 		filled = len(buf)
 		if filled == n {
@@ -404,9 +416,13 @@ func (d *Dataset) ReadHyperslabFunc(sel Hyperslab, missing func(array.Index) (fl
 type slabReader struct {
 	d       *Dataset
 	missing func(array.Index) (float64, error) // nil: a miss fails the read
-	ix      array.Index
-	buf     []byte    // the read buffer
-	vals    []float64 // the current read's values
+	// sink, when set, takes each coalesced run's stored bytes, in
+	// selection order, instead of their decoded values; read then
+	// returns no values. It is never set together with missing.
+	sink func([]byte)
+	ix   array.Index
+	buf  []byte    // the read buffer
+	vals []float64 // the current read's values
 	// The pending run: count elements stored from file offset off,
 	// destined for vals[pos:].
 	off, count int64
@@ -418,10 +434,13 @@ type slabReader struct {
 // values.
 func (r *slabReader) read(sel Hyperslab, vals []float64) ([]float64, error) {
 	n := int(sel.NumElements())
-	if cap(vals) < n {
-		vals = make([]float64, n)
+	if r.sink == nil {
+		if cap(vals) < n {
+			vals = make([]float64, n)
+		}
+		vals = vals[:n]
 	}
-	r.vals, r.count = vals[:n], 0
+	r.vals, r.count = vals, 0
 	if len(r.ix) != len(sel.Start) {
 		r.ix = make(array.Index, len(sel.Start))
 	}
@@ -544,7 +563,7 @@ func (r *slabReader) miss(ix array.Index, n, pos int) error {
 }
 
 // flush reads the pending run with one ReadAt into the reused buffer
-// and decodes it into place.
+// and decodes it into place, or hands its bytes to the sink.
 func (r *slabReader) flush() error {
 	if r.count == 0 {
 		return nil
@@ -557,7 +576,11 @@ func (r *slabReader) flush() error {
 	if _, err := r.d.file.src.ReadAt(buf, r.off); err != nil {
 		return fmt.Errorf("sdf: hyperslab read of %q: %w", r.d.meta.Name, err)
 	}
-	decodeValues(r.vals[r.pos:r.pos+int(r.count)], buf, r.d.meta.DType)
+	if r.sink != nil {
+		r.sink(buf)
+	} else {
+		decodeValues(r.vals[r.pos:r.pos+int(r.count)], buf, r.d.meta.DType)
+	}
 	r.count = 0
 	return nil
 }

@@ -148,6 +148,10 @@ type CornerBlocks struct {
 	space array.Space
 	dims  []int
 	max   []int // maximum block extent per dimension (= extent/4)
+	// corners holds the two block anchor rules: for each dimension,
+	// whether the block hugs the high end of that dimension, per
+	// corner.
+	corners [2][]bool
 }
 
 func newCornerBlocks(kind cornerKind, dims []int) (*CornerBlocks, error) {
@@ -161,7 +165,10 @@ func newCornerBlocks(kind cornerKind, dims []int) (*CornerBlocks, error) {
 		}
 		max[k] = d / 4
 	}
-	return &CornerBlocks{kind: kind, space: array.MustSpace(dims...), dims: append([]int(nil), dims...), max: max}, nil
+	return &CornerBlocks{
+		kind: kind, space: array.MustSpace(dims...), dims: append([]int(nil), dims...), max: max,
+		corners: cornerAnchors(kind, len(dims)),
+	}, nil
 }
 
 // NewLDC returns the left-diagonal-corners program (rank 2 or 3).
@@ -221,16 +228,16 @@ func (p *CornerBlocks) Params() ParamSpace {
 	return ps
 }
 
-// corners returns the two block anchor rules: for each dimension,
-// whether the block hugs the high end of that dimension, per corner.
-func (p *CornerBlocks) corners() [2][]bool {
-	rank := len(p.dims)
+// cornerAnchors returns the two block anchor rules of a program of the
+// given kind and rank: for each dimension, whether the block hugs the
+// high end of that dimension, per corner.
+func cornerAnchors(kind cornerKind, rank int) [2][]bool {
 	first := make([]bool, rank)  // all-low corner (LDC) or mixed (RDC)
 	second := make([]bool, rank) // opposite corner
 	for k := 0; k < rank; k++ {
 		second[k] = true
 	}
-	if p.kind == rdcKind {
+	if kind == rdcKind {
 		// Flip one axis: corners move to the anti-diagonal.
 		first[rank-1] = true
 		second[rank-1] = false
@@ -252,7 +259,7 @@ func (p *CornerBlocks) Run(v []float64, env *Env) error {
 		}
 	}
 	env.Hit(blockEdgeBase + 11)
-	for ci, high := range p.corners() {
+	for ci, high := range p.corners {
 		env.Hit(blockEdgeBase + 12 + uint32(ci))
 		start := make([]int, len(ext))
 		for k := range ext {
@@ -270,7 +277,7 @@ func (p *CornerBlocks) Run(v []float64, env *Env) error {
 // InTruth implements AnalyticTruth: the union over Θ of each corner
 // block is the full quarter-extent box at that corner.
 func (p *CornerBlocks) InTruth(ix array.Index) bool {
-	for _, high := range p.corners() {
+	for _, high := range p.corners {
 		in := true
 		for k, x := range ix {
 			if high[k] {

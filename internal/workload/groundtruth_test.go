@@ -183,6 +183,24 @@ func TestCornerSeparation(t *testing.T) {
 	}
 }
 
+// TestCornerInTruthAllocatesNothing: GroundTruth asks InTruth about
+// every index of the space, so it must not allocate per call.
+func TestCornerInTruthAllocatesNothing(t *testing.T) {
+	for _, p := range []*CornerBlocks{MustLDC(32, 32), MustRDC(32, 32), MustLDC(16, 16, 16), MustRDC(16, 16, 16)} {
+		ixs := []array.Index{make(array.Index, len(p.dims)), make(array.Index, len(p.dims))}
+		for k := range ixs[1] {
+			ixs[1][k] = p.dims[k] - 1
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			for _, ix := range ixs {
+				p.InTruth(ix)
+			}
+		}); n != 0 {
+			t.Errorf("%s: InTruth allocates %v times per call pair", p.Name(), n)
+		}
+	}
+}
+
 func TestDefaultARDMSIDebloatFractions(t *testing.T) {
 	// The analytic kept fractions must match Table III's shape:
 	// ARD ≈ 97.2% debloat, MSI ≈ 96.2%.
